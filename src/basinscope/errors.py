@@ -14,7 +14,7 @@ class DomainError(BasinscopeError, ValueError):
 
 
 class DivergedRunError(BasinscopeError, RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or gradient."""
 
     def __init__(self, epoch: int, message: str = ""):
         self.epoch = epoch

@@ -279,9 +279,10 @@ def _gather_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return x[:, rows[:, None, :, None], cols[None, :, None, :], :]
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int):
+def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, patches=None):
     k, _, cin, cout = w.shape
-    patches = _gather_patches(x, k, stride)
+    if patches is None:
+        patches = _gather_patches(x, k, stride)
     bsz, oh, ow = patches.shape[:3]
     flat = patches.reshape(bsz * oh * ow, k * k * cin)
     out = (flat @ w.reshape(k * k * cin, cout)).reshape(bsz, oh, ow, cout) + b
@@ -311,49 +312,77 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
 INPUT_CENTER = 0.5  # images are in [0, 1]; centering keeps early training stable
 
 
-def _forward_full(params: ParamVector, arch: ArchDescriptor, batch: np.ndarray):
-    """Run the network in float64, keeping the caches backward needs."""
+def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
+    """Shape-checked, centered float64 input to the first layer."""
     x = np.asarray(batch, dtype=np.float64)
     if x.ndim == 3:
         x = x[None]
     if x.shape[1:] != tuple(arch.input_shape):
         raise SizeError(f"batch shape {x.shape[1:]} does not match arch input {arch.input_shape}")
-    x = x - INPUT_CENTER
+    return x - INPUT_CENTER
+
+
+def _run_layers(
+    params: ParamVector,
+    arch: ArchDescriptor,
+    x: np.ndarray,
+    start: int = 0,
+    stop: int | None = None,
+    *,
+    keep: bool = False,
+    patches: np.ndarray | None = None,
+):
+    """The forward core: run layers [start, stop) of the plan on x, the
+    float64 input to layer start (for start=0, ``_network_input``).
+
+    Returns (output, activations, caches). Only with keep=True are the
+    per-module outputs and the caches backward needs built; otherwise both
+    lists stay empty. patches, when given, are layer start's gathered conv
+    patches of x, so the gather is skipped.
+    """
     caches = []
     activations = []
-    for layer in arch.layer_plan():
+    for layer in arch.layer_plan()[start:stop]:
         name = layer["name"]
+        w = params.get(f"{name}.weight").astype(np.float64)
+        b = params.get(f"{name}.bias").astype(np.float64)
         if layer["kind"] == "conv":
-            w = params.get(f"{name}.weight").astype(np.float64)
-            b = params.get(f"{name}.bias").astype(np.float64)
-            pre, gathered = _conv_forward(x, w, b, layer["stride"])
+            pre, gathered = _conv_forward(x, w, b, layer["stride"], patches)
+            patches = None
             post = np.maximum(pre, 0.0)
-            caches.append(("conv", name, x.shape, w, gathered, pre, layer["stride"]))
-            x = post
-            activations.append((name, post))
-        else:
-            if x.ndim > 2:
-                caches.append(("flatten", x.shape))
-                x = x.reshape(x.shape[0], -1)
-            w = params.get(f"{name}.weight").astype(np.float64)
-            b = params.get(f"{name}.bias").astype(np.float64)
-            pre = x @ w.T + b
-            if layer["kind"] == "fc":
-                post = np.maximum(pre, 0.0)
-                caches.append(("fc", name, x, pre))
-                x = post
+            if keep:
+                caches.append(("conv", name, x.shape, w, gathered, pre, layer["stride"]))
                 activations.append((name, post))
-            else:
-                caches.append(("classifier", name, x))
-                x = pre
-                activations.append((name, pre))
+            x = post
+            continue
+        if x.ndim > 2:
+            if keep:
+                caches.append(("flatten", x.shape))
+            x = x.reshape(x.shape[0], -1)
+        pre = x @ w.T + b
+        post = np.maximum(pre, 0.0) if layer["kind"] == "fc" else pre
+        if keep:
+            caches.append(("fc", name, x, pre) if layer["kind"] == "fc" else ("classifier", name, x))
+            activations.append((name, post))
+        x = post
     return x, activations, caches
+
+
+def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
+    """Input to layer start of the plan, and for a conv layer its gathered
+    patches (None otherwise): the frozen prefix's part of a forward pass
+    that ``_run_layers(..., start, patches=...)`` completes."""
+    x, _, _ = _run_layers(params, arch, _network_input(arch, batch), 0, start)
+    layer = arch.layer_plan()[start]
+    if layer["kind"] != "conv":
+        return x, None
+    return x, _gather_patches(x, layer["kernel"], layer["stride"])
 
 
 def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarray, list]:
     """Logits (batch, num_classes) in float64 plus per-module post-activation
     outputs in storage precision."""
-    logits, activations, _ = _forward_full(params, arch, batch)
+    logits, activations, _ = _run_layers(params, arch, _network_input(arch, batch), keep=True)
     out_acts = [(name, a.astype(np.float32)) for name, a in activations]
     return logits, out_acts
 
@@ -379,7 +408,7 @@ def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= arch.num_classes:
         raise DomainError(f"labels must be in [0, {arch.num_classes})")
-    logits, _, caches = _forward_full(params, arch, batch)
+    logits, _, caches = _run_layers(params, arch, _network_input(arch, batch), keep=True)
     if labels.shape[0] != logits.shape[0]:
         raise SizeError("labels length does not match batch size")
     loss, g = softmax_cross_entropy(logits, labels)

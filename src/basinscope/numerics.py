@@ -1,12 +1,10 @@
-"""Low-level numerics: square power-of-two FFTs and small-matrix SVD.
+"""Low-level numerics: square power-of-two FFTs and singular values.
 
 Storage convention for the toolkit: tensors are row-major float32, all
 reductions (dots, norms, losses) accumulate in float64.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -55,58 +53,11 @@ def inverse_fft2(y) -> np.ndarray:
 
 
 def svd_values(m) -> np.ndarray:
-    """Singular values of a real or complex matrix, descending.
-
-    One-sided Jacobi: rotate column pairs until all pairs are orthogonal,
-    then the column norms are the singular values. Complex cross terms are
-    phased real before each rotation; the phase factor has unit modulus so
-    column norms (and hence the values) are unaffected.
-    """
+    """Singular values of a real or complex matrix, or of each matrix of a
+    stack (..., M, N), descending along the last axis (LAPACK gesdd)."""
     a = np.asarray(m)
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise SizeError(f"svd_values expects a matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("svd_values requires finite entries")
-    if np.iscomplexobj(a):
-        a = a.astype(np.complex128)
-    else:
-        a = a.astype(np.float64)
-    # Work on the matrix with fewer columns; values are transpose-invariant.
-    if a.shape[0] < a.shape[1]:
-        a = a.conj().T
-    a = a.copy()
-    q = a.shape[1]
-    if q == 0:
-        return np.zeros(0)
-    scale = float(np.linalg.norm(a))
-    if scale == 0.0:
-        return np.zeros(q)
-    tol = 1e-14
-    for _ in range(60):
-        off = 0.0
-        for i in range(q - 1):
-            for j in range(i + 1, q):
-                ai = a[:, i]
-                aj = a[:, j]
-                app = float(np.real(np.vdot(ai, ai)))
-                aqq = float(np.real(np.vdot(aj, aj)))
-                apq = np.vdot(ai, aj)
-                mag = abs(apq)
-                denom = math.sqrt(app * aqq)
-                if denom == 0.0 or mag <= tol * denom:
-                    continue
-                off = max(off, mag / denom)
-                phase = apq / mag
-                theta = 0.5 * math.atan2(2.0 * mag, app - aqq)
-                c = math.cos(theta)
-                s = math.sin(theta)
-                ajp = np.conj(phase) * aj
-                new_i = c * ai + s * ajp
-                new_j = c * ajp - s * ai
-                a[:, i] = new_i
-                a[:, j] = new_j
-        if off <= tol:
-            break
-    values = np.sqrt(np.sum(np.abs(a) ** 2, axis=0))
-    values.sort()
-    return values[::-1].copy()
+    return np.linalg.svd(a.astype(np.complex128 if np.iscomplexobj(a) else np.float64), compute_uv=False)

@@ -36,11 +36,7 @@ def conv_singular_values(kernel, input_size: int) -> np.ndarray:
     padded = np.zeros((n, n, cin, cout), dtype=np.float64)
     padded[:k, :k] = kernel
     transform = np.fft.fft2(padded, axes=(0, 1))
-    values = np.empty((n * n, min(cin, cout)), dtype=np.float64)
-    for u in range(n):
-        for v in range(n):
-            values[u * n + v] = svd_values(transform[u, v])
-    flat = values.ravel()
+    flat = svd_values(transform.reshape(n * n, cin, cout)).ravel()
     flat.sort()
     return flat[::-1].copy()
 

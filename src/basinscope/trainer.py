@@ -18,10 +18,11 @@ import numpy as np
 
 from . import dataops
 from .errors import DivergedRunError, DomainError
-from .model import ArchDescriptor, ParamVector, backward, forward, init_random, sgd_step
+from .model import ArchDescriptor, ParamVector, _network_input, _run_layers, backward, init_random, sgd_step
 from .rng import RngStream, derive_stream_id
 
 _STREAM_BATCH = 0x42415443  # "BATC"
+EVAL_BATCH = 256
 
 
 @dataclass(frozen=True)
@@ -180,28 +181,32 @@ def make_datasets(data: DataSpec, cache_dir: str | None = None):
     return build("train", data.n_train), build("test", data.n_test)
 
 
-def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset, batch_size: int = 256) -> EvalResult:
-    """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class accuracy."""
-    n = len(dataset)
+def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalResult:
+    """Score consecutive per-batch logits against labels: mean cross-entropy,
+    accuracy (argmax, ties to lowest class), per-class accuracy.
+
+    logit_batches yields float64 logits for consecutive slices of labels; it
+    is consumed only after labels pass their checks.
+    """
+    n = len(labels)
     if n == 0:
         raise DomainError("cannot evaluate on an empty dataset")
-    if int(dataset.labels.max()) >= arch.num_classes:
+    if int(labels.max()) >= num_classes:
         raise DomainError("dataset labels exceed arch num_classes")
     preds = np.empty(n, dtype=np.int64)
     loss_sum = 0.0
-    for start in range(0, n, batch_size):
-        stop = min(start + batch_size, n)
-        logits, _ = forward(params, arch, dataset.images[start:stop])
-        labels = dataset.labels[start:stop]
-        z = logits.astype(np.float64)
+    start = 0
+    for z in logit_batches:
+        stop = start + z.shape[0]
         m = z.max(axis=1, keepdims=True)
         lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-        loss_sum += float(np.sum(lse - z[np.arange(stop - start), labels]))
+        loss_sum += float(np.sum(lse - z[np.arange(stop - start), labels[start:stop]]))
         preds[start:stop] = np.argmax(z, axis=1)
-    correct = preds == dataset.labels
-    per_class = np.zeros(arch.num_classes, dtype=np.float64)
-    for k in range(arch.num_classes):
-        mask = dataset.labels == k
+        start = stop
+    correct = preds == labels
+    per_class = np.zeros(num_classes, dtype=np.float64)
+    for k in range(num_classes):
+        mask = labels == k
         per_class[k] = float(correct[mask].mean()) if mask.any() else 0.0
     return EvalResult(
         loss=loss_sum / n,
@@ -209,6 +214,15 @@ def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset
         per_class_accuracy=per_class,
         predictions=preds,
     )
+
+
+def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset, batch_size: int = EVAL_BATCH) -> EvalResult:
+    """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class accuracy."""
+    logits = (
+        _run_layers(params, arch, _network_input(arch, dataset.images[start : start + batch_size]))[0]
+        for start in range(0, len(dataset), batch_size)
+    )
+    return _score_batches(dataset.labels, arch.num_classes, logits)
 
 
 def _resolve_init(config: TrainConfig, init_checkpoint: Checkpoint | None) -> ParamVector:
@@ -284,7 +298,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
             loss, grad = backward(params, config.arch, train_ds.images[idx], train_ds.labels[idx])
-            if not np.isfinite(loss):
+            if not (np.isfinite(loss) and np.all(np.isfinite(grad.values))):
                 raise DivergedRunError(epoch)
             if config.clip_grad_norm is not None:
                 gnorm = float(np.linalg.norm(grad.values.astype(np.float64)))

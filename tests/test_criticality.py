@@ -298,3 +298,59 @@ class TestNetworkMap:
         )
         cmap = criticality_map(final, init, cfg, RngStream(23), train_ds, test_ds, checkpoints=[mid])
         assert cmap.train.shape == (3, 1)
+
+
+@pytest.fixture(scope="module")
+def prefix_setup():
+    """Init, mid and final TINY4 checkpoints, 300 train and 130 test images
+    (the train split crosses evaluate's 256-image batch boundary)."""
+    init = Checkpoint(TINY4, init_random(TINY4, RngStream(30)), 0, {}, "h", "r")
+    mid_params = init.params.copy()
+    mid_params.values[:] = mid_params.values * 1.2
+    final_params = init.params.copy()
+    final_params.values[:] = final_params.values * 1.5
+    mid = Checkpoint(TINY4, mid_params, 2, {}, "h", "r")
+    final = Checkpoint(TINY4, final_params, 5, {}, "h", "r")
+    train_ds = generate(domain_spec("source"), "train", 300, 4)
+    test_ds = generate(domain_spec("source"), "test", 130, 4)
+    return init, mid, final, train_ds, test_ds
+
+
+class TestPrefixReuse:
+    @pytest.mark.parametrize("path", ["direct", "optimization"])
+    @pytest.mark.parametrize("metric", ["error", "xent"])
+    @pytest.mark.parametrize("module", TINY4.module_names())
+    def test_map_bit_identical_to_full_network_evaluation(self, prefix_setup, module, metric, path):
+        """criticality_map, which runs only the suffix from the module on a
+        cached prefix, equals criticality_grid driven by full evaluate calls."""
+        init, mid, final, train_ds, test_ds = prefix_setup
+        cfg = CriticalityConfig(
+            module_name=module,
+            epsilon=0.5,
+            alpha_grid=np.array([0.5, 1.0]),
+            sigma_grid=np.array([0.1]),
+            noise_samples=1,
+            metric=metric,
+            path=path,
+        )
+        span = final.params.module_slice(module)
+
+        def eval_fn(vec):
+            params = final.params.astype(np.float64)
+            params.values[span] = vec
+            tr = evaluate(params, TINY4, train_ds)
+            te = evaluate(params, TINY4, test_ds)
+            if metric == "error":
+                return 1.0 - tr.accuracy, 1.0 - te.accuracy
+            return tr.loss, te.loss
+
+        points = None
+        if path == "optimization":
+            points = [c.params.values[span].astype(np.float64) for c in (init, mid, final)]
+        theta0 = init.params.values[span].astype(np.float64)
+        theta_end = final.params.values[span].astype(np.float64)
+        want = criticality_grid(theta0, theta_end, eval_fn, cfg, RngStream(31), path_points=points)
+        got = criticality_map(final, init, cfg, RngStream(31), train_ds, test_ds, checkpoints=[init, mid])
+        assert np.array_equal(got.train, want.train)
+        assert np.array_equal(got.test, want.test)
+        assert got.mu == want.mu

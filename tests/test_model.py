@@ -6,6 +6,9 @@ from basinscope.model import (
     TINY4,
     ArchDescriptor,
     ParamVector,
+    _module_input,
+    _network_input,
+    _run_layers,
     backward,
     build_index,
     forward,
@@ -204,6 +207,34 @@ class TestForward:
                 assert same, f"{name} should be untouched"
             elif i == cut:
                 assert not same
+
+
+class TestForwardCore:
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    def test_suffix_from_every_module_matches_forward(self, arch):
+        """Running the core from module m on the prefix's output (with or
+        without the cached conv patches) gives forward's logits bit for bit,
+        and so does the logits-only run of the whole network."""
+        params = init_random(arch, RngStream(19))
+        batch, _ = rand_batch(arch, 5, 6)
+        want, _ = forward(params, arch, batch)
+        x0 = _network_input(arch, batch)
+        assert np.array_equal(_run_layers(params, arch, x0)[0], want)
+        for m, name in enumerate(arch.module_names()):
+            prefix, acts, caches = _run_layers(params, arch, x0, 0, m)
+            assert acts == [] and caches == []
+            assert np.array_equal(_run_layers(params, arch, prefix, m)[0], want), name
+            x, patches = _module_input(params, arch, batch, m)
+            assert np.array_equal(x, prefix), name
+            assert (patches is None) == name.startswith(("fc", "classifier")), name
+            assert np.array_equal(_run_layers(params, arch, x, m, patches=patches)[0], want), name
+
+    def test_keep_builds_activations_and_caches(self):
+        params = init_random(TINY4, RngStream(19))
+        batch, _ = rand_batch(TINY4, 2, 7)
+        _, acts, caches = _run_layers(params, TINY4, _network_input(TINY4, batch), keep=True)
+        assert [n for n, _ in acts] == TINY4.module_names()
+        assert [c[0] for c in caches] == ["conv", "conv", "conv", "flatten", "fc", "classifier"]
 
 
 class TestBackward:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from basinscope.dataops import domain_spec, generate
-from basinscope.errors import DomainError
+from basinscope.errors import DivergedRunError, DomainError
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random
 from basinscope.rng import RngStream
 from basinscope.trainer import (
@@ -157,6 +157,21 @@ class TestTrain:
         cfg = small_config(batch_size=300)
         with pytest.raises(DomainError):
             train(cfg)
+
+    def test_non_finite_gradient_at_finite_loss_diverges(self, monkeypatch):
+        """A NaN gradient at a finite loss raises DivergedRunError before
+        clipping (a NaN norm would skip the clip) and before sgd_step."""
+
+        def nan_backward(params, arch, batch, labels):
+            grad = ParamVector.zeros(arch)
+            grad.values[0] = np.nan
+            return 1.0, grad
+
+        monkeypatch.setattr("basinscope.trainer.backward", nan_backward)
+        for clip in (2.0, None):
+            with pytest.raises(DivergedRunError) as info:
+                train(small_config(clip_grad_norm=clip))
+            assert info.value.epoch == 0
 
     def test_epoch0_checkpoint_equals_random_init(self):
         cfg = small_config(epochs=1, checkpoint_epochs=(0,))
