@@ -12,7 +12,7 @@ inconclusive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -26,6 +26,16 @@ _STREAM_NOISE2 = 3
 _STREAM_PAIRS3 = 4
 _STREAM_NOISE3 = 5
 _STREAM_DEGENERATE = 6
+
+# fit_basin's search: segment-loss points, line-walk step (in units of the
+# endpoint distance) and step cap, bisection steps per crossing, the delta
+# bracket in units of the fitted radius, and bisection steps within it.
+INTERVAL_POINTS = 21
+WALK_STEP = 0.25
+MAX_WALK_STEPS = 60
+BISECT_STEPS = 12
+DELTA_BRACKET = (1e-3, 10.0)
+DELTA_BISECT_STEPS = 20
 
 
 @dataclass
@@ -65,13 +75,7 @@ class ConditionEstimate:
         self.verdict = "pass" if ok else ("fail" if bad else "inconclusive")
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "stderr": self.stderr,
-            "threshold": self.threshold,
-            "relation": self.relation,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -156,12 +160,21 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
 
 
 def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: float, mu_losses=None) -> BasinReport:
+    """Estimates and standard errors that account for mu_hat being estimated.
+
+    cond1 = mean |L - mu_hat| has influence |L - mu| + (2 P(L < mu) - 1)(L - mu);
+    cond2 and cond3 subtract mu_hat from means over separate streams, so
+    Var(mu_hat) adds to their variances.
+    """
     n = draws.ball.dimension
     losses = np.array([loss(w) for w in draws.w_inside]) if mu_losses is None else mu_losses
     if not np.all(np.isfinite(losses)):
         raise DomainError("loss returned non-finite value on a ball sample")
     mu_hat = float(losses.mean())
-    est1, se1 = _mean_se(np.abs(losses - mu_hat))
+    se_mu = _mean_se(losses)[1]
+    dev = losses - mu_hat
+    est1 = _mean_se(np.abs(dev))[0]
+    se1 = _mean_se(np.abs(dev) + (2.0 * np.mean(losses < mu_hat) - 1.0) * dev)[1]
     scale2 = delta / math.sqrt(n)
     vals2 = np.array([loss(f + scale2 * z) for f, z in zip(draws.f2, draws.z2)])
     est2, se2 = _mean_se(vals2 - mu_hat)
@@ -170,8 +183,8 @@ def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: floa
     return BasinReport(
         mu_hat=mu_hat,
         cond1=ConditionEstimate(est1, se1, epsilon, "<="),
-        cond2=ConditionEstimate(est2, se2, 2.0 * epsilon, ">="),
-        cond3=ConditionEstimate(est3, se3, 2.0 * epsilon, ">="),
+        cond2=ConditionEstimate(est2, math.hypot(se2, se_mu), 2.0 * epsilon, ">="),
+        cond3=ConditionEstimate(est3, math.hypot(se3, se_mu), 2.0 * epsilon, ">="),
         epsilon=epsilon,
         delta=delta,
         samples=len(draws.w_inside),
@@ -219,15 +232,14 @@ class BasinFit:
         }
 
 
-def _walk_to_threshold(point_fn, loss, lam_from: float, direction: float, threshold: float,
-                       step: float, max_steps: int, bisect_steps: int) -> float | None:
+def _walk_to_threshold(point_fn, loss, lam_from: float, direction: float, threshold: float) -> float | None:
     """March along the line until the loss crosses threshold; bisect the crossing."""
     prev = lam_from
-    for j in range(1, max_steps + 1):
-        lam = lam_from + direction * step * j
+    for j in range(1, MAX_WALK_STEPS + 1):
+        lam = lam_from + direction * WALK_STEP * j
         if loss(point_fn(lam)) > threshold:
             lo, hi = prev, lam
-            for _ in range(bisect_steps):
+            for _ in range(BISECT_STEPS):
                 mid = 0.5 * (lo + hi)
                 if loss(point_fn(mid)) > threshold:
                     hi = mid
@@ -245,12 +257,6 @@ def fit_basin(
     epsilon_target: float,
     rng: RngStream,
     samples: int = 500,
-    interval_points: int = 21,
-    walk_step: float = 0.25,
-    max_walk_steps: int = 60,
-    bisect_steps: int = 12,
-    delta_bracket: tuple[float, float] = (1e-3, 10.0),
-    delta_bisect_steps: int = 20,
 ) -> BasinFit:
     """Fit a ball to two solutions by walking their line to the loss boundary,
     then certify (epsilon, delta) per the three conditions.
@@ -278,7 +284,7 @@ def fit_basin(
     else:
         d = b - a
         point_fn = lambda lam: a + lam * d
-        seg = np.linspace(0.0, 1.0, interval_points)
+        seg = np.linspace(0.0, 1.0, INTERVAL_POINTS)
         seg_losses = np.array([loss(point_fn(t)) for t in seg])
     mu_seg = float(seg_losses.mean())
     threshold = mu_seg + 2.0 * epsilon_target
@@ -291,10 +297,8 @@ def fit_basin(
             None, mu_seg, epsilon_target, None, None, None, degenerate,
         )
 
-    lam_hi = _walk_to_threshold(point_fn, loss, 1.0 if not degenerate else 0.0, +1.0,
-                                threshold, walk_step, max_walk_steps, bisect_steps)
-    lam_lo = _walk_to_threshold(point_fn, loss, 0.0, -1.0,
-                                threshold, walk_step, max_walk_steps, bisect_steps)
+    lam_hi = _walk_to_threshold(point_fn, loss, 1.0 if not degenerate else 0.0, +1.0, threshold)
+    lam_lo = _walk_to_threshold(point_fn, loss, 0.0, -1.0, threshold)
     if lam_hi is None or lam_lo is None:
         return BasinFit(
             "not_in_one_basin",
@@ -313,7 +317,7 @@ def fit_basin(
 
     draws = _ConditionDraws(ball, rng, samples)
     mu_losses = np.array([loss(w) for w in draws.w_inside])
-    base = _report_from_draws(draws, loss, epsilon_target, delta_bracket[1] * radius, mu_losses=mu_losses)
+    base = _report_from_draws(draws, loss, epsilon_target, DELTA_BRACKET[1] * radius, mu_losses=mu_losses)
     eps_cert = base.cond1.estimate
     if base.cond1.verdict != "pass":
         return BasinFit(
@@ -326,8 +330,8 @@ def fit_basin(
         rep = _report_from_draws(draws, loss, eps_cert, delta, mu_losses=mu_losses)
         return rep.cond2.verdict == "pass" and rep.cond3.verdict == "pass", rep
 
-    lo_d = delta_bracket[0] * radius
-    hi_d = delta_bracket[1] * radius
+    lo_d = DELTA_BRACKET[0] * radius
+    hi_d = DELTA_BRACKET[1] * radius
     ok_lo, rep_lo = passes(lo_d)
     if ok_lo:
         return BasinFit("in_basin", "ok", ball, mu_seg, epsilon_target, eps_cert, lo_d, rep_lo, degenerate)
@@ -347,7 +351,7 @@ def fit_basin(
         )
     lo, hi = delta / 2.0, delta
     best = rep_hi
-    for _ in range(delta_bisect_steps):
+    for _ in range(DELTA_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         ok, rep = passes(mid)
         if ok:

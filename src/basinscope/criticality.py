@@ -31,7 +31,7 @@ from .model import ParamVector, _module_input, _run_layers
 from .rng import RngStream, gaussian
 from .trainer import EVAL_BATCH, Checkpoint, _score_batches, evaluate
 
-NOISE_MODES = ("current_norm", "path_norm", "raw")
+NOISE_MODES = ("current_norm", "raw")
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -86,10 +86,6 @@ class CriticalityMap:
     @property
     def gap(self) -> np.ndarray:
         return self.test - self.train
-
-    @property
-    def distance_axis(self) -> np.ndarray:
-        return self.alpha_grid * self.path_distance
 
     def mu_at(self, epsilon: float) -> tuple[float, tuple | None]:
         """Re-minimize over cells feasible at a different epsilon (no re-sampling)."""
@@ -166,8 +162,6 @@ def criticality_grid(
             theta_alpha = (1.0 - alpha) * theta0 + alpha * theta_end
         if cfg.noise_mode == "current_norm":
             scale = float(np.linalg.norm(theta_alpha)) / math.sqrt(p)
-        elif cfg.noise_mode == "path_norm":
-            scale = path_distance / math.sqrt(p)
         else:
             scale = 1.0
         for j, sigma in enumerate(cfg.sigma_grid):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,16 +55,10 @@ _STYLES = {
 @dataclass(frozen=True)
 class DomainSpec:
     domain_id: str
-    num_classes: int = NUM_CLASSES
-    image_size: int = IMAGE_SIZE
 
     def __post_init__(self):
         if self.domain_id not in DOMAIN_NAMES:
             raise DomainError(f"unknown domain {self.domain_id!r}")
-
-    @property
-    def render_params(self) -> dict:
-        return dict(_STYLES[self.domain_id])
 
     @property
     def index(self) -> int:
@@ -148,10 +142,10 @@ def render_image(domain: DomainSpec, split: str, index: int, seed: int) -> tuple
     """One (image, label) pair; bit-identical for identical arguments."""
     base = _TEST_INDEX_BASE if split == "test" else 0
     global_index = base + index
-    label = global_index % domain.num_classes
+    label = global_index % NUM_CLASSES
     rng = RngStream(seed, derive_stream_id(_STREAM_DATA, domain.index, global_index))
     style = _STYLES[domain.domain_id]
-    size = domain.image_size
+    size = IMAGE_SIZE
 
     rot = 2 * math.pi * rng.uniform()
     scale = 0.325 * size * (1.0 + 0.10 * (2 * rng.uniform() - 1))
@@ -205,9 +199,9 @@ def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
         raise DomainError(f"split must be train or test, got {split!r}")
     if n < 1:
         raise DomainError("n must be at least 1")
-    if n < domain.num_classes:
-        warnings.warn(f"n={n} below num_classes={domain.num_classes}; balance impossible")
-    images = np.empty((n, domain.image_size, domain.image_size, 3), dtype=np.float32)
+    if n < NUM_CLASSES:
+        warnings.warn(f"n={n} below num_classes={NUM_CLASSES}; balance impossible")
+    images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.float32)
     labels = np.empty(n, dtype=np.int64)
     for i in range(n):
         images[i], labels[i] = render_image(domain, split, i, seed)
@@ -270,7 +264,3 @@ def relative_accuracy_drop(a_pt: float, a_rit: float) -> float:
 
 def domain_spec(name: str) -> DomainSpec:
     return DomainSpec(name)
-
-
-def shuffle_variants() -> list[int | str]:
-    return [16, 8, 4, 2, 1, STAR]

@@ -27,7 +27,3 @@ class FileFormatError(BasinscopeError, RuntimeError):
     def __init__(self, section: str, message: str):
         self.section = section
         super().__init__(f"{section}: {message}")
-
-
-class ConfigError(BasinscopeError, ValueError):
-    """Invalid experiment configuration."""

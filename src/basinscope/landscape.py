@@ -130,21 +130,3 @@ def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | Non
     else:
         gap = baseline - series
     return max(0.0, float(gap.max()))
-
-
-def curve_rows(curve: BarrierCurve) -> list[tuple]:
-    """Rows for CSV emission: (lambda, dataset, 4 metric columns)."""
-    rows = []
-    for name in curve.metrics:
-        for i, lam in enumerate(curve.lambdas):
-            rows.append(
-                (
-                    float(lam),
-                    name,
-                    float(curve.metrics[name]["train_loss"][i]),
-                    float(curve.metrics[name]["train_acc"][i]),
-                    float(curve.metrics[name]["test_loss"][i]),
-                    float(curve.metrics[name]["test_acc"][i]),
-                )
-            )
-    return rows

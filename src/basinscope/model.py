@@ -12,7 +12,7 @@ Parameters live in a flat ParamVector with a named index; each module
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -48,25 +48,11 @@ class ArchDescriptor:
         object.__setattr__(self, "fc_widths", tuple(self.fc_widths))
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "input_shape": list(self.input_shape),
-                "conv_blocks": [list(b) for b in self.conv_blocks],
-                "fc_widths": list(self.fc_widths),
-                "num_classes": self.num_classes,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "ArchDescriptor":
-        d = json.loads(text)
-        return cls(
-            input_shape=tuple(d["input_shape"]),
-            conv_blocks=tuple(tuple(b) for b in d["conv_blocks"]),
-            fc_widths=tuple(d["fc_widths"]),
-            num_classes=int(d["num_classes"]),
-        )
+        return cls(**json.loads(text))
 
     def layer_plan(self):
         """Per-module plan: (name, kind, in/out shapes and sizes)."""

@@ -77,7 +77,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise FileFormatError("version", f"unsupported version {version}")
         try:
             arch = ArchDescriptor.from_json(_read_prefixed(f, "arch").decode())
-        except (json.JSONDecodeError, KeyError) as e:
+        except (json.JSONDecodeError, TypeError) as e:
             raise FileFormatError("arch", f"bad arch JSON: {e}") from e
         try:
             meta = json.loads(_read_prefixed(f, "metadata"))

@@ -51,11 +51,6 @@ class SpectrumReport:
     norms: dict  # module -> {"frobenius": .., "spectral": ..}
     conv_input_sizes: dict  # module -> n (conv modules only)
 
-    def all_values(self) -> np.ndarray:
-        flat = np.concatenate(list(self.per_module.values()))
-        flat.sort()
-        return flat[::-1].copy()
-
 
 def network_spectrum(ckpt: Checkpoint) -> SpectrumReport:
     """Spectra of every module of a checkpoint, conv operators at their

@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -82,27 +82,7 @@ class TrainConfig:
             raise DomainError("lr schedule epochs must be strictly increasing")
 
     def to_dict(self) -> dict:
-        return {
-            "arch": json.loads(self.arch.to_json()),
-            "data": {
-                "domains": list(self.data.domains),
-                "n_train": self.data.n_train,
-                "n_test": self.data.n_test,
-                "seed": self.data.seed,
-                "shuffle_block": self.data.shuffle_block,
-                "shuffle_seed": self.data.shuffle_seed,
-                "shared_permutation": self.data.shared_permutation,
-            },
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr_schedule": [[e, lr] for e, lr in self.lr_schedule],
-            "momentum": self.momentum,
-            "weight_decay": self.weight_decay,
-            "seed": self.seed,
-            "init": {"kind": self.init.kind, "seed": self.init.seed, "path": self.init.path},
-            "checkpoint_epochs": list(self.checkpoint_epochs),
-            "clip_grad_norm": self.clip_grad_norm,
-        }
+        return json.loads(json.dumps(asdict(self)))
 
 
 def config_hash(config: TrainConfig) -> str:
@@ -147,7 +127,6 @@ class RunRecord:
     rows: list  # per-epoch dicts: epoch, train_loss, train_acc, test_loss, test_acc
     wall_time: float
     optimization_speed: float
-    speed_window: int
     best_epoch: int
 
 
@@ -334,7 +313,6 @@ def train(
         rows=rows,
         wall_time=time.monotonic() - t0,
         optimization_speed=optimization_speed,
-        speed_window=config.epochs,
         best_epoch=best_epoch,
     )
     return final, record, saved

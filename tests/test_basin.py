@@ -142,6 +142,16 @@ class TestCheckBasin:
         assert abs(report.cond1.estimate - c1) <= family_z(1) * sd[1] / math.sqrt(10_000)
         assert report.cond1.verdict == "fail"
 
+    @pytest.mark.parametrize("center, radius, seed", [(1.0, 0.3, 7), (0.0, 1.3, 8)])
+    def test_condition1_stderr_matches_influence_oracle(self, center, radius, seed):
+        # The reported stderr over the asymptotic SE has SD ~0.012 at 10,000
+        # samples (simulated), so a 10% bound fails by chance with probability
+        # below 1e-15 (normal approximation).
+        ball = BallSet(np.array([center]), radius)
+        report = check_basin(ball, double_well, epsilon=0.05, delta=1.0, samples=10_000, rng=RngStream(seed))
+        _, sd = oracle_conditions_1d(double_well, center, radius, 1.0)
+        assert report.cond1.stderr == pytest.approx(sd[1] / math.sqrt(10_000), rel=0.1)
+
     def test_constant_loss_has_no_boundary(self):
         ball = BallSet(np.zeros(3), 1.0)
         report = check_basin(ball, lambda w: 4.2, epsilon=0.01, delta=0.5, samples=200, rng=RngStream(9))

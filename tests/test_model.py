@@ -83,6 +83,12 @@ class TestArch:
     def test_json_roundtrip(self):
         assert ArchDescriptor.from_json(TINY4.to_json()) == TINY4
 
+    def test_json_bytes_pinned(self):
+        assert TINY4.to_json() == (
+            '{"conv_blocks": [[8, 3, 1], [16, 3, 2], [16, 3, 2]], "fc_widths": [32], '
+            '"input_shape": [16, 16, 3], "num_classes": 10}'
+        )
+
     def test_non_power_of_two_rejected(self):
         with pytest.raises(SizeError):
             ArchDescriptor((12, 12, 3), ((8, 3, 1),), (16,), 10)

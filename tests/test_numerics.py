@@ -1,24 +1,9 @@
 import numpy as np
 import pytest
 
-from basinscope.errors import DomainError, SizeError
-from basinscope.numerics import fft2, inverse_fft2, svd_values
+from basinscope.errors import DomainError
+from basinscope.numerics import svd_values
 from basinscope.rng import RngStream, gaussian
-
-
-def naive_dft2(x):
-    """Direct O(n^4) double-sum DFT, the independent oracle for fft2."""
-    x = np.asarray(x, dtype=np.complex128)
-    n = x.shape[0]
-    out = np.zeros((n, n), dtype=np.complex128)
-    for u in range(n):
-        for v in range(n):
-            acc = 0.0 + 0.0j
-            for a in range(n):
-                for b in range(n):
-                    acc += x[a, b] * np.exp(-2j * np.pi * (u * a + v * b) / n)
-            out[u, v] = acc
-    return out
 
 
 def jacobi_eigenvalues(s):
@@ -48,45 +33,6 @@ def jacobi_eigenvalues(s):
 def rand_matrix(shape, seed):
     rng = RngStream(seed, 100)
     return gaussian(rng, int(np.prod(shape)), 1.0).reshape(shape)
-
-
-class TestFFT2:
-    def test_zeros(self):
-        assert np.allclose(fft2(np.zeros((4, 4))), np.zeros((4, 4)))
-
-    def test_impulse_gives_ones(self):
-        x = np.zeros((4, 4))
-        x[0, 0] = 1.0
-        assert np.allclose(fft2(x), np.ones((4, 4)))
-
-    def test_matches_naive_dft_8x8(self):
-        x = rand_matrix((8, 8), 1)
-        got = fft2(x)
-        want = naive_dft2(x)
-        assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want)
-
-    @pytest.mark.parametrize("n", [2, 4, 8, 16])
-    def test_matches_naive_dft_sizes(self, n):
-        x = rand_matrix((n, n), 10 + n)
-        got = fft2(x)
-        want = naive_dft2(x)
-        assert np.linalg.norm(got - want) <= 1e-5 * max(np.linalg.norm(want), 1e-30)
-
-    @pytest.mark.parametrize("n", [2, 4, 8])
-    def test_inverse_roundtrip_unnormalized(self, n):
-        x = rand_matrix((n, n), 20 + n)
-        back = inverse_fft2(fft2(x))
-        assert np.linalg.norm(back - x * n * n) <= 1e-5 * np.linalg.norm(x * n * n)
-
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(SizeError):
-            fft2(np.zeros((3, 3)))
-        with pytest.raises(SizeError):
-            inverse_fft2(np.zeros((6, 6)))
-
-    def test_non_square_rejected(self):
-        with pytest.raises(SizeError):
-            fft2(np.zeros((4, 8)))
 
 
 class TestSvdValues:

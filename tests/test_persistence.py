@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -64,6 +65,16 @@ class TestCheckpointIO:
         with pytest.raises(FileFormatError) as err:
             load_checkpoint(path)
         assert err.value.section == "version"
+
+    def test_arch_missing_field_names_arch_section(self, tmp_path):
+        arch = json.loads(TINY4.to_json())
+        del arch["num_classes"]
+        arch_json = json.dumps(arch).encode()
+        path = tmp_path / "arch.llck"
+        path.write_bytes(b"LLCK" + struct.pack("<II", 1, len(arch_json)) + arch_json)
+        with pytest.raises(FileFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.section == "arch"
 
     def test_truncation_names_section(self, tmp_path):
         ckpt = make_ckpt()

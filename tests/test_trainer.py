@@ -65,6 +65,10 @@ class TestConfig:
         assert config_hash(a) != config_hash(b)
         assert config_hash(a) == config_hash(small_config())
 
+    def test_config_hash_pinned(self):
+        config = TrainConfig(TINY4, DataSpec(("source",)), 3)
+        assert config_hash(config) == "ffc27f5885ca862ffde4308495df698b4ffd48a113395f80801425250e2be992"
+
 
 class TestEvaluate:
     def test_constant_logits_ties_to_class_zero(self):
