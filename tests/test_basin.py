@@ -64,6 +64,27 @@ def oracle_conditions_1d(loss, center, radius, delta, grid=40001):
     return (mu, cond1, cond2, cond3), sd
 
 
+def tent(w):
+    return max(0.0, 1.0 - abs(float(np.atleast_1d(w)[0])))
+
+
+@pytest.fixture(scope="module")
+def double_well_report():
+    """check_basin on the double well at 10,000 samples, made once per
+    (center, radius, seed) and shared by the tests that read it."""
+    reports = {}
+
+    def get(center, radius, seed):
+        if (center, radius, seed) not in reports:
+            ball = BallSet(np.array([center]), radius)
+            reports[center, radius, seed] = check_basin(
+                ball, double_well, epsilon=0.05, delta=1.0, samples=10_000, rng=RngStream(seed)
+            )
+        return reports[center, radius, seed]
+
+    return get
+
+
 def family_z(checks, delta=1e-2):
     """Normal quantile that holds `checks` two-sided checks to a family-wise
     false-failure rate of at most delta (union bound, CLT approximation)."""
@@ -123,10 +144,9 @@ class TestBoundaryPoint:
 
 
 class TestCheckBasin:
-    def test_single_well_passes_all_conditions(self):
+    def test_single_well_passes_all_conditions(self, double_well_report):
         # Family false-failure rate <= 1e-2 (CLT approximation; 4 checks).
-        ball = BallSet(np.array([1.0]), 0.3)
-        report = check_basin(ball, double_well, epsilon=0.05, delta=1.0, samples=10_000, rng=RngStream(7))
+        report = double_well_report(1.0, 0.3, 7)
         want, sd = oracle_conditions_1d(double_well, 1.0, 0.3, 1.0)
         got = (report.mu_hat, report.cond1.estimate, report.cond2.estimate, report.cond3.estimate)
         bound = family_z(4) / math.sqrt(10_000)
@@ -134,23 +154,43 @@ class TestCheckBasin:
             assert abs(estimate - expected) <= bound * spread
         assert report.all_pass()
 
-    def test_two_well_set_fails_condition1(self):
+    def test_two_well_set_fails_condition1(self, double_well_report):
         # Family false-failure rate <= 1e-2 (CLT approximation; 1 check).
-        ball = BallSet(np.array([0.0]), 1.3)
-        report = check_basin(ball, double_well, epsilon=0.05, delta=1.0, samples=10_000, rng=RngStream(8))
+        report = double_well_report(0.0, 1.3, 8)
         (_, c1, _, _), sd = oracle_conditions_1d(double_well, 0.0, 1.3, 1.0)
         assert abs(report.cond1.estimate - c1) <= family_z(1) * sd[1] / math.sqrt(10_000)
         assert report.cond1.verdict == "fail"
 
     @pytest.mark.parametrize("center, radius, seed", [(1.0, 0.3, 7), (0.0, 1.3, 8)])
-    def test_condition1_stderr_matches_influence_oracle(self, center, radius, seed):
+    def test_condition1_stderr_matches_influence_oracle(self, double_well_report, center, radius, seed):
         # The reported stderr over the asymptotic SE has SD ~0.012 at 10,000
         # samples (simulated), so a 10% bound fails by chance with probability
         # below 1e-15 (normal approximation).
-        ball = BallSet(np.array([center]), radius)
-        report = check_basin(ball, double_well, epsilon=0.05, delta=1.0, samples=10_000, rng=RngStream(seed))
+        report = double_well_report(center, radius, seed)
         _, sd = oracle_conditions_1d(double_well, center, radius, 1.0)
         assert report.cond1.stderr == pytest.approx(sd[1] / math.sqrt(10_000), rel=0.1)
+
+    @pytest.mark.parametrize("center, radius, seed", [(1.0, 0.3, 7), (0.0, 1.3, 8)])
+    def test_condition2_3_stderr_match_oracle(self, double_well_report, center, radius, seed):
+        # The reported stderrs over the asymptotic SEs have SD 0.016-0.025 at
+        # 10,000 samples (4,000 simulated replicas per ball, none off by more
+        # than 9%), so the 10% bounds fail by chance with probability below
+        # 1e-4 per id (normal approximation).
+        report = double_well_report(center, radius, seed)
+        _, sd = oracle_conditions_1d(double_well, center, radius, 1.0)
+        assert report.cond2.stderr == pytest.approx(sd[2] / math.sqrt(10_000), rel=0.1)
+        assert report.cond3.stderr == pytest.approx(sd[3] / math.sqrt(10_000), rel=0.1)
+
+    def test_mu_hat_variance_dominates_condition2_3_stderr(self):
+        # The tent is flat near the ball's boundary, so the spread of cond2 and
+        # cond3 comes almost all from mu_hat (L ~ U(0, 1) inside). The ratios
+        # have SD ~0.01 at 2,000 samples, so the 10% bounds sit ~10 SD out.
+        ball = BallSet(np.array([0.0]), 1.0)
+        report = check_basin(ball, tent, epsilon=0.05, delta=0.05, samples=2_000, rng=RngStream(15))
+        _, sd = oracle_conditions_1d(tent, 0.0, 1.0, 0.05)
+        assert sd[2] > 5 * math.sqrt(sd[2] ** 2 - sd[0] ** 2)
+        assert report.cond2.stderr == pytest.approx(sd[2] / math.sqrt(2_000), rel=0.1)
+        assert report.cond3.stderr == pytest.approx(sd[3] / math.sqrt(2_000), rel=0.1)
 
     def test_constant_loss_has_no_boundary(self):
         ball = BallSet(np.zeros(3), 1.0)

@@ -209,6 +209,13 @@ class TestSyntheticClosedForm:
         assert len(seen) == 3
 
 
+class TestConfig:
+    @pytest.mark.parametrize("mode", ["path_norm", "bogus"])
+    def test_unknown_noise_mode_rejected(self, mode):
+        with pytest.raises(DomainError):
+            synthetic_cfg(mode=mode)
+
+
 class TestNetworkCriticality:
     def test_sum_and_infeasible_propagation(self):
         a = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(), RngStream(13))

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from basinscope.dataops import (
     DOMAIN_NAMES,
+    IMAGE_SIZE,
+    NUM_CLASSES,
     STAR,
     Dataset,
     DomainSpec,
@@ -63,6 +65,12 @@ class TestGenerate:
             ds = generate(domain_spec(name), "train", 10, 3)
             assert np.all(np.isfinite(ds.images))
             assert ds.images.min() >= 0.0 and ds.images.max() <= 1.0
+
+    def test_shape_and_labels_follow_module_constants(self):
+        for name in DOMAIN_NAMES:
+            ds = generate(domain_spec(name), "test", 2 * NUM_CLASSES, 4)
+            assert ds.images.shape == (2 * NUM_CLASSES, IMAGE_SIZE, IMAGE_SIZE, 3)
+            assert np.array_equal(np.bincount(ds.labels), np.full(NUM_CLASSES, 2))
 
     def test_small_n_warns(self):
         with pytest.warns(UserWarning):

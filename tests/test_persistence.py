@@ -76,6 +76,16 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert err.value.section == "arch"
 
+    def test_arch_unknown_field_names_arch_section(self, tmp_path):
+        arch = json.loads(TINY4.to_json())
+        arch["dropout"] = 0.5
+        arch_json = json.dumps(arch).encode()
+        path = tmp_path / "arch.llck"
+        path.write_bytes(b"LLCK" + struct.pack("<II", 1, len(arch_json)) + arch_json)
+        with pytest.raises(FileFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.section == "arch"
+
     def test_truncation_names_section(self, tmp_path):
         ckpt = make_ckpt()
         path = tmp_path / "a.llck"

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError
@@ -186,6 +187,23 @@ class TestClassSizeCorrelation:
         assert r == pytest.approx(pearson_oracle(x, y), abs=1e-10)
         assert 0.0 <= p <= 1.0
 
+    def test_p_value_matches_t_distribution_oracle(self):
+        # two-sided p of t = r sqrt((n-2)/(1-r^2)) on n-2 dof
+        x = gaussian(RngStream(16, 1), 12, 1.0)
+        y = 0.5 * x + gaussian(RngStream(17, 1), 12, 1.0)
+        r, p = class_size_correlation(x, y)
+        t = r * np.sqrt(10 / (1.0 - r * r))
+        assert p == pytest.approx(2.0 * stats.t.sf(abs(t), 10), rel=1e-9)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_perfect_correlation_p_exactly_zero(self, sign):
+        # r rounds to exactly +-1 on these sizes; on some other exactly
+        # linear inputs it lands a few ulp short and p is tiny but not 0
+        sizes = np.array([10.0, 20.0, 30.0, 40.0])
+        r, p = class_size_correlation(sign * sizes, sizes)
+        assert r == sign
+        assert p == 0.0
+
     def test_p_value_magnitude_sanity(self):
         # strong correlation on 30 points: p should be small
         x = np.arange(30.0)
@@ -196,6 +214,13 @@ class TestClassSizeCorrelation:
     def test_zero_variance_rejected(self):
         with pytest.raises(DomainError):
             class_size_correlation(np.ones(5), np.arange(5.0))
+
+    def test_constant_input_with_inexact_mean_rejected(self):
+        # the float mean of three 0.1s is not 0.1, so deviations are not all 0
+        x = np.full(3, 0.1)
+        assert x.mean() != 0.1
+        with pytest.raises(DomainError):
+            class_size_correlation(x, np.arange(3.0))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=20, deadline=None)
