@@ -77,19 +77,23 @@ def load_checkpoint(path) -> Checkpoint:
             raise FileFormatError("version", f"unsupported version {version}")
         try:
             arch = ArchDescriptor.from_json(_read_prefixed(f, "arch").decode())
-        except (json.JSONDecodeError, TypeError) as e:
-            raise FileFormatError("arch", f"bad arch JSON: {e}") from e
+            index = build_index(arch)  # the plan checks kernel and stride against the input
+        except (TypeError, ValueError) as e:
+            raise FileFormatError("arch", f"bad arch: {e}") from e
         try:
             meta = json.loads(_read_prefixed(f, "metadata"))
-        except json.JSONDecodeError as e:
-            raise FileFormatError("metadata", f"bad metadata JSON: {e}") from e
-        count = int(meta["param_count"])
+            count = int(meta["param_count"])
+            epoch = int(meta["epoch"])
+            metrics, config_hash, rng_digest = meta["metrics"], meta["config_hash"], meta["rng_digest"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise FileFormatError("metadata", f"bad metadata: {e!r}") from e
+        if count < 0:
+            raise FileFormatError("metadata", f"negative param_count {count}")
         raw = _read_exact(f, 4 * count, "params")
         extra = f.read(1)
         if extra:
             raise FileFormatError("params", "trailing bytes after parameter block")
     values = np.frombuffer(raw, dtype="<f4").copy()
-    index = build_index(arch)
     total = index[-1].offset + index[-1].length
     if total != count:
         raise FileFormatError("params", f"arch wants {total} params, file has {count}")
@@ -98,10 +102,10 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(
         arch=arch,
         params=ParamVector(values, index),
-        epoch=int(meta["epoch"]),
-        metrics=meta["metrics"],
-        config_hash=meta["config_hash"],
-        rng_digest=meta["rng_digest"],
+        epoch=epoch,
+        metrics=metrics,
+        config_hash=config_hash,
+        rng_digest=rng_digest,
         provenance=meta.get("provenance", {}),
         optimal=bool(meta.get("optimal", False)),
     )
@@ -135,14 +139,17 @@ def load_dataset(path) -> dataops.Dataset:
             raise FileFormatError("version", f"unsupported version {version}")
         try:
             header = json.loads(_read_prefixed(f, "header"))
-        except json.JSONDecodeError as e:
-            raise FileFormatError("header", f"bad header JSON: {e}") from e
-        n = int(header["n"])
-        shape = tuple(header["image_shape"])
+            n = int(header["n"])
+            shape = tuple(int(d) for d in header["image_shape"])
+            split, provenance = header["split"], header["provenance"]
+        except (KeyError, TypeError, ValueError) as e:
+            raise FileFormatError("header", f"bad header: {e!r}") from e
+        if n < 0 or any(d < 0 for d in shape):
+            raise FileFormatError("header", f"negative size in n={n}, image_shape={shape}")
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
         img_bytes = 4 * n * int(np.prod(shape))
         images = np.frombuffer(_read_exact(f, img_bytes, "images"), dtype="<f4").reshape((n, *shape)).copy()
-    return dataops.Dataset(images, labels, header["split"], header["provenance"])
+    return dataops.Dataset(images, labels, split, provenance)
 
 
 def cached_generate(spec: dataops.DomainSpec, split: str, n: int, seed: int, cache_dir) -> dataops.Dataset:

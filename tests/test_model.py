@@ -6,6 +6,8 @@ from basinscope.model import (
     TINY4,
     ArchDescriptor,
     ParamVector,
+    _conv_backward,
+    _gather_patches,
     _module_input,
     _network_input,
     _run_layers,
@@ -95,6 +97,13 @@ class TestArch:
 
     def test_module_names(self):
         assert TINY4.module_names() == ["conv1", "conv2", "conv3", "fc1", "classifier"]
+
+    @pytest.mark.parametrize("block", [(4, 2, 1), (4, 4, 2)], ids=["k2s1", "k4s2"])
+    def test_even_kernel_rejected(self, block):
+        # circular same-padding centres only odd kernels; even ones gave
+        # wrong input gradients
+        with pytest.raises(SizeError):
+            ArchDescriptor((8, 8, 2), ((3, 3, 1), block), (6,), 3)
 
 
 class TestParamVector:
@@ -243,6 +252,41 @@ class TestForwardCore:
         assert [c[0] for c in caches] == ["conv", "conv", "conv", "flatten", "fc", "classifier"]
 
 
+def oracle_patches(x, kernel, stride):
+    """The two-grid fancy-index gather: same values, batch-inner layout."""
+    _, h, wid, _ = x.shape
+    off = (kernel - 1) // 2
+    taps = np.arange(kernel) - off
+    rows = (np.arange(h // stride)[:, None] * stride + taps) % h
+    cols = (np.arange(wid // stride)[:, None] * stride + taps) % wid
+    return x[:, rows[:, None, :, None], cols[None, :, None, :], :]
+
+
+def conv_geometries():
+    """(in_hw, cin, kernel, stride) of every TINY4 and SMALL conv, plus k=1
+    and k=5/stride 2."""
+    geoms = [
+        (layer["in_hw"], layer["cin"], layer["kernel"], layer["stride"])
+        for arch in (TINY4, SMALL)
+        for layer in arch.layer_plan()
+        if layer["kind"] == "conv"
+    ]
+    return geoms + [((8, 8), 3, 1, 1), ((16, 8), 2, 5, 2)]
+
+
+class TestGatherPatches:
+    @pytest.mark.parametrize("geom", conv_geometries(), ids=lambda g: f"{g[0][0]}x{g[0][1]}c{g[1]}k{g[2]}s{g[3]}")
+    def test_matches_fancy_index_oracle_and_is_contiguous(self, geom):
+        (h, wid), cin, kernel, stride = geom
+        x = gaussian(RngStream(27), 3 * h * wid * cin, 1.0).reshape(3, h, wid, cin)
+        got = _gather_patches(x, kernel, stride)
+        want = oracle_patches(x, kernel, stride)
+        assert got.shape == (3, h // stride, wid // stride, kernel, kernel, cin)
+        assert np.array_equal(got, want)
+        # so the GEMM reshape is a view, not a second transposing copy
+        assert got.flags.c_contiguous
+
+
 class TestBackward:
     def test_uniform_logits_loss_ln_c(self):
         params = ParamVector.zeros(TINY4)
@@ -283,6 +327,29 @@ class TestBackward:
             params, SMALL, batch, labels, grad, params.module_slice(module), RngStream(22)
         )
         assert worst < 1e-2
+
+    def test_tiny4_first_layer_matches_finite_differences(self):
+        # conv1's input gradient is skipped; its weight gradient must not change
+        params = init_random(TINY4, RngStream(28)).astype(np.float64)
+        batch, labels = rand_batch(TINY4, 2, 11)
+        _, grad = backward(params, TINY4, batch, labels)
+        worst = fd_gradient_check(
+            params, TINY4, batch, labels, grad, params.module_slice("conv1"), RngStream(29)
+        )
+        assert worst < 1e-2
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_skipped_input_gradient_keeps_weight_bits(self, stride):
+        rng = RngStream(30)
+        x = gaussian(rng, 3 * 8 * 8 * 2, 1.0).reshape(3, 8, 8, 2)
+        w = gaussian(rng, 3 * 3 * 2 * 4, 1.0).reshape(3, 3, 2, 4)
+        patches = _gather_patches(x, 3, stride)
+        gout = gaussian(rng, 3 * (8 // stride) ** 2 * 4, 1.0).reshape(3, 8 // stride, 8 // stride, 4)
+        gx, gw, gb = _conv_backward(gout, x.shape, w, patches, stride)
+        assert gx.shape == x.shape
+        none, gw0, gb0 = _conv_backward(gout, x.shape, w, patches, stride, need_input_grad=False)
+        assert none is None
+        assert np.array_equal(gw0, gw) and np.array_equal(gb0, gb)
 
     def test_gradient_via_directional_derivative(self):
         # full-vector check at tiny step; immune to coordinate kinks

@@ -38,6 +38,39 @@ def make_ckpt(seed=1, epoch=7):
     )
 
 
+def ckpt_bytes(arch: dict, meta: dict, count: int = 0) -> bytes:
+    """An LLCK file built by hand from arch and metadata dicts."""
+    arch_json = json.dumps(arch).encode()
+    meta_json = json.dumps(meta).encode()
+    return (
+        b"LLCK"
+        + struct.pack("<II", 1, len(arch_json))
+        + arch_json
+        + struct.pack("<I", len(meta_json))
+        + meta_json
+        + b"\x00" * (4 * count)
+    )
+
+
+def good_meta() -> dict:
+    return {
+        "param_count": init_random(TINY4, RngStream(1)).size,
+        "epoch": 1,
+        "metrics": {},
+        "config_hash": "abc",
+        "rng_digest": "def",
+    }
+
+
+GOOD_HEADER = {"n": 0, "image_shape": [16, 16, 3], "split": "train", "provenance": {}}
+
+
+def write_header_only_dataset(path, header: dict) -> None:
+    """An LLDS file built by hand: header and no data."""
+    header_json = json.dumps(header).encode()
+    path.write_bytes(b"LLDS" + struct.pack("<II", 1, len(header_json)) + header_json)
+
+
 class TestCheckpointIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         ckpt = make_ckpt()
@@ -86,6 +119,44 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert err.value.section == "arch"
 
+    def test_hand_built_file_loads(self, tmp_path):
+        meta = good_meta()
+        path = tmp_path / "ok.llck"
+        path.write_bytes(ckpt_bytes(json.loads(TINY4.to_json()), meta, meta["param_count"]))
+        assert load_checkpoint(path).epoch == 1
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            {"input_shape": [16, 16]},
+            {"input_shape": [12, 12, 3]},
+            {"conv_blocks": [[8, 4, 1]]},
+            {"conv_blocks": [[8, 33, 1]]},
+            {"num_classes": 1},
+        ],
+        ids=["two_entry_shape", "non_power_of_two", "even_kernel", "kernel_too_large", "one_class"],
+    )
+    def test_arch_bad_value_names_arch_section(self, tmp_path, edit):
+        arch = {**json.loads(TINY4.to_json()), **edit}
+        path = tmp_path / "arch.llck"
+        path.write_bytes(ckpt_bytes(arch, good_meta()))
+        with pytest.raises(FileFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.section == "arch"
+
+    @pytest.mark.parametrize(
+        "meta",
+        [{k: v for k, v in good_meta().items() if k != key} for key in good_meta()]
+        + [[1, 2], {**good_meta(), "epoch": "one"}, {**good_meta(), "param_count": -1}],
+        ids=[f"no_{key}" for key in good_meta()] + ["not_object", "epoch_not_int", "negative_count"],
+    )
+    def test_bad_metadata_names_metadata_section(self, tmp_path, meta):
+        path = tmp_path / "meta.llck"
+        path.write_bytes(ckpt_bytes(json.loads(TINY4.to_json()), meta))
+        with pytest.raises(FileFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.section == "metadata"
+
     def test_truncation_names_section(self, tmp_path):
         ckpt = make_ckpt()
         path = tmp_path / "a.llck"
@@ -124,6 +195,24 @@ class TestDatasetIO:
         assert (tmp_path / "source-train-20-3.llds").exists()
         b = cached_generate(spec, "train", 20, 3, tmp_path)
         assert np.array_equal(a.images, b.images)
+
+    def test_hand_built_empty_dataset_loads(self, tmp_path):
+        path = tmp_path / "ok.llds"
+        write_header_only_dataset(path, GOOD_HEADER)
+        assert len(load_dataset(path)) == 0
+
+    @pytest.mark.parametrize(
+        "header",
+        [{k: v for k, v in GOOD_HEADER.items() if k != key} for key in GOOD_HEADER]
+        + [{**GOOD_HEADER, **edit} for edit in ({"n": "many"}, {"n": -1}, {"image_shape": 16}, {"image_shape": [16, "x", 3]})],
+        ids=[f"no_{key}" for key in GOOD_HEADER] + ["n_not_int", "negative_n", "shape_not_list", "shape_entry_not_int"],
+    )
+    def test_bad_header_names_header_section(self, tmp_path, header):
+        path = tmp_path / "h.llds"
+        write_header_only_dataset(path, header)
+        with pytest.raises(FileFormatError) as err:
+            load_dataset(path)
+        assert err.value.section == "header"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.llds"
