@@ -4,6 +4,15 @@ Every image is a pure function of (domain, seed, split, index): class k draws
 a polygon with k+3 vertices and a class-fixed radius pattern, rendered in the
 domain's style. Five styles stand in for progressively less photo-like
 domains, from textured color fills down to blurred low-contrast grayscale.
+
+Rendering works on whole batches. Each image's own (seed, stream-id) stream
+is drawn with ``lane_uniforms``, all streams in lockstep. The images of one
+label share a vertex count, so each label group is rasterised together with
+array ops over a leading batch axis, one polygon edge at a time. Only the
+rotation (``math.cos``/``math.sin`` and a 2x2 product) stays per image.
+Every array op repeats the per-image arithmetic element for element, so a
+batch renders bit-identically to one image at a time: ``render_image`` is a
+batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .rng import RngStream, derive_stream_id
+from .rng import RngStream, derive_stream_id, lane_uniforms
 
 DOMAIN_NAMES = ("source", "real_like", "clipart_like", "quickdraw_like", "xray_like")
 STAR = "*"
@@ -25,6 +34,8 @@ NUM_CLASSES = 10
 _STREAM_DATA = 0x44415441  # "DATA"
 _STREAM_SHUFFLE = 0x53484646  # "SHFF"
 _TEST_INDEX_BASE = 1 << 32
+_SPLIT_BASE = {"train": 0, "test": _TEST_INDEX_BASE}
+_RENDER_CHUNK = 1024  # images per lane draw; bounds the temporaries for any n
 
 # Ten visually distinct fill colors (RGB in [0,1]).
 _PALETTE = np.array(
@@ -76,7 +87,7 @@ class ShuffleSpec:
 
     def __post_init__(self):
         if self.block_size != STAR:
-            if not isinstance(self.block_size, int) or self.block_size < 1:
+            if isinstance(self.block_size, bool) or not isinstance(self.block_size, int) or self.block_size < 1:
                 raise DomainError(f"bad block size {self.block_size!r}")
             if IMAGE_SIZE % self.block_size:
                 raise DomainError(f"block size {self.block_size} must divide {IMAGE_SIZE}")
@@ -102,35 +113,58 @@ def _class_polygon(label: int) -> np.ndarray:
     return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=1)
 
 
-def _point_in_polygon(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    """Even-odd ray casting, vectorized over points."""
-    inside = np.zeros(px.shape, dtype=bool)
-    x1, y1 = verts[:, 0], verts[:, 1]
-    x2, y2 = np.roll(x1, -1), np.roll(y1, -1)
-    for k in range(len(verts)):
-        crosses = (y1[k] > py) != (y2[k] > py)
+def _inside_polygons(px: np.ndarray, py: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """Even-odd ray casting of a (1, 1, W) x (1, H, 1) grid against G polygons.
+
+    ``vx``, ``vy`` are (G, m) vertex coordinates; returns (G, H, W) bools.
+    Crossings depend only on the row, so they are found per row.
+    """
+    inside = np.zeros((len(vx), py.size, px.size), dtype=bool)
+    x1, y1 = vx[:, :, None, None], vy[:, :, None, None]
+    x2, y2 = np.roll(x1, -1, axis=1), np.roll(y1, -1, axis=1)
+    for k in range(vx.shape[1]):
+        crosses = (y1[:, k] > py) != (y2[:, k] > py)
         with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = (x2[k] - x1[k]) * (py - y1[k]) / (y2[k] - y1[k]) + x1[k]
+            xcross = (x2[:, k] - x1[:, k]) * (py - y1[:, k]) / (y2[:, k] - y1[:, k]) + x1[:, k]
         inside ^= crosses & (px < xcross)
     return inside
 
 
-def _dist_to_edges(px: np.ndarray, py: np.ndarray, verts: np.ndarray) -> np.ndarray:
-    p = np.stack([px, py], axis=-1)[..., None, :]  # (..., 1, 2)
-    a = verts[None, :, :]
-    b = np.roll(verts, -1, axis=0)[None, :, :]
-    ab = b - a
-    t = np.clip(np.sum((p - a) * ab, axis=-1) / np.sum(ab * ab, axis=-1), 0.0, 1.0)
-    closest = a + t[..., None] * ab
-    return np.sqrt(np.sum((p - closest) ** 2, axis=-1)).min(axis=-1)
+def _dist_to_edges(px: np.ndarray, py: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """(G, H, W) distance from each grid point to the nearest polygon edge.
+
+    The min is taken over squared distances before one sqrt, which is exact
+    because sqrt is correctly rounded and monotone. Temporaries are reused
+    in place; each op is the same IEEE operation as in the textbook form.
+    """
+    ax, ay = vx[:, :, None, None], vy[:, :, None, None]
+    abx, aby = np.roll(ax, -1, axis=1) - ax, np.roll(ay, -1, axis=1) - ay
+    best = None
+    for k in range(vx.shape[1]):
+        # t = clip(((p - a) . ab) / (ab . ab), 0, 1)
+        t = (px - ax[:, k]) * abx[:, k] + (py - ay[:, k]) * aby[:, k]
+        t /= abx[:, k] * abx[:, k] + aby[:, k] * aby[:, k]
+        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+        # |p - (a + t ab)|^2, x part in ex, y part in t
+        ex = t * abx[:, k]
+        ex += ax[:, k]
+        np.subtract(px, ex, out=ex)
+        ex *= ex
+        t *= aby[:, k]
+        t += ay[:, k]
+        np.subtract(py, t, out=t)
+        t *= t
+        ex += t
+        best = ex if best is None else np.minimum(best, ex, out=best)
+    return np.sqrt(best)
 
 
 def _blur_wrap(img: np.ndarray, passes: int) -> np.ndarray:
-    """Separable binomial [1,4,6,4,1]/16 blur with circular wrap."""
+    """Separable binomial [1,4,6,4,1]/16 blur with circular wrap over axes 1, 2."""
     out = img.astype(np.float64)
     taps = np.array([1, 4, 6, 4, 1], dtype=np.float64) / 16.0
     for _ in range(passes):
-        for axis in (0, 1):
+        for axis in (1, 2):
             acc = np.zeros_like(out)
             for shift, w in zip(range(-2, 3), taps):
                 acc += w * np.roll(out, shift, axis=axis)
@@ -138,73 +172,100 @@ def _blur_wrap(img: np.ndarray, passes: int) -> np.ndarray:
     return out
 
 
-def render_image(domain: DomainSpec, split: str, index: int, seed: int) -> tuple[np.ndarray, int]:
-    """One (image, label) pair; bit-identical for identical arguments."""
-    base = _TEST_INDEX_BASE if split == "test" else 0
-    global_index = base + index
-    label = global_index % NUM_CLASSES
-    rng = RngStream(seed, derive_stream_id(_STREAM_DATA, domain.index, global_index))
-    style = _STYLES[domain.domain_id]
-    size = IMAGE_SIZE
+def _pixel_means(sub: np.ndarray) -> np.ndarray:
+    """(G, 2H, 2W) supersampled bools -> (G, H, W) coverage fractions."""
+    g, h, w = sub.shape
+    return sub.reshape(g, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
 
-    rot = 2 * math.pi * rng.uniform()
-    scale = 0.325 * size * (1.0 + 0.10 * (2 * rng.uniform() - 1))
-    cx = size / 2 + 1.5 * (2 * rng.uniform() - 1)
-    cy = size / 2 + 1.5 * (2 * rng.uniform() - 1)
-    verts = _class_polygon(label) * scale
-    c, s = math.cos(rot), math.sin(rot)
-    verts = verts @ np.array([[c, s], [-s, c]]) + np.array([cx, cy])
+
+def _render_group(domain_id: str, label: int, u: np.ndarray) -> np.ndarray:
+    """(G, 16, 16, 3) float32 images of one label from their (G, n_draws) uniforms."""
+    style = _STYLES[domain_id]
+    size = IMAGE_SIZE
+    g = len(u)
+
+    rot = 2 * math.pi * u[:, 0]
+    scale = 0.325 * size * (1.0 + 0.10 * (2 * u[:, 1] - 1))
+    cx = size / 2 + 1.5 * (2 * u[:, 2] - 1)
+    cy = size / 2 + 1.5 * (2 * u[:, 3] - 1)
+    polygon = _class_polygon(label)
+    verts = np.empty((g, len(polygon), 2))
+    for i in range(g):
+        c, s = math.cos(rot[i]), math.sin(rot[i])
+        verts[i] = (polygon * scale[i]) @ np.array([[c, s], [-s, c]]) + np.array([cx[i], cy[i]])
+    vx, vy = verts[:, :, 0], verts[:, :, 1]
 
     # 2x2 supersampled coverage and edge distance
     sub = np.array([0.25, 0.75])
     coords = (np.arange(size)[:, None] + sub[None, :]).reshape(-1)
-    py, px = np.meshgrid(coords, coords, indexing="ij")
-    inside = _point_in_polygon(px, py, verts)
-    coverage = inside.reshape(size, 2, size, 2).mean(axis=(1, 3))
+    px, py = coords[None, None, :], coords[None, :, None]
+    coverage = _pixel_means(_inside_polygons(px, py, vx, vy))[..., None]
 
     fill_rgb = _PALETTE[label]
     if style["gray"]:
         fill_rgb = np.full(3, float(fill_rgb.mean()) * 0.4)
 
-    bg = np.full((size, size, 3), style["bg"], dtype=np.float64)
+    img = np.full((g, size, size, 3), style["bg"], dtype=np.float64)
     if style["noise"] > 0:
-        noise = rng.uniform(size * size).reshape(size, size)
-        bg += style["noise"] * (2 * noise[:, :, None] - 1)
-    img = bg
+        noise = u[:, 4:].reshape(g, size, size)
+        img += style["noise"] * (2 * noise[..., None] - 1)
 
     if style["outline"]:
-        dist = _dist_to_edges(px, py, verts)
-        edge = (dist < 0.55).reshape(size, 2, size, 2).mean(axis=(1, 3))
-        if domain.domain_id == "clipart_like":
-            img = img * (1 - coverage[:, :, None]) + fill_rgb * coverage[:, :, None]
-        img = img * (1 - edge[:, :, None]) + 0.05 * edge[:, :, None]
+        edge = _pixel_means(_dist_to_edges(px, py, vx, vy) < 0.55)[..., None]
+        if domain_id == "clipart_like":
+            img = img * (1 - coverage) + fill_rgb * coverage
+        img = img * (1 - edge) + 0.05 * edge
     else:
-        img = img * (1 - coverage[:, :, None]) + fill_rgb * coverage[:, :, None]
+        img = img * (1 - coverage) + fill_rgb * coverage
 
     if style["blur"]:
         img = _blur_wrap(img, style["blur"])
         # compress contrast toward mid-gray
-        img = 0.42 + 0.55 * (img - img.mean())
+        img = 0.42 + 0.55 * (img - img.reshape(g, -1).mean(axis=1)[:, None, None, None])
 
     if style["gray"]:
-        gray = img.mean(axis=2, keepdims=True)
-        img = np.repeat(gray, 3, axis=2)
+        img = np.repeat(img.mean(axis=3, keepdims=True), 3, axis=3)
 
-    return np.clip(img, 0.0, 1.0).astype(np.float32), int(label)
+    return np.clip(img, 0.0, 1.0).astype(np.float32)
+
+
+def _render(domain: DomainSpec, split: str, first: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Images ``first`` .. ``first + n - 1`` of a split with their labels."""
+    if split not in _SPLIT_BASE:
+        raise DomainError(f"split must be train or test, got {split!r}")
+    if isinstance(first, bool) or not isinstance(first, (int, np.integer)):
+        raise DomainError(f"index must be an integer, got {first!r}")
+    if first < 0 or first + n > _TEST_INDEX_BASE:
+        raise DomainError(f"indices {first}..{first + n - 1} outside [0, 2**32)")
+    global_index = _SPLIT_BASE[split] + np.arange(first, first + n, dtype=np.uint64)
+    labels = (global_index % np.uint64(NUM_CLASSES)).astype(np.int64)
+    stream_ids = derive_stream_id(_STREAM_DATA, domain.index, global_index)
+    n_draws = 4 + (IMAGE_SIZE * IMAGE_SIZE if _STYLES[domain.domain_id]["noise"] > 0 else 0)
+
+    images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.float32)
+    for lo in range(0, n, _RENDER_CHUNK):
+        chunk = slice(lo, min(lo + _RENDER_CHUNK, n))
+        u = lane_uniforms(seed, stream_ids[chunk], n_draws)
+        chunk_labels = labels[chunk]
+        for label in np.unique(chunk_labels):
+            rows = np.flatnonzero(chunk_labels == label)
+            images[lo + rows] = _render_group(domain.domain_id, int(label), u[rows])
+    return images, labels
+
+
+def render_image(domain: DomainSpec, split: str, index: int, seed: int) -> tuple[np.ndarray, int]:
+    """Image ``index`` (0 <= index < 2**32) of a split and its label: a batch of one."""
+    images, labels = _render(domain, split, index, 1, seed)
+    return images[0], int(labels[0])
 
 
 def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
     """Class-balanced (+-1) deterministic dataset for one domain and split."""
-    if split not in ("train", "test"):
-        raise DomainError(f"split must be train or test, got {split!r}")
     if n < 1:
         raise DomainError("n must be at least 1")
     if n < NUM_CLASSES:
         warnings.warn(f"n={n} below num_classes={NUM_CLASSES}; balance impossible")
-    images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.float32)
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        images[i], labels[i] = render_image(domain, split, i, seed)
+    images, labels = _render(domain, split, 0, n, seed)
     provenance = {"domain": domain.domain_id, "seed": seed, "split": split, "n": n, "shuffle": None}
     return Dataset(images, labels, split, provenance)
 

@@ -4,11 +4,18 @@ SplitMix64 expands a user seed into xoshiro256++ state; the stream id keeps
 independent uses (data, init, batch order, noise, sampling) on separate,
 non-overlapping sequences. Everything is integer arithmetic mod 2^64, so a
 given (seed, stream_id) pair produces the same sequence on every platform.
+
+The seeding and the state recurrence are written once and run either on
+Python ints (one ``RngStream``) or on ``uint64`` arrays, where numpy wraps
+mod 2^64 silently and one array op steps many streams in lockstep
+(``lane_uniforms``). Arrays must be at least 1-D: numpy scalars warn on
+overflow.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -28,15 +35,66 @@ def mix64(x: int) -> int:
 
 
 def derive_stream_id(*parts: int) -> int:
-    """Fold integer parts into one stream id (order-sensitive)."""
+    """Fold integer parts into one stream id (order-sensitive).
+
+    A part may be a 1-D ``uint64`` array, giving one id per element.
+    """
     sid = 0
     for part in parts:
-        sid = mix64((sid + _GOLDEN) ^ (part & _MASK64))
+        sid = mix64(((sid + _GOLDEN) & _MASK64) ^ (part & _MASK64))
     return sid
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
+def _seed_state(seed, stream_id) -> list:
+    """xoshiro256++ state words for (seed, stream_id), expanded by SplitMix64."""
+    state = (seed ^ mix64(stream_id)) & _MASK64
+    s = []
+    for _ in range(4):
+        state = (state + _GOLDEN) & _MASK64
+        s.append(mix64(state))
+    # the all-zero state is a fixed point of the recurrence
+    s[0] = s[0] + ((s[0] | s[1] | s[2] | s[3]) == 0)
+    return s
+
+
+def _xoshiro_fill(s: list, out) -> list:
+    """Write the next len(out) xoshiro256++ outputs of state ``s`` to out[0], out[1], ...
+
+    Returns the advanced state. Array state words are updated in place.
+    """
+    s0, s1, s2, s3 = s
+    mask = _MASK64
+    for i in range(len(out)):
+        r = (s0 + s3) & mask
+        out[i] = (((r << 23) | (r >> 41)) + s0) & mask
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+    return [s0, s1, s2, s3]
+
+
+def _unit(raw: np.ndarray) -> np.ndarray:
+    """Doubles in [0, 1) from the top 53 bits of raw 64-bit draws."""
+    return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def lane_uniforms(seed: int, stream_ids, n: int) -> np.ndarray:
+    """(len(stream_ids), n) uniforms, row i equal to RngStream(seed, stream_ids[i]).uniform(n).
+
+    All streams advance in lockstep, one numpy op per term of the recurrence
+    over the stream axis, so the cost per draw falls with the number of
+    streams.
+    """
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    raw = np.empty((n, ids.size), dtype=np.uint64)
+    _xoshiro_fill(_seed_state(operator.index(seed) & _MASK64, ids), raw)
+    return _unit(raw.T)
 
 
 class RngStream:
@@ -49,48 +107,22 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "position", "_s")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = seed & _MASK64
-        self.stream_id = stream_id & _MASK64
+        # operator.index turns numpy integers into Python ints, which never overflow
+        self.seed = operator.index(seed) & _MASK64
+        self.stream_id = operator.index(stream_id) & _MASK64
         self.position = 0
-        state = (self.seed ^ mix64(self.stream_id)) & _MASK64
-        s = []
-        for _ in range(4):
-            state = (state + _GOLDEN) & _MASK64
-            s.append(mix64(state))
-        if not any(s):
-            s[0] = 1
-        self._s = s
+        self._s = _seed_state(self.seed, self.stream_id)
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s0 + s3) & _MASK64, 23) + s0) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
+        out = [0]
+        self._s = _xoshiro_fill(self._s, out)
         self.position += 1
-        return result
+        return out[0]
 
     def _raw_block(self, n: int) -> np.ndarray:
         """n raw 64-bit outputs as uint64 (tight loop for bulk draws)."""
-        s0, s1, s2, s3 = self._s
         out = np.empty(n, dtype=np.uint64)
-        mask = _MASK64
-        for i in range(n):
-            r = (s0 + s3) & mask
-            out[i] = (((r << 23) | (r >> 41)) + s0) & mask
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-        self._s = [s0, s1, s2, s3]
+        self._s = _xoshiro_fill(self._s, out)
         self.position += n
         return out
 
@@ -98,8 +130,7 @@ class RngStream:
         """Uniform doubles in [0, 1) using the top 53 bits per draw."""
         if n is None:
             return (self.next_u64() >> 11) * 2.0**-53
-        block = self._raw_block(n)
-        return (block >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _unit(self._raw_block(n))
 
     def randint_below(self, bound: int) -> int:
         """Unbiased integer in [0, bound) via rejection sampling."""
@@ -125,6 +156,8 @@ class RngStream:
     @classmethod
     def restore(cls, seed: int, stream_id: int, position: int) -> "RngStream":
         """Rebuild a stream and fast-forward to ``position`` raw draws."""
+        if position < 0:
+            raise DomainError("position must be non-negative")
         rng = cls(seed, stream_id)
         chunk = 1 << 14
         remaining = position

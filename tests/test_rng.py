@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from basinscope.errors import DomainError
-from basinscope.rng import RngStream, derive_stream_id, gaussian, mix64, uniform_in_ball
+from basinscope.rng import RngStream, derive_stream_id, gaussian, lane_uniforms, mix64, uniform_in_ball
 
 
 def test_same_seed_same_sequence():
@@ -33,6 +33,58 @@ def test_serialize_restore_resumes_sequence():
     tail = [a.next_u64() for _ in range(50)]
     b = RngStream.restore(*state)
     assert [b.next_u64() for _ in range(50)] == tail
+
+
+def test_numpy_integer_seed_and_id_match_python_ints():
+    want = RngStream(3, 2**64 - 1).uniform(5)
+    for seed, sid in [(np.int64(3), np.uint64(2**64 - 1)), (np.uint64(3), -1), (np.int32(3), np.int64(-1))]:
+        assert np.array_equal(RngStream(seed, sid).uniform(5), want)
+    assert np.array_equal(lane_uniforms(np.int64(3), [2**64 - 1], 5)[0], want)
+
+
+def test_restore_negative_position_rejected():
+    with pytest.raises(DomainError):
+        RngStream.restore(1, 2, -5)
+
+
+def test_restore_zero_position_is_fresh_stream():
+    assert RngStream.restore(1, 2, 0).next_u64() == RngStream(1, 2).next_u64()
+
+
+LANE_IDS = [0, 1, 2, 2**63, 2**64 - 1] + [derive_stream_id(99, k) for k in range(60)]
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 17, 260])
+def test_each_lane_equals_scalar_stream(n):
+    for seed in (0, 3, 2**64 - 5):
+        lanes = lane_uniforms(seed, np.array(LANE_IDS, dtype=np.uint64), n)
+        assert lanes.shape == (len(LANE_IDS), n)
+        for i, sid in enumerate(LANE_IDS):
+            assert np.array_equal(lanes[i], RngStream(seed, sid).uniform(n)), (seed, sid)
+
+
+def test_consecutive_scalar_draws_equal_one_lane_draw():
+    lanes = lane_uniforms(7, LANE_IDS, 4 + 256)
+    for i, sid in enumerate(LANE_IDS):
+        rng = RngStream(7, sid)
+        head = [rng.uniform() for _ in range(4)]
+        tail = rng.uniform(256)
+        assert np.array_equal(lanes[i], np.concatenate([head, tail]))
+
+
+def test_lane_uniforms_negative_length_rejected():
+    with pytest.raises(DomainError):
+        lane_uniforms(1, [1, 2], -1)
+
+
+def test_derive_stream_id_on_arrays_matches_ints():
+    # the fold's intermediate can exceed 64 bits for some prefixes
+    index = np.arange(300, dtype=np.uint64) + np.uint64(2**32)
+    for prefix in [(0x44415441, d) for d in range(5)] + [(2**64 - 1,)]:
+        got = derive_stream_id(*prefix, index)
+        want = [derive_stream_id(*prefix, int(i)) for i in index]
+        assert got.dtype == np.uint64
+        assert got.tolist() == want
 
 
 def test_gaussian_zero_std():
