@@ -87,7 +87,6 @@ class BasinReport:
     epsilon: float
     delta: float
     samples: int
-    degenerate: bool = False
 
     def all_pass(self) -> bool:
         return all(c.verdict == "pass" for c in (self.cond1, self.cond2, self.cond3))
@@ -98,7 +97,6 @@ class BasinReport:
             "epsilon": self.epsilon,
             "delta": self.delta,
             "samples": self.samples,
-            "degenerate": self.degenerate,
             "cond1": self.cond1.to_dict(),
             "cond2": self.cond2.to_dict(),
             "cond3": self.cond3.to_dict(),
@@ -191,16 +189,21 @@ def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: floa
     )
 
 
+def _check_budget(samples: int, *scales: float) -> None:
+    """Reject fewer than 100 Monte Carlo samples or a non-positive epsilon or delta."""
+    if samples < 100:
+        raise DomainError("need at least 100 samples")
+    if any(s <= 0 for s in scales):
+        raise DomainError("epsilon and delta must be positive")
+
+
 def check_basin(ball: BallSet, loss, epsilon: float, delta: float, samples: int, rng: RngStream) -> BasinReport:
     """Estimate the three conditions by Monte Carlo and return verdicts.
 
     loss maps a flat float64 vector to a scalar; epsilon and delta are the
     candidate basin parameters.
     """
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
-    if epsilon <= 0 or delta <= 0:
-        raise DomainError("epsilon and delta must be positive")
+    _check_budget(samples, epsilon, delta)
     draws = _ConditionDraws(ball, rng, samples)
     return _report_from_draws(draws, loss, epsilon, delta)
 
@@ -266,6 +269,7 @@ def fit_basin(
     located by doubling-then-bisection with common random numbers. The delta
     bracket is expressed in units of the fitted radius.
     """
+    _check_budget(samples, epsilon_target)
     if isinstance(theta_a, ParamVector):
         theta_a = theta_a.values
     if isinstance(theta_b, ParamVector):

@@ -29,7 +29,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ParamVector, _module_input, _run_layers
 from .rng import RngStream, gaussian
-from .trainer import EVAL_BATCH, Checkpoint, _score_batches, evaluate
+from .trainer import EVAL_BATCH, Checkpoint, _score_batches, split_metrics
 
 NOISE_MODES = ("current_norm", "raw")
 
@@ -60,6 +60,10 @@ class CriticalityConfig:
             raise DomainError("grids must be non-empty")
         if np.any(np.diff(self.alpha_grid) <= 0) or np.any(np.diff(self.sigma_grid) <= 0):
             raise DomainError("grids must be sorted strictly ascending")
+        if np.any(self.sigma_grid <= 0):
+            raise DomainError("sigmas must be positive")
+        if self.noise_samples < 1:
+            raise DomainError("need at least one noise sample")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if self.path not in ("direct", "optimization"):
@@ -262,17 +266,9 @@ def rewind_probe(final: Checkpoint, init: Checkpoint, module_name: str, train_ds
     if final.arch != init.arch:
         raise DomainError("checkpoint architectures differ")
     params = final.params.copy()
-    view = params.module_view(module_name)
-    view.set(init.params.values[init.params.module_slice(module_name)])
-    tr = evaluate(params, final.arch, train_ds)
-    te = evaluate(params, final.arch, test_ds)
-    return {
-        "module": module_name,
-        "train_loss": tr.loss,
-        "train_acc": tr.accuracy,
-        "test_loss": te.loss,
-        "test_acc": te.accuracy,
-    }
+    span = params.module_slice(module_name)
+    params.values[span] = init.params.values[span]
+    return {"module": module_name, **split_metrics(params, final.arch, train_ds, test_ds)}
 
 
 def network_criticality(maps: list[CriticalityMap]) -> float:

@@ -12,10 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataops import Dataset
 from .errors import DomainError
-from .model import ArchDescriptor, ParamVector
-from .trainer import Checkpoint, evaluate
+from .model import ParamVector
+from .trainer import Checkpoint, split_metrics
 
 METRIC_KEYS = ("train_loss", "train_acc", "test_loss", "test_acc")
 
@@ -25,8 +24,6 @@ class BarrierCurve:
     lambdas: np.ndarray
     # metrics[dataset_name][metric_key] -> array over lambdas
     metrics: dict
-    endpoint_a: str
-    endpoint_b: str
 
     def series(self, dataset: str | None, key: str) -> np.ndarray:
         name = dataset if dataset is not None else next(iter(self.metrics))
@@ -67,28 +64,10 @@ def barrier_curve_from_fn(lambdas, point_fn, eval_fns: dict) -> BarrierCurve:
     for name in metrics:
         for k in METRIC_KEYS:
             metrics[name][k] = np.array(metrics[name][k])
-    return BarrierCurve(lambdas=lambdas, metrics=metrics, endpoint_a="a", endpoint_b="b")
+    return BarrierCurve(lambdas=lambdas, metrics=metrics)
 
 
-def _eval_pair(params: ParamVector, arch: ArchDescriptor, train_ds: Dataset, test_ds: Dataset) -> dict:
-    tr = evaluate(params, arch, train_ds)
-    te = evaluate(params, arch, test_ds)
-    return {
-        "train_loss": tr.loss,
-        "train_acc": tr.accuracy,
-        "test_loss": te.loss,
-        "test_acc": te.accuracy,
-    }
-
-
-def barrier_curve(
-    ckpt_a: Checkpoint,
-    ckpt_b: Checkpoint,
-    lambdas,
-    eval_datasets: dict,
-    label_a: str = "a",
-    label_b: str = "b",
-) -> BarrierCurve:
+def barrier_curve(ckpt_a: Checkpoint, ckpt_b: Checkpoint, lambdas, eval_datasets: dict) -> BarrierCurve:
     """Evaluate every interpolated model on every named (train, test) dataset pair.
 
     eval_datasets: name -> (train Dataset, test Dataset); names may be other
@@ -104,13 +83,10 @@ def barrier_curve(
         return interpolate(ckpt_a.params, ckpt_b.params, lam)
 
     eval_fns = {
-        name: (lambda p, pair=pair: _eval_pair(p, arch, pair[0], pair[1]))
+        name: (lambda p, pair=pair: split_metrics(p, arch, pair[0], pair[1]))
         for name, pair in eval_datasets.items()
     }
-    curve = barrier_curve_from_fn(lambdas, point_fn, eval_fns)
-    curve.endpoint_a = label_a
-    curve.endpoint_b = label_b
-    return curve
+    return barrier_curve_from_fn(lambdas, point_fn, eval_fns)
 
 
 def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | None = None, split: str = "test") -> float:

@@ -188,37 +188,11 @@ class ParamVector:
         hi = max(e for _, e in spans)
         return slice(lo, hi)
 
-    def module_view(self, module_name: str) -> "ModuleView":
-        return ModuleView(module_name, self, self.module_slice(module_name))
-
     def same_index(self, other: "ParamVector") -> bool:
         return self.index == other.index
 
     def equals(self, other: "ParamVector") -> bool:
         return self.same_index(other) and np.array_equal(self.values, other.values)
-
-
-@dataclass
-class ModuleView:
-    """Writable window onto one module's slice of a ParamVector."""
-
-    module_name: str
-    params: ParamVector
-    span: slice
-
-    def get(self) -> np.ndarray:
-        return self.params.values[self.span].copy()
-
-    def set(self, flat) -> None:
-        arr = np.asarray(flat, dtype=self.params.values.dtype).ravel()
-        want = self.span.stop - self.span.start
-        if arr.size != want:
-            raise SizeError(f"module {self.module_name} expects {want} values, got {arr.size}")
-        self.params.values[self.span] = arr
-
-    @property
-    def size(self) -> int:
-        return self.span.stop - self.span.start
 
 
 def init_random(arch: ArchDescriptor, rng: RngStream) -> ParamVector:
@@ -329,44 +303,37 @@ def _run_layers(
     """The forward core: run layers [start, stop) of the plan on x, the
     float64 input to layer start (for start=0, ``_network_input``).
 
-    Returns (output, activations, caches). Only with keep=True are the
-    per-module outputs and the caches backward needs built; otherwise both
-    lists stay empty. patches, when given, are layer start's gathered conv
-    patches of x, so the gather is skipped.
+    Returns (output, records). With keep=True, records holds one (layer,
+    x_in, w, pre, patches, post) per layer: its plan entry, its input
+    (flattened for a dense layer), float64 weight, pre-activation, conv
+    patches (None for a dense layer) and output; otherwise it is empty.
+    patches, when given, are layer start's gathered conv patches of x, so
+    the gather is skipped.
     """
-    caches = []
-    activations = []
+    records = []
     for layer in arch.layer_plan()[start:stop]:
         name = layer["name"]
         w = params.get(f"{name}.weight").astype(np.float64)
         b = params.get(f"{name}.bias").astype(np.float64)
         if layer["kind"] == "conv":
+            x_in = x
             pre, gathered = _conv_forward(x, w, b, layer["stride"], patches)
-            patches = None
-            post = np.maximum(pre, 0.0)
-            if keep:
-                caches.append(("conv", name, x.shape, w, gathered, pre, layer["stride"]))
-                activations.append((name, post))
-            x = post
-            continue
-        if x.ndim > 2:
-            if keep:
-                caches.append(("flatten", x.shape))
-            x = x.reshape(x.shape[0], -1)
-        pre = x @ w.T + b
-        post = np.maximum(pre, 0.0) if layer["kind"] == "fc" else pre
+        else:
+            x_in = x.reshape(x.shape[0], -1)
+            pre, gathered = x_in @ w.T + b, None
+        patches = None
+        post = pre if layer["kind"] == "classifier" else np.maximum(pre, 0.0)
         if keep:
-            caches.append(("fc", name, x, pre) if layer["kind"] == "fc" else ("classifier", name, x))
-            activations.append((name, post))
+            records.append((layer, x_in, w, pre, gathered, post))
         x = post
-    return x, activations, caches
+    return x, records
 
 
 def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
     """Input to layer start of the plan, and for a conv layer its gathered
     patches (None otherwise): the frozen prefix's part of a forward pass
     that ``_run_layers(..., start, patches=...)`` completes."""
-    x, _, _ = _run_layers(params, arch, _network_input(arch, batch), 0, start)
+    x, _ = _run_layers(params, arch, _network_input(arch, batch), 0, start)
     layer = arch.layer_plan()[start]
     if layer["kind"] != "conv":
         return x, None
@@ -376,9 +343,8 @@ def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
 def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarray, list]:
     """Logits (batch, num_classes) in float64 plus per-module post-activation
     outputs in storage precision."""
-    logits, activations, _ = _run_layers(params, arch, _network_input(arch, batch), keep=True)
-    out_acts = [(name, a.astype(np.float32)) for name, a in activations]
-    return logits, out_acts
+    logits, records = _run_layers(params, arch, _network_input(arch, batch), keep=True)
+    return logits, [(layer["name"], post.astype(np.float32)) for layer, *_, post in records]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
@@ -402,34 +368,24 @@ def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min(initial=0) < 0 or labels.max(initial=0) >= arch.num_classes:
         raise DomainError(f"labels must be in [0, {arch.num_classes})")
-    logits, _, caches = _run_layers(params, arch, _network_input(arch, batch), keep=True)
+    logits, records = _run_layers(params, arch, _network_input(arch, batch), keep=True)
     if labels.shape[0] != logits.shape[0]:
         raise SizeError("labels length does not match batch size")
     loss, g = softmax_cross_entropy(logits, labels)
     grad = ParamVector.zeros(arch, dtype=params.values.dtype)
-    for depth, cache in reversed(list(enumerate(caches))):
-        kind = cache[0]
-        if kind == "classifier":
-            _, name, xin = cache
-            grad.set(f"{name}.weight", g.T @ xin)
-            grad.set(f"{name}.bias", g.sum(axis=0))
-            g = g @ params.get(f"{name}.weight").astype(np.float64)
-        elif kind == "fc":
-            _, name, xin, pre = cache
-            g = g * (pre > 0)
-            grad.set(f"{name}.weight", g.T @ xin)
-            grad.set(f"{name}.bias", g.sum(axis=0))
-            g = g @ params.get(f"{name}.weight").astype(np.float64)
-        elif kind == "flatten":
-            _, shape = cache
-            g = g.reshape(shape)
-        else:  # conv
-            _, name, x_shape, w, gathered, pre, stride = cache
-            g = g * (pre > 0)
+    for depth in reversed(range(len(records))):
+        layer, x_in, w, pre, patches, _ = records[depth]
+        name = layer["name"]
+        if layer["kind"] != "classifier":
+            g = g.reshape(pre.shape) * (pre > 0)
+        if layer["kind"] == "conv":
             # nothing reads the network input's gradient
-            g, gw, gb = _conv_backward(g, x_shape, w, gathered, stride, need_input_grad=depth > 0)
-            grad.set(f"{name}.weight", gw)
-            grad.set(f"{name}.bias", gb)
+            g_in, gw, gb = _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=depth > 0)
+        else:
+            g_in, gw, gb = g @ w, g.T @ x_in, g.sum(axis=0)
+        grad.set(f"{name}.weight", gw)
+        grad.set(f"{name}.bias", gb)
+        g = g_in
     return loss, grad
 
 

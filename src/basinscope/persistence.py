@@ -2,7 +2,7 @@
 
 Checkpoints: magic "LLCK", u32 version, length-prefixed arch JSON and
 metadata JSON, then the raw float32 little-endian parameter block.
-Dataset cache: magic "LLDS", u32 version, length-prefixed header JSON,
+Dataset file: magic "LLDS", u32 version, length-prefixed header JSON,
 u16 labels, float32 images. All digests are SHA-256 of file bytes.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import time
 from pathlib import Path
@@ -150,18 +149,6 @@ def load_dataset(path) -> dataops.Dataset:
         img_bytes = 4 * n * int(np.prod(shape))
         images = np.frombuffer(_read_exact(f, img_bytes, "images"), dtype="<f4").reshape((n, *shape)).copy()
     return dataops.Dataset(images, labels, split, provenance)
-
-
-def cached_generate(spec: dataops.DomainSpec, split: str, n: int, seed: int, cache_dir) -> dataops.Dataset:
-    """generate() through a content-keyed disk cache."""
-    os.makedirs(cache_dir, exist_ok=True)
-    key = f"{spec.domain_id}-{split}-{n}-{seed}.llds"
-    path = Path(cache_dir) / key
-    if path.exists():
-        return load_dataset(path)
-    ds = dataops.generate(spec, split, n, seed)
-    save_dataset(ds, path)
-    return ds
 
 
 def format_real(value: float) -> str:

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ParamVector, forward
 from .rng import RngStream
-from .trainer import Checkpoint
+from .trainer import EVAL_BATCH, Checkpoint
 
 CKA_MAX_EXAMPLES = 2048
 _STREAM_CKA = 0x434B41  # "CKA"
@@ -166,10 +166,10 @@ class SimilarityReport:
     distance_to_init_b: dict | None
 
 
-def _module_activations(ckpt: Checkpoint, images, batch_size: int = 256) -> dict:
+def _module_activations(ckpt: Checkpoint, images) -> dict:
     acts: dict[str, list] = {}
-    for start in range(0, len(images), batch_size):
-        _, batch_acts = forward(ckpt.params, ckpt.arch, images[start : start + batch_size])
+    for start in range(0, len(images), EVAL_BATCH):
+        _, batch_acts = forward(ckpt.params, ckpt.arch, images[start : start + EVAL_BATCH])
         for name, a in batch_acts:
             acts.setdefault(name, []).append(a.reshape(a.shape[0], -1))
     return {name: np.concatenate(parts) for name, parts in acts.items()}

@@ -1,6 +1,9 @@
 """Pre-train / fine-tune driver covering the four regimes: pre-trained,
 random-init, and either one fine-tuned on a target task.
 
+A checkpoint sweep renders the target data once and fine-tunes from each
+pre-training checkpoint in turn on it.
+
 Batch order comes from a dedicated stream keyed only by (config.seed, epoch),
 so two configs that differ only in their init train on identical batch
 sequences; initialization is then the sole difference between runs.
@@ -11,7 +14,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -80,6 +82,20 @@ class TrainConfig:
             raise DomainError("lr schedule must start at epoch 0")
         if any(b <= a for a, b in zip(epochs, epochs[1:])):
             raise DomainError("lr schedule epochs must be strictly increasing")
+        if any(lr <= 0 for _, lr in self.lr_schedule):
+            raise DomainError("learning rates must be positive")
+        if self.batch_size < 1:
+            raise DomainError("batch_size must be at least 1")
+        if self.epochs < 0:
+            raise DomainError("epochs must be non-negative")
+        if not 0 <= self.momentum < 1:
+            raise DomainError("momentum must lie in [0, 1)")
+        if self.weight_decay < 0:
+            raise DomainError("weight_decay must be non-negative")
+        if self.clip_grad_norm is not None and self.clip_grad_norm <= 0:
+            raise DomainError("clip_grad_norm must be positive or None")
+        if any(not 0 <= e <= self.epochs for e in self.checkpoint_epochs):
+            raise DomainError(f"checkpoint epochs must lie in [0, {self.epochs}]")
 
     def to_dict(self) -> dict:
         return json.loads(json.dumps(asdict(self)))
@@ -138,20 +154,14 @@ def lr_at(schedule, epoch: int) -> float:
     return lr
 
 
-def make_datasets(data: DataSpec, cache_dir: str | None = None):
-    """Build (train, test) datasets per the spec, optionally via the disk cache."""
-    from . import persistence  # late import: persistence depends on this module
+def make_datasets(data: DataSpec):
+    """Build the (train, test) datasets the spec describes."""
 
     def build(split, n):
         parts = []
         for i, name in enumerate(data.domains):
             seed = data.seed if len(data.domains) == 1 else derive_stream_id(data.seed, i)
-            spec = dataops.domain_spec(name)
-            if cache_dir is not None:
-                ds = persistence.cached_generate(spec, split, n, seed, cache_dir)
-            else:
-                ds = dataops.generate(spec, split, n, seed)
-            parts.append(ds)
+            parts.append(dataops.generate(dataops.domain_spec(name), split, n, seed))
         ds = parts[0] if len(parts) == 1 else dataops.concat_datasets(parts)
         if data.shuffle_block is not None:
             ds = dataops.apply_shuffle(ds, dataops.ShuffleSpec(data.shuffle_block, data.shuffle_seed, data.shared_permutation))
@@ -170,8 +180,8 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
     n = len(labels)
     if n == 0:
         raise DomainError("cannot evaluate on an empty dataset")
-    if int(labels.max()) >= num_classes:
-        raise DomainError("dataset labels exceed arch num_classes")
+    if int(labels.min()) < 0 or int(labels.max()) >= num_classes:
+        raise DomainError(f"dataset labels must lie in [0, {num_classes})")
     preds = np.empty(n, dtype=np.int64)
     loss_sum = 0.0
     start = 0
@@ -195,13 +205,21 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
     )
 
 
-def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset, batch_size: int = EVAL_BATCH) -> EvalResult:
-    """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class accuracy."""
+def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset) -> EvalResult:
+    """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class
+    accuracy, over batches of EVAL_BATCH images."""
     logits = (
-        _run_layers(params, arch, _network_input(arch, dataset.images[start : start + batch_size]))[0]
-        for start in range(0, len(dataset), batch_size)
+        _run_layers(params, arch, _network_input(arch, dataset.images[start : start + EVAL_BATCH]))[0]
+        for start in range(0, len(dataset), EVAL_BATCH)
     )
     return _score_batches(dataset.labels, arch.num_classes, logits)
+
+
+def split_metrics(params: ParamVector, arch: ArchDescriptor, train_ds: dataops.Dataset, test_ds: dataops.Dataset) -> dict:
+    """train_loss, train_acc, test_loss and test_acc of params on the two splits."""
+    tr = evaluate(params, arch, train_ds)
+    te = evaluate(params, arch, test_ds)
+    return {"train_loss": tr.loss, "train_acc": tr.accuracy, "test_loss": te.loss, "test_acc": te.accuracy}
 
 
 def _resolve_init(config: TrainConfig, init_checkpoint: Checkpoint | None) -> ParamVector:
@@ -223,16 +241,16 @@ def train(
     config: TrainConfig,
     *,
     init_checkpoint: Checkpoint | None = None,
-    cache_dir: str | None = None,
     datasets=None,
 ) -> tuple[Checkpoint, RunRecord, list[Checkpoint]]:
     """Run one training job; deterministic given the config.
 
-    Returns (final checkpoint, run record, checkpoints saved at
+    datasets, when given, is the (train, test) pair make_datasets(config.data)
+    would build. Returns (final checkpoint, run record, checkpoints saved at
     config.checkpoint_epochs plus the final epoch).
     """
     t0 = time.monotonic()
-    train_ds, test_ds = datasets if datasets is not None else make_datasets(config.data, cache_dir)
+    train_ds, test_ds = datasets if datasets is not None else make_datasets(config.data)
     if config.batch_size > len(train_ds):
         raise DomainError("batch_size exceeds train set size")
     params = _resolve_init(config, init_checkpoint)
@@ -256,19 +274,8 @@ def train(
             provenance=dict(provenance),
         )
 
-    def current_metrics() -> dict:
-        tr = evaluate(params, config.arch, train_ds)
-        te = evaluate(params, config.arch, test_ds)
-        return {
-            "train_loss": tr.loss,
-            "train_acc": tr.accuracy,
-            "test_loss": te.loss,
-            "test_acc": te.accuracy,
-        }
-
-    want_epoch0 = 0 in config.checkpoint_epochs
-    if want_epoch0:
-        saved.append(snapshot(0, current_metrics(), ("init",)))
+    if 0 in config.checkpoint_epochs:
+        saved.append(snapshot(0, split_metrics(params, config.arch, train_ds, test_ds), ("init",)))
 
     for epoch in range(config.epochs):
         lr = lr_at(config.lr_schedule, epoch)
@@ -284,18 +291,15 @@ def train(
                 if gnorm > config.clip_grad_norm:
                     grad = ParamVector(grad.values * (config.clip_grad_norm / gnorm), grad.index)
             params, buf = sgd_step(params, grad, lr, buf, config.momentum, config.weight_decay)
-        metrics = current_metrics()
+        metrics = split_metrics(params, config.arch, train_ds, test_ds)
         rows.append({"epoch": epoch + 1, **metrics})
         done = epoch + 1
         if done in config.checkpoint_epochs and done != config.epochs:
             saved.append(snapshot(done, metrics, batch_rng.state()))
 
-    final_metrics = rows[-1] if rows else {"epoch": 0, **current_metrics()}
-    final = snapshot(
-        config.epochs,
-        {k: v for k, v in final_metrics.items() if k != "epoch"},
-        ("final", config.epochs),
-    )
+    if not rows:
+        metrics = split_metrics(params, config.arch, train_ds, test_ds)
+    final = snapshot(config.epochs, metrics, ("final", config.epochs))
     saved.append(final)
 
     # flag the best-validation checkpoint among the saved ones (ties: earliest)
@@ -318,32 +322,26 @@ def train(
     return final, record, saved
 
 
-def _sweep_worker(args):
-    config, ckpt, cache_dir = args
-    final, record, _ = train(config, init_checkpoint=ckpt, cache_dir=cache_dir)
-    return {
-        "ckpt_epoch": ckpt.epoch,
-        "final_test_acc": final.metrics["test_acc"],
-        "optimization_speed": record.optimization_speed,
-    }
+def checkpoint_sweep(pretrain_ckpts: list[Checkpoint], finetune_config: TrainConfig) -> list[dict]:
+    """Fine-tune once per pre-training checkpoint; rows ordered by input.
 
-
-def checkpoint_sweep(
-    pretrain_ckpts: list[Checkpoint],
-    finetune_config: TrainConfig,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-) -> list[dict]:
-    """Fine-tune once per pre-training checkpoint; rows ordered by input."""
+    The target data is rendered once and every fine-tuning run trains on it.
+    """
     if not pretrain_ckpts:
         raise DomainError("need at least one checkpoint")
-    arch = pretrain_ckpts[0].arch
     for ckpt in pretrain_ckpts:
-        if ckpt.arch != arch or ckpt.arch != finetune_config.arch:
+        if ckpt.arch != finetune_config.arch:
             raise DomainError("checkpoint arch mismatch in sweep")
     config = replace(finetune_config, init=InitSpec("checkpoint", path=""))
-    tasks = [(config, ckpt, cache_dir) for ckpt in pretrain_ckpts]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_sweep_worker, tasks))
-    return [_sweep_worker(t) for t in tasks]
+    datasets = make_datasets(config.data)
+    rows = []
+    for ckpt in pretrain_ckpts:
+        final, record, _ = train(config, init_checkpoint=ckpt, datasets=datasets)
+        rows.append(
+            {
+                "ckpt_epoch": ckpt.epoch,
+                "final_test_acc": final.metrics["test_acc"],
+                "optimization_speed": record.optimization_speed,
+            }
+        )
+    return rows

@@ -259,6 +259,11 @@ class TestFitBasin:
         fit = fit_basin(a, b, double_well, epsilon_target=0.05, rng=RngStream(23), samples=400)
         assert fit.verdict == "not_in_one_basin"
 
+    @pytest.mark.parametrize("samples, epsilon", [(1, 0.05), (99, 0.05), (200, 0.0), (200, -0.05)])
+    def test_small_budget_or_non_positive_epsilon_rejected(self, samples, epsilon):
+        with pytest.raises(DomainError):
+            fit_basin(np.array([0.1]), np.array([-0.1]), bowl, epsilon_target=epsilon, rng=RngStream(25), samples=samples)
+
     def test_dict_roundtrip_serializable(self):
         import json
 

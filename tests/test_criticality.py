@@ -215,6 +215,11 @@ class TestConfig:
         with pytest.raises(DomainError):
             synthetic_cfg(mode=mode)
 
+    @pytest.mark.parametrize("samples, sigmas", [(0, SIGMAS), (1, [0.0, 0.1]), (1, [-0.1, 0.1])])
+    def test_empty_noise_budget_and_non_positive_sigma_rejected(self, samples, sigmas):
+        with pytest.raises(DomainError):
+            CriticalityConfig("w", 0.05, alpha_grid=ALPHAS, sigma_grid=sigmas, noise_samples=samples)
+
 
 class TestNetworkCriticality:
     def test_sum_and_infeasible_propagation(self):
@@ -243,8 +248,8 @@ class TestNetworkMap:
 
     def test_rewind_identical_module_is_noop(self):
         init, final = self.make_ckpts()
-        view = final.params.module_view("conv2")
-        view.set(init.params.values[init.params.module_slice("conv2")])
+        span = final.params.module_slice("conv2")
+        final.params.values[span] = init.params.values[span]
         train_ds = generate(domain_spec("source"), "train", 40, 1)
         test_ds = generate(domain_spec("source"), "test", 20, 1)
         probe = rewind_probe(final, init, "conv2", train_ds, test_ds)
@@ -257,8 +262,8 @@ class TestNetworkMap:
         test_ds = generate(domain_spec("source"), "test", 20, 1)
         params = final.params.copy()
         for name in params.module_names():
-            view = params.module_view(name)
-            view.set(init.params.values[init.params.module_slice(name)])
+            span = params.module_slice(name)
+            params.values[span] = init.params.values[span]
         hybrid = evaluate(params, TINY4, test_ds)
         direct = evaluate(init.params, TINY4, test_ds)
         assert hybrid.loss == pytest.approx(direct.loss, abs=1e-9)

@@ -125,7 +125,7 @@ class TestBarrierHeight:
         lambdas = np.linspace(0, 1, 5)
         acc = np.array([0.8, 0.5, 0.2, 0.5, 0.8])
         metrics = {"d": {k: acc.copy() for k in ("train_loss", "train_acc", "test_loss", "test_acc")}}
-        curve = BarrierCurve(lambdas, metrics, "a", "b")
+        curve = BarrierCurve(lambdas, metrics)
         assert barrier_height(curve, "accuracy", "d") == pytest.approx(0.6)
 
     def test_symmetric_under_endpoint_reversal(self):

@@ -124,17 +124,6 @@ class TestParamVector:
             rebuilt.set(e.name, params.get(e.name))
         assert rebuilt.equals(params)
 
-    def test_module_view_writes_exactly_its_slice(self):
-        params = init_random(TINY4, RngStream(4))
-        before = params.values.copy()
-        view = params.module_view("conv2")
-        view.set(np.zeros(view.size))
-        sl = params.module_slice("conv2")
-        assert np.all(params.values[sl] == 0)
-        mask = np.ones(params.size, dtype=bool)
-        mask[sl] = False
-        assert np.array_equal(params.values[mask], before[mask])
-
     def test_unknown_module_rejected(self):
         params = ParamVector.zeros(TINY4)
         with pytest.raises(DomainError):
@@ -211,8 +200,7 @@ class TestForward:
         batch, _ = rand_batch(TINY4, 2, 4)
         _, base = forward(params, TINY4, batch)
         edited = params.copy()
-        view = edited.module_view("conv2")
-        view.set(view.get() * -1.5)
+        edited.values[edited.module_slice("conv2")] *= -1.5
         _, changed = forward(edited, TINY4, batch)
         names = TINY4.module_names()
         cut = names.index("conv2")
@@ -236,20 +224,34 @@ class TestForwardCore:
         x0 = _network_input(arch, batch)
         assert np.array_equal(_run_layers(params, arch, x0)[0], want)
         for m, name in enumerate(arch.module_names()):
-            prefix, acts, caches = _run_layers(params, arch, x0, 0, m)
-            assert acts == [] and caches == []
+            prefix, records = _run_layers(params, arch, x0, 0, m)
+            assert records == []
             assert np.array_equal(_run_layers(params, arch, prefix, m)[0], want), name
             x, patches = _module_input(params, arch, batch, m)
             assert np.array_equal(x, prefix), name
             assert (patches is None) == name.startswith(("fc", "classifier")), name
             assert np.array_equal(_run_layers(params, arch, x, m, patches=patches)[0], want), name
 
-    def test_keep_builds_activations_and_caches(self):
+    def test_keep_builds_one_record_per_module(self):
+        """One (layer, x_in, w, pre, patches, post) record per module: each
+        layer's input is the previous output (flattened into a dense layer),
+        its float64 weight, patches for conv layers only, and a ReLU on every
+        layer but the classifier."""
         params = init_random(TINY4, RngStream(19))
         batch, _ = rand_batch(TINY4, 2, 7)
-        _, acts, caches = _run_layers(params, TINY4, _network_input(TINY4, batch), keep=True)
-        assert [n for n, _ in acts] == TINY4.module_names()
-        assert [c[0] for c in caches] == ["conv", "conv", "conv", "flatten", "fc", "classifier"]
+        x0 = _network_input(TINY4, batch)
+        logits, records = _run_layers(params, TINY4, x0, keep=True)
+        assert [layer["name"] for layer, *_ in records] == TINY4.module_names()
+        prev = x0
+        for layer, x_in, w, pre, patches, post in records:
+            name = layer["name"]
+            assert np.array_equal(x_in, prev.reshape(x_in.shape)), name
+            assert (x_in.ndim == 4) == (layer["kind"] == "conv"), name
+            assert w.dtype == np.float64 and np.array_equal(w, params.get(f"{name}.weight")), name
+            assert (patches is None) == (layer["kind"] != "conv"), name
+            assert np.array_equal(post, pre if layer["kind"] == "classifier" else np.maximum(pre, 0.0)), name
+            prev = post
+        assert prev is logits
 
 
 def oracle_patches(x, kernel, stride):

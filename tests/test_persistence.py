@@ -8,7 +8,6 @@ from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError, FileFormatError
 from basinscope.model import TINY4, init_random
 from basinscope.persistence import (
-    cached_generate,
     emit_table,
     format_real,
     load_checkpoint,
@@ -188,13 +187,6 @@ class TestDatasetIO:
         assert np.array_equal(loaded.images, ds.images)
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.provenance == ds.provenance
-
-    def test_cache_hit_is_identical(self, tmp_path):
-        spec = domain_spec("source")
-        a = cached_generate(spec, "train", 20, 3, tmp_path)
-        assert (tmp_path / "source-train-20-3.llds").exists()
-        b = cached_generate(spec, "train", 20, 3, tmp_path)
-        assert np.array_equal(a.images, b.images)
 
     def test_hand_built_empty_dataset_loads(self, tmp_path):
         path = tmp_path / "ok.llds"
