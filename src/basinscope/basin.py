@@ -7,6 +7,11 @@ boundary points raise the loss by at least 2*epsilon; (3) half-normal
 outward extrapolation past the boundary does the same. Verdicts require a
 two-standard-error margin in either direction; anything closer is
 inconclusive.
+
+One set of frozen draws per ball serves every delta: the losses at the
+inside points, evaluated as the points are drawn (the points are not kept),
+and the boundary chords with their noise, on which a search over delta
+re-evaluates only conditions 2 and 3.
 """
 
 from __future__ import annotations
@@ -121,34 +126,36 @@ def boundary_point(ball: BallSet, w1, w2) -> np.ndarray:
     return w1 + alpha * d
 
 
-class _ConditionDraws:
-    """Frozen random draws so delta can vary with common random numbers."""
+def _chords(ball: BallSet, rng: RngStream, samples: int):
+    """(start, boundary) per chord: a uniform start in the ball, a uniform
+    second point, and the ball's boundary along the ray through them."""
+    for _ in range(samples):
+        w1 = uniform_in_ball(rng, ball.center, ball.radius)
+        w2 = uniform_in_ball(rng, ball.center, ball.radius)
+        yield w1, boundary_point(ball, w1, w2)
 
-    def __init__(self, ball: BallSet, rng: RngStream, samples: int):
+
+class _ConditionDraws:
+    """Frozen random draws, holding the inside points' losses in place of the
+    points, so delta can vary with common random numbers."""
+
+    def __init__(self, ball: BallSet, rng: RngStream, samples: int, loss):
         n = ball.dimension
         mu_rng = rng.split(_STREAM_MU)
         self.ball = ball
-        self.w_inside = [uniform_in_ball(mu_rng, ball.center, ball.radius) for _ in range(samples)]
+        self.inside_losses = np.array([loss(uniform_in_ball(mu_rng, ball.center, ball.radius)) for _ in range(samples)])
+        if not np.all(np.isfinite(self.inside_losses)):
+            raise DomainError("loss returned non-finite value on a ball sample")
 
-        p2 = rng.split(_STREAM_PAIRS2)
+        self.f2 = [f for _, f in _chords(ball, rng.split(_STREAM_PAIRS2), samples)]
         n2 = rng.split(_STREAM_NOISE2)
-        self.f2, self.z2 = [], []
-        for _ in range(samples):
-            w1 = uniform_in_ball(p2, ball.center, ball.radius)
-            w2 = uniform_in_ball(p2, ball.center, ball.radius)
-            self.f2.append(boundary_point(ball, w1, w2))
-            self.z2.append(gaussian(n2, n, 1.0))
+        self.z2 = [gaussian(n2, n, 1.0) for _ in range(samples)]
 
-        p3 = rng.split(_STREAM_PAIRS3)
-        n3 = rng.split(_STREAM_NOISE3)
         self.f3, self.dir3 = [], []
-        for _ in range(samples):
-            w1 = uniform_in_ball(p3, ball.center, ball.radius)
-            w2 = uniform_in_ball(p3, ball.center, ball.radius)
-            f = boundary_point(ball, w1, w2)
+        for w1, f in _chords(ball, rng.split(_STREAM_PAIRS3), samples):
             self.f3.append(f)
             self.dir3.append((f - w1) / np.linalg.norm(f - w1))
-        self.z3 = np.abs(gaussian(n3, samples, 1.0))
+        self.z3 = np.abs(gaussian(rng.split(_STREAM_NOISE3), samples, 1.0))
 
 
 def _mean_se(x: np.ndarray) -> tuple[float, float]:
@@ -157,7 +164,7 @@ def _mean_se(x: np.ndarray) -> tuple[float, float]:
     return float(x.mean()), se
 
 
-def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: float, mu_losses=None) -> BasinReport:
+def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: float) -> BasinReport:
     """Estimates and standard errors that account for mu_hat being estimated.
 
     cond1 = mean |L - mu_hat| has influence |L - mu| + (2 P(L < mu) - 1)(L - mu);
@@ -165,9 +172,7 @@ def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: floa
     Var(mu_hat) adds to their variances.
     """
     n = draws.ball.dimension
-    losses = np.array([loss(w) for w in draws.w_inside]) if mu_losses is None else mu_losses
-    if not np.all(np.isfinite(losses)):
-        raise DomainError("loss returned non-finite value on a ball sample")
+    losses = draws.inside_losses
     mu_hat = float(losses.mean())
     se_mu = _mean_se(losses)[1]
     dev = losses - mu_hat
@@ -185,7 +190,7 @@ def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: floa
         cond3=ConditionEstimate(est3, math.hypot(se3, se_mu), 2.0 * epsilon, ">="),
         epsilon=epsilon,
         delta=delta,
-        samples=len(draws.w_inside),
+        samples=len(losses),
     )
 
 
@@ -204,8 +209,7 @@ def check_basin(ball: BallSet, loss, epsilon: float, delta: float, samples: int,
     candidate basin parameters.
     """
     _check_budget(samples, epsilon, delta)
-    draws = _ConditionDraws(ball, rng, samples)
-    return _report_from_draws(draws, loss, epsilon, delta)
+    return _report_from_draws(_ConditionDraws(ball, rng, samples, loss), loss, epsilon, delta)
 
 
 @dataclass
@@ -270,12 +274,7 @@ def fit_basin(
     bracket is expressed in units of the fitted radius.
     """
     _check_budget(samples, epsilon_target)
-    if isinstance(theta_a, ParamVector):
-        theta_a = theta_a.values
-    if isinstance(theta_b, ParamVector):
-        theta_b = theta_b.values
-    a = np.asarray(theta_a, dtype=np.float64)
-    b = np.asarray(theta_b, dtype=np.float64)
+    a, b = (np.asarray(t.values if isinstance(t, ParamVector) else t, dtype=np.float64) for t in (theta_a, theta_b))
     if a.shape != b.shape:
         raise DomainError("endpoint shapes differ")
 
@@ -293,73 +292,51 @@ def fit_basin(
     mu_seg = float(seg_losses.mean())
     threshold = mu_seg + 2.0 * epsilon_target
 
+    def reject(reason: str, ball=None, eps=None, report=None) -> BasinFit:
+        return BasinFit("not_in_one_basin", reason, ball, mu_seg, epsilon_target, eps, None, report, degenerate)
+
     loss_a, loss_b = float(loss(a)), float(loss(b))
     if loss_a > threshold or loss_b > threshold:
-        return BasinFit(
-            "not_in_one_basin",
-            "an endpoint sits above the segment loss threshold",
-            None, mu_seg, epsilon_target, None, None, None, degenerate,
-        )
+        return reject("an endpoint sits above the segment loss threshold")
 
     lam_hi = _walk_to_threshold(point_fn, loss, 1.0 if not degenerate else 0.0, +1.0, threshold)
     lam_lo = _walk_to_threshold(point_fn, loss, 0.0, -1.0, threshold)
     if lam_hi is None or lam_lo is None:
-        return BasinFit(
-            "not_in_one_basin",
-            "no loss boundary found along the line within the walk range",
-            None, mu_seg, epsilon_target, None, None, None, degenerate,
-        )
+        return reject("no loss boundary found along the line within the walk range")
 
     center = point_fn(0.5 * (lam_lo + lam_hi))
     radius = float(np.linalg.norm(point_fn(lam_hi) - point_fn(lam_lo))) / 2.0
     if radius <= 0:
-        return BasinFit(
-            "not_in_one_basin", "degenerate zero radius",
-            None, mu_seg, epsilon_target, None, None, None, degenerate,
-        )
+        return reject("degenerate zero radius")
     ball = BallSet(center, radius)
 
-    draws = _ConditionDraws(ball, rng, samples)
-    mu_losses = np.array([loss(w) for w in draws.w_inside])
-    base = _report_from_draws(draws, loss, epsilon_target, DELTA_BRACKET[1] * radius, mu_losses=mu_losses)
+    draws = _ConditionDraws(ball, rng, samples, loss)
+    lo_d, hi_d = DELTA_BRACKET[0] * radius, DELTA_BRACKET[1] * radius
+    base = _report_from_draws(draws, loss, epsilon_target, hi_d)
     eps_cert = base.cond1.estimate
     if base.cond1.verdict != "pass":
-        return BasinFit(
-            "not_in_one_basin",
-            "condition 1 fails at the target epsilon (loss varies across the ball)",
-            ball, mu_seg, epsilon_target, eps_cert, None, base, degenerate,
-        )
+        return reject("condition 1 fails at the target epsilon (loss varies across the ball)", ball, eps_cert, base)
 
     def passes(delta: float) -> tuple[bool, BasinReport]:
-        rep = _report_from_draws(draws, loss, eps_cert, delta, mu_losses=mu_losses)
+        rep = _report_from_draws(draws, loss, eps_cert, delta)
         return rep.cond2.verdict == "pass" and rep.cond3.verdict == "pass", rep
 
-    lo_d = DELTA_BRACKET[0] * radius
-    hi_d = DELTA_BRACKET[1] * radius
-    ok_lo, rep_lo = passes(lo_d)
-    if ok_lo:
-        return BasinFit("in_basin", "ok", ball, mu_seg, epsilon_target, eps_cert, lo_d, rep_lo, degenerate)
-    # double upward until a passing delta is found
+    # double up from the bracket floor until a delta passes, then bisect
+    # between the last failing and the first passing delta
     delta = lo_d
-    ok_hi, rep_hi = False, None
-    while delta < hi_d:
+    ok, report = passes(delta)
+    while not ok and delta < hi_d:
         delta = min(2.0 * delta, hi_d)
-        ok_hi, rep_hi = passes(delta)
-        if ok_hi:
-            break
-    if not ok_hi:
-        return BasinFit(
-            "not_in_one_basin",
-            "conditions 2-3 fail for every delta in the bracket",
-            ball, mu_seg, epsilon_target, eps_cert, None, rep_hi, degenerate,
-        )
-    lo, hi = delta / 2.0, delta
-    best = rep_hi
-    for _ in range(DELTA_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        ok, rep = passes(mid)
-        if ok:
-            hi, best = mid, rep
-        else:
-            lo = mid
-    return BasinFit("in_basin", "ok", ball, mu_seg, epsilon_target, eps_cert, hi, best, degenerate)
+        ok, report = passes(delta)
+    if not ok:
+        return reject("conditions 2-3 fail for every delta in the bracket", ball, eps_cert, report)
+    if delta > lo_d:
+        lo = delta / 2.0
+        for _ in range(DELTA_BISECT_STEPS):
+            mid = 0.5 * (lo + delta)
+            ok, rep = passes(mid)
+            if ok:
+                delta, report = mid, rep
+            else:
+                lo = mid
+    return BasinFit("in_basin", "ok", ball, mu_seg, epsilon_target, eps_cert, delta, report, degenerate)

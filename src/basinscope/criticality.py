@@ -97,16 +97,16 @@ class CriticalityMap:
 
 
 def _minimize(alphas, sigmas, train_grid, epsilon, path_distance):
-    best = math.inf
-    arg = None
-    for i, a in enumerate(alphas):
-        for j, s in enumerate(sigmas):
-            if train_grid[i, j] <= epsilon:
-                value = (a * a) * (path_distance * path_distance) / (s * s)
-                if value < best:
-                    best = value
-                    arg = (float(a), float(s))
-    return best, arg
+    """Smallest alpha^2 * dist^2 / sigma^2 over feasible cells and its (alpha,
+    sigma); ties go to the first cell in row-major order. (inf, None) when no
+    feasible cell has a value below inf."""
+    alphas, sigmas = np.asarray(alphas), np.asarray(sigmas)
+    values = (alphas * alphas)[:, None] * (path_distance * path_distance) / (sigmas * sigmas)
+    values = np.where((np.asarray(train_grid) <= epsilon) & (values < math.inf), values, math.inf)
+    i, j = np.unravel_index(np.argmin(values), values.shape)
+    if values[i, j] == math.inf:
+        return math.inf, None
+    return float(values[i, j]), (float(alphas[i]), float(sigmas[j]))
 
 
 def _module_stream_key(name: str) -> int:
@@ -115,19 +115,17 @@ def _module_stream_key(name: str) -> int:
 
 def _polyline_point(points: list[np.ndarray], alpha: float) -> np.ndarray:
     """Point at arclength fraction alpha along the checkpoint polyline."""
-    lengths = [float(np.linalg.norm(b - a)) for a, b in zip(points, points[1:])]
-    total = sum(lengths)
-    if total == 0.0:
+    lengths = np.array([np.linalg.norm(b - a) for a, b in zip(points, points[1:])])
+    ends = np.cumsum(lengths)  # arclength at the end of each segment
+    if ends[-1] == 0.0:
         return points[0].copy()
-    target = alpha * total
-    walked = 0.0
-    for seg_start, seg_len in zip(range(len(lengths)), lengths):
-        if walked + seg_len >= target or seg_start == len(lengths) - 1:
-            t = 0.0 if seg_len == 0 else (target - walked) / seg_len
-            t = min(max(t, 0.0), 1.0)
-            return points[seg_start] + t * (points[seg_start + 1] - points[seg_start])
-        walked += seg_len
-    return points[-1].copy()
+    target = alpha * ends[-1]
+    # the first segment that reaches target, else the last one
+    i = min(int(np.searchsorted(ends, target)), len(lengths) - 1)
+    walked = ends[i - 1] if i > 0 else 0.0
+    t = 0.0 if lengths[i] == 0 else (target - walked) / lengths[i]
+    t = min(max(t, 0.0), 1.0)
+    return points[i] + t * (points[i + 1] - points[i])
 
 
 def criticality_grid(
@@ -236,6 +234,8 @@ def criticality_map(
     if cfg.path == "optimization":
         if not checkpoints:
             raise DomainError("optimization path requires checkpoints")
+        if any(c.arch != arch for c in checkpoints):
+            raise DomainError("optimization-path checkpoint architectures differ from the endpoints'")
         ordered = sorted(checkpoints, key=lambda c: c.epoch)
         for a, b in zip(ordered, ordered[1:]):
             if a.epoch == b.epoch:

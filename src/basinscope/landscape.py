@@ -26,7 +26,12 @@ class BarrierCurve:
     metrics: dict
 
     def series(self, dataset: str | None, key: str) -> np.ndarray:
+        """One metric over lambdas; dataset None means the first dataset."""
         name = dataset if dataset is not None else next(iter(self.metrics))
+        if name not in self.metrics:
+            raise DomainError(f"unknown dataset {name!r}; the curve has {list(self.metrics)}")
+        if key not in self.metrics[name]:
+            raise DomainError(f"unknown metric {key!r}; the curve has {list(self.metrics[name])}")
         return np.asarray(self.metrics[name][key])
 
 

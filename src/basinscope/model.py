@@ -200,38 +200,25 @@ def init_random(arch: ArchDescriptor, rng: RngStream) -> ParamVector:
     params = ParamVector.zeros(arch)
     init_rng = rng.split(_STREAM_INIT)
     for layer in arch.layer_plan():
-        name = layer["name"]
-        if layer["kind"] == "conv":
-            fan_in = layer["kernel"] * layer["kernel"] * layer["cin"]
-            n = fan_in * layer["cout"]
-            w = gaussian(init_rng, n, np.sqrt(2.0 / fan_in))
-            params.set(f"{name}.weight", w.reshape(layer["kernel"], layer["kernel"], layer["cin"], layer["cout"]))
-        elif layer["kind"] == "fc":
-            fan_in = layer["fan_in"]
-            w = gaussian(init_rng, layer["fan_out"] * fan_in, np.sqrt(2.0 / fan_in))
-            params.set(f"{name}.weight", w.reshape(layer["fan_out"], fan_in))
+        weight = params.entry(f"{layer['name']}.weight")
+        # every output unit has one bias and fan_in weights
+        fan_in = weight.length // params.entry(f"{layer['name']}.bias").length
+        if layer["kind"] == "classifier":
+            w = (2.0 * init_rng.uniform(weight.length) - 1.0) * (1.0 / np.sqrt(fan_in))
         else:
-            bound = 1.0 / np.sqrt(layer["fan_in"])
-            u = init_rng.uniform(layer["fan_out"] * layer["fan_in"])
-            w = (2.0 * u - 1.0) * bound
-            params.set(f"{name}.weight", w.reshape(layer["fan_out"], layer["fan_in"]))
+            w = gaussian(init_rng, weight.length, np.sqrt(2.0 / fan_in))
+        params.set(weight.name, w)
         # biases stay zero
     return params
 
 
 @lru_cache(maxsize=64)
-def _conv_indices(size: int, kernel: int, stride: int) -> tuple[np.ndarray, ...]:
-    """Wrapped gather rows per kernel tap: rows[t] = (out*stride + t - off) mod size."""
-    off = (kernel - 1) // 2
-    out = size // stride
-    return tuple((np.arange(out) * stride + t - off) % size for t in range(kernel))
-
-
-@lru_cache(maxsize=64)
 def _patch_indices(h: int, wid: int, kernel: int, stride: int) -> np.ndarray:
-    """Flat spatial gather index rows*wid + cols, shape (OH, OW, k, k)."""
-    rows = np.stack(_conv_indices(h, kernel, stride), axis=1)  # (OH, k)
-    cols = np.stack(_conv_indices(wid, kernel, stride), axis=1)  # (OW, k)
+    """Flat spatial gather index rows*wid + cols, shape (OH, OW, k, k): tap t
+    of output o reads (o*stride + t - (k-1)//2) mod size along each axis."""
+    taps = np.arange(kernel) - (kernel - 1) // 2
+    rows = (np.arange(h // stride)[:, None] * stride + taps) % h  # (OH, k)
+    cols = (np.arange(wid // stride)[:, None] * stride + taps) % wid  # (OW, k)
     flat = rows[:, None, :, None] * wid + cols[None, :, None, :]
     flat.flags.writeable = False
     return flat
@@ -347,27 +334,35 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
     return logits, [(layer["name"], post.astype(np.float32)) for layer, *_, post in records]
 
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and d(loss)/d(logits), computed in float64."""
-    z = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
+def _check_labels(labels: np.ndarray, num_classes: int) -> None:
+    if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
+        raise DomainError(f"labels must lie in [0, {num_classes})")
+
+
+def _nll(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-row cross-entropy lse(z) - z[label] of float64 logits z, and the
+    softmax probabilities."""
     m = z.max(axis=1, keepdims=True)
     ez = np.exp(z - m)
-    sez = ez.sum(axis=1, keepdims=True)
-    log_probs = (z - m) - np.log(sez)
-    n = z.shape[0]
-    loss = -float(log_probs[np.arange(n), labels].mean())
-    dlogits = ez / sez
+    sez = ez.sum(axis=1)
+    lse = m[:, 0] + np.log(sez)
+    return lse - z[np.arange(z.shape[0]), labels], ez / sez[:, None]
+
+
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean cross-entropy and d(loss)/d(logits), computed in float64."""
+    labels = np.asarray(labels)
+    nll, dlogits = _nll(np.asarray(logits, dtype=np.float64), labels)
+    n = nll.shape[0]
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
-    return loss, dlogits
+    return float(np.sum(nll)) / n, dlogits
 
 
 def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[float, ParamVector]:
     """Mean cross-entropy loss and its gradient as a ParamVector."""
     labels = np.asarray(labels, dtype=np.int64)
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= arch.num_classes:
-        raise DomainError(f"labels must be in [0, {arch.num_classes})")
+    _check_labels(labels, arch.num_classes)
     logits, records = _run_layers(params, arch, _network_input(arch, batch), keep=True)
     if labels.shape[0] != logits.shape[0]:
         raise SizeError("labels length does not match batch size")

@@ -1,9 +1,11 @@
 """Binary file formats, CSV/JSON emission, and run manifests.
 
-Checkpoints: magic "LLCK", u32 version, length-prefixed arch JSON and
-metadata JSON, then the raw float32 little-endian parameter block.
-Dataset file: magic "LLDS", u32 version, length-prefixed header JSON,
-u16 labels, float32 images. All digests are SHA-256 of file bytes.
+Both binary formats share one container: a 4-byte magic, a u32 version,
+length-prefixed JSON sections (u32 byte count, then UTF-8 text), then raw
+little-endian blocks. Checkpoints ("LLCK") hold an arch and a metadata JSON,
+then the float32 parameter block. Dataset files ("LLDS") hold a header
+JSON, then the u16 labels and the float32 images. All digests are SHA-256 of
+file bytes.
 """
 
 from __future__ import annotations
@@ -42,8 +44,30 @@ def _read_prefixed(f, section: str) -> bytes:
     return _read_exact(f, length, section)
 
 
+def _write_container(path, magic: bytes, sections: list[str], blocks: list[np.ndarray]) -> str:
+    """Write magic, version, the length-prefixed JSON sections and the raw
+    blocks; return the file digest."""
+    with open(path, "wb") as f:
+        f.write(magic + struct.pack("<I", FORMAT_VERSION))
+        for text in sections:
+            data = text.encode()
+            f.write(struct.pack("<I", len(data)) + data)
+        for block in blocks:
+            f.write(block.tobytes())
+    return sha256_file(path)
+
+
+def _check_container(f, magic: bytes) -> None:
+    """Read and check the magic and the version at the start of f."""
+    got = _read_exact(f, 4, "magic")
+    if got != magic:
+        raise FileFormatError("magic", f"expected {magic!r}, got {got!r}")
+    (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
+    if version != FORMAT_VERSION:
+        raise FileFormatError("version", f"unsupported version {version}")
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> str:
-    arch_json = ckpt.arch.to_json().encode()
     meta = {
         "epoch": ckpt.epoch,
         "metrics": ckpt.metrics,
@@ -53,27 +77,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> str:
         "optimal": ckpt.optimal,
         "param_count": ckpt.params.size,
     }
-    meta_json = json.dumps(meta, sort_keys=True).encode()
-    params = np.ascontiguousarray(ckpt.params.values, dtype="<f4")
-    with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(arch_json)))
-        f.write(arch_json)
-        f.write(struct.pack("<I", len(meta_json)))
-        f.write(meta_json)
-        f.write(params.tobytes())
-    return sha256_file(path)
+    sections = [ckpt.arch.to_json(), json.dumps(meta, sort_keys=True)]
+    return _write_container(path, CKPT_MAGIC, sections, [np.ascontiguousarray(ckpt.params.values, dtype="<f4")])
 
 
 def load_checkpoint(path) -> Checkpoint:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != CKPT_MAGIC:
-            raise FileFormatError("magic", f"expected {CKPT_MAGIC!r}, got {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise FileFormatError("version", f"unsupported version {version}")
+        _check_container(f, CKPT_MAGIC)
         try:
             arch = ArchDescriptor.from_json(_read_prefixed(f, "arch").decode())
             index = build_index(arch)  # the plan checks kernel and stride against the input
@@ -117,25 +127,13 @@ def save_dataset(ds: dataops.Dataset, path) -> str:
         "n": len(ds),
         "image_shape": list(ds.images.shape[1:]),
     }
-    header_json = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as f:
-        f.write(DATA_MAGIC)
-        f.write(struct.pack("<I", FORMAT_VERSION))
-        f.write(struct.pack("<I", len(header_json)))
-        f.write(header_json)
-        f.write(np.ascontiguousarray(ds.labels, dtype="<u2").tobytes())
-        f.write(np.ascontiguousarray(ds.images, dtype="<f4").tobytes())
-    return sha256_file(path)
+    blocks = [np.ascontiguousarray(ds.labels, dtype="<u2"), np.ascontiguousarray(ds.images, dtype="<f4")]
+    return _write_container(path, DATA_MAGIC, [json.dumps(header, sort_keys=True)], blocks)
 
 
 def load_dataset(path) -> dataops.Dataset:
     with open(path, "rb") as f:
-        magic = _read_exact(f, 4, "magic")
-        if magic != DATA_MAGIC:
-            raise FileFormatError("magic", f"expected {DATA_MAGIC!r}, got {magic!r}")
-        (version,) = struct.unpack("<I", _read_exact(f, 4, "version"))
-        if version != FORMAT_VERSION:
-            raise FileFormatError("version", f"unsupported version {version}")
+        _check_container(f, DATA_MAGIC)
         try:
             header = json.loads(_read_prefixed(f, "header"))
             n = int(header["n"])

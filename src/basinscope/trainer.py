@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import dataops
 from .errors import DivergedRunError, DomainError
-from .model import ArchDescriptor, ParamVector, _network_input, _run_layers, backward, init_random, sgd_step
+from .model import (
+    ArchDescriptor, ParamVector, _check_labels, _network_input, _nll, _run_layers, backward, init_random, sgd_step
+)
 from .rng import RngStream, derive_stream_id
 
 _STREAM_BATCH = 0x42415443  # "BATC"
@@ -118,16 +119,8 @@ class Checkpoint:
     optimal: bool = False
 
     def equals(self, other: "Checkpoint") -> bool:
-        return (
-            self.arch == other.arch
-            and self.params.equals(other.params)
-            and self.epoch == other.epoch
-            and self.metrics == other.metrics
-            and self.config_hash == other.config_hash
-            and self.rng_digest == other.rng_digest
-            and self.provenance == other.provenance
-            and self.optimal == other.optimal
-        )
+        pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(a.equals(b) if isinstance(a, ParamVector) else a == b for a, b in pairs)
 
 
 @dataclass
@@ -141,9 +134,7 @@ class EvalResult:
 @dataclass
 class RunRecord:
     rows: list  # per-epoch dicts: epoch, train_loss, train_acc, test_loss, test_acc
-    wall_time: float
-    optimization_speed: float
-    best_epoch: int
+    optimization_speed: float  # mean train accuracy over the epochs, 0 without any
 
 
 def lr_at(schedule, epoch: int) -> float:
@@ -180,16 +171,13 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
     n = len(labels)
     if n == 0:
         raise DomainError("cannot evaluate on an empty dataset")
-    if int(labels.min()) < 0 or int(labels.max()) >= num_classes:
-        raise DomainError(f"dataset labels must lie in [0, {num_classes})")
+    _check_labels(labels, num_classes)
     preds = np.empty(n, dtype=np.int64)
     loss_sum = 0.0
     start = 0
     for z in logit_batches:
         stop = start + z.shape[0]
-        m = z.max(axis=1, keepdims=True)
-        lse = m[:, 0] + np.log(np.exp(z - m).sum(axis=1))
-        loss_sum += float(np.sum(lse - z[np.arange(stop - start), labels[start:stop]]))
+        loss_sum += float(np.sum(_nll(z, labels[start:stop])[0]))
         preds[start:stop] = np.argmax(z, axis=1)
         start = stop
     correct = preds == labels
@@ -249,7 +237,6 @@ def train(
     would build. Returns (final checkpoint, run record, checkpoints saved at
     config.checkpoint_epochs plus the final epoch).
     """
-    t0 = time.monotonic()
     train_ds, test_ds = datasets if datasets is not None else make_datasets(config.data)
     if config.batch_size > len(train_ds):
         raise DomainError("batch_size exceeds train set size")
@@ -274,7 +261,8 @@ def train(
             provenance=dict(provenance),
         )
 
-    if 0 in config.checkpoint_epochs:
+    # with no epochs to run, the final checkpoint is the epoch-0 one
+    if 0 in config.checkpoint_epochs and config.epochs > 0:
         saved.append(snapshot(0, split_metrics(params, config.arch, train_ds, test_ds), ("init",)))
 
     for epoch in range(config.epochs):
@@ -306,20 +294,8 @@ def train(
     best = max(range(len(saved)), key=lambda i: (saved[i].metrics["test_acc"], -saved[i].epoch))
     saved[best].optimal = True
 
-    if rows:
-        speeds = [r["train_acc"] for r in rows]
-        optimization_speed = float(np.mean(speeds))
-        best_epoch = max(range(len(rows)), key=lambda i: (rows[i]["test_acc"], -i)) + 1
-    else:
-        optimization_speed = 0.0
-        best_epoch = 0
-    record = RunRecord(
-        rows=rows,
-        wall_time=time.monotonic() - t0,
-        optimization_speed=optimization_speed,
-        best_epoch=best_epoch,
-    )
-    return final, record, saved
+    optimization_speed = float(np.mean([r["train_acc"] for r in rows])) if rows else 0.0
+    return final, RunRecord(rows, optimization_speed), saved
 
 
 def checkpoint_sweep(pretrain_ckpts: list[Checkpoint], finetune_config: TrainConfig) -> list[dict]:

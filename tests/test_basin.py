@@ -272,3 +272,112 @@ class TestFitBasin:
         fit = fit_basin(a, b, bowl, epsilon_target=0.05, rng=RngStream(24), samples=200)
         text = json.dumps(fit.to_dict())
         assert "in_basin" in text
+
+
+# --- outputs pinned to the values of the earlier fit_basin/check_basin ------
+# Reals were recorded before the inside-ball losses moved into the draws and
+# fit_basin's exits were merged; the rewrite keeps streams, draw order and the
+# number of loss calls, so reports and call counts must not move.
+
+def steep(w):
+    return 100.0 * float(np.atleast_1d(w)[0]) ** 2
+
+
+def step(w):
+    return 0.0 if abs(float(np.atleast_1d(w)[0])) < 1.0 else 1.0
+
+
+def terrace(w):
+    """Flat core, a low shelf, a thin ridge above the fit threshold at |w| = 1,
+    and a floor beyond it: no perturbation scale lifts the loss by 2 epsilon."""
+    x = abs(float(np.atleast_1d(w)[0]))
+    return 0.0 if x < 0.5 else 0.08 if x < 1.0 else 0.11 if x < 1.2 else 0.0
+
+
+class CountingLoss:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, w):
+        self.calls += 1
+        return self.fn(w)
+
+
+def report_summary(report):
+    if report is None:
+        return None
+    return (report.mu_hat,) + tuple((c.estimate, c.stderr, c.verdict) for c in (report.cond1, report.cond2, report.cond3))
+
+
+def assert_pinned(got, want):
+    """Reals at rel 1e-12; strings, None and counts exactly."""
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_pinned(g, w)
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    else:
+        assert got == want
+
+
+FIT_CASES = {
+    "endpoint_above": (np.array([0.0]), np.array([1.0]), steep),
+    "no_boundary": (np.array([0.1, 0.0]), np.array([-0.1, 0.0]), lambda w: 4.2),
+    "cond1_fails": (np.array([1.0]), np.array([-1.0]), double_well),
+    "cond23_fail": (np.array([0.1]), np.array([-0.1]), terrace),
+    "floor": (np.array([0.1]), np.array([-0.1]), step),
+    "bisection": (np.array([0.1, 0.0]), np.array([-0.1, 0.0]), bowl),
+    "degenerate": (np.array([0.05, 0.0, 0.0]), np.array([0.05, 0.0, 0.0]), bowl),
+}
+
+# name: (verdict, reason, radius, mu_segment, epsilon_certified, delta_certified,
+#        (mu_hat, cond1, cond2, cond3) of the report, loss calls)
+FIT_PINS = {
+    "endpoint_above": ("not_in_one_basin", "an endpoint sits above the segment loss threshold", None, 34.166666666666664, None, None, None, 23),
+    "no_boundary": ("not_in_one_basin", "no loss boundary found along the line within the walk range", None, 4.200000000000001, None, None, None, 143),
+    "cond1_fails": ("not_in_one_basin", "condition 1 fails at the target epsilon (loss varies across the ball)", 1.64739990234375, 0.3190476190476191, 0.2309812684601176, None, (0.2674556433462265, (0.2309812684601176, 0.014751491349301005, "fail"), (235.70296389265678, 23.696313562607585, "pass"), (278.567135461478, 25.33887509995962, "pass")), 651),
+    "cond23_fail": ("not_in_one_basin", "conditions 2-3 fail for every delta in the bracket", 0.999993896484375, 0.0, 0.039984000000000006, None, (0.0408, (0.039984000000000006, 0.00011339830633389987, "inconclusive"), (-0.0362, 0.003179867574120772, "fail"), (-0.03915, 0.0029892079756363627, "fail")), 6683),
+    "floor": ("in_basin", "ok", 0.999993896484375, 0.0, 0.0, 0.000999993896484375, (0.0, (0.0, 0.0, "pass"), (0.5, 0.0354440602504168, "pass"), (0.995, 0.005000000000000002, "pass")), 1083),
+    "bisection": ("in_basin", "ok", 0.32197875976562507, 0.0036666666666666675, 0.02644280843593573, 0.09164241841733459, (0.05254140725962296, (0.02644280843593573, 0.0011268212764453515, "inconclusive"), (0.06024433896705169, 0.00367935696290164, "pass"), (0.10192662337359336, 0.0036750107258737225, "pass")), 12657),
+    "degenerate": ("in_basin", "ok", 0.31707763671875006, 0.0025000000000000005, 0.02532172112946448, 0.1434468982368708, (0.06296289476040998, (0.02532172112946448, 0.001197931846632251, "inconclusive"), (0.05888602159900835, 0.00412128725653461, "pass"), (0.1219447263780209, 0.005713828073900594, "pass")), 12631),
+}
+
+
+@pytest.mark.parametrize("name", list(FIT_CASES))
+def test_fit_basin_exit_pinned(name):
+    a, b, fn = FIT_CASES[name]
+    loss = CountingLoss(fn)
+    fit = fit_basin(a, b, loss, epsilon_target=0.05, rng=RngStream(31), samples=200)
+    radius = None if fit.ball is None else fit.ball.radius
+    got = (fit.verdict, fit.reason, radius, fit.mu_segment, fit.epsilon_certified, fit.delta_certified, report_summary(fit.report), loss.calls)
+    assert_pinned(got, FIT_PINS[name])
+    assert fit.degenerate == (name == "degenerate")
+    if name == "floor":
+        assert fit.delta_certified == pytest.approx(1e-3 * fit.ball.radius, rel=1e-15)
+    if name == "bisection":
+        assert 1e-3 * fit.ball.radius < fit.delta_certified < 10.0 * fit.ball.radius
+
+
+CHECK_PINS = {
+    "double_well": ((np.array([1.0]), 0.3, double_well, 1.0), (0.0271173276426925, (0.02206367617217846, 0.0013407295615041907, "pass"), (0.9096158568264421, 0.15021028547097212, "pass"), (1.0839128423273614, 0.11747732612430008, "pass"))),
+    "bowl3": ((np.zeros(3), 1.0, bowl, 0.5), (0.562171191978141, (0.22093573685583523, 0.011768031849025692, "fail"), (0.764102169022246, 0.0563383976246257, "pass"), (1.3894572811582915, 0.07136500633577872, "pass"))),
+    "step": ((np.array([0.0]), 1.0, step, 0.01), (0.0, (0.0, 0.0, "pass"), (0.46, 0.040830308521485996, "pass"), (1.0, 0.0, "pass"))),
+}
+
+
+@pytest.mark.parametrize("name", list(CHECK_PINS))
+def test_check_basin_pinned(name):
+    (center, radius, fn, delta), want = CHECK_PINS[name]
+    loss = CountingLoss(fn)
+    report = check_basin(BallSet(center, radius), loss, 0.05, delta, 150, RngStream(32))
+    assert_pinned(report_summary(report), want)
+    assert loss.calls == 3 * 150
+    assert report.samples == 150
+
+
+def test_non_finite_inside_loss_rejected_before_conditions_2_3():
+    loss = CountingLoss(lambda w: math.nan)
+    with pytest.raises(DomainError, match="non-finite"):
+        check_basin(BallSet(np.zeros(2), 1.0), loss, 0.05, 0.5, 100, RngStream(33))
+    assert loss.calls == 100

@@ -6,6 +6,8 @@ from scipy import stats
 
 from basinscope.criticality import (
     CriticalityConfig,
+    _minimize,
+    _polyline_point,
     criticality_grid,
     criticality_map,
     network_criticality,
@@ -13,7 +15,7 @@ from basinscope.criticality import (
 )
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError
-from basinscope.model import TINY4, init_random
+from basinscope.model import TINY4, ArchDescriptor, init_random
 from basinscope.rng import RngStream, gaussian
 from basinscope.trainer import Checkpoint, evaluate
 
@@ -311,6 +313,20 @@ class TestNetworkMap:
         cmap = criticality_map(final, init, cfg, RngStream(23), train_ds, test_ds, checkpoints=[mid])
         assert cmap.train.shape == (3, 1)
 
+    @pytest.mark.parametrize("module", ["conv1", "classifier"])
+    def test_optimization_path_checkpoint_of_another_arch_rejected(self, module):
+        # a 16-wide fc1 shares conv1's slice with TINY4 but not the classifier's
+        init, final = self.make_ckpts()
+        wide = ArchDescriptor(TINY4.input_shape, TINY4.conv_blocks, (16,), TINY4.num_classes)
+        other = Checkpoint(wide, init_random(wide, RngStream(24)), 2, {}, "h", "r")
+        train_ds = generate(domain_spec("source"), "train", 30, 3)
+        test_ds = generate(domain_spec("source"), "test", 20, 3)
+        cfg = CriticalityConfig(
+            module_name=module, epsilon=0.9, sigma_grid=np.array([0.05]), noise_samples=1, path="optimization"
+        )
+        with pytest.raises(DomainError, match="architectures"):
+            criticality_map(final, init, cfg, RngStream(23), train_ds, test_ds, checkpoints=[other])
+
 
 @pytest.fixture(scope="module")
 def prefix_setup():
@@ -366,3 +382,88 @@ class TestPrefixReuse:
         assert np.array_equal(got.train, want.train)
         assert np.array_equal(got.test, want.test)
         assert got.mu == want.mu
+
+
+# --- the vectorized grid minimum and polyline lookup against their loops ---
+
+def minimize_loop(alphas, sigmas, train_grid, epsilon, path_distance):
+    """The cell-by-cell minimum the vectorized _minimize replaced."""
+    best = math.inf
+    arg = None
+    for i, a in enumerate(alphas):
+        for j, s in enumerate(sigmas):
+            if train_grid[i, j] <= epsilon:
+                value = (a * a) * (path_distance * path_distance) / (s * s)
+                if value < best:
+                    best = value
+                    arg = (float(a), float(s))
+    return best, arg
+
+
+def polyline_point_loop(points, alpha):
+    """The segment walk the cumsum/searchsorted _polyline_point replaced."""
+    lengths = [float(np.linalg.norm(b - a)) for a, b in zip(points, points[1:])]
+    total = sum(lengths)
+    if total == 0.0:
+        return points[0].copy()
+    target = alpha * total
+    walked = 0.0
+    for seg_start, seg_len in zip(range(len(lengths)), lengths):
+        if walked + seg_len >= target or seg_start == len(lengths) - 1:
+            t = 0.0 if seg_len == 0 else (target - walked) / seg_len
+            t = min(max(t, 0.0), 1.0)
+            return points[seg_start] + t * (points[seg_start + 1] - points[seg_start])
+        walked += seg_len
+    return points[-1].copy()
+
+
+class TestVectorizedHelpers:
+    def test_minimize_matches_loop_on_random_grids(self):
+        rng = RngStream(40)
+        for trial in range(1000):
+            na, ns = 1 + trial % 6, 1 + (trial // 6) % 5
+            if trial % 4 == 0:  # coarse grids: equal values in several cells
+                alphas = np.unique(np.round(rng.uniform(na), 1))
+                sigmas = np.unique(np.round(rng.uniform(ns), 1)) + 0.1
+            else:
+                alphas, sigmas = np.sort(rng.uniform(na)), np.sort(rng.uniform(ns)) + 1e-3
+            grid = np.round(rng.uniform(alphas.size * sigmas.size), 1).reshape(alphas.size, sigmas.size)
+            eps = float(rng.uniform())
+            if trial % 3 == 0:  # cells exactly at epsilon are feasible
+                eps = float(grid.flat[trial % grid.size])
+            if trial % 10 == 0:  # all infeasible
+                eps = -1.0
+            dist = 0.5 + float(rng.uniform())
+            got, want = _minimize(alphas, sigmas, grid, eps, dist), minimize_loop(alphas, sigmas, grid, eps, dist)
+            assert got == want and type(got[1]) is type(want[1])
+
+    def test_minimize_ties_pick_first_row_major_cell(self):
+        # values [[1, 0.25], [4, 1]]; with (0.5, 1) infeasible, (0.5, 0.5) and (1, 1) tie at 1
+        alphas, sigmas = np.array([0.5, 1.0]), np.array([0.5, 1.0])
+        grid = np.array([[0.0, 1.0], [0.0, 0.0]])
+        assert _minimize(alphas, sigmas, grid, 0.1, 1.0) == (1.0, (0.5, 0.5)) == minimize_loop(alphas, sigmas, grid, 0.1, 1.0)
+        grid[0, 0] = 1.0
+        assert _minimize(alphas, sigmas, grid, 0.1, 1.0) == (1.0, (1.0, 1.0)) == minimize_loop(alphas, sigmas, grid, 0.1, 1.0)
+        assert _minimize(alphas, sigmas, grid, -1.0, 1.0) == (math.inf, None)
+
+    def test_polyline_point_matches_loop(self):
+        rng = RngStream(41)
+        alphas = [0.0, 1.0] + [float(a) for a in rng.uniform(8)]
+        for trial in range(1000):
+            k = 2 + trial % 5
+            points = [gaussian(rng, 1 + trial % 4, 1.0) for _ in range(k)]
+            if trial % 3 == 0:  # a zero-length segment
+                j = trial % (k - 1)
+                points[j + 1] = points[j].copy()
+            if trial % 50 == 0:  # every segment zero-length
+                points = [points[0].copy() for _ in range(k)]
+            for alpha in alphas:
+                got, want = _polyline_point(points, alpha), polyline_point_loop(points, alpha)
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    def test_polyline_point_at_segment_ends(self):
+        # lengths 1, 0, 1: alpha 0.5 ends the first segment, which takes it
+        points = [np.array([0.0]), np.array([1.0]), np.array([1.0]), np.array([2.0])]
+        for alpha, want in ((0.0, 0.0), (0.25, 0.5), (0.5, 1.0), (1.0, 2.0)):
+            assert _polyline_point(points, alpha)[0] == want == polyline_point_loop(points, alpha)[0]

@@ -147,3 +147,13 @@ class TestBarrierHeight:
         curve = scalar_curve(double_well, lambdas, -1.0, 1.0)
         # grid contains 0 and 1 exactly; barrier measured between them
         assert barrier_height(curve, "loss", "scalar", split="train") == pytest.approx(1.0)
+
+    def test_unknown_split_raises_domain_error(self):
+        curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)
+        with pytest.raises(DomainError, match="val_loss"):
+            barrier_height(curve, split="val")
+
+    def test_unknown_dataset_raises_domain_error(self):
+        curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)
+        with pytest.raises(DomainError, match="nope"):
+            barrier_height(curve, dataset="nope")

@@ -16,6 +16,7 @@ from basinscope.model import (
     forward,
     init_random,
     sgd_step,
+    softmax_cross_entropy,
 )
 from basinscope.rng import RngStream, gaussian
 
@@ -158,6 +159,24 @@ class TestInit:
         assert np.all(np.abs(w) <= bound)
         assert w.std() > 0
 
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    def test_matches_per_kind_oracle_bit_for_bit(self, arch):
+        """One He-normal branch for conv and fc keeps the draws of the
+        per-kind code it replaced."""
+        init_rng = RngStream(15).split(0x494E4954)
+        want = ParamVector.zeros(arch)
+        for layer in arch.layer_plan():
+            name = layer["name"]
+            if layer["kind"] == "conv":
+                fan_in = layer["kernel"] * layer["kernel"] * layer["cin"]
+                w = gaussian(init_rng, fan_in * layer["cout"], np.sqrt(2.0 / fan_in))
+            elif layer["kind"] == "fc":
+                w = gaussian(init_rng, layer["fan_out"] * layer["fan_in"], np.sqrt(2.0 / layer["fan_in"]))
+            else:
+                w = (2.0 * init_rng.uniform(layer["fan_out"] * layer["fan_in"]) - 1.0) * (1.0 / np.sqrt(layer["fan_in"]))
+            want.set(f"{name}.weight", w)
+        assert init_random(arch, RngStream(15)).equals(want)
+
 
 class TestForward:
     def test_zero_weights_zero_logits(self):
@@ -295,6 +314,31 @@ class TestBackward:
         batch, labels = rand_batch(TINY4, 4, 5)
         loss, _ = backward(params, TINY4, batch, labels)
         assert abs(loss - np.log(10)) < 1e-12
+
+    def test_softmax_cross_entropy_matches_log_softmax_oracle(self):
+        """The gradient keeps every bit of the log-softmax form. The mean loss,
+        now lse(z) - z[label] as in evaluate, rounds m + log(sum) to the
+        logits' scale: it moves by at most a few ulps of max|z| + loss, which
+        is 1e-15 relative once the loss is a tenth of max|z| or more."""
+        rng = RngStream(27)
+        ulp = 2.0**-52
+        for trial in range(1000):
+            n, c = 1 + trial % 40, 2 + trial % 9
+            z = gaussian(rng, n * c, 0.5 + trial % 5).reshape(n, c) * 10.0 ** (trial % 5 - 3)
+            labels = (np.arange(n) * (trial + 1)) % c
+            m = z.max(axis=1, keepdims=True)
+            ez = np.exp(z - m)
+            sez = ez.sum(axis=1, keepdims=True)
+            want_loss = -float(((z - m) - np.log(sez))[np.arange(n), labels].mean())
+            want_grad = ez / sez
+            want_grad[np.arange(n), labels] -= 1.0
+            want_grad /= n
+            loss, grad = softmax_cross_entropy(z, labels)
+            assert np.array_equal(grad, want_grad)
+            scale = float(np.abs(z).max())
+            assert abs(loss - want_loss) <= 4 * ulp * (scale + want_loss)
+            if want_loss >= 0.1 * scale:
+                assert abs(loss - want_loss) <= 1e-15 * want_loss
 
     def test_out_of_range_label_rejected(self):
         params = ParamVector.zeros(TINY4)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import subprocess
 import sys
@@ -34,3 +35,60 @@ def test_importing_every_module_pulls_in_neither_scipy_nor_multiprocessing():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout.split(maxsplit=1)
     assert int(out[0]) >= 10
     assert out[1].strip() == "[]"
+
+
+SETTABLE_OPTIONS = 44
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if getattr(target, "id", None) == "dataclass" or getattr(target, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _init_false(value: ast.expr) -> bool:
+    return (
+        isinstance(value, ast.Call)
+        and getattr(value.func, "id", None) == "field"
+        and any(k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False for k in value.keywords)
+    )
+
+
+def _defaulted(fn: ast.FunctionDef, prefix: str) -> list[str]:
+    args = fn.args.posonlyargs + fn.args.args
+    names = [a.arg for a in args[len(args) - len(fn.args.defaults) :]] if fn.args.defaults else []
+    names += [a.arg for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+    return [f"{prefix}{fn.name}({name})" for name in names]
+
+
+def settable_options() -> list[str]:
+    """Defaulted parameters of public functions and methods, and defaulted
+    public dataclass fields other than field(init=False), over the package."""
+    found = []
+    for path in sorted(Path(basinscope.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                found += _defaulted(node, f"{path.stem}.")
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                prefix = f"{path.stem}.{node.name}."
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        found += _defaulted(item, prefix)
+                    elif (
+                        _is_dataclass(node)
+                        and isinstance(item, ast.AnnAssign)
+                        and isinstance(item.target, ast.Name)
+                        and not item.target.id.startswith("_")
+                        and item.value is not None
+                        and not _init_false(item.value)
+                    ):
+                        found.append(prefix + item.target.id)
+    return found
+
+
+def test_settable_option_count():
+    """A new knob must show up in review: raise SETTABLE_OPTIONS only on purpose."""
+    options = settable_options()
+    assert len(options) == SETTABLE_OPTIONS, f"{len(options)} settable options:\n" + "\n".join(options)

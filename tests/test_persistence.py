@@ -84,6 +84,23 @@ class TestCheckpointIO:
         d2 = save_checkpoint(ckpt, tmp_path / "b.llck")
         assert d1 == d2
 
+    def test_bytes_follow_the_container_layout(self, tmp_path):
+        ckpt = make_ckpt()
+        path = tmp_path / "a.llck"
+        digest = save_checkpoint(ckpt, path)
+        meta = {
+            "epoch": 7, "metrics": ckpt.metrics, "config_hash": "abc123", "rng_digest": "def456",
+            "provenance": ckpt.provenance, "optimal": True, "param_count": ckpt.params.size,
+        }
+        arch_json, meta_json = TINY4.to_json().encode(), json.dumps(meta, sort_keys=True).encode()
+        want = (
+            b"LLCK" + struct.pack("<II", 1, len(arch_json)) + arch_json + struct.pack("<I", len(meta_json)) + meta_json
+            + ckpt.params.values.astype("<f4").tobytes()
+        )
+        assert path.read_bytes() == want
+        # recorded before both formats moved onto one container writer
+        assert digest == "309b8902358d5c39df8410a99f67a8b60ebd0a3d66355af6b1071c1fdce3f1ef"
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.llck"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
@@ -187,6 +204,20 @@ class TestDatasetIO:
         assert np.array_equal(loaded.images, ds.images)
         assert np.array_equal(loaded.labels, ds.labels)
         assert loaded.provenance == ds.provenance
+
+    def test_bytes_follow_the_container_layout(self, tmp_path):
+        ds = generate(domain_spec("clipart_like"), "train", 30, 5)
+        path = tmp_path / "d.llds"
+        digest = save_dataset(ds, path)
+        header = {"provenance": ds.provenance, "split": "train", "n": 30, "image_shape": [16, 16, 3]}
+        header_json = json.dumps(header, sort_keys=True).encode()
+        want = (
+            b"LLDS" + struct.pack("<II", 1, len(header_json)) + header_json
+            + ds.labels.astype("<u2").tobytes() + ds.images.astype("<f4").tobytes()
+        )
+        assert path.read_bytes() == want
+        # recorded before both formats moved onto one container writer
+        assert digest == "9e3262df310303f9c9d57dccf087fb0a1861a6a07f8e9d0f4abdefa54578fc3e"
 
     def test_hand_built_empty_dataset_loads(self, tmp_path):
         path = tmp_path / "ok.llds"

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from basinscope import dataops
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DivergedRunError, DomainError
-from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random
+from basinscope.model import TINY4, ArchDescriptor, ParamVector, backward, init_random
 from basinscope.rng import RngStream
 from basinscope.trainer import (
     Checkpoint,
     DataSpec,
     InitSpec,
+    RunRecord,
     TrainConfig,
     checkpoint_sweep,
     config_hash,
@@ -210,6 +213,57 @@ class TestTrain:
         cfg = small_config(epochs=1, checkpoint_epochs=(0,))
         _, _, saved = train(cfg)
         assert saved[0].params.equals(init_random(TINY4, RngStream(1)))
+
+    def test_zero_epochs_with_epoch0_checkpoint_saves_and_evaluates_once(self, monkeypatch):
+        calls = []
+        real_evaluate = evaluate
+
+        def counting_evaluate(*args):
+            calls.append(args[2].split)
+            return real_evaluate(*args)
+
+        monkeypatch.setattr("basinscope.trainer.evaluate", counting_evaluate)
+        final, _, saved = train(small_config(epochs=0, checkpoint_epochs=(0,)))
+        assert calls == ["train", "test"]
+        assert len(saved) == 1 and saved[0] is final
+        assert final.epoch == 0 and final.optimal
+
+    def test_run_record_holds_rows_and_speed_only(self):
+        assert [f.name for f in dataclasses.fields(RunRecord)] == ["rows", "optimization_speed"]
+        _, record, _ = train(small_config(epochs=2))
+        assert record.optimization_speed == pytest.approx(np.mean([r["train_acc"] for r in record.rows]), rel=1e-15)
+
+
+class TestCheckpointEquals:
+    def test_every_field_is_compared(self):
+        base = Checkpoint(TINY4, init_random(TINY4, RngStream(2)), 3, {"a": 1.0}, "h", "r", {"p": 1}, False)
+        assert base.equals(dataclasses.replace(base, params=base.params.copy()))
+        other_params = base.params.copy()
+        other_params.values[-1] += 1.0
+        changed = {
+            "arch": ArchDescriptor(TINY4.input_shape, TINY4.conv_blocks, TINY4.fc_widths, 11),
+            "params": other_params,
+            "epoch": 4,
+            "metrics": {"a": 2.0},
+            "config_hash": "h2",
+            "rng_digest": "r2",
+            "provenance": {"p": 2},
+            "optimal": True,
+        }
+        assert sorted(changed) == sorted(f.name for f in dataclasses.fields(Checkpoint))
+        for name, value in changed.items():
+            assert not base.equals(dataclasses.replace(base, **{name: value})), name
+
+
+class TestScoringAgreement:
+    @pytest.mark.parametrize("seed, n", [(4, 16), (5, 32)])
+    def test_backward_loss_equals_evaluate_loss_bit_for_bit(self, seed, n):
+        # backward and evaluate score one batch of at most EVAL_BATCH images
+        # with the same lse(z) - z[label] term, so their mean losses agree in
+        # every bit (these two batches differed in the last bit before)
+        ds = generate(domain_spec("source"), "test", n, 3)
+        params = init_random(TINY4, RngStream(seed))
+        assert backward(params, TINY4, ds.images, ds.labels)[0] == evaluate(params, TINY4, ds).loss
 
 
 class TestSweep:
