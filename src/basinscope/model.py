@@ -112,7 +112,10 @@ class IndexEntry:
         return self.name.split(".", 1)[0]
 
 
+@lru_cache(maxsize=64)
 def build_index(arch: ArchDescriptor) -> tuple[IndexEntry, ...]:
+    """Name, offset, length and shape of every weight and bias, in plan order;
+    cached per architecture (both types are frozen, so the tuple is shared)."""
     entries = []
     offset = 0
     for layer in arch.layer_plan():
@@ -231,20 +234,61 @@ def _gather_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return np.take(x.reshape(bsz, h * wid, cin), _patch_indices(h, wid, kernel, stride), axis=1)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int, patches=None):
+@lru_cache(maxsize=64)
+def _phase_indices(oh: int, ow: int, kernel: int, stride: int) -> tuple:
+    """Sub-pixel split of a stride-s transposed conv over a (OH, OW) gradient:
+    one (p, q, taps, index) per output phase (p, q), the pixels
+    (p + s*i, q + s*j) of the (s*OH, s*OW) input gradient, that some tap
+    reaches (with k < s some phases get none and stay zero).
+
+    Tap t of the flipped kernel reads the zero-stuffed upsample at
+    (y + t - (k-1)//2) mod size along each axis; on phase p that is a stuffed
+    zero unless p + t - (k-1)//2 is a multiple of s, and then it is gout row
+    i + (p + t - (k-1)//2)//s mod OH. taps lists the phase's flipped-kernel
+    taps (tr, tc) in row-major order as flat indices (k-1-tr)*k + (k-1-tc)
+    into the unflipped kernel's k*k tap axis; index is the flat gather index
+    rows*OW + cols into gout, shape (OH, OW, rows' taps, cols' taps).
+    Stride 1 is the single phase with every tap."""
+    taps = np.arange(kernel)
+    live = [taps[(p + taps - (kernel - 1) // 2) % stride == 0] for p in range(stride)]
+    phases = []
+    for p in range(stride):
+        rows = (np.arange(oh)[:, None] + (p + live[p] - (kernel - 1) // 2) // stride) % oh
+        for q in range(stride):
+            cols = (np.arange(ow)[:, None] + (q + live[q] - (kernel - 1) // 2) // stride) % ow
+            flipped = ((kernel - 1 - live[p])[:, None] * kernel + (kernel - 1 - live[q])).ravel()
+            if flipped.size:
+                index = rows[:, None, :, None] * ow + cols[None, :, None, :]
+                flipped.flags.writeable = index.flags.writeable = False
+                phases.append((p, q, flipped, index))
+    return tuple(phases)
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, patches=None):
+    """Bias-free conv output (B, OH, OW, Cout), a fresh array, and the patches."""
     k, _, cin, cout = w.shape
     if patches is None:
         patches = _gather_patches(x, k, stride)
     bsz, oh, ow = patches.shape[:3]
     flat = patches.reshape(bsz * oh * ow, k * k * cin)
-    out = (flat @ w.reshape(k * k * cin, cout)).reshape(bsz, oh, ow, cout) + b
-    return out, patches
+    return (flat @ w.reshape(k * k * cin, cout)).reshape(bsz, oh, ow, cout), patches
 
 
 def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: int, need_input_grad: bool = True):
-    """(grad_x, grad_w, grad_b); grad_x is None when need_input_grad is False."""
+    """(grad_x, grad_w, grad_b); grad_x is None when need_input_grad is False.
+
+    grad_x is the transposed conv of gout (flipped kernel, channel axes
+    swapped), computed phase by phase (``_phase_indices``): phase (p, q) is a
+    stride-1 conv of gout with only the taps that land on it, so no stuffed
+    zero is gathered or multiplied. The taps keep the (tap row, tap col,
+    Cout) K order of the zero-stuffed form, so every element sums the same
+    nonzero terms in the same order; where the BLAS kernel adds a dot
+    product's terms in that order (OpenBLAS 0.3.31 does for every TINY4
+    layer and for stride 1) the bits
+    are the zero-stuffed form's, and adding the GEMM result to +0.0 keeps
+    its signed zeros too. Elsewhere the two differ by reassociation only."""
     k, _, cin, cout = w.shape
-    bsz, h, wid, _ = x_shape
+    bsz = x_shape[0]
     oh, ow = patches.shape[1:3]
     flat = patches.reshape(bsz * oh * ow, k * k * cin)
     gflat = gout.reshape(bsz * oh * ow, cout)
@@ -252,15 +296,14 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
     grad_b = gout.sum(axis=(0, 1, 2))
     if not need_input_grad:
         return None, grad_w, grad_b
-    # input gradient = transposed conv: zero-stuffed upsample, flipped kernel,
-    # swapped channel axes (offsets coincide because k is odd)
-    if stride > 1:
-        gup = np.zeros((bsz, h, wid, cout), dtype=np.float64)
-        gup[:, ::stride, ::stride, :] = gout
-    else:
-        gup = gout
-    wt = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
-    grad_x, _ = _conv_forward(gup, wt, 0.0, 1)
+    gsrc = gout.reshape(bsz, oh * ow, cout)
+    grad_x = np.zeros(x_shape)
+    for p, q, taps, index in _phase_indices(oh, ow, k, stride):
+        cols = np.take(gsrc, index, axis=1).reshape(bsz * oh * ow, taps.size * cout)
+        # the phase's flipped taps with channel axes swapped, rows (tap, Cout);
+        # C order, as BLAS takes another kernel, and other bits, for a transpose
+        sub = np.ascontiguousarray(w.reshape(k * k, cin, cout)[taps].transpose(0, 2, 1)).reshape(-1, cin)
+        grad_x[:, p::stride, q::stride] += (cols @ sub).reshape(bsz, oh, ow, cin)
     return grad_x, grad_w, grad_b
 
 
@@ -269,12 +312,12 @@ INPUT_CENTER = 0.5  # images are in [0, 1]; centering keeps early training stabl
 
 def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
     """Shape-checked, centered float64 input to the first layer."""
-    x = np.asarray(batch, dtype=np.float64)
+    x = np.asarray(batch)
     if x.ndim == 3:
         x = x[None]
     if x.shape[1:] != tuple(arch.input_shape):
         raise SizeError(f"batch shape {x.shape[1:]} does not match arch input {arch.input_shape}")
-    return x - INPUT_CENTER
+    return np.subtract(x, INPUT_CENTER, dtype=np.float64)
 
 
 def _run_layers(
@@ -291,9 +334,11 @@ def _run_layers(
     float64 input to layer start (for start=0, ``_network_input``).
 
     Returns (output, records). With keep=True, records holds one (layer,
-    x_in, w, pre, patches, post) per layer: its plan entry, its input
-    (flattened for a dense layer), float64 weight, pre-activation, conv
-    patches (None for a dense layer) and output; otherwise it is empty.
+    x_in, w, patches, post) per layer: its plan entry, its input (flattened
+    for a dense layer), float64 weight, conv patches (None for a dense layer)
+    and output; otherwise it is empty. Bias and ReLU are applied in place to
+    the fresh GEMM output, so post is the only per-layer activation; post > 0
+    is the ReLU's mask (the same as pre > 0, NaN included).
     patches, when given, are layer start's gathered conv patches of x, so
     the gather is skipped.
     """
@@ -304,15 +349,17 @@ def _run_layers(
         b = params.get(f"{name}.bias").astype(np.float64)
         if layer["kind"] == "conv":
             x_in = x
-            pre, gathered = _conv_forward(x, w, b, layer["stride"], patches)
+            out, gathered = _conv_forward(x, w, layer["stride"], patches)
         else:
             x_in = x.reshape(x.shape[0], -1)
-            pre, gathered = x_in @ w.T + b, None
+            out, gathered = x_in @ w.T, None
         patches = None
-        post = pre if layer["kind"] == "classifier" else np.maximum(pre, 0.0)
+        out += b
+        if layer["kind"] != "classifier":
+            np.maximum(out, 0.0, out=out)
         if keep:
-            records.append((layer, x_in, w, pre, gathered, post))
-        x = post
+            records.append((layer, x_in, w, gathered, out))
+        x = out
     return x, records
 
 
@@ -334,8 +381,15 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
     return logits, [(layer["name"], post.astype(np.float32)) for layer, *_, post in records]
 
 
-def _check_labels(labels: np.ndarray, num_classes: int) -> None:
-    if labels.min(initial=0) < 0 or labels.max(initial=0) >= num_classes:
+def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> None:
+    """labels must be n >= 1 integers in [0, num_classes), one per image."""
+    if labels.shape != (n,):
+        raise SizeError(f"labels of shape {labels.shape} do not match a batch of {n}")
+    if n == 0:
+        raise DomainError("cannot score an empty batch")
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise DomainError(f"labels must be integers, not {labels.dtype}")
+    if labels.min() < 0 or labels.max() >= num_classes:
         raise DomainError(f"labels must lie in [0, {num_classes})")
 
 
@@ -361,18 +415,17 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[float, ParamVector]:
     """Mean cross-entropy loss and its gradient as a ParamVector."""
-    labels = np.asarray(labels, dtype=np.int64)
-    _check_labels(labels, arch.num_classes)
-    logits, records = _run_layers(params, arch, _network_input(arch, batch), keep=True)
-    if labels.shape[0] != logits.shape[0]:
-        raise SizeError("labels length does not match batch size")
+    x = _network_input(arch, batch)
+    labels = np.asarray(labels)
+    _check_labels(labels, arch.num_classes, x.shape[0])
+    logits, records = _run_layers(params, arch, x, keep=True)
     loss, g = softmax_cross_entropy(logits, labels)
     grad = ParamVector.zeros(arch, dtype=params.values.dtype)
     for depth in reversed(range(len(records))):
-        layer, x_in, w, pre, patches, _ = records[depth]
+        layer, x_in, w, patches, post = records[depth]
         name = layer["name"]
         if layer["kind"] != "classifier":
-            g = g.reshape(pre.shape) * (pre > 0)
+            g = g.reshape(post.shape) * (post > 0)
         if layer["kind"] == "conv":
             # nothing reads the network input's gradient
             g_in, gw, gb = _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=depth > 0)

@@ -169,9 +169,7 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
     is consumed only after labels pass their checks.
     """
     n = len(labels)
-    if n == 0:
-        raise DomainError("cannot evaluate on an empty dataset")
-    _check_labels(labels, num_classes)
+    _check_labels(labels, num_classes, n)
     preds = np.empty(n, dtype=np.int64)
     loss_sum = 0.0
     start = 0

@@ -7,6 +7,7 @@ from basinscope.model import (
     ArchDescriptor,
     ParamVector,
     _conv_backward,
+    _conv_forward,
     _gather_patches,
     _module_input,
     _network_input,
@@ -117,6 +118,11 @@ class TestParamVector:
             offset += e.length
         params = ParamVector.zeros(TINY4)
         assert params.size == offset
+
+    def test_index_built_once_per_arch(self):
+        # backward's ParamVector.zeros reads the index on every call
+        assert build_index(TINY4) is build_index(ArchDescriptor.from_json(TINY4.to_json()))
+        assert ParamVector.zeros(TINY4).index is build_index(TINY4)
 
     def test_get_set_roundtrip_bit_exact(self):
         params = init_random(TINY4, RngStream(3))
@@ -252,25 +258,41 @@ class TestForwardCore:
             assert np.array_equal(_run_layers(params, arch, x, m, patches=patches)[0], want), name
 
     def test_keep_builds_one_record_per_module(self):
-        """One (layer, x_in, w, pre, patches, post) record per module: each
+        """One (layer, x_in, w, patches, post) record per module: each
         layer's input is the previous output (flattened into a dense layer),
-        its float64 weight, patches for conv layers only, and a ReLU on every
-        layer but the classifier."""
+        its float64 weight, patches for conv layers only, and an output equal
+        to the out-of-place affine map plus bias, through a ReLU on every
+        layer but the classifier; post > 0 is the ReLU's mask pre > 0."""
         params = init_random(TINY4, RngStream(19))
         batch, _ = rand_batch(TINY4, 2, 7)
         x0 = _network_input(TINY4, batch)
         logits, records = _run_layers(params, TINY4, x0, keep=True)
         assert [layer["name"] for layer, *_ in records] == TINY4.module_names()
         prev = x0
-        for layer, x_in, w, pre, patches, post in records:
+        for layer, x_in, w, patches, post in records:
             name = layer["name"]
+            b = params.get(f"{name}.bias").astype(np.float64)
             assert np.array_equal(x_in, prev.reshape(x_in.shape)), name
             assert (x_in.ndim == 4) == (layer["kind"] == "conv"), name
             assert w.dtype == np.float64 and np.array_equal(w, params.get(f"{name}.weight")), name
             assert (patches is None) == (layer["kind"] != "conv"), name
+            if layer["kind"] == "conv":
+                assert np.array_equal(patches, _gather_patches(x_in, layer["kernel"], layer["stride"])), name
+                pre = (patches.reshape(-1, w[..., 0].size) @ w.reshape(-1, layer["cout"])).reshape(post.shape) + b
+            else:
+                pre = x_in @ w.T + b
             assert np.array_equal(post, pre if layer["kind"] == "classifier" else np.maximum(pre, 0.0)), name
+            if layer["kind"] != "classifier":
+                assert np.array_equal(post > 0, pre > 0), name
             prev = post
         assert prev is logits
+
+    def test_network_input_centers_in_float64(self):
+        batch, _ = rand_batch(TINY4, 3, 8)
+        x = _network_input(TINY4, batch)
+        assert x.dtype == np.float64
+        assert np.array_equal(x, batch.astype(np.float64) - 0.5)
+        assert np.array_equal(_network_input(TINY4, batch[0]), x[:1])
 
 
 def oracle_patches(x, kernel, stride):
@@ -306,6 +328,118 @@ class TestGatherPatches:
         assert np.array_equal(got, want)
         # so the GEMM reshape is a view, not a second transposing copy
         assert got.flags.c_contiguous
+
+
+def zero_stuffed_input_grad(gout, x_shape, w, stride):
+    """The input gradient as the transposed conv the phase form replaced:
+    zero-stuffed upsample of gout, flipped kernel with its channel axes
+    swapped, a stride-1 conv, and the + 0.0 bias that made -0.0 into +0.0."""
+    bsz, h, wid, _ = x_shape
+    k, _, cin, cout = w.shape
+    gup = np.zeros((bsz, h, wid, cout))
+    gup[:, ::stride, ::stride] = gout
+    wt = np.ascontiguousarray(w[::-1, ::-1].transpose(0, 1, 3, 2))
+    flat = _gather_patches(gup, k, 1).reshape(bsz * h * wid, k * k * cout)
+    return (flat @ wt.reshape(k * k * cout, cin)).reshape(bsz, h, wid, cin) + 0.0
+
+
+def input_grad_case(h, wid, cin, cout, kernel, stride, bsz, seed):
+    rng = RngStream(seed)
+    x_shape = (bsz, h, wid, cin)
+    w = gaussian(rng, kernel * kernel * cin * cout, 1.0).reshape(kernel, kernel, cin, cout)
+    gout = gaussian(rng, bsz * (h // stride) * (wid // stride) * cout, 1.0).reshape(bsz, h // stride, wid // stride, cout)
+    # backward hands over ReLU-masked gradients, so zeros of both signs occur
+    gout[gout < -0.5] = 0.0
+    gout[gout > 1.5] = -0.0
+    x = gaussian(rng, bsz * h * wid * cin, 1.0).reshape(x_shape)
+    return gout, x_shape, w, _gather_patches(x, kernel, stride)
+
+
+# (in_hw, cin, cout, kernel, stride) of the two strides larger than the
+# kernel; with k=1/s=2 phases 1 and with k=3/s=4 phase 2 have no tap
+WIDE_STRIDES = [((8, 8), 8, 16, 1, 2), ((16, 16), 8, 16, 3, 4)]
+
+
+def bit_identity_cases():
+    """Every TINY4 conv with its own width, every stride-1 geometry (a single
+    phase: the zero-stuffed form's own GEMM) at widths 3 and 16, and the
+    wide strides."""
+    tiny = [
+        (layer["in_hw"], layer["cin"], layer["cout"], layer["kernel"], layer["stride"])
+        for layer in TINY4.layer_plan()
+        if layer["kind"] == "conv"
+    ]
+    stride1 = [(hw, cin, cout, k, 1) for hw, cin, k, s in conv_geometries() if s == 1 for cout in (3, 16)]
+    return tiny + stride1 + WIDE_STRIDES
+
+
+def case_id(case):
+    (h, wid), cin, cout, kernel, stride = case
+    return f"{h}x{wid}c{cin}o{cout}k{kernel}s{stride}"
+
+
+class TestInputGradient:
+    """The phase-decomposed input gradient against the zero-stuffed oracle.
+
+    The phase form sums each element's nonzero terms in the oracle's K order,
+    so both agree bit for bit wherever the BLAS kernel adds a dot product's
+    terms in order. OpenBLAS reassociates for some narrow or deep GEMMs
+    (few input channels, or more K than one kernel block), so bit identity is
+    pinned on the TINY4 layers, whose trained bits the benchmark references
+    check, on stride 1 and on the wide strides; every geometry is held to
+    the rounding bound of two length-K dot products."""
+
+    @pytest.mark.parametrize("bsz", [1, 32])
+    @pytest.mark.parametrize("case", bit_identity_cases(), ids=case_id)
+    def test_matches_zero_stuffed_oracle_bit_for_bit(self, case, bsz):
+        (h, wid), cin, cout, kernel, stride = case
+        gout, x_shape, w, patches = input_grad_case(h, wid, cin, cout, kernel, stride, bsz, 31)
+        got, _, _ = _conv_backward(gout, x_shape, w, patches, stride)
+        want = zero_stuffed_input_grad(gout, x_shape, w, stride)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("bsz", [1, 32])
+    @pytest.mark.parametrize(
+        "geom",
+        conv_geometries() + [(hw, cin, k, s) for hw, cin, _, k, s in WIDE_STRIDES],
+        ids=lambda g: f"{g[0][0]}x{g[0][1]}c{g[1]}k{g[2]}s{g[3]}",
+    )
+    def test_within_reassociation_bound_of_oracle(self, geom, bsz):
+        (h, wid), cin, kernel, stride = geom
+        for cout in (3, 16):
+            gout, x_shape, w, patches = input_grad_case(h, wid, cin, cout, kernel, stride, bsz, 32)
+            got, _, _ = _conv_backward(gout, x_shape, w, patches, stride)
+            want = zero_stuffed_input_grad(gout, x_shape, w, stride)
+            n_terms = kernel * kernel * cout
+            gamma = n_terms * 2.0**-53 / (1 - n_terms * 2.0**-53)
+            magnitude = zero_stuffed_input_grad(np.abs(gout), x_shape, np.abs(w), stride)
+            assert np.all(np.abs(got - want) <= 2 * gamma * magnitude)
+            # exact zeros where no nonzero term lands, and no negative zero
+            assert np.all(got[magnitude == 0] == 0)
+            assert not np.any(np.signbit(got) & (got == 0))
+
+    @pytest.mark.parametrize("kernel", [3, 5])
+    def test_matches_finite_differences(self, kernel):
+        """<conv(x), G> is linear in x, so central differences at every
+        input coordinate equal the input gradient up to rounding."""
+        h, wid, cin, cout, stride = 8, 8, 3, 4, 2
+        gout, x_shape, w, _ = input_grad_case(h, wid, cin, cout, kernel, stride, 2, 34)
+        x = gaussian(RngStream(35), int(np.prod(x_shape)), 1.0).reshape(x_shape)
+        grad_x, _, _ = _conv_backward(gout, x_shape, w, _gather_patches(x, kernel, stride), stride)
+
+        def objective(xv):
+            out, _ = _conv_forward(xv, w, stride)
+            return float(np.sum(out * gout))
+
+        eps = 1e-3
+        fd = np.empty(x.size)
+        for i in range(x.size):
+            up, down = x.copy().ravel(), x.copy().ravel()
+            up[i] += eps
+            down[i] -= eps
+            fd[i] = (objective(up.reshape(x_shape)) - objective(down.reshape(x_shape))) / (2 * eps)
+        assert np.allclose(fd, grad_x.ravel(), rtol=1e-7, atol=1e-9)
 
 
 class TestBackward:
@@ -346,6 +480,32 @@ class TestBackward:
         labels[0] = 10
         with pytest.raises(DomainError):
             backward(params, TINY4, batch, labels)
+
+    def test_column_labels_rejected(self):
+        # a (2, 1) label column broadcast in the loss to a wrong value
+        params = init_random(TINY4, RngStream(36))
+        batch, labels = rand_batch(TINY4, 2, 12)
+        with pytest.raises(SizeError):
+            backward(params, TINY4, batch, labels[:, None])
+
+    def test_float_labels_rejected(self):
+        # they were truncated to integers
+        params = init_random(TINY4, RngStream(36))
+        batch, _ = rand_batch(TINY4, 2, 12)
+        with pytest.raises(DomainError):
+            backward(params, TINY4, batch, np.array([0.7, 1.2]))
+
+    def test_single_image_with_scalar_label_rejected(self):
+        params = init_random(TINY4, RngStream(36))
+        batch, labels = rand_batch(TINY4, 1, 12)
+        with pytest.raises(SizeError):
+            backward(params, TINY4, batch[0], labels[0])
+
+    def test_empty_batch_rejected(self):
+        params = init_random(TINY4, RngStream(36))
+        batch, labels = rand_batch(TINY4, 1, 12)
+        with pytest.raises(DomainError):
+            backward(params, TINY4, batch[:0], labels[:0])
 
     def test_grad_index_matches_params(self):
         params = init_random(SMALL, RngStream(19))
