@@ -13,9 +13,11 @@ Only the perturbed module changes from cell to cell, so ``criticality_map``
 runs the frozen prefix once per map: it caches, per evaluation batch, the
 module's input and, for a conv module, its gathered patches, and each noise
 sample runs only the module and the layers after it, with the same
-arithmetic as ``evaluate``. The cache holds float64 arrays; the largest is a
-conv1 map, about 21 MB of patches (plus 2.4 MB of input) at 384 images on
-TINY4.
+arithmetic as ``evaluate``: the logits-only core runs the conv layers over
+tiles of a few images, each tile's cached patches a view of the batch's,
+and the dense layers once on the whole batch (``model._run_layers``). The
+cache holds float64 arrays; the largest is a conv1 map, about 21 MB of
+patches (plus 2.4 MB of input) at 384 images on TINY4.
 """
 
 from __future__ import annotations

@@ -293,7 +293,9 @@ def block_shuffle(img: np.ndarray, spec: ShuffleSpec, index: int) -> np.ndarray:
 
 def apply_shuffle(dataset: Dataset, spec: ShuffleSpec) -> Dataset:
     """Shuffled copy of a dataset; image i uses permutation index i."""
-    images = np.stack([block_shuffle(dataset.images[i], spec, i) for i in range(len(dataset))])
+    images = np.empty_like(dataset.images)
+    for i in range(len(dataset)):
+        images[i] = block_shuffle(dataset.images[i], spec, i)
     provenance = dict(dataset.provenance)
     provenance["shuffle"] = {
         "block_size": spec.block_size,
@@ -304,9 +306,16 @@ def apply_shuffle(dataset: Dataset, spec: ShuffleSpec) -> Dataset:
 
 
 def concat_datasets(datasets: list[Dataset]) -> Dataset:
-    """Union of several datasets (combined-domain training)."""
+    """Union of several datasets of one split and image shape
+    (combined-domain training)."""
     if not datasets:
         raise DomainError("need at least one dataset")
+    first = datasets[0]
+    for d in datasets[1:]:
+        if d.split != first.split:
+            raise DomainError(f"cannot join a {d.split!r} dataset to a {first.split!r} one")
+        if d.images.shape[1:] != first.images.shape[1:]:
+            raise DomainError(f"cannot join images of shape {d.images.shape[1:]} to {first.images.shape[1:]}")
     images = np.concatenate([d.images for d in datasets])
     labels = np.concatenate([d.labels for d in datasets])
     provenance = {

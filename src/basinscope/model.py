@@ -320,6 +320,28 @@ def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
     return np.subtract(x, INPUT_CENTER, dtype=np.float64)
 
 
+# Images per tile of the logits-only conv stack (``_run_layers``): a tile's
+# patches and conv outputs stay in cache from gather to ReLU.
+_TILE = 8
+
+
+def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, patches=None):
+    """One layer on x: its affine map, then bias and (on every layer but the
+    classifier) ReLU in place on the fresh GEMM output. Returns (x_in, out,
+    gathered): the input as the GEMM read it (flattened for a dense layer),
+    the output and the conv patches (None for a dense layer)."""
+    if layer["kind"] == "conv":
+        x_in = x
+        out, gathered = _conv_forward(x, w, layer["stride"], patches)
+    else:
+        x_in = x.reshape(x.shape[0], -1)
+        out, gathered = x_in @ w.T, None
+    out += b
+    if layer["kind"] != "classifier":
+        np.maximum(out, 0.0, out=out)
+    return x_in, out, gathered
+
+
 def _run_layers(
     params: ParamVector,
     arch: ArchDescriptor,
@@ -341,22 +363,49 @@ def _run_layers(
     is the ReLU's mask (the same as pre > 0, NaN included).
     patches, when given, are layer start's gathered conv patches of x, so
     the gather is skipped.
+
+    With keep=False and more than ``_TILE`` images, the conv layers run
+    depth-first over tiles of ``_TILE`` images (cache blocking; Goto & van
+    de Geijn 2008): each tile is gathered, multiplied, biased and rectified
+    through every conv layer while it is in cache, instead of streaming
+    whole-batch patch tensors through memory step by step. A patches tile
+    is a view, as the patch tensor is C-contiguous along the batch axis.
+    The tiles' outputs are joined and the dense layers run once on the
+    whole batch. A lone conv layer on given patches runs untiled: nothing
+    it makes is read by a later conv, so tiles would only add calls.
+
+    Tiling changes only how many rows a conv GEMM call has. OpenBLAS 0.3.31
+    gives every TINY4 conv row the same bits at any row count, so the
+    logits are the untiled loop's; convs with 2-4 or 9-12 output channels
+    (SMALL's conv1 among them) may differ by reassociation of each dot
+    product. Dense GEMM rows change bits with the row count (fc1 below 64
+    rows, the classifier below 128), so dense layers are never tiled; nor
+    is keep=True, whose records feed weight gradients summed over the batch.
     """
+    plan = arch.layer_plan()[start:stop]
+    weights = [
+        (
+            params.get(f"{layer['name']}.weight").astype(np.float64),
+            params.get(f"{layer['name']}.bias").astype(np.float64),
+        )
+        for layer in plan
+    ]
     records = []
-    for layer in arch.layer_plan()[start:stop]:
-        name = layer["name"]
-        w = params.get(f"{name}.weight").astype(np.float64)
-        b = params.get(f"{name}.bias").astype(np.float64)
-        if layer["kind"] == "conv":
-            x_in = x
-            out, gathered = _conv_forward(x, w, layer["stride"], patches)
-        else:
-            x_in = x.reshape(x.shape[0], -1)
-            out, gathered = x_in @ w.T, None
+    convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
+    if not keep and (convs > 1 or (convs == 1 and patches is None)) and x.shape[0] > _TILE:
+        tiles = []
+        for i in range(0, x.shape[0], _TILE):
+            tile = x[i : i + _TILE]
+            tile_patches = None if patches is None else patches[i : i + _TILE]
+            for layer, (w, b) in zip(plan[:convs], weights):
+                _, tile, _ = _apply_layer(layer, tile, w, b, tile_patches)
+                tile_patches = None
+            tiles.append(tile)
+        x, patches = np.concatenate(tiles), None
+        plan, weights = plan[convs:], weights[convs:]
+    for layer, (w, b) in zip(plan, weights):
+        x_in, out, gathered = _apply_layer(layer, x, w, b, patches)
         patches = None
-        out += b
-        if layer["kind"] != "classifier":
-            np.maximum(out, 0.0, out=out)
         if keep:
             records.append((layer, x_in, w, gathered, out))
         x = out

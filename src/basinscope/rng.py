@@ -144,6 +144,8 @@ class RngStream:
 
     def permutation(self, n: int) -> np.ndarray:
         """Fisher-Yates shuffle of range(n): swap a[i], a[j<=i] for i = n-1..1."""
+        if n < 0:
+            raise DomainError("n must be non-negative")
         a = np.arange(n)
         for i in range(n - 1, 0, -1):
             j = self.randint_below(i + 1)
@@ -178,6 +180,8 @@ def gaussian(rng: RngStream, n: int, std: float) -> np.ndarray:
     Consumes exactly 2*ceil(n/2) raw draws so replay does not depend on n's
     parity history.
     """
+    if n < 0:
+        raise DomainError("n must be non-negative")
     if std < 0:
         raise DomainError("std must be non-negative")
     pairs = (n + 1) // 2

@@ -78,6 +78,8 @@ def network_spectrum(ckpt: Checkpoint) -> SpectrumReport:
 def threshold_count_curve(values, thresholds) -> list[tuple[float, int]]:
     """(t, #values strictly below t) for every threshold; non-decreasing in t."""
     thresholds = np.asarray(thresholds, dtype=np.float64)
+    if np.any(np.isnan(thresholds)):
+        raise DomainError("thresholds must not be NaN")
     if np.any(np.diff(thresholds) < 0):
         raise DomainError("thresholds must be sorted ascending")
     sorted_values = np.sort(np.asarray(values, dtype=np.float64))
@@ -87,6 +89,8 @@ def threshold_count_curve(values, thresholds) -> list[tuple[float, int]]:
 
 def spectrum_histogram(values, bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Counts over uniform bins spanning [0, max value]."""
+    if bins < 1:
+        raise DomainError("need at least one bin")
     values = np.asarray(values, dtype=np.float64)
     top = float(values.max()) if values.size else 1.0
     edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)

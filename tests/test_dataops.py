@@ -333,6 +333,15 @@ class TestBlockShuffle:
         assert np.array_equal(a.images, b.images)
         assert a.provenance["shuffle"]["block_size"] == 2
 
+    def test_apply_shuffle_empty_dataset(self):
+        ds = generate(domain_spec("source"), "train", 10, 30)
+        empty = Dataset(ds.images[:0], ds.labels[:0], "train", dict(ds.provenance))
+        out = apply_shuffle(empty, ShuffleSpec(4, 31))
+        assert out.images.shape == (0, IMAGE_SIZE, IMAGE_SIZE, 3)
+        assert out.images.dtype == ds.images.dtype
+        assert len(out) == 0 and out.split == "train"
+        assert out.provenance["shuffle"]["block_size"] == 4
+
 
 class TestRelativeAccuracyDrop:
     def test_basic(self):
@@ -365,3 +374,13 @@ def test_concat_datasets():
     assert both.provenance["combined"][1]["domain"] == "clipart_like"
     with pytest.raises(DomainError):
         concat_datasets([])
+
+
+def test_concat_datasets_rejects_mixed_splits_and_shapes():
+    train = generate(domain_spec("source"), "train", 10, 1)
+    test = generate(domain_spec("clipart_like"), "test", 10, 2)
+    with pytest.raises(DomainError):
+        concat_datasets([train, test])
+    small = Dataset(train.images[:, :8, :8], train.labels, "train", {})
+    with pytest.raises(DomainError):
+        concat_datasets([train, small])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from basinscope.dataops import Dataset
 from basinscope.errors import DomainError, SizeError
 from basinscope.model import (
+    _TILE,
     TINY4,
     ArchDescriptor,
     ParamVector,
@@ -20,6 +22,7 @@ from basinscope.model import (
     softmax_cross_entropy,
 )
 from basinscope.rng import RngStream, gaussian
+from basinscope.trainer import EVAL_BATCH, _score_batches, evaluate
 
 SMALL = ArchDescriptor(
     input_shape=(8, 8, 2),
@@ -293,6 +296,97 @@ class TestForwardCore:
         assert x.dtype == np.float64
         assert np.array_equal(x, batch.astype(np.float64) - 0.5)
         assert np.array_equal(_network_input(TINY4, batch[0]), x[:1])
+
+
+def single_pass(params, arch, x, start=0, stop=None, patches=None):
+    """The untiled logits-only loop: each layer's affine map, bias and ReLU
+    on the whole batch at once."""
+    for layer in arch.layer_plan()[start:stop]:
+        name = layer["name"]
+        w = params.get(f"{name}.weight").astype(np.float64)
+        b = params.get(f"{name}.bias").astype(np.float64)
+        if layer["kind"] == "conv":
+            out, _ = _conv_forward(x, w, layer["stride"], patches)
+        else:
+            out = x.reshape(x.shape[0], -1) @ w.T
+        patches = None
+        out += b
+        if layer["kind"] != "classifier":
+            np.maximum(out, 0.0, out=out)
+        x = out
+    return x
+
+
+def with_biases(params, seed):
+    """params with N(0, 0.1^2) biases, as a trained network has."""
+    out = params.copy()
+    rng = RngStream(seed)
+    for e in out.index:
+        if e.name.endswith(".bias"):
+            out.set(e.name, gaussian(rng, e.length, 0.1))
+    return out
+
+
+# Conv shapes whose GEMM rows change bits with the row count on OpenBLAS
+# 0.3.31 (2-4 or 9-12 output channels): SMALL's conv1 and 16x16 convs.
+REASSOCIATING = [SMALL] + [
+    ArchDescriptor(input_shape=(16, 16, 3), conv_blocks=((cout, 3, 1),), fc_widths=(4,), num_classes=2)
+    for cout in (2, 4, 12)
+]
+
+
+class TestTiledCore:
+    """The logits-only core runs the conv layers over tiles of _TILE images;
+    the single-pass loop is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 256, 300])
+    def test_tiny4_matches_single_pass_from_every_module(self, n):
+        params = with_biases(init_random(TINY4, RngStream(41)), 42)
+        batch, _ = rand_batch(TINY4, n, 43)
+        x0 = _network_input(TINY4, batch)
+        for m, name in enumerate(TINY4.module_names()):
+            x, patches = _module_input(params, TINY4, batch, m)
+            assert np.array_equal(x, single_pass(params, TINY4, x0, 0, m)), name
+            want = single_pass(params, TINY4, x, m)
+            assert np.array_equal(_run_layers(params, TINY4, x, m)[0], want), name
+            assert np.array_equal(_run_layers(params, TINY4, x, m, patches=patches)[0], want), name
+
+    def test_evaluate_matches_single_pass(self):
+        """300 images: a full and a partial evaluation batch, both tiled."""
+        params = with_biases(init_random(TINY4, RngStream(44)), 45)
+        images, labels = rand_batch(TINY4, 300, 46)
+        got = evaluate(params, TINY4, Dataset(images, labels, "test", {}))
+        logits = (
+            single_pass(params, TINY4, _network_input(TINY4, images[i : i + EVAL_BATCH]))
+            for i in range(0, len(images), EVAL_BATCH)
+        )
+        want = _score_batches(labels, TINY4.num_classes, logits)
+        assert got.loss == want.loss
+        assert np.array_equal(got.predictions, want.predictions)
+        assert np.array_equal(got.per_class_accuracy, want.per_class_accuracy)
+
+    @pytest.mark.parametrize("arch", REASSOCIATING, ids=lambda a: "x".join(map(str, a.input_shape)) + f"o{a.conv_blocks[0][0]}")
+    def test_narrow_convs_within_reassociation_bound(self, arch):
+        """Where tiling changes a conv's bits, each output is still its
+        k*k*Cin dot product plus bias, summed in another order: within
+        2*gamma_K of the sum of the terms' magnitudes, K = k*k*Cin + 1."""
+        params = with_biases(init_random(arch, RngStream(47)), 48)
+        batch, _ = rand_batch(arch, 300, 49)
+        x = _network_input(arch, batch)
+        for m, layer in enumerate(arch.layer_plan()):
+            if layer["kind"] != "conv":
+                break
+            name = layer["name"]
+            w = params.get(f"{name}.weight").astype(np.float64)
+            b = params.get(f"{name}.bias").astype(np.float64)
+            got = _run_layers(params, arch, x, m, m + 1)[0]
+            want = single_pass(params, arch, x, m, m + 1)
+            n_terms = w[..., 0].size + 1
+            gamma = n_terms * 2.0**-53 / (1 - n_terms * 2.0**-53)
+            patches = np.abs(_gather_patches(x, layer["kernel"], layer["stride"]))
+            magnitude = (patches.reshape(-1, n_terms - 1) @ np.abs(w).reshape(n_terms - 1, -1)).reshape(want.shape) + np.abs(b)
+            assert np.all(np.abs(got - want) <= 2 * gamma * magnitude), name
+            x = want
 
 
 def oracle_patches(x, kernel, stride):

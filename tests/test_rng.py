@@ -180,3 +180,18 @@ def test_derive_stream_id_order_sensitive():
     assert derive_stream_id(1, 2) != derive_stream_id(2, 1)
     assert derive_stream_id(1, 2) == derive_stream_id(1, 2)
     assert mix64(0) == 0
+
+
+@pytest.mark.parametrize("n", [-1, -4])
+def test_gaussian_negative_count_rejected(n):
+    rng = RngStream(1)
+    with pytest.raises(DomainError):
+        gaussian(rng, n, 1.0)
+    assert rng.position == 0
+
+
+def test_permutation_negative_length_rejected():
+    rng = RngStream(5)
+    with pytest.raises(DomainError):
+        rng.permutation(-1)
+    assert rng.position == 0

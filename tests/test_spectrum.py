@@ -146,6 +146,11 @@ class TestThresholdCurve:
             assert c >= prev
             prev = c
 
+    @pytest.mark.parametrize("thresholds", [[np.nan], [1.0, np.nan, 2.0]])
+    def test_nan_threshold_rejected(self, thresholds):
+        with pytest.raises(DomainError):
+            threshold_count_curve([1.0, 2.0, 3.0], thresholds)
+
 
 class TestNormRatio:
     def test_single_module_3_4(self):
@@ -213,3 +218,8 @@ class TestNetworkSpectrum:
         edges, counts = spectrum_histogram(np.array([0.1, 0.5, 0.9, 0.9]), bins=64)
         assert edges.shape == (65,)
         assert counts.sum() == 4
+
+    @pytest.mark.parametrize("bins", [0, -3])
+    def test_histogram_without_bins_rejected(self, bins):
+        with pytest.raises(DomainError):
+            spectrum_histogram(np.array([0.1, 0.5, 0.9]), bins=bins)
