@@ -425,9 +425,18 @@ def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
 
 def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarray, list]:
     """Logits (batch, num_classes) in float64 plus per-module post-activation
-    outputs in storage precision."""
-    logits, records = _run_layers(params, arch, _network_input(arch, batch), keep=True)
-    return logits, [(layer["name"], post.astype(np.float32)) for layer, *_, post in records]
+    outputs in storage precision.
+
+    Runs one layer at a time on the untiled keep=True core, so logits and
+    activations have the bits of the records ``backward`` uses, and drops
+    each layer's input and conv patches before the next layer runs: only the
+    float32 activations accumulate."""
+    x = _network_input(arch, batch)
+    acts = []
+    for i, layer in enumerate(arch.layer_plan()):
+        x = _run_layers(params, arch, x, i, i + 1, keep=True)[0]
+        acts.append((layer["name"], x.astype(np.float32)))
+    return x, acts
 
 
 def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> None:

@@ -1,6 +1,15 @@
 """Representation and parameter-space comparison between trained models:
 linear CKA per module, per-module and whole-network l2 distances, mistake
 agreement tables, and the per-class accuracy vs class-size correlation.
+
+Linear CKA of centered (n, dx) and (n, dy) activations X and Y needs
+||Y^T X||_F^2, ||X^T X||_F and ||Y^T Y||_F. These equal <X X^T, Y Y^T>_F,
+||X X^T||_F and ||Y Y^T||_F (Kornblith et al. 2019, arXiv 1905.00414), so
+they can be formed from d x d feature-space products or from n x n
+example-space Gram matrices. ``linear_cka_flagged`` takes whichever needs
+fewer multiply-adds: example space when n*(dx + dy) < dx^2 + dy^2 + dx*dy,
+which also bounds its memory by n^2 <= CKA_MAX_EXAMPLES^2 whatever the layer
+width.
 """
 
 from __future__ import annotations
@@ -22,22 +31,38 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
     """Linear CKA between activation matrices; flag marks a degenerate input.
 
     Columns are centered; the statistic is ||Y^T X||_F^2 divided by
-    ||X^T X||_F * ||Y^T Y||_F. A centered all-zero input makes it 0/0,
-    reported as (0.0, True).
+    ||X^T X||_F * ||Y^T Y||_F. With n examples and dx, dy features it is
+    computed in example space, as <X X^T, Y Y^T>_F over ||X X^T||_F *
+    ||Y Y^T||_F, when n*(dx + dy) < dx^2 + dy^2 + dx*dy, and in feature
+    space otherwise; the two forms differ by reassociation only. A centered
+    all-zero input makes it 0/0, reported as (0.0, True); a non-finite
+    activation raises DomainError.
     """
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 2 or y.ndim != 2:
+    # private float64 copies, centered in place below
+    xc = np.array(x, dtype=np.float64)
+    yc = np.array(y, dtype=np.float64)
+    if xc.ndim != 2 or yc.ndim != 2:
         raise DomainError("activations must be 2-D (examples, features)")
-    if x.shape[0] != y.shape[0]:
-        raise DomainError(f"example counts differ: {x.shape[0]} vs {y.shape[0]}")
-    if x.shape[0] < 2:
+    if xc.shape[0] != yc.shape[0]:
+        raise DomainError(f"example counts differ: {xc.shape[0]} vs {yc.shape[0]}")
+    if xc.shape[0] < 2:
         raise DomainError("need at least 2 examples")
-    xc = x - x.mean(axis=0)
-    yc = y - y.mean(axis=0)
-    cross = np.linalg.norm(yc.T @ xc) ** 2
-    nx = np.linalg.norm(xc.T @ xc)
-    ny = np.linalg.norm(yc.T @ yc)
+    if not (np.isfinite(xc).all() and np.isfinite(yc).all()):
+        raise DomainError("activations must be finite")
+    xc -= xc.mean(axis=0)
+    yc -= yc.mean(axis=0)
+    n, dx = xc.shape
+    dy = yc.shape[1]
+    if n * (dx + dy) < dx * dx + dy * dy + dx * dy:
+        kx = xc @ xc.T
+        ky = yc @ yc.T
+        cross = np.vdot(kx, ky)
+        nx = np.linalg.norm(kx)
+        ny = np.linalg.norm(ky)
+    else:
+        cross = np.linalg.norm(yc.T @ xc) ** 2
+        nx = np.linalg.norm(xc.T @ xc)
+        ny = np.linalg.norm(yc.T @ yc)
     if nx == 0.0 or ny == 0.0:
         return 0.0, True
     return float(cross / (nx * ny)), False
@@ -191,6 +216,8 @@ def similarity_report(
     if ckpt_a.arch != ckpt_b.arch:
         raise DomainError("checkpoint architectures differ")
     images = dataset.images
+    if len(images) < 2:
+        raise DomainError("CKA needs at least 2 images")
     if len(images) > CKA_MAX_EXAMPLES:
         rng = RngStream(seed, _STREAM_CKA)
         idx = np.sort(rng.permutation(len(images))[:CKA_MAX_EXAMPLES])

@@ -92,6 +92,8 @@ def spectrum_histogram(values, bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
     if bins < 1:
         raise DomainError("need at least one bin")
     values = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise DomainError("values must be finite")
     top = float(values.max()) if values.size else 1.0
     edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)
     counts, _ = np.histogram(values, bins=edges)

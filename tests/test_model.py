@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,6 +240,39 @@ class TestForward:
                 assert same, f"{name} should be untouched"
             elif i == cut:
                 assert not same
+
+
+def traced_peak(fn, *args):
+    """fn(*args)'s tracemalloc peak in bytes; its result is dropped."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLayerByLayerForward:
+    """forward runs one layer at a time and keeps only what it returns."""
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    @pytest.mark.parametrize("n", [1, _TILE + 1, 256])
+    def test_equals_keep_records_bit_for_bit(self, arch, n):
+        params = with_biases(init_random(arch, RngStream(23)), 24)
+        batch, _ = rand_batch(arch, n, 25)
+        want_logits, records = _run_layers(params, arch, _network_input(arch, batch), keep=True)
+        logits, acts = forward(params, arch, batch)
+        assert np.array_equal(logits, want_logits)
+        assert [name for name, _ in acts] == [layer["name"] for layer, *_ in records]
+        for (name, act), (*_, post) in zip(acts, records):
+            assert act.dtype == np.float32 and np.array_equal(act, post.astype(np.float32)), name
+
+    def test_peak_below_keep_records_at_batch_256(self):
+        params = init_random(TINY4, RngStream(26))
+        batch, _ = rand_batch(TINY4, 256, 27)
+        kept = traced_peak(lambda: _run_layers(params, TINY4, _network_input(TINY4, batch), keep=True))
+        layered = traced_peak(forward, params, TINY4, batch)
+        assert layered < kept
 
 
 class TestForwardCore:

@@ -1,10 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from basinscope.dataops import domain_spec, generate
+from basinscope import similarity
+from basinscope.dataops import Dataset, domain_spec, generate
 from basinscope.errors import DomainError
 from basinscope.model import TINY4, ParamVector, init_random
 from basinscope.rng import RngStream, gaussian
@@ -31,6 +34,26 @@ def gram_cka_oracle(x, y):
     kx = x @ x.T
     ky = y @ y.T
     return float(np.trace(kx @ ky) / np.sqrt(np.trace(kx @ kx) * np.trace(ky @ ky)))
+
+
+def feature_cka_oracle(x, y):
+    """The feature-space form: ||Y^T X||_F^2 / (||X^T X||_F ||Y^T Y||_F)."""
+    x = x - x.mean(axis=0)
+    y = y - y.mean(axis=0)
+    return float(np.linalg.norm(y.T @ x) ** 2 / (np.linalg.norm(x.T @ x) * np.linalg.norm(y.T @ y)))
+
+
+# (n, dx, dy) on each side of the selection rule: example space when
+# n*(dx + dy) < dx^2 + dy^2 + dx*dy. (45, 30, 30) sits on the tie, which
+# goes to feature space.
+CKA_SHAPES = {
+    "example-n<d": (8, 40, 40),
+    "example-n=d": (30, 30, 30),
+    "example-dx!=dy": (16, 64, 3),
+    "feature-tie": (45, 30, 30),
+    "feature-n>d": (100, 20, 20),
+    "feature-dx!=dy": (200, 64, 3),
+}
 
 
 def pearson_oracle(x, y):
@@ -77,6 +100,50 @@ class TestLinearCKA:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             linear_cka(rand_acts(10, 3, 9), rand_acts(11, 3, 9))
+
+    @pytest.mark.parametrize("case", CKA_SHAPES.items(), ids=CKA_SHAPES.keys())
+    def test_matches_feature_space_oracle_on_both_paths(self, case):
+        side, (n, dx, dy) = case
+        assert (n * (dx + dy) < dx * dx + dy * dy + dx * dy) == side.startswith("example")
+        x = rand_acts(n, dx, 60)
+        y = np.tanh(x[:, :dy] + rand_acts(n, dy, 61))  # related, so CKA is far from 0
+        value, degenerate = linear_cka_flagged(x, y)
+        assert not degenerate
+        assert value == pytest.approx(feature_cka_oracle(x, y), rel=1e-12)
+
+    @pytest.mark.parametrize("shape", CKA_SHAPES.values(), ids=CKA_SHAPES.keys())
+    def test_degenerate_flag_on_both_paths(self, shape):
+        n, dx, dy = shape
+        constant = np.full((n, dx), 2.5)  # centered -> all zero
+        y = rand_acts(n, dy, 62)
+        assert linear_cka_flagged(constant, y) == (0.0, True)
+        assert linear_cka_flagged(y, constant) == (0.0, True)
+
+    @pytest.mark.parametrize("shape", [CKA_SHAPES["example-n<d"], CKA_SHAPES["feature-n>d"]], ids=["example", "feature"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_activation_rejected(self, shape, bad):
+        n, dx, dy = shape
+        x = rand_acts(n, dx, 63)
+        y = rand_acts(n, dy, 64)
+        x[n // 2, dx // 2] = bad
+        with pytest.raises(DomainError):
+            linear_cka_flagged(x, y)
+        with pytest.raises(DomainError):
+            linear_cka_flagged(y, x)
+
+    def test_wide_layer_peak_far_below_one_feature_gram(self):
+        """n=64 examples of d=4096 features: one d x d float64 product is
+        128 MB, the example-space Grams are 32 kB each."""
+        n, d = 64, 4096
+        x = np.random.default_rng(65).standard_normal((n, d))
+        y = np.random.default_rng(66).standard_normal((n, d))
+        tracemalloc.start()
+        try:
+            linear_cka_flagged(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (d * d * 8) / 16
 
 
 class TestParamL2:
@@ -244,3 +311,14 @@ class TestSimilarityReport:
         report_aa = similarity_report(a, a, ds)
         for value, flagged in report_aa.per_module_cka.values():
             assert flagged or value == pytest.approx(1.0, abs=1e-6)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_images_rejected_before_any_forward(self, n, monkeypatch):
+        ds = generate(domain_spec("source"), "test", 10, 2)
+        ds = Dataset(ds.images[:n], ds.labels[:n], ds.split, ds.provenance)
+        a = Checkpoint(TINY4, init_random(TINY4, RngStream(21)), 0, {}, "", "")
+        calls = []
+        monkeypatch.setattr(similarity, "forward", lambda *args: calls.append(args))
+        with pytest.raises(DomainError):
+            similarity_report(a, a, ds)
+        assert calls == []

@@ -223,3 +223,8 @@ class TestNetworkSpectrum:
     def test_histogram_without_bins_rejected(self, bins):
         with pytest.raises(DomainError):
             spectrum_histogram(np.array([0.1, 0.5, 0.9]), bins=bins)
+
+    @pytest.mark.parametrize("values", [[0.1, np.inf], [0.1, np.nan], [-np.inf, 0.5]], ids=["inf", "nan", "-inf"])
+    def test_histogram_of_non_finite_values_rejected(self, values):
+        with pytest.raises(DomainError):
+            spectrum_histogram(np.array(values), bins=4)
