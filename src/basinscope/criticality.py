@@ -3,9 +3,9 @@ toward initialization under Gaussian noise while the network keeps its
 training performance.
 
 A criticality map sweeps (alpha, sigma): alpha positions the module on a
-path from its initial to its trained value (straight line, or the polyline
-through training checkpoints), sigma scales the added noise. Every other
-module stays at its trained value. The criticality score is the smallest
+path from its initial to its trained value (straight line, or, given
+training checkpoints, the polyline through them), sigma scales the added
+noise. Every other module stays at its trained value. The criticality score is the smallest
 alpha^2 * dist^2 / sigma^2 over cells whose mean train metric stays within
 epsilon.
 
@@ -14,8 +14,9 @@ runs the frozen prefix once per map: it caches, per evaluation batch, the
 module's input and, for a conv module, its gathered patches, and each noise
 sample runs only the module and the layers after it, with the same
 arithmetic as ``evaluate``: the logits-only core runs the conv layers over
-tiles of a few images, each tile's cached patches a view of the batch's,
-and the dense layers once on the whole batch (``model._run_layers``). The
+tiles of a few images, so each tile stays in cache, its cached patches a
+view of the batch's, and the dense layers once on the whole batch, so their
+bits do not depend on the tile size (``model._run_layers``). The
 cache holds float64 arrays; the largest is a conv1 map, about 21 MB of
 patches (plus 2.4 MB of input) at 384 images on TINY4.
 """
@@ -48,7 +49,6 @@ def default_sigma_grid() -> np.ndarray:
 class CriticalityConfig:
     module_name: str
     epsilon: float
-    path: str = "direct"  # "direct" | "optimization"
     alpha_grid: np.ndarray = field(default_factory=default_alpha_grid)
     sigma_grid: np.ndarray = field(default_factory=default_sigma_grid)
     noise_samples: int = 20
@@ -68,8 +68,6 @@ class CriticalityConfig:
             raise DomainError("need at least one noise sample")
         if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
-        if self.path not in ("direct", "optimization"):
-            raise DomainError(f"unknown path {self.path!r}")
         if self.noise_mode not in NOISE_MODES:
             raise DomainError(f"unknown noise mode {self.noise_mode!r}")
         if self.metric not in ("error", "xent"):
@@ -83,11 +81,14 @@ class CriticalityMap:
     sigma_grid: np.ndarray
     train: np.ndarray  # (alpha, sigma) mean train metric over noise samples
     test: np.ndarray
-    feasible: np.ndarray  # train <= epsilon
     epsilon: float
     path_distance: float  # ||theta_E - theta_0||
     mu: float  # +inf when no feasible cell
     argmin: tuple[float, float] | None
+
+    @property
+    def feasible(self) -> np.ndarray:
+        return self.train <= self.epsilon
 
     @property
     def gap(self) -> np.ndarray:
@@ -148,12 +149,9 @@ def criticality_grid(
     theta_end = np.asarray(theta_end, dtype=np.float64)
     p = theta0.size
     path_distance = float(np.linalg.norm(theta_end - theta0))
-    if cfg.path == "optimization":
-        if not path_points or len(path_points) < 2:
-            raise DomainError("optimization path needs at least two checkpoints")
-        points = [np.asarray(q, dtype=np.float64) for q in path_points]
-    else:
-        points = None
+    if path_points is not None and len(path_points) < 2:
+        raise DomainError("optimization path needs at least two checkpoints")
+    points = None if path_points is None else [np.asarray(q, dtype=np.float64) for q in path_points]
 
     na, ns = cfg.alpha_grid.size, cfg.sigma_grid.size
     train_grid = np.zeros((na, ns))
@@ -180,7 +178,6 @@ def criticality_grid(
                 te_acc += te
             train_grid[i, j] = tr_acc / cfg.noise_samples
             test_grid[i, j] = te_acc / cfg.noise_samples
-    feasible = train_grid <= cfg.epsilon
     mu, arg = _minimize(cfg.alpha_grid, cfg.sigma_grid, train_grid, cfg.epsilon, path_distance)
     return CriticalityMap(
         module_name=cfg.module_name,
@@ -188,7 +185,6 @@ def criticality_grid(
         sigma_grid=cfg.sigma_grid.copy(),
         train=train_grid,
         test=test_grid,
-        feasible=feasible,
         epsilon=cfg.epsilon,
         path_distance=path_distance,
         mu=mu,
@@ -215,8 +211,8 @@ def criticality_map(
 
     final_or_opt supplies both the frozen context (all other modules) and the
     path endpoint; the caller picks the endpoint (the final or the optimal
-    checkpoint) by what it passes. For the optimization path, pass the saved
-    checkpoints up to that endpoint, in any order.
+    checkpoint) by what it passes. Passing checkpoints, the saved ones up to
+    that endpoint in any order, selects the optimization path.
 
     The frozen prefix's output, the module's input, is computed once per
     evaluation batch; every noise sample runs only the module and the layers
@@ -233,7 +229,7 @@ def criticality_map(
     theta_end = final_or_opt.params.values[span].astype(np.float64)
 
     path_points = None
-    if cfg.path == "optimization":
+    if checkpoints is not None:
         if not checkpoints:
             raise DomainError("optimization path requires checkpoints")
         if any(c.arch != arch for c in checkpoints):
@@ -255,7 +251,7 @@ def criticality_map(
         params = ParamVector(work, final_or_opt.params.index)
         metrics = []
         for labels, cache in splits:
-            logits = (_run_layers(params, arch, x, start, patches=patches)[0] for x, patches in cache)
+            logits = (_run_layers(params, arch, x, start, patches=patches) for x, patches in cache)
             result = _score_batches(labels, arch.num_classes, logits)
             metrics.append(1.0 - result.accuracy if cfg.metric == "error" else result.loss)
         return tuple(metrics)

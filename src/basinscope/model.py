@@ -342,6 +342,12 @@ def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, patch
     return x_in, out, gathered
 
 
+def _weights(params: ParamVector, layer: dict) -> tuple[np.ndarray, np.ndarray]:
+    """A layer's weight and bias in float64."""
+    name = layer["name"]
+    return params.get(f"{name}.weight").astype(np.float64), params.get(f"{name}.bias").astype(np.float64)
+
+
 def _run_layers(
     params: ParamVector,
     arch: ArchDescriptor,
@@ -349,22 +355,14 @@ def _run_layers(
     start: int = 0,
     stop: int | None = None,
     *,
-    keep: bool = False,
     patches: np.ndarray | None = None,
-):
-    """The forward core: run layers [start, stop) of the plan on x, the
-    float64 input to layer start (for start=0, ``_network_input``).
-
-    Returns (output, records). With keep=True, records holds one (layer,
-    x_in, w, patches, post) per layer: its plan entry, its input (flattened
-    for a dense layer), float64 weight, conv patches (None for a dense layer)
-    and output; otherwise it is empty. Bias and ReLU are applied in place to
-    the fresh GEMM output, so post is the only per-layer activation; post > 0
-    is the ReLU's mask (the same as pre > 0, NaN included).
+) -> np.ndarray:
+    """The logits-only core: the output of layers [start, stop) of the plan
+    on x, the float64 input to layer start (for start=0, ``_network_input``).
     patches, when given, are layer start's gathered conv patches of x, so
     the gather is skipped.
 
-    With keep=False and more than ``_TILE`` images, the conv layers run
+    With more than ``_TILE`` images, the conv layers run
     depth-first over tiles of ``_TILE`` images (cache blocking; Goto & van
     de Geijn 2008): each tile is gathered, multiplied, biased and rectified
     through every conv layer while it is in cache, instead of streaming
@@ -379,20 +377,12 @@ def _run_layers(
     logits are the untiled loop's; convs with 2-4 or 9-12 output channels
     (SMALL's conv1 among them) may differ by reassociation of each dot
     product. Dense GEMM rows change bits with the row count (fc1 below 64
-    rows, the classifier below 128), so dense layers are never tiled; nor
-    is keep=True, whose records feed weight gradients summed over the batch.
+    rows, the classifier below 128), so dense layers are never tiled.
     """
     plan = arch.layer_plan()[start:stop]
-    weights = [
-        (
-            params.get(f"{layer['name']}.weight").astype(np.float64),
-            params.get(f"{layer['name']}.bias").astype(np.float64),
-        )
-        for layer in plan
-    ]
-    records = []
+    weights = [_weights(params, layer) for layer in plan]
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
-    if not keep and (convs > 1 or (convs == 1 and patches is None)) and x.shape[0] > _TILE:
+    if (convs > 1 or (convs == 1 and patches is None)) and x.shape[0] > _TILE:
         tiles = []
         for i in range(0, x.shape[0], _TILE):
             tile = x[i : i + _TILE]
@@ -404,19 +394,16 @@ def _run_layers(
         x, patches = np.concatenate(tiles), None
         plan, weights = plan[convs:], weights[convs:]
     for layer, (w, b) in zip(plan, weights):
-        x_in, out, gathered = _apply_layer(layer, x, w, b, patches)
+        _, x, _ = _apply_layer(layer, x, w, b, patches)
         patches = None
-        if keep:
-            records.append((layer, x_in, w, gathered, out))
-        x = out
-    return x, records
+    return x
 
 
 def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
     """Input to layer start of the plan, and for a conv layer its gathered
     patches (None otherwise): the frozen prefix's part of a forward pass
     that ``_run_layers(..., start, patches=...)`` completes."""
-    x, _ = _run_layers(params, arch, _network_input(arch, batch), 0, start)
+    x = _run_layers(params, arch, _network_input(arch, batch), 0, start)
     layer = arch.layer_plan()[start]
     if layer["kind"] != "conv":
         return x, None
@@ -427,16 +414,30 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
     """Logits (batch, num_classes) in float64 plus per-module post-activation
     outputs in storage precision.
 
-    Runs one layer at a time on the untiled keep=True core, so logits and
-    activations have the bits of the records ``backward`` uses, and drops
-    each layer's input and conv patches before the next layer runs: only the
-    float32 activations accumulate."""
+    Runs the untiled per-layer step (``_apply_layer`` on the whole batch), so
+    logits and activations have the bits of the records ``backward`` uses,
+    and drops each layer's input and conv patches before the next layer
+    runs: only the float32 activations accumulate."""
     x = _network_input(arch, batch)
     acts = []
-    for i, layer in enumerate(arch.layer_plan()):
-        x = _run_layers(params, arch, x, i, i + 1, keep=True)[0]
+    for layer in arch.layer_plan():
+        _, x, _ = _apply_layer(layer, x, *_weights(params, layer))
         acts.append((layer["name"], x.astype(np.float32)))
     return x, acts
+
+
+def _records(params: ParamVector, arch: ArchDescriptor, x: np.ndarray) -> list:
+    """One (layer, x_in, w, patches, post) per layer on x, the network input:
+    its plan entry, its input (flattened for a dense layer), float64 weight,
+    conv patches (None for a dense layer) and output. Bias and ReLU are
+    applied in place to the fresh GEMM output, so post > 0 is the ReLU's
+    mask (the same as pre > 0, NaN included)."""
+    records = []
+    for layer in arch.layer_plan():
+        w, b = _weights(params, layer)
+        x_in, x, patches = _apply_layer(layer, x, w, b)
+        records.append((layer, x_in, w, patches, x))
+    return records
 
 
 def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> None:
@@ -472,12 +473,13 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[float, ParamVector]:
-    """Mean cross-entropy loss and its gradient as a ParamVector."""
+    """Mean cross-entropy loss and its gradient as a ParamVector. Its records
+    are untiled, as each weight gradient sums over the whole batch at once."""
     x = _network_input(arch, batch)
     labels = np.asarray(labels)
     _check_labels(labels, arch.num_classes, x.shape[0])
-    logits, records = _run_layers(params, arch, x, keep=True)
-    loss, g = softmax_cross_entropy(logits, labels)
+    records = _records(params, arch, x)
+    loss, g = softmax_cross_entropy(records[-1][-1], labels)
     grad = ParamVector.zeros(arch, dtype=params.values.dtype)
     for depth in reversed(range(len(records))):
         layer, x_in, w, patches, post = records[depth]

@@ -195,7 +195,7 @@ def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset
     """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class
     accuracy, over batches of EVAL_BATCH images."""
     logits = (
-        _run_layers(params, arch, _network_input(arch, dataset.images[start : start + EVAL_BATCH]))[0]
+        _run_layers(params, arch, _network_input(arch, dataset.images[start : start + EVAL_BATCH]))
         for start in range(0, len(dataset), EVAL_BATCH)
     )
     return _score_batches(dataset.labels, arch.num_classes, logits)

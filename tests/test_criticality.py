@@ -201,7 +201,6 @@ class TestSyntheticClosedForm:
             sigma_grid=np.array([1.0]),
             noise_samples=1,
             noise_mode="raw",
-            path="optimization",
         )
         base_rng = RngStream(12)
         cmap = criticality_grid(points[0], points[-1], probe, cfg, base_rng, path_points=points)
@@ -308,10 +307,38 @@ class TestNetworkMap:
             alpha_grid=np.array([0.0, 0.5, 1.0]),
             sigma_grid=np.array([0.05]),
             noise_samples=2,
-            path="optimization",
         )
         cmap = criticality_map(final, init, cfg, RngStream(23), train_ds, test_ds, checkpoints=[mid])
         assert cmap.train.shape == (3, 1)
+
+    def test_checkpoints_select_the_path(self):
+        """checkpoints=None is the straight line from init to final; a list
+        is the polyline through them, here theta0 -> -theta0 -> 1.5 theta0,
+        whose arclength midpoint is -0.75 theta0; an empty list raises."""
+        init, final = self.make_ckpts()
+        span = init.params.module_slice("fc1")
+        mid_params = final.params.copy()
+        mid_params.values[span] = -init.params.values[span]
+        mid = Checkpoint(TINY4, mid_params, 2, {}, "h", "r")
+        train_ds = generate(domain_spec("source"), "train", 30, 3)
+        test_ds = generate(domain_spec("source"), "test", 20, 3)
+        cfg = CriticalityConfig(
+            module_name="fc1", epsilon=10.0, alpha_grid=np.array([0.5]), sigma_grid=np.array([1e-12]),
+            noise_samples=1, noise_mode="raw", metric="xent",
+        )
+
+        def loss_at(scale):
+            params = final.params.astype(np.float64)
+            params.values[span] = scale * init.params.values[span].astype(np.float64)
+            return evaluate(params, TINY4, train_ds).loss
+
+        direct = criticality_map(final, init, cfg, RngStream(25), train_ds, test_ds)
+        poly = criticality_map(final, init, cfg, RngStream(25), train_ds, test_ds, checkpoints=[mid])
+        assert abs(loss_at(1.25) - loss_at(-0.75)) > 1e-3
+        assert direct.train[0, 0] == pytest.approx(loss_at(1.25), rel=1e-6)
+        assert poly.train[0, 0] == pytest.approx(loss_at(-0.75), rel=1e-6)
+        with pytest.raises(DomainError, match="requires checkpoints"):
+            criticality_map(final, init, cfg, RngStream(25), train_ds, test_ds, checkpoints=[])
 
     @pytest.mark.parametrize("module", ["conv1", "classifier"])
     def test_optimization_path_checkpoint_of_another_arch_rejected(self, module):
@@ -322,7 +349,7 @@ class TestNetworkMap:
         train_ds = generate(domain_spec("source"), "train", 30, 3)
         test_ds = generate(domain_spec("source"), "test", 20, 3)
         cfg = CriticalityConfig(
-            module_name=module, epsilon=0.9, sigma_grid=np.array([0.05]), noise_samples=1, path="optimization"
+            module_name=module, epsilon=0.9, sigma_grid=np.array([0.05]), noise_samples=1
         )
         with pytest.raises(DomainError, match="architectures"):
             criticality_map(final, init, cfg, RngStream(23), train_ds, test_ds, checkpoints=[other])
@@ -359,7 +386,6 @@ class TestPrefixReuse:
             sigma_grid=np.array([0.1]),
             noise_samples=1,
             metric=metric,
-            path=path,
         )
         span = final.params.module_slice(module)
 
@@ -372,13 +398,14 @@ class TestPrefixReuse:
                 return 1.0 - tr.accuracy, 1.0 - te.accuracy
             return tr.loss, te.loss
 
-        points = None
+        points, checkpoints = None, None
         if path == "optimization":
             points = [c.params.values[span].astype(np.float64) for c in (init, mid, final)]
+            checkpoints = [init, mid]
         theta0 = init.params.values[span].astype(np.float64)
         theta_end = final.params.values[span].astype(np.float64)
         want = criticality_grid(theta0, theta_end, eval_fn, cfg, RngStream(31), path_points=points)
-        got = criticality_map(final, init, cfg, RngStream(31), train_ds, test_ds, checkpoints=[init, mid])
+        got = criticality_map(final, init, cfg, RngStream(31), train_ds, test_ds, checkpoints=checkpoints)
         assert np.array_equal(got.train, want.train)
         assert np.array_equal(got.test, want.test)
         assert got.mu == want.mu

@@ -15,6 +15,7 @@ from basinscope.model import (
     _gather_patches,
     _module_input,
     _network_input,
+    _records,
     _run_layers,
     backward,
     build_index,
@@ -260,9 +261,9 @@ class TestLayerByLayerForward:
     def test_equals_keep_records_bit_for_bit(self, arch, n):
         params = with_biases(init_random(arch, RngStream(23)), 24)
         batch, _ = rand_batch(arch, n, 25)
-        want_logits, records = _run_layers(params, arch, _network_input(arch, batch), keep=True)
+        records = _records(params, arch, _network_input(arch, batch))
         logits, acts = forward(params, arch, batch)
-        assert np.array_equal(logits, want_logits)
+        assert np.array_equal(logits, records[-1][-1])
         assert [name for name, _ in acts] == [layer["name"] for layer, *_ in records]
         for (name, act), (*_, post) in zip(acts, records):
             assert act.dtype == np.float32 and np.array_equal(act, post.astype(np.float32)), name
@@ -270,7 +271,7 @@ class TestLayerByLayerForward:
     def test_peak_below_keep_records_at_batch_256(self):
         params = init_random(TINY4, RngStream(26))
         batch, _ = rand_batch(TINY4, 256, 27)
-        kept = traced_peak(lambda: _run_layers(params, TINY4, _network_input(TINY4, batch), keep=True))
+        kept = traced_peak(lambda: _records(params, TINY4, _network_input(TINY4, batch)))
         layered = traced_peak(forward, params, TINY4, batch)
         assert layered < kept
 
@@ -285,15 +286,15 @@ class TestForwardCore:
         batch, _ = rand_batch(arch, 5, 6)
         want, _ = forward(params, arch, batch)
         x0 = _network_input(arch, batch)
-        assert np.array_equal(_run_layers(params, arch, x0)[0], want)
+        assert np.array_equal(_run_layers(params, arch, x0), want)
         for m, name in enumerate(arch.module_names()):
-            prefix, records = _run_layers(params, arch, x0, 0, m)
-            assert records == []
-            assert np.array_equal(_run_layers(params, arch, prefix, m)[0], want), name
+            prefix = _run_layers(params, arch, x0, 0, m)
+            assert isinstance(prefix, np.ndarray)
+            assert np.array_equal(_run_layers(params, arch, prefix, m), want), name
             x, patches = _module_input(params, arch, batch, m)
             assert np.array_equal(x, prefix), name
             assert (patches is None) == name.startswith(("fc", "classifier")), name
-            assert np.array_equal(_run_layers(params, arch, x, m, patches=patches)[0], want), name
+            assert np.array_equal(_run_layers(params, arch, x, m, patches=patches), want), name
 
     def test_keep_builds_one_record_per_module(self):
         """One (layer, x_in, w, patches, post) record per module: each
@@ -304,7 +305,7 @@ class TestForwardCore:
         params = init_random(TINY4, RngStream(19))
         batch, _ = rand_batch(TINY4, 2, 7)
         x0 = _network_input(TINY4, batch)
-        logits, records = _run_layers(params, TINY4, x0, keep=True)
+        records = _records(params, TINY4, x0)
         assert [layer["name"] for layer, *_ in records] == TINY4.module_names()
         prev = x0
         for layer, x_in, w, patches, post in records:
@@ -323,7 +324,7 @@ class TestForwardCore:
             if layer["kind"] != "classifier":
                 assert np.array_equal(post > 0, pre > 0), name
             prev = post
-        assert prev is logits
+        assert np.array_equal(prev, forward(params, TINY4, batch)[0])
 
     def test_network_input_centers_in_float64(self):
         batch, _ = rand_batch(TINY4, 3, 8)
@@ -383,8 +384,8 @@ class TestTiledCore:
             x, patches = _module_input(params, TINY4, batch, m)
             assert np.array_equal(x, single_pass(params, TINY4, x0, 0, m)), name
             want = single_pass(params, TINY4, x, m)
-            assert np.array_equal(_run_layers(params, TINY4, x, m)[0], want), name
-            assert np.array_equal(_run_layers(params, TINY4, x, m, patches=patches)[0], want), name
+            assert np.array_equal(_run_layers(params, TINY4, x, m), want), name
+            assert np.array_equal(_run_layers(params, TINY4, x, m, patches=patches), want), name
 
     def test_evaluate_matches_single_pass(self):
         """300 images: a full and a partial evaluation batch, both tiled."""
@@ -414,7 +415,7 @@ class TestTiledCore:
             name = layer["name"]
             w = params.get(f"{name}.weight").astype(np.float64)
             b = params.get(f"{name}.bias").astype(np.float64)
-            got = _run_layers(params, arch, x, m, m + 1)[0]
+            got = _run_layers(params, arch, x, m, m + 1)
             want = single_pass(params, arch, x, m, m + 1)
             n_terms = w[..., 0].size + 1
             gamma = n_terms * 2.0**-53 / (1 - n_terms * 2.0**-53)
