@@ -454,12 +454,12 @@ def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> None:
 
 def _nll(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-row cross-entropy lse(z) - z[label] of float64 logits z, and the
-    softmax probabilities."""
+    softmax probabilities. Both terms come from the shifted logits z - m, so
+    the loss does not round at the scale of max|z|."""
     m = z.max(axis=1, keepdims=True)
     ez = np.exp(z - m)
     sez = ez.sum(axis=1)
-    lse = m[:, 0] + np.log(sez)
-    return lse - z[np.arange(z.shape[0]), labels], ez / sez[:, None]
+    return np.log(sez) - (z[np.arange(z.shape[0]), labels] - m[:, 0]), ez / sez[:, None]
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):

@@ -34,9 +34,11 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
     ||X^T X||_F * ||Y^T Y||_F. With n examples and dx, dy features it is
     computed in example space, as <X X^T, Y Y^T>_F over ||X X^T||_F *
     ||Y Y^T||_F, when n*(dx + dy) < dx^2 + dy^2 + dx*dy, and in feature
-    space otherwise; the two forms differ by reassociation only. A centered
-    all-zero input makes it 0/0, reported as (0.0, True); a non-finite
-    activation raises DomainError.
+    space otherwise; the two forms differ by reassociation only. Each
+    centered input is first divided by its largest magnitude, so inputs far
+    from unit scale neither overflow nor underflow. A centered all-zero
+    input makes it 0/0, reported as (0.0, True); a non-finite activation
+    raises DomainError.
     """
     # private float64 copies, centered in place below
     xc = np.array(x, dtype=np.float64)
@@ -49,8 +51,12 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
         raise DomainError("need at least 2 examples")
     if not (np.isfinite(xc).all() and np.isfinite(yc).all()):
         raise DomainError("activations must be finite")
-    xc -= xc.mean(axis=0)
-    yc -= yc.mean(axis=0)
+    for c in (xc, yc):
+        c -= c.mean(axis=0)
+        # CKA is scale-invariant; unit scale keeps the products finite and normal
+        peak = np.abs(c).max()
+        if peak > 0:
+            c /= peak
     n, dx = xc.shape
     dy = yc.shape[1]
     if n * (dx + dy) < dx * dx + dy * dy + dx * dy:

@@ -57,6 +57,12 @@ class DataSpec:
         object.__setattr__(self, "domains", tuple(self.domains))
         if not self.domains:
             raise DomainError("need at least one domain")
+        for name in self.domains:
+            dataops.domain_spec(name)
+        if self.shuffle_block is not None:
+            dataops.ShuffleSpec(self.shuffle_block, self.shuffle_seed, self.shared_permutation)
+        if self.n_train < 1 or self.n_test < 1:
+            raise DomainError("n_train and n_test must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -209,10 +215,16 @@ def split_metrics(params: ParamVector, arch: ArchDescriptor, train_ds: dataops.D
 
 
 def _resolve_init(config: TrainConfig, init_checkpoint: Checkpoint | None) -> ParamVector:
+    """The initial parameters, from one source: the random init's seed, or
+    the checkpoint passed in, else the one at the init's path."""
     if config.init.kind == "random":
+        if init_checkpoint is not None:
+            raise DomainError("a random init takes no init_checkpoint")
         return init_random(config.arch, RngStream(config.init.seed))
     ckpt = init_checkpoint
     if ckpt is None:
+        if not config.init.path:
+            raise DomainError("a checkpoint init needs an init_checkpoint or a path")
         from . import persistence
 
         ckpt = persistence.load_checkpoint(config.init.path)
@@ -235,10 +247,10 @@ def train(
     would build. Returns (final checkpoint, run record, checkpoints saved at
     config.checkpoint_epochs plus the final epoch).
     """
+    params = _resolve_init(config, init_checkpoint)
     train_ds, test_ds = datasets if datasets is not None else make_datasets(config.data)
     if config.batch_size > len(train_ds):
         raise DomainError("batch_size exceeds train set size")
-    params = _resolve_init(config, init_checkpoint)
     chash = config_hash(config)
     provenance = {"data": config.to_dict()["data"], "seed": config.seed, "init": config.init.kind}
 

@@ -15,6 +15,7 @@ from basinscope.model import (
     _gather_patches,
     _module_input,
     _network_input,
+    _nll,
     _records,
     _run_layers,
     backward,
@@ -580,10 +581,10 @@ class TestBackward:
         assert abs(loss - np.log(10)) < 1e-12
 
     def test_softmax_cross_entropy_matches_log_softmax_oracle(self):
-        """The gradient keeps every bit of the log-softmax form. The mean loss,
-        now lse(z) - z[label] as in evaluate, rounds m + log(sum) to the
-        logits' scale: it moves by at most a few ulps of max|z| + loss, which
-        is 1e-15 relative once the loss is a tenth of max|z| or more."""
+        """The gradient keeps every bit of the log-softmax form, and the mean
+        loss, log(sum) - (z[label] - m) as in evaluate, is within a few ulps
+        of max|z| + loss, 1e-15 relative once the loss is a tenth of max|z|
+        or more."""
         rng = RngStream(27)
         ulp = 2.0**-52
         for trial in range(1000):
@@ -603,6 +604,22 @@ class TestBackward:
             assert abs(loss - want_loss) <= 4 * ulp * (scale + want_loss)
             if want_loss >= 0.1 * scale:
                 assert abs(loss - want_loss) <= 1e-15 * want_loss
+
+    def test_confident_loss_does_not_round_at_the_logits_scale(self):
+        """Logits near 1e3 with the label ahead by about 10: the loss is near
+        1e-4, so forming lse(z) at the scale of max|z| left errors of 1e-9
+        relative; the shifted logits keep it within 1e-10 of a long double
+        evaluation."""
+        rng = np.random.default_rng(28)
+        z = 1e3 + rng.standard_normal((400, 10))
+        labels = rng.integers(0, 10, 400)
+        z[np.arange(400), labels] += 10.0
+        zl = z.astype(np.longdouble)
+        want = np.log(np.exp(zl - zl[np.arange(400), labels][:, None]).sum(axis=1))
+        nll, _ = _nll(z, labels)
+        assert np.all(np.abs(nll - want) <= 1e-10 * want)
+        loss, _ = softmax_cross_entropy(z, labels)
+        assert abs(loss - float(want.mean())) <= 1e-10 * float(want.mean())
 
     def test_out_of_range_label_rejected(self):
         params = ParamVector.zeros(TINY4)

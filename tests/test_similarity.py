@@ -111,6 +111,20 @@ class TestLinearCKA:
         assert not degenerate
         assert value == pytest.approx(feature_cka_oracle(x, y), rel=1e-12)
 
+    @pytest.mark.parametrize("shape", [(8, 40), (100, 4)], ids=["example", "feature"])
+    @pytest.mark.parametrize("scale", [1e80, 1e-170])
+    def test_far_from_unit_scale_gives_the_unit_scale_value(self, shape, scale):
+        """Squaring 1e80-scale activations overflowed (0.0, False) and
+        squaring 1e-170-scale ones underflowed (0.0, True)."""
+        n, d = shape
+        x = rand_acts(n, d, 65)
+        y = np.tanh(x + rand_acts(n, d, 66))
+        want, _ = linear_cka_flagged(x, y)
+        for pair in ((scale * x, y), (y, scale * x), (scale * x, scale * y)):
+            value, degenerate = linear_cka_flagged(*pair)
+            assert not degenerate
+            assert value == pytest.approx(want, rel=1e-12)
+
     @pytest.mark.parametrize("shape", CKA_SHAPES.values(), ids=CKA_SHAPES.keys())
     def test_degenerate_flag_on_both_paths(self, shape):
         n, dx, dy = shape

@@ -90,6 +90,21 @@ class TestConfig:
         with pytest.raises(DomainError):
             small_config(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(domains=("source", "cartoon")),
+            dict(shuffle_block=3),
+            dict(shuffle_block=0),
+            dict(n_train=0),
+            dict(n_test=0),
+        ],
+        ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
+    )
+    def test_impossible_data_spec_rejected(self, bad):
+        with pytest.raises(DomainError):
+            DataSpec(**{"domains": ("source",), **bad})
+
     def test_config_hash_pinned(self):
         config = TrainConfig(TINY4, DataSpec(("source",)), 3)
         assert config_hash(config) == "ffc27f5885ca862ffde4308495df698b4ffd48a113395f80801425250e2be992"
@@ -188,6 +203,17 @@ class TestTrain:
         )
         with pytest.raises(DomainError):
             train(other, init_checkpoint=final)
+
+    def test_random_init_with_a_checkpoint_rejected(self):
+        """The checkpoint was ignored: the run equalled a plain random init."""
+        ckpt = Checkpoint(TINY4, init_random(TINY4, RngStream(2)), 0, {}, "h", "r")
+        with pytest.raises(DomainError, match="random init"):
+            train(small_config(epochs=0), init_checkpoint=ckpt)
+
+    def test_checkpoint_init_without_a_source_rejected(self):
+        """With neither a checkpoint nor a path, open("") raised FileNotFoundError."""
+        with pytest.raises(DomainError, match="init_checkpoint or a path"):
+            train(small_config(epochs=0, init=InitSpec("checkpoint")))
 
     def test_batch_size_exceeding_train_rejected(self):
         cfg = small_config(batch_size=300)
