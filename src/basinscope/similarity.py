@@ -54,7 +54,7 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
     for c in (xc, yc):
         c -= c.mean(axis=0)
         # CKA is scale-invariant; unit scale keeps the products finite and normal
-        peak = np.abs(c).max()
+        peak = max(c.max(), -c.min())
         if peak > 0:
             c /= peak
     n, dx = xc.shape
