@@ -394,7 +394,7 @@ def _run_layers(
         x, patches = np.concatenate(tiles), None
         plan, weights = plan[convs:], weights[convs:]
     for layer, (w, b) in zip(plan, weights):
-        _, x, _ = _apply_layer(layer, x, w, b, patches)
+        x = _apply_layer(layer, x, w, b, patches)[1]
         patches = None
     return x
 
@@ -421,7 +421,7 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
     x = _network_input(arch, batch)
     acts = []
     for layer in arch.layer_plan():
-        _, x, _ = _apply_layer(layer, x, *_weights(params, layer))
+        x = _apply_layer(layer, x, *_weights(params, layer))[1]
         acts.append((layer["name"], x.astype(np.float32)))
     return x, acts
 

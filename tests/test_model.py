@@ -277,6 +277,18 @@ class TestLayerByLayerForward:
         assert layered < kept
 
 
+    def test_peak_is_the_first_conv_working_set_at_batch_256(self):
+        """The peak is conv1's input, patches and output, the largest layer's
+        working set; a layer's patches kept alive into the next layer added
+        conv2's working set on top."""
+        params = init_random(TINY4, RngStream(26))
+        batch, _ = rand_batch(TINY4, 256, 27)
+        cout, k = TINY4.conv_blocks[0][:2]
+        pixels = 256 * 16 * 16
+        working_set = 8 * pixels * (3 + k * k * 3 + cout)
+        assert traced_peak(forward, params, TINY4, batch) < 1.1 * working_set
+
+
 class TestForwardCore:
     @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
     def test_suffix_from_every_module_matches_forward(self, arch):
