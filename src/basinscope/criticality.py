@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector, _module_input, _run_layers
-from .rng import RngStream, gaussian
+from .rng import RngStream, gaussian_rows
 from .trainer import EVAL_BATCH, Checkpoint, _score_batches, split_metrics
 
 NOISE_MODES = ("current_norm", "raw")
@@ -171,8 +171,7 @@ def criticality_grid(
             std = float(sigma) * scale
             tr_acc = 0.0
             te_acc = 0.0
-            for _ in range(cfg.noise_samples):
-                u = gaussian(cell_rng, p, std)
+            for u in gaussian_rows(cell_rng, cfg.noise_samples, p, std):
                 tr, te = eval_fn(theta_alpha + u)
                 tr_acc += tr
                 te_acc += te

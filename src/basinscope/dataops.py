@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .rng import RngStream, derive_stream_id, lane_uniforms
+from .rng import derive_stream_id, lane_permutations, lane_uniforms
 
 DOMAIN_NAMES = ("source", "real_like", "clipart_like", "quickdraw_like", "xray_like")
 STAR = "*"
@@ -270,32 +270,43 @@ def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
     return Dataset(images, labels, split, provenance)
 
 
-def block_shuffle(img: np.ndarray, spec: ShuffleSpec, index: int) -> np.ndarray:
-    """Permute b x b blocks (scalars for STAR) with the (seed, index) stream."""
-    img = np.asarray(img)
-    if img.shape != (IMAGE_SIZE, IMAGE_SIZE, 3):
-        raise DomainError(f"expected (16, 16, 3) image, got {img.shape}")
-    key = 0 if spec.shared_permutation else index
-    rng = RngStream(spec.seed, derive_stream_id(_STREAM_SHUFFLE, key))
-    if spec.block_size == STAR:
-        perm = rng.permutation(img.size)
-        return img.reshape(-1)[perm].reshape(img.shape).copy()
+def _shuffle_batch(images: np.ndarray, spec: ShuffleSpec, stream_ids: np.ndarray) -> np.ndarray:
+    """(N, 16, 16, 3) images, image r's b x b blocks (scalars for STAR) permuted
+    by stream (spec.seed, stream_ids[r]); one id serves every image."""
+    if images.shape[1:] != (IMAGE_SIZE, IMAGE_SIZE, 3):
+        raise DomainError(f"expected (16, 16, 3) images, got {images.shape[1:]}")
     b = spec.block_size
     if b == IMAGE_SIZE:
-        return img.copy()
+        return images.copy()
+    n = len(images)
+    rows = np.arange(n)[:, None]
+    if b == STAR:
+        size = IMAGE_SIZE * IMAGE_SIZE * 3
+        return images.reshape(n, size)[rows, lane_permutations(spec.seed, stream_ids, size)].reshape(images.shape)
     nb = IMAGE_SIZE // b
-    perm = rng.permutation(nb * nb)
-    blocks = img.reshape(nb, b, nb, b, 3).transpose(0, 2, 1, 3, 4).reshape(nb * nb, b, b, 3)
-    shuffled = blocks[perm]
-    out = shuffled.reshape(nb, nb, b, b, 3).transpose(0, 2, 1, 3, 4).reshape(IMAGE_SIZE, IMAGE_SIZE, 3)
-    return out.copy()
+    # block (Y, X) of image r is images[r, Y*b:(Y+1)*b, X*b:(X+1)*b]; Y, X index axes 1 and 3 here
+    src_y, src_x = np.divmod(lane_permutations(spec.seed, stream_ids, nb * nb), nb)
+    shuffled = images.reshape(n, nb, b, nb, b, 3)[rows, src_y, :, src_x]
+    return shuffled.reshape(n, nb, nb, b, b, 3).transpose(0, 1, 3, 2, 4, 5).reshape(images.shape)
+
+
+def block_shuffle(img: np.ndarray, spec: ShuffleSpec, index: int) -> np.ndarray:
+    """Permute b x b blocks (scalars for STAR) with the (seed, index) stream: a batch of one."""
+    key = 0 if spec.shared_permutation else index
+    return _shuffle_batch(np.asarray(img)[None], spec, [derive_stream_id(_STREAM_SHUFFLE, key)])[0]
 
 
 def apply_shuffle(dataset: Dataset, spec: ShuffleSpec) -> Dataset:
-    """Shuffled copy of a dataset; image i uses permutation index i."""
-    images = np.empty_like(dataset.images)
-    for i in range(len(dataset)):
-        images[i] = block_shuffle(dataset.images[i], spec, i)
+    """Shuffled copy of a dataset; image i uses permutation index i.
+
+    The images' streams draw in lockstep (``lane_permutations``) and the
+    blocks of every image are gathered with one fancy index.
+    """
+    if spec.shared_permutation:
+        stream_ids = [derive_stream_id(_STREAM_SHUFFLE, 0)]
+    else:
+        stream_ids = derive_stream_id(_STREAM_SHUFFLE, np.arange(len(dataset), dtype=np.uint64))
+    images = _shuffle_batch(dataset.images, spec, stream_ids)
     provenance = dict(dataset.provenance)
     provenance["shuffle"] = {
         "block_size": spec.block_size,

@@ -8,14 +8,31 @@ given (seed, stream_id) pair produces the same sequence on every platform.
 The seeding and the state recurrence are written once and run either on
 Python ints (one ``RngStream``) or on ``uint64`` arrays, where numpy wraps
 mod 2^64 silently and one array op steps many streams in lockstep
-(``lane_uniforms``). Arrays must be at least 1-D: numpy scalars warn on
-overflow.
+(``lane_uniforms``, ``lane_permutations``). Arrays must be at least 1-D:
+numpy scalars warn on overflow.
+
+One stream's bulk draws use the same lockstep through jump-ahead lanes
+(Blackman & Vigna 2018; Haramoto et al. 2008). The state update is linear
+over GF(2), so T^(2^k) is a 256 x 256 bit matrix; tables of them are built
+on first use by squaring and cached, 8 KB each. A block of n >= _LANE_MIN
+draws, the measured crossover below which the scalar loop is faster, is cut
+into lanes of L = 2^a steps, L about sqrt(n)/4; the lane start states come
+from log2(lanes) table products, the lanes run in lockstep, and the stream
+ends in the state, and at the position, the scalar loop would reach.
+
+Rejection sampling stays exact. ``permutation`` draws its n-1 raws as one
+block and checks every draw against its bound's rejection limit at once;
+if any falls at or above it, the stream rewinds and redraws one at a time.
+``lane_permutations`` redraws such a lane with ``RngStream.permutation``.
+Rejection is rarer than 2^-32 per draw below 2^32, so the fallback is there
+to keep the outputs bit-identical by construction, not for speed.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -37,10 +54,13 @@ def mix64(x: int) -> int:
 def derive_stream_id(*parts: int) -> int:
     """Fold integer parts into one stream id (order-sensitive).
 
-    A part may be a 1-D ``uint64`` array, giving one id per element.
+    A part may be a 1-D integer array, giving one id per element; signed
+    elements wrap mod 2^64, as Python ints do.
     """
     sid = 0
     for part in parts:
+        if isinstance(part, np.ndarray) and part.dtype.kind == "i":
+            part = part.astype(np.uint64)
         sid = mix64(((sid + _GOLDEN) & _MASK64) ^ (part & _MASK64))
     return sid
 
@@ -82,6 +102,16 @@ def _unit(raw: np.ndarray) -> np.ndarray:
     return (raw >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
 
+def _lane_raw(seed: int, stream_ids, n: int) -> np.ndarray:
+    """(n, len(stream_ids)) raw draws, column i the first n of stream (seed, stream_ids[i])."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
+    ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    raw = np.empty((n, ids.size), dtype=np.uint64)
+    _xoshiro_fill(_seed_state(operator.index(seed) & _MASK64, ids), raw)
+    return raw
+
+
 def lane_uniforms(seed: int, stream_ids, n: int) -> np.ndarray:
     """(len(stream_ids), n) uniforms, row i equal to RngStream(seed, stream_ids[i]).uniform(n).
 
@@ -89,12 +119,110 @@ def lane_uniforms(seed: int, stream_ids, n: int) -> np.ndarray:
     over the stream axis, so the cost per draw falls with the number of
     streams.
     """
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    return _unit(_lane_raw(seed, stream_ids, n).T)
+
+
+def _swap_targets(raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fisher-Yates targets from n-1 raw draws along axis 0, one column per lane.
+
+    Draw k picks j = x % (i + 1) for i = n-1-k, as ``randint_below(i + 1)``
+    does; ``accepted`` says, per lane, that every draw lies below that
+    bound's rejection limit, so the scalar loop would have taken it as is.
+    """
+    bound = np.arange(len(raw) + 1, 1, -1, dtype=np.uint64).reshape((-1,) + (1,) * (raw.ndim - 1))
+    excess = (np.uint64(_MASK64) - bound + np.uint64(1)) % bound  # 2^64 mod bound
+    accepted = (raw <= np.uint64(_MASK64) - excess).all(axis=0)
+    return (raw % bound).astype(np.intp), accepted
+
+
+def lane_permutations(seed: int, stream_ids, n: int) -> np.ndarray:
+    """(len(stream_ids), n) permutations, row i equal to RngStream(seed, stream_ids[i]).permutation(n).
+
+    The streams draw in lockstep and Fisher-Yates swaps one column of every
+    row per step. A lane with a draw at or above its rejection limit is
+    redrawn by ``RngStream.permutation``.
+    """
+    seed = operator.index(seed) & _MASK64
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
-    raw = np.empty((n, ids.size), dtype=np.uint64)
-    _xoshiro_fill(_seed_state(operator.index(seed) & _MASK64, ids), raw)
-    return _unit(raw.T)
+    j, accepted = _swap_targets(_lane_raw(seed, ids, max(n - 1, 0)))
+    # one row per position, one column per lane: each swap moves two rows' elements
+    perms = np.repeat(np.arange(n)[:, None], ids.size, axis=1)
+    lanes = np.arange(ids.size)
+    for i, ji in zip(range(n - 1, 0, -1), j):
+        held = perms[i].copy()
+        perms[i] = perms[ji, lanes]
+        perms[ji, lanes] = held
+    for lane in np.flatnonzero(~accepted):
+        perms[:, lane] = RngStream(seed, int(ids[lane])).permutation(n)
+    return perms.T
+
+
+# Jump-ahead. The state recurrence is a linear map T over GF(2)^256, so
+# T^(2^k) is a 256 x 256 bit matrix, kept as the images of the 256 unit
+# states: (256, 4) uint64, 8 KB. A block of 2^30 draws (8 GB) needs 26 of
+# them, 208 KB.
+_SHORTEST = 4  # log2 of the shortest lane
+_LANE_MIN = 768  # raw draws; below it the scalar loop is faster
+
+
+def _state_bits(states: np.ndarray) -> np.ndarray:
+    """(h, 4) uint64 states -> (h, 256) float32 0/1, bit b of word w in column 64*w + b."""
+    octets = np.ascontiguousarray(states, dtype="<u8").view(np.uint8)
+    return np.unpackbits(octets, axis=1, bitorder="little").astype(np.float32)
+
+
+def _jump_apply(table: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The linear map ``table`` applied to each row of (h, 4) states.
+
+    One float32 product counts, per output bit, the set input bits whose
+    image sets it (at most 256, so exact); its parity is the GF(2) sum.
+    """
+    count = (_state_bits(states) @ _state_bits(table)).astype(np.int32)
+    bits = (count & 1).astype(np.uint8)
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _jump_table(k: int) -> np.ndarray:
+    """T^(2^k), k >= _SHORTEST, as the images of the 256 unit states (read-only)."""
+    if k == _SHORTEST:
+        # the 256 unit states stepped 2^_SHORTEST times in lockstep
+        unit = np.zeros((4, 256), dtype=np.uint64)
+        b = np.arange(256)
+        unit[b // 64, b] = np.left_shift(np.uint64(1), (b % 64).astype(np.uint64))
+        table = np.stack(_xoshiro_fill(list(unit), np.empty((1 << k, 256), dtype=np.uint64)), axis=1)
+    else:
+        half = _jump_table(k - 1)
+        table = _jump_apply(half, half)
+    table.flags.writeable = False
+    return table
+
+
+def _lane_block(s: list, n: int) -> tuple[np.ndarray, list]:
+    """The next n outputs of state ``s`` and the state after them, by lanes.
+
+    Lane q covers steps q*L .. q*L + L-1 for L = 2^a about sqrt(n)/4. Its
+    start state is T^(q*L) s, from log2(lanes) doublings: the first 2^i
+    lanes, jumped by T^(L*2^i), give the next 2^i. The lanes then advance
+    in lockstep; the last one stops at step n, where the stream's state is.
+    """
+    a = max(_SHORTEST, (n.bit_length() - 4) // 2)
+    steps = 1 << a
+    lanes = -(-n // steps)
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    starts[0] = s
+    done, k = 1, a
+    while done < lanes:
+        c = min(done, lanes - done)
+        starts[done : done + c] = _jump_apply(_jump_table(k), starts[:c])
+        done += c
+        k += 1
+    raw = np.empty((steps, lanes), dtype=np.uint64)
+    last = n - (lanes - 1) * steps
+    state = _xoshiro_fill(list(starts.T.copy()), raw[:last])
+    end = [int(w[-1]) for w in state]
+    _xoshiro_fill([w[:-1] for w in state], raw[last:, :-1])
+    return raw.T.reshape(-1)[:n], end
 
 
 class RngStream:
@@ -120,9 +248,12 @@ class RngStream:
         return out[0]
 
     def _raw_block(self, n: int) -> np.ndarray:
-        """n raw 64-bit outputs as uint64 (tight loop for bulk draws)."""
-        out = np.empty(n, dtype=np.uint64)
-        self._s = _xoshiro_fill(self._s, out)
+        """n raw 64-bit outputs as uint64: the scalar loop, or jump-ahead lanes from _LANE_MIN on."""
+        if n < _LANE_MIN:
+            out = np.empty(n, dtype=np.uint64)
+            self._s = _xoshiro_fill(self._s, out)
+        else:
+            out, self._s = _lane_block(self._s, n)
         self.position += n
         return out
 
@@ -130,12 +261,16 @@ class RngStream:
         """Uniform doubles in [0, 1) using the top 53 bits per draw."""
         if n is None:
             return (self.next_u64() >> 11) * 2.0**-53
+        if n < 0:
+            raise DomainError("n must be non-negative")
         return _unit(self._raw_block(n))
 
     def randint_below(self, bound: int) -> int:
-        """Unbiased integer in [0, bound) via rejection sampling."""
+        """Unbiased integer in [0, bound), 0 < bound <= 2^64, via rejection sampling."""
         if bound <= 0:
             raise DomainError("bound must be positive")
+        if bound > 1 << 64:
+            raise DomainError("bound must be at most 2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             x = self.next_u64()
@@ -143,14 +278,24 @@ class RngStream:
                 return x % bound
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n): swap a[i], a[j<=i] for i = n-1..1."""
+        """Fisher-Yates shuffle of range(n): swap a[i], a[j<=i] for i = n-1..1, j = randint_below(i + 1).
+
+        The n-1 draws come as one block; if any falls at or above its
+        rejection limit, the stream rewinds and draws them one at a time.
+        """
         if n < 0:
             raise DomainError("n must be non-negative")
-        a = np.arange(n)
-        for i in range(n - 1, 0, -1):
-            j = self.randint_below(i + 1)
-            a[i], a[j] = a[j], a[i]
-        return a
+        s, position = self._s, self.position
+        j, accepted = _swap_targets(self._raw_block(max(n - 1, 0)))
+        if accepted:
+            j = j.tolist()
+        else:
+            self._s, self.position = s, position
+            j = [self.randint_below(i + 1) for i in range(n - 1, 0, -1)]
+        a = list(range(n))
+        for i, ji in zip(range(n - 1, 0, -1), j):
+            a[i], a[ji] = a[ji], a[i]
+        return np.array(a, dtype=np.int_)
 
     def state(self) -> tuple[int, int, int]:
         return (self.seed, self.stream_id, self.position)
@@ -174,18 +319,9 @@ class RngStream:
         return RngStream(self.seed, derive_stream_id(self.stream_id, *parts))
 
 
-def gaussian(rng: RngStream, n: int, std: float) -> np.ndarray:
-    """i.i.d. N(0, std^2) samples via Box-Muller on the deterministic stream.
-
-    Consumes exactly 2*ceil(n/2) raw draws so replay does not depend on n's
-    parity history.
-    """
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    if std < 0:
-        raise DomainError("std must be non-negative")
-    pairs = (n + 1) // 2
-    u = rng._raw_block(2 * pairs)
+def _box_muller(u: np.ndarray, n: int, std: float) -> np.ndarray:
+    """n N(0, std^2) samples from 2*ceil(n/2) raw draws: u1 from the first half, u2 the second."""
+    pairs = len(u) // 2
     # u1 in (0, 1] to keep log finite; u2 in [0, 1)
     u1 = ((u[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
     u2 = (u[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
@@ -197,16 +333,44 @@ def gaussian(rng: RngStream, n: int, std: float) -> np.ndarray:
     return std * z[:n]
 
 
+def gaussian_rows(rng: RngStream, rows: int, n: int, std: float) -> np.ndarray:
+    """(rows, n) samples, row k equal to the k-th of ``rows`` consecutive gaussian(rng, n, std) calls.
+
+    The draws come from one raw block, split into a block per row.
+    """
+    if rows < 0 or n < 0:
+        raise DomainError("rows and n must be non-negative")
+    if not math.isfinite(std) or std < 0:
+        raise DomainError("std must be finite and non-negative")
+    width = 2 * ((n + 1) // 2)
+    u = rng._raw_block(rows * width).reshape(rows, width)
+    out = np.empty((rows, n), dtype=np.float64)
+    for k in range(rows):
+        out[k] = _box_muller(u[k], n, std)
+    return out
+
+
+def gaussian(rng: RngStream, n: int, std: float) -> np.ndarray:
+    """i.i.d. N(0, std^2) samples via Box-Muller on the deterministic stream.
+
+    Consumes exactly 2*ceil(n/2) raw draws so replay does not depend on n's
+    parity history.
+    """
+    return gaussian_rows(rng, 1, n, std)[0]
+
+
 def uniform_in_ball(rng: RngStream, center: Sequence[float] | np.ndarray, radius: float) -> np.ndarray:
     """Uniform sample from the closed n-ball around ``center``.
 
     Gaussian direction normalized to the sphere, then scaled by
     radius * U^(1/n) so the radial CDF is r^n.
     """
-    if radius < 0:
-        raise DomainError("radius must be non-negative")
+    if not math.isfinite(radius) or radius < 0:
+        raise DomainError("radius must be finite and non-negative")
     center = np.asarray(center, dtype=np.float64)
     n = center.size
+    if n == 0:
+        raise DomainError("center must have at least one coordinate")
     if radius == 0:
         return center.copy()
     while True:

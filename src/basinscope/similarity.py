@@ -36,9 +36,10 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
     ||Y Y^T||_F, when n*(dx + dy) < dx^2 + dy^2 + dx*dy, and in feature
     space otherwise; the two forms differ by reassociation only. Each
     centered input is first divided by its largest magnitude, so inputs far
-    from unit scale neither overflow nor underflow. A centered all-zero
-    input makes it 0/0, reported as (0.0, True); a non-finite activation
-    raises DomainError.
+    from unit scale neither overflow nor underflow. Columns whose values are
+    all equal center to exact zeros. An input with no varying column makes
+    it 0/0, reported as (0.0, True); a non-finite activation raises
+    DomainError.
     """
     # private float64 copies, centered in place below
     xc = np.array(x, dtype=np.float64)
@@ -52,7 +53,10 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
     if not (np.isfinite(xc).all() and np.isfinite(yc).all()):
         raise DomainError("activations must be finite")
     for c in (xc, yc):
+        constant = c.max(axis=0) == c.min(axis=0)
         c -= c.mean(axis=0)
+        # an inexact mean leaves a residue in a constant column; it carries no signal
+        c[:, constant] = 0.0
         # CKA is scale-invariant; unit scale keeps the products finite and normal
         peak = max(c.max(), -c.min())
         if peak > 0:

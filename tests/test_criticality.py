@@ -16,7 +16,7 @@ from basinscope.criticality import (
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError
 from basinscope.model import TINY4, ArchDescriptor, init_random
-from basinscope.rng import RngStream, gaussian
+from basinscope.rng import RngStream, gaussian, gaussian_rows
 from basinscope.trainer import Checkpoint, evaluate
 
 
@@ -131,8 +131,8 @@ class TestSyntheticClosedForm:
         bias is not caught at this seed (pooled lower p = 0.066).
         """
         monkeypatch.setattr(
-            "basinscope.criticality.gaussian",
-            lambda rng, n, std: gaussian(rng, n, std * math.sqrt(1.1)),
+            "basinscope.criticality.gaussian_rows",
+            lambda rng, rows, n, std: gaussian_rows(rng, rows, n, std * math.sqrt(1.1)),
         )
         cfg = synthetic_cfg(mode=mode)
         cmap = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, cfg, RngStream(5))

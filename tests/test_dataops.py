@@ -333,6 +333,45 @@ class TestBlockShuffle:
         assert np.array_equal(a.images, b.images)
         assert a.provenance["shuffle"]["block_size"] == 2
 
+    @staticmethod
+    def _per_image(img, spec, index):
+        """One image shuffled with its own stream's permutation, block by block."""
+        rng = RngStream(spec.seed, derive_stream_id(0x53484646, 0 if spec.shared_permutation else index))
+        if spec.block_size == STAR:
+            return img.reshape(-1)[rng.permutation(img.size)].reshape(img.shape)
+        b = spec.block_size
+        nb = IMAGE_SIZE // b
+        perm = rng.permutation(nb * nb)
+        out = np.empty_like(img)
+        for dst, src in enumerate(perm):
+            (dr, dc), (sr, sc) = divmod(dst, nb), divmod(int(src), nb)
+            out[dr * b : (dr + 1) * b, dc * b : (dc + 1) * b] = img[sr * b : (sr + 1) * b, sc * b : (sc + 1) * b]
+        return out
+
+    @pytest.mark.parametrize("block", [1, 2, 4, 8, 16, STAR])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_apply_shuffle_equals_per_image_shuffles(self, block, shared):
+        ds = generate(domain_spec("real_like"), "train", 23, 5)
+        spec = ShuffleSpec(block, 2**64 - 9, shared_permutation=shared)
+        out = apply_shuffle(ds, spec)
+        assert out.images.dtype == ds.images.dtype
+        for i, img in enumerate(ds.images):
+            want = self._per_image(img, spec, i)
+            assert np.array_equal(out.images[i], want), i
+            assert np.array_equal(block_shuffle(img, spec, i), want), i
+
+    @pytest.mark.parametrize("block", [4, STAR])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_apply_shuffle_empty_dataset_any_block(self, block, shared):
+        empty = Dataset(np.zeros((0, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.float32), np.zeros(0, dtype=np.int64), "train", {})
+        out = apply_shuffle(empty, ShuffleSpec(block, 31, shared_permutation=shared))
+        assert out.images.shape == (0, IMAGE_SIZE, IMAGE_SIZE, 3) and out.images.dtype == np.float32
+
+    def test_apply_shuffle_rejects_wrong_image_shape(self):
+        bad = Dataset(np.zeros((2, 8, 8, 3), dtype=np.float32), np.zeros(2, dtype=np.int64), "train", {})
+        with pytest.raises(DomainError):
+            apply_shuffle(bad, ShuffleSpec(4, 1))
+
     def test_apply_shuffle_empty_dataset(self):
         ds = generate(domain_spec("source"), "train", 10, 30)
         empty = Dataset(ds.images[:0], ds.labels[:0], "train", dict(ds.provenance))

@@ -2,7 +2,23 @@ import numpy as np
 import pytest
 
 from basinscope.errors import DomainError
-from basinscope.rng import RngStream, derive_stream_id, gaussian, lane_uniforms, mix64, uniform_in_ball
+from basinscope import rng as rng_module
+from basinscope.rng import (
+    _LANE_MIN,
+    _MASK64,
+    RngStream,
+    _jump_apply,
+    _jump_table,
+    _swap_targets,
+    _xoshiro_fill,
+    derive_stream_id,
+    gaussian,
+    gaussian_rows,
+    lane_permutations,
+    lane_uniforms,
+    mix64,
+    uniform_in_ball,
+)
 
 
 def test_same_seed_same_sequence():
@@ -195,3 +211,175 @@ def test_permutation_negative_length_rejected():
     with pytest.raises(DomainError):
         rng.permutation(-1)
     assert rng.position == 0
+
+
+# ---- jump-ahead blocks, checked against the Python-int recurrence
+
+
+def _oracle(seed, sid, skip, n):
+    """Draws skip .. skip+n-1 of a stream and the state after them, on Python ints."""
+    out = [0] * (skip + n)
+    state = _xoshiro_fill(RngStream(seed, sid)._s, out)
+    return np.array(out[skip:], dtype=np.uint64), state
+
+
+# around the crossover, and 2^k +- 1: a multiple of every lane length +- 1
+BLOCK_LENGTHS = [_LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1, 1023, 1024, 1025, 4095, 4097, 12266, 16383, 16384, 16385]
+
+
+@pytest.mark.parametrize("n", BLOCK_LENGTHS)
+@pytest.mark.parametrize("skip", [0, 1, 77])
+def test_raw_block_equals_python_int_recurrence(n, skip):
+    rng = RngStream(2**64 - 3, 41)
+    for _ in range(skip):
+        rng.next_u64()
+    got = rng._raw_block(n)
+    want, state = _oracle(2**64 - 3, 41, skip, n)
+    assert got.dtype == np.uint64 and np.array_equal(got, want)
+    assert rng._s == state and rng.position == skip + n
+
+
+def test_consecutive_lane_blocks_continue_the_stream():
+    rng = RngStream(6, 6)
+    got = np.concatenate([rng._raw_block(3000), rng._raw_block(5), rng._raw_block(2 * _LANE_MIN)])
+    want, state = _oracle(6, 6, 0, len(got))
+    assert np.array_equal(got, want) and rng._s == state
+
+
+@pytest.mark.parametrize("k", [4, 5, 9])
+def test_jump_table_equals_stepping(k):
+    start = RngStream(12, 34)._s
+    jumped = _jump_apply(_jump_table(k), np.array([start], dtype=np.uint64))
+    assert jumped[0].tolist() == _xoshiro_fill(start, [0] * (1 << k))
+
+
+def test_jump_tables_stay_small():
+    RngStream(1, 1)._raw_block(1 << 20)
+    assert _jump_table.cache_info().currsize * _jump_table(4).nbytes < 1 << 20
+
+
+# ---- permutations
+
+
+def _replayed_permutation(rng, n):
+    a = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint_below(i + 1)
+        a[i], a[j] = a[j], a[i]
+    return a
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 768, _LANE_MIN + 2, 3000])
+def test_permutation_equals_randint_below_loop(n):
+    rng, twin = RngStream(31, n), RngStream(31, n)
+    p = rng.permutation(n)
+    assert p.dtype == np.arange(1).dtype
+    assert p.tolist() == _replayed_permutation(twin, n)
+    assert rng._s == twin._s and rng.position == twin.position
+
+
+def test_swap_targets_reject_at_the_limit():
+    # n = 6 draws bounds 6, 5, 4, 3, 2; 2^64 mod 6 = 4, so the limit is 2^64 - 4
+    raw = np.zeros(5, dtype=np.uint64)
+    raw[0] = 2**64 - 5
+    assert _swap_targets(raw)[1]
+    raw[0] = 2**64 - 4
+    assert not _swap_targets(raw)[1]
+    raw[:] = [0, 0, 2**64 - 1, 0, 2**64 - 1]  # bounds 4 and 2 never reject
+    j, accepted = _swap_targets(raw)
+    assert accepted and j.tolist() == [0, 0, 3, 0, 1]
+
+
+def _injected():
+    """A stream whose next output is 2^64 - 1, at or above every non-power-of-two limit."""
+    rng = RngStream(0)
+    rng._s = [0, 0x123456789, 0xABCDEF, _MASK64]
+    return rng
+
+
+def test_permutation_rejection_falls_back_to_scalar_draws():
+    rng, twin = _injected(), _injected()
+    assert twin.next_u64() == _MASK64
+    twin = _injected()
+    p = rng.permutation(6)
+    assert p.tolist() == _replayed_permutation(twin, 6)
+    assert rng._s == twin._s and rng.position == twin.position == 6
+
+
+LANE_PERM_IDS = np.array([derive_stream_id(5, k) for k in range(40)], dtype=np.uint64)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 16, 64, 256, 768])
+def test_lane_permutations_equal_stream_permutations(n):
+    perms = lane_permutations(17, LANE_PERM_IDS, n)
+    assert perms.shape == (len(LANE_PERM_IDS), n)
+    for row, sid in zip(perms, LANE_PERM_IDS):
+        assert np.array_equal(row, RngStream(17, int(sid)).permutation(n))
+    assert lane_permutations(17, [], n).shape == (0, n)
+
+
+def test_lane_permutations_rejected_lane_is_redrawn(monkeypatch):
+    lane_raw = rng_module._lane_raw
+
+    def injected(seed, ids, n):
+        raw = lane_raw(seed, ids, n)
+        raw[0, 1] = _MASK64  # lane 1's first draw (bound 15) lies at its limit, 2^64 - 1
+        return raw
+
+    monkeypatch.setattr(rng_module, "_lane_raw", injected)
+    perms = lane_permutations(17, LANE_PERM_IDS[:3], 15)
+    for row, sid in zip(perms, LANE_PERM_IDS[:3]):
+        assert np.array_equal(row, RngStream(17, int(sid)).permutation(15))
+
+
+# ---- bounds and domains
+
+
+def test_randint_below_full_range_and_beyond():
+    rng, twin = RngStream(4, 4), RngStream(4, 4)
+    assert rng.randint_below(2**64) == twin.next_u64()
+    with pytest.raises(DomainError):
+        rng.randint_below(2**64 + 1)
+    assert rng.position == 1
+
+
+@pytest.mark.parametrize("std", [float("nan"), float("inf"), -float("inf")])
+def test_gaussian_non_finite_std_rejected(std):
+    rng = RngStream(1)
+    with pytest.raises(DomainError):
+        gaussian(rng, 4, std)
+    assert rng.position == 0
+
+
+def test_uniform_negative_count_rejected():
+    rng = RngStream(1)
+    with pytest.raises(DomainError):
+        rng.uniform(-1)
+    assert rng.position == 0
+
+
+@pytest.mark.parametrize("center, radius", [([], 1.0), ([], 0.0), ([0.0, 1.0], float("nan")), ([0.0], float("inf"))])
+def test_uniform_in_ball_degenerate_inputs_rejected(center, radius):
+    rng = RngStream(3)
+    with pytest.raises(DomainError):
+        uniform_in_ball(rng, center, radius)
+    assert rng.position == 0
+
+
+def test_derive_stream_id_on_signed_arrays_wraps_like_ints():
+    values = [-(2**63), -5, -1, 0, 1, 2**31, 2**63 - 1]
+    for dtype in (np.int64, np.int32):
+        arr = np.array([v for v in values if np.iinfo(dtype).min <= v <= np.iinfo(dtype).max], dtype=dtype)
+        got = derive_stream_id(0x53484646, arr)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [derive_stream_id(0x53484646, int(v)) for v in arr]
+
+
+@pytest.mark.parametrize("rows, n", [(0, 5), (1, 0), (3, 7), (4, 400)])
+def test_gaussian_rows_equal_consecutive_gaussians(rows, n):
+    rng, twin = RngStream(8, 8), RngStream(8, 8)
+    got = gaussian_rows(rng, rows, n, 0.3)
+    assert got.shape == (rows, n)
+    for row in got:
+        assert np.array_equal(row, gaussian(twin, n, 0.3))
+    assert rng._s == twin._s and rng.position == twin.position

@@ -133,6 +133,22 @@ class TestLinearCKA:
         assert linear_cka_flagged(constant, y) == (0.0, True)
         assert linear_cka_flagged(y, constant) == (0.0, True)
 
+    @pytest.mark.parametrize("shape", CKA_SHAPES.values(), ids=CKA_SHAPES.keys())
+    def test_constant_columns_with_inexact_mean_flagged(self, shape):
+        """Ten rows of (0.1, 0.3, 0.1) centered to a ~1e-17 residue and scored (1.6e-33, False)."""
+        n, dx, dy = shape
+        constant = np.tile([0.1, 0.3, 0.1], (n, dx // 3 + 1))[:, :dx]
+        assert (constant - constant.mean(axis=0)).any()
+        y = rand_acts(n, dy, 62)
+        assert linear_cka_flagged(constant, y) == (0.0, True)
+        assert linear_cka_flagged(y, constant) == (0.0, True)
+
+    def test_constant_column_counts_as_absent(self):
+        x = rand_acts(12, 4, 67)
+        y = np.tanh(x + rand_acts(12, 4, 68))
+        padded = np.column_stack([x, np.full(12, 0.1)])
+        assert linear_cka(padded, y) == pytest.approx(linear_cka(x, y), rel=1e-12)
+
     @pytest.mark.parametrize("shape", [CKA_SHAPES["example-n<d"], CKA_SHAPES["feature-n>d"]], ids=["example", "feature"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_activation_rejected(self, shape, bad):
