@@ -142,6 +142,8 @@ def lane_permutations(seed: int, stream_ids, n: int) -> np.ndarray:
     row per step. A lane with a draw at or above its rejection limit is
     redrawn by ``RngStream.permutation``.
     """
+    if n < 0:
+        raise DomainError("n must be non-negative")
     seed = operator.index(seed) & _MASK64
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
     j, accepted = _swap_targets(_lane_raw(seed, ids, max(n - 1, 0)))

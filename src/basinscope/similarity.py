@@ -53,12 +53,19 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
     if not (np.isfinite(xc).all() and np.isfinite(yc).all()):
         raise DomainError("activations must be finite")
     for c in (xc, yc):
-        constant = c.max(axis=0) == c.min(axis=0)
-        c -= c.mean(axis=0)
+        mean = c.mean(axis=0)
+        hi, lo = c.max(axis=0), c.min(axis=0)
+        constant = hi == lo
+        c -= mean
         # an inexact mean leaves a residue in a constant column; it carries no signal
-        c[:, constant] = 0.0
+        c[:, constant & (hi != mean)] = 0.0
+        # centering is monotone per column, so the centered extremes are these
+        hi -= mean
+        lo -= mean
+        hi[constant] = 0.0
+        lo[constant] = 0.0
         # CKA is scale-invariant; unit scale keeps the products finite and normal
-        peak = max(c.max(), -c.min())
+        peak = max(hi.max(), -lo.min())
         if peak > 0:
             c /= peak
     n, dx = xc.shape

@@ -88,9 +88,10 @@ def test_consecutive_scalar_draws_equal_one_lane_draw():
         assert np.array_equal(lanes[i], np.concatenate([head, tail]))
 
 
-def test_lane_uniforms_negative_length_rejected():
+@pytest.mark.parametrize("lanes", [lane_uniforms, lane_permutations])
+def test_lane_draws_negative_length_rejected(lanes):
     with pytest.raises(DomainError):
-        lane_uniforms(1, [1, 2], -1)
+        lanes(1, [1, 2], -1)
 
 
 def test_derive_stream_id_on_arrays_matches_ints():
