@@ -208,7 +208,7 @@ def _lane_block(s: list, n: int) -> tuple[np.ndarray, list]:
     lanes, jumped by T^(L*2^i), give the next 2^i. The lanes then advance
     in lockstep; the last one stops at step n, where the stream's state is.
     """
-    a = max(_SHORTEST, (n.bit_length() - 4) // 2)
+    a = max(_SHORTEST, (operator.index(n).bit_length() - 4) // 2)
     steps = 1 << a
     lanes = -(-n // steps)
     starts = np.empty((lanes, 4), dtype=np.uint64)
@@ -335,21 +335,13 @@ def _box_muller(u: np.ndarray, n: int, std: float) -> np.ndarray:
     return std * z[:n]
 
 
-def gaussian_rows(rng: RngStream, rows: int, n: int, std: float) -> np.ndarray:
-    """(rows, n) samples, row k equal to the k-th of ``rows`` consecutive gaussian(rng, n, std) calls.
-
-    The draws come from one raw block, split into a block per row.
-    """
-    if rows < 0 or n < 0:
-        raise DomainError("rows and n must be non-negative")
+def _gaussian_width(n: int, std: float) -> int:
+    """Raw draws per n samples, 2*ceil(n/2), after checking the arguments."""
+    if n < 0:
+        raise DomainError("n must be non-negative")
     if not math.isfinite(std) or std < 0:
         raise DomainError("std must be finite and non-negative")
-    width = 2 * ((n + 1) // 2)
-    u = rng._raw_block(rows * width).reshape(rows, width)
-    out = np.empty((rows, n), dtype=np.float64)
-    for k in range(rows):
-        out[k] = _box_muller(u[k], n, std)
-    return out
+    return 2 * ((n + 1) // 2)
 
 
 def gaussian(rng: RngStream, n: int, std: float) -> np.ndarray:
@@ -358,7 +350,22 @@ def gaussian(rng: RngStream, n: int, std: float) -> np.ndarray:
     Consumes exactly 2*ceil(n/2) raw draws so replay does not depend on n's
     parity history.
     """
-    return gaussian_rows(rng, 1, n, std)[0]
+    return _box_muller(rng._raw_block(_gaussian_width(n, std)), n, std)
+
+
+def gaussian_rows(rng: RngStream, rows: int, n: int, std: float) -> np.ndarray:
+    """(rows, n) samples, row k equal to the k-th of ``rows`` consecutive gaussian(rng, n, std) calls.
+
+    The draws come from one raw block, split into a block per row.
+    """
+    if rows < 0:
+        raise DomainError("rows must be non-negative")
+    width = _gaussian_width(n, std)
+    u = rng._raw_block(rows * width).reshape(rows, width)
+    out = np.empty((rows, n), dtype=np.float64)
+    for k in range(rows):
+        out[k] = _box_muller(u[k], n, std)
+    return out
 
 
 def uniform_in_ball(rng: RngStream, center: Sequence[float] | np.ndarray, radius: float) -> np.ndarray:

@@ -240,6 +240,10 @@ def test_raw_block_equals_python_int_recurrence(n, skip):
     assert rng._s == state and rng.position == skip + n
 
 
+def test_numpy_integer_block_length():
+    assert np.array_equal(RngStream(2, 2).uniform(np.int64(_LANE_MIN + 5)), RngStream(2, 2).uniform(_LANE_MIN + 5))
+
+
 def test_consecutive_lane_blocks_continue_the_stream():
     rng = RngStream(6, 6)
     got = np.concatenate([rng._raw_block(3000), rng._raw_block(5), rng._raw_block(2 * _LANE_MIN)])
