@@ -6,18 +6,32 @@ domain's style. Five styles stand in for progressively less photo-like
 domains, from textured color fills down to blurred low-contrast grayscale.
 
 Rendering works on whole batches. Each image's own (seed, stream-id) stream
-is drawn with ``lane_uniforms``, all streams in lockstep. The images of one
-label share a vertex count, so each label group is rasterised together with
-array ops over a leading batch axis, one polygon edge at a time. Only the
-rotation (``math.cos``/``math.sin`` and a 2x2 product) stays per image.
-Every array op repeats the per-image arithmetic element for element, so a
-batch renders bit-identically to one image at a time: ``render_image`` is a
-batch of one.
+is drawn with ``lane_uniforms``, all streams in lockstep. Labels cycle with
+the index and the images of one label share a vertex count, so each label
+group is rasterised together on the 32 x 32 grid of 2x2 sub-samples:
+
+- Fill (scan-line even-odd rule). An edge's crossing of a sample row
+  depends only on the row, so the crossings are computed once per image,
+  edge and row. Each becomes the count of samples left of it, and every
+  sample's parity follows from suffix sums of one histogram of the counts.
+- Outline. Each edge is tested only in its window, its bounding box grown
+  by ``_EDGE_MARGIN``, and the samples closer than ``_OUTLINE_RADIUS`` are
+  ORed into the mask. That equals thresholding the distance to the nearest
+  edge: sqrt is monotone, and a sample outside the window lies farther than
+  the radius. It needs every edge to have non-zero length, which the class
+  polygons (distinct vertices, positive scale) meet.
+
+The rotations run as one stacked 2x2 product; only ``math.cos``/``math.sin``
+stay per image. The image is then composed channels first. Every array op
+repeats the per-image arithmetic element for element, and every reduction
+runs in the per-image order, so a batch renders bit-identically to one image
+at a time: ``render_image`` is a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -36,6 +50,10 @@ _STREAM_SHUFFLE = 0x53484646  # "SHFF"
 _TEST_INDEX_BASE = 1 << 32
 _SPLIT_BASE = {"train": 0, "test": _TEST_INDEX_BASE}
 _RENDER_CHUNK = 1024  # images per lane draw; bounds the temporaries for any n
+# 2x2 supersampling: sample coordinates along either image axis
+_SAMPLES = (np.arange(IMAGE_SIZE)[:, None] + np.array([0.25, 0.75])).reshape(-1)
+_OUTLINE_RADIUS = 0.55  # samples closer than this to an edge are outline
+_EDGE_MARGIN = 0.6  # an edge's window is its bounding box grown by this; above the radius
 
 # Ten visually distinct fill colors (RGB in [0,1]).
 _PALETTE = np.array(
@@ -63,6 +81,16 @@ _STYLES = {
 }
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int; numpy integers are accepted, bools and non-integers are not."""
+    if isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DomainSpec:
     domain_id: str
@@ -86,11 +114,14 @@ class ShuffleSpec:
     shared_permutation: bool = False
 
     def __post_init__(self):
-        if self.block_size != STAR:
-            if isinstance(self.block_size, bool) or not isinstance(self.block_size, int) or self.block_size < 1:
-                raise DomainError(f"bad block size {self.block_size!r}")
-            if IMAGE_SIZE % self.block_size:
-                raise DomainError(f"block size {self.block_size} must divide {IMAGE_SIZE}")
+        if not (isinstance(self.block_size, str) and self.block_size == STAR):
+            block = _as_int(self.block_size, "block size")
+            if block < 1:
+                raise DomainError(f"bad block size {block!r}")
+            if IMAGE_SIZE % block:
+                raise DomainError(f"block size {block} must divide {IMAGE_SIZE}")
+            object.__setattr__(self, "block_size", block)
+        object.__setattr__(self, "seed", _as_int(self.seed, "shuffle seed"))
 
 
 @dataclass
@@ -114,57 +145,87 @@ def _class_polygon(label: int) -> np.ndarray:
 
 
 def _inside_polygons(px: np.ndarray, py: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """Even-odd ray casting of a (1, 1, W) x (1, H, 1) grid against G polygons.
+    """Even-odd scan-line fill of G polygons over the grid of sorted 1-D ``px`` x ``py``.
 
-    ``vx``, ``vy`` are (G, m) vertex coordinates; returns (G, H, W) bools.
-    Crossings depend only on the row, so they are found per row.
+    ``vx``, ``vy`` are (G, m) vertex coordinates; returns (G, len(py), len(px))
+    bools. Edge k crosses row y when exactly one of its ends lies above y,
+    at the x of the ray-casting formula. A sample is inside when an odd
+    number of its row's crossings lie right of it; ``searchsorted`` turns
+    each crossing into the count of samples with px < xcross, and suffix
+    sums of one histogram of those counts give every sample's parity.
     """
-    inside = np.zeros((len(vx), py.size, px.size), dtype=bool)
-    x1, y1 = vx[:, :, None, None], vy[:, :, None, None]
+    g, h, w = len(vx), py.size, px.size
+    x1, y1 = vx[:, :, None], vy[:, :, None]
     x2, y2 = np.roll(x1, -1, axis=1), np.roll(y1, -1, axis=1)
-    for k in range(vx.shape[1]):
-        crosses = (y1[:, k] > py) != (y2[:, k] > py)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xcross = (x2[:, k] - x1[:, k]) * (py - y1[:, k]) / (y2[:, k] - y1[:, k]) + x1[:, k]
-        inside ^= crosses & (px < xcross)
-    return inside
+    crosses = (y1 > py) != (y2 > py)  # (G, m, H)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # only crossings are kept
+        xcross = (x2 - x1) * (py - y1) / (y2 - y1) + x1
+    row = np.broadcast_to(np.arange(g * h).reshape(g, 1, h), crosses.shape)[crosses]
+    left = np.searchsorted(px, xcross[crosses], "left")
+    # hist[c, r]: crossings of row r with c samples left of them; the
+    # crossings right of sample j are those with c > j
+    hist = np.bincount(left * (g * h) + row, minlength=(w + 1) * g * h).reshape(w + 1, g * h)
+    right = np.cumsum(hist[:0:-1], axis=0, dtype=np.uint8)[::-1]  # mod 256 keeps the parity
+    return (right & 1).view(bool).T.reshape(g, h, w)
 
 
-def _dist_to_edges(px: np.ndarray, py: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
-    """(G, H, W) distance from each grid point to the nearest polygon edge.
+def _outline_mask(px: np.ndarray, py: np.ndarray, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """(G, len(py), len(px)) bools: samples of the sorted 1-D grid within
+    _OUTLINE_RADIUS of some edge of their polygon.
 
-    The min is taken over squared distances before one sqrt, which is exact
-    because sqrt is correctly rounded and monotone. Temporaries are reused
-    in place; each op is the same IEEE operation as in the textbook form.
+    Each edge is tested only in its window, the samples inside its bounding
+    box grown by _EDGE_MARGIN; a sample outside it lies at least that far
+    from the edge. The hits sqrt(d_k) < radius are ORed together, which
+    equals thresholding the distance to the nearest edge because sqrt is
+    monotone. d_k is the same IEEE arithmetic as the textbook projection
+    (t clipped to [0, 1], then |p - (a + t ab)|^2).
+
+    Precondition: no edge has zero length (its squared length must not be
+    0). Such an edge's 0/0 gives NaN distances in its window only, where a
+    minimum over all edges would spread NaN to every sample.
     """
+    g, h, w = len(vx), py.size, px.size
+    bx, by = np.roll(vx, -1, axis=1), np.roll(vy, -1, axis=1)
+
+    def window(p, lo, hi):
+        """(G, m, k) sample indices covering [lo - margin, hi + margin], k the widest edge's count."""
+        first = np.searchsorted(p, lo - _EDGE_MARGIN, "left")
+        width = int((np.searchsorted(p, hi + _EDGE_MARGIN, "right") - first).max())
+        first = np.minimum(first, p.size - width)  # a window clipped by the border slides inward
+        return first[:, :, None] + np.arange(width)
+
+    jx = window(px, np.minimum(vx, bx), np.maximum(vx, bx))[:, :, None, :]
+    jy = window(py, np.minimum(vy, by), np.maximum(vy, by))[:, :, :, None]
+    qx, qy = px[jx], py[jy]
     ax, ay = vx[:, :, None, None], vy[:, :, None, None]
-    abx, aby = np.roll(ax, -1, axis=1) - ax, np.roll(ay, -1, axis=1) - ay
-    best = None
-    for k in range(vx.shape[1]):
-        # t = clip(((p - a) . ab) / (ab . ab), 0, 1)
-        t = (px - ax[:, k]) * abx[:, k] + (py - ay[:, k]) * aby[:, k]
-        t /= abx[:, k] * abx[:, k] + aby[:, k] * aby[:, k]
-        np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
-        # |p - (a + t ab)|^2, x part in ex, y part in t
-        ex = t * abx[:, k]
-        ex += ax[:, k]
-        np.subtract(px, ex, out=ex)
-        ex *= ex
-        t *= aby[:, k]
-        t += ay[:, k]
-        np.subtract(py, t, out=t)
-        t *= t
-        ex += t
-        best = ex if best is None else np.minimum(best, ex, out=best)
-    return np.sqrt(best)
+    abx, aby = bx[:, :, None, None] - ax, by[:, :, None, None] - ay
+    # t = clip(((p - a) . ab) / (ab . ab), 0, 1)
+    t = (qx - ax) * abx + (qy - ay) * aby
+    t /= abx * abx + aby * aby
+    np.minimum(np.maximum(t, 0.0, out=t), 1.0, out=t)
+    # |p - (a + t ab)|^2, x part in ex, y part in t
+    ex = t * abx
+    ex += ax
+    np.subtract(qx, ex, out=ex)
+    ex *= ex
+    t *= aby
+    t += ay
+    np.subtract(qy, t, out=t)
+    t *= t
+    ex += t
+    hit = np.sqrt(ex, out=ex) < _OUTLINE_RADIUS
+    flat = (np.arange(g)[:, None, None, None] * h + jy) * w + jx
+    mask = np.zeros(g * h * w, dtype=bool)
+    mask[flat[hit]] = True
+    return mask.reshape(g, h, w)
 
 
 def _blur_wrap(img: np.ndarray, passes: int) -> np.ndarray:
-    """Separable binomial [1,4,6,4,1]/16 blur with circular wrap over axes 1, 2."""
+    """Separable binomial [1,4,6,4,1]/16 blur with circular wrap over the last two axes."""
     out = img.astype(np.float64)
     taps = np.array([1, 4, 6, 4, 1], dtype=np.float64) / 16.0
     for _ in range(passes):
-        for axis in (1, 2):
+        for axis in (-2, -1):
             acc = np.zeros_like(out)
             for shift, w in zip(range(-2, 3), taps):
                 acc += w * np.roll(out, shift, axis=axis)
@@ -173,9 +234,10 @@ def _blur_wrap(img: np.ndarray, passes: int) -> np.ndarray:
 
 
 def _pixel_means(sub: np.ndarray) -> np.ndarray:
-    """(G, 2H, 2W) supersampled bools -> (G, H, W) coverage fractions."""
-    g, h, w = sub.shape
-    return sub.reshape(g, h // 2, 2, w // 2, 2).mean(axis=(2, 4))
+    """(G, 2H, 2W) supersampled bools -> (G, H, W) coverage fractions k/4, exact."""
+    n = sub.view(np.uint8)
+    n = n[:, 0::2] + n[:, 1::2]
+    return (n[:, :, 0::2] + n[:, :, 1::2]) * 0.25
 
 
 def _render_group(domain_id: str, label: int, u: np.ndarray) -> np.ndarray:
@@ -189,52 +251,57 @@ def _render_group(domain_id: str, label: int, u: np.ndarray) -> np.ndarray:
     cx = size / 2 + 1.5 * (2 * u[:, 2] - 1)
     cy = size / 2 + 1.5 * (2 * u[:, 3] - 1)
     polygon = _class_polygon(label)
-    verts = np.empty((g, len(polygon), 2))
-    for i in range(g):
-        c, s = math.cos(rot[i]), math.sin(rot[i])
-        verts[i] = (polygon * scale[i]) @ np.array([[c, s], [-s, c]]) + np.array([cx[i], cy[i]])
+    c, s = np.array([[math.cos(r), math.sin(r)] for r in rot]).T
+    turn = np.stack([np.stack([c, s], axis=1), np.stack([-s, c], axis=1)], axis=1)  # rows (c, s), (-s, c)
+    verts = np.matmul(polygon * scale[:, None, None], turn) + np.stack([cx, cy], axis=1)[:, None, :]
     vx, vy = verts[:, :, 0], verts[:, :, 1]
 
-    # 2x2 supersampled coverage and edge distance
-    sub = np.array([0.25, 0.75])
-    coords = (np.arange(size)[:, None] + sub[None, :]).reshape(-1)
-    px, py = coords[None, None, :], coords[None, :, None]
-    coverage = _pixel_means(_inside_polygons(px, py, vx, vy))[..., None]
+    # 2x2 supersampled coverage and outline, (G, 16, 16) each
+    coverage = _pixel_means(_inside_polygons(_SAMPLES, _SAMPLES, vx, vy))
 
-    fill_rgb = _PALETTE[label]
+    # The image is composed channels first, (C, G, 16, 16), so that every op
+    # runs over whole images; C is 1 until a colored fill broadcasts it to 3.
+    fill = _PALETTE[label][:, None, None, None]
     if style["gray"]:
-        fill_rgb = np.full(3, float(fill_rgb.mean()) * 0.4)
-
-    img = np.full((g, size, size, 3), style["bg"], dtype=np.float64)
+        fill = float(_PALETTE[label].mean()) * 0.4
+    img = np.full((1, g, size, size), style["bg"], dtype=np.float64)
     if style["noise"] > 0:
         noise = u[:, 4:].reshape(g, size, size)
-        img += style["noise"] * (2 * noise[..., None] - 1)
+        img += style["noise"] * (2 * noise - 1)
 
     if style["outline"]:
-        edge = _pixel_means(_dist_to_edges(px, py, vx, vy) < 0.55)[..., None]
+        edge = _pixel_means(_outline_mask(_SAMPLES, _SAMPLES, vx, vy))
         if domain_id == "clipart_like":
-            img = img * (1 - coverage) + fill_rgb * coverage
+            img = img * (1 - coverage) + fill * coverage
         img = img * (1 - edge) + 0.05 * edge
     else:
-        img = img * (1 - coverage) + fill_rgb * coverage
+        img = img * (1 - coverage) + fill * coverage
 
     if style["blur"]:
         img = _blur_wrap(img, style["blur"])
-        # compress contrast toward mid-gray
-        img = 0.42 + 0.55 * (img - img.reshape(g, -1).mean(axis=1)[:, None, None, None])
+        # compress contrast toward mid-gray; the sum's order fixes its bits, so
+        # each image is summed in (16, 16, 3) order
+        mean = _channels_last(img).reshape(g, -1).mean(axis=1)
+        img = 0.42 + 0.55 * (img - mean[:, None, None])
 
     if style["gray"]:
-        img = np.repeat(img.mean(axis=3, keepdims=True), 3, axis=3)
+        # gray images keep one channel; the mean of three equal values is
+        # (x + x + x) / 3 in any summation order, and need not equal x
+        img = np.broadcast_to(img, (3,) + img.shape[1:]).mean(axis=0, keepdims=True)
 
-    return np.clip(img, 0.0, 1.0).astype(np.float32)
+    return _channels_last(np.clip(img, 0.0, 1.0).astype(np.float32))
+
+
+def _channels_last(img: np.ndarray) -> np.ndarray:
+    """(C, G, 16, 16) with C = 1 or 3 -> a (G, 16, 16, 3) view."""
+    return np.moveaxis(np.broadcast_to(img, (3,) + img.shape[1:]), 0, -1)
 
 
 def _render(domain: DomainSpec, split: str, first: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Images ``first`` .. ``first + n - 1`` of a split with their labels."""
     if split not in _SPLIT_BASE:
         raise DomainError(f"split must be train or test, got {split!r}")
-    if isinstance(first, bool) or not isinstance(first, (int, np.integer)):
-        raise DomainError(f"index must be an integer, got {first!r}")
+    first = _as_int(first, "index")
     if first < 0 or first + n > _TEST_INDEX_BASE:
         raise DomainError(f"indices {first}..{first + n - 1} outside [0, 2**32)")
     global_index = _SPLIT_BASE[split] + np.arange(first, first + n, dtype=np.uint64)
@@ -244,12 +311,12 @@ def _render(domain: DomainSpec, split: str, first: int, n: int, seed: int) -> tu
 
     images = np.empty((n, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.float32)
     for lo in range(0, n, _RENDER_CHUNK):
-        chunk = slice(lo, min(lo + _RENDER_CHUNK, n))
-        u = lane_uniforms(seed, stream_ids[chunk], n_draws)
-        chunk_labels = labels[chunk]
-        for label in np.unique(chunk_labels):
-            rows = np.flatnonzero(chunk_labels == label)
-            images[lo + rows] = _render_group(domain.domain_id, int(label), u[rows])
+        hi = min(lo + _RENDER_CHUNK, n)
+        u = lane_uniforms(seed, stream_ids[lo:hi], n_draws)
+        # labels cycle with the index: the images of one label are every NUM_CLASSES-th
+        for r in range(min(NUM_CLASSES, hi - lo)):
+            group = _render_group(domain.domain_id, int(labels[lo + r]), u[r::NUM_CLASSES])
+            images[lo + r : hi : NUM_CLASSES] = group
     return images, labels
 
 
@@ -261,11 +328,12 @@ def render_image(domain: DomainSpec, split: str, index: int, seed: int) -> tuple
 
 def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
     """Class-balanced (+-1) deterministic dataset for one domain and split."""
+    n, seed = _as_int(n, "n"), _as_int(seed, "seed")
     if n < 1:
         raise DomainError("n must be at least 1")
+    images, labels = _render(domain, split, 0, n, seed)
     if n < NUM_CLASSES:
         warnings.warn(f"n={n} below num_classes={NUM_CLASSES}; balance impossible")
-    images, labels = _render(domain, split, 0, n, seed)
     provenance = {"domain": domain.domain_id, "seed": seed, "split": split, "n": n, "shuffle": None}
     return Dataset(images, labels, split, provenance)
 

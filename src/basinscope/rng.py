@@ -81,19 +81,32 @@ def _xoshiro_fill(s: list, out) -> list:
     """Write the next len(out) xoshiro256++ outputs of state ``s`` to out[0], out[1], ...
 
     Returns the advanced state. Array state words are updated in place.
+    Python ints grow, so they are masked to 64 bits after each add and left
+    shift; uint64 arrays wrap by themselves and shift by uint64 counts, so
+    no op converts a Python int.
     """
     s0, s1, s2, s3 = s
+    wrap = not isinstance(s0, np.ndarray)
     mask = _MASK64
+    c17, c19, c23, c41, c45 = (17, 19, 23, 41, 45) if wrap else np.uint64([17, 19, 23, 41, 45])
     for i in range(len(out)):
-        r = (s0 + s3) & mask
-        out[i] = (((r << 23) | (r >> 41)) + s0) & mask
-        t = (s1 << 17) & mask
+        r = s0 + s3
+        if wrap:
+            r &= mask
+        r = ((r << c23) | (r >> c41)) + s0
+        t = s1 << c17
+        if wrap:
+            r &= mask
+            t &= mask
+        out[i] = r
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        s3 = (s3 << c45) | (s3 >> c19)
+        if wrap:
+            s3 &= mask
     return [s0, s1, s2, s3]
 
 

@@ -37,6 +37,7 @@ class InitSpec:
     path: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", dataops._as_int(self.seed, "init seed"))
         if self.kind not in ("random", "checkpoint"):
             raise DomainError(f"init kind must be random or checkpoint, got {self.kind!r}")
 
@@ -55,12 +56,15 @@ class DataSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
+        for name in ("n_train", "n_test", "seed", "shuffle_seed"):
+            object.__setattr__(self, name, dataops._as_int(getattr(self, name), name))
         if not self.domains:
             raise DomainError("need at least one domain")
         for name in self.domains:
             dataops.domain_spec(name)
         if self.shuffle_block is not None:
-            dataops.ShuffleSpec(self.shuffle_block, self.shuffle_seed, self.shared_permutation)
+            shuffle = dataops.ShuffleSpec(self.shuffle_block, self.shuffle_seed, self.shared_permutation)
+            object.__setattr__(self, "shuffle_block", shuffle.block_size)
         if self.n_train < 1 or self.n_test < 1:
             raise DomainError("n_train and n_test must be at least 1")
 
@@ -84,6 +88,8 @@ class TrainConfig:
     def __post_init__(self):
         object.__setattr__(self, "lr_schedule", tuple((int(e), float(lr)) for e, lr in self.lr_schedule))
         object.__setattr__(self, "checkpoint_epochs", tuple(int(e) for e in self.checkpoint_epochs))
+        for name in ("epochs", "batch_size", "seed"):
+            object.__setattr__(self, name, dataops._as_int(getattr(self, name), name))
         epochs = [e for e, _ in self.lr_schedule]
         if not epochs or epochs[0] != 0:
             raise DomainError("lr schedule must start at epoch 0")

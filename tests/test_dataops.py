@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from basinscope import dataops
+from basinscope import dataops, persistence
 from basinscope.dataops import (
     DOMAIN_NAMES,
     IMAGE_SIZE,
@@ -159,6 +160,79 @@ class TestBatchRenderMatchesOracle:
         assert np.array_equal(img, want_img) and label == want_label
 
 
+def _check_raster(polygons):
+    """Batched inside test and outline mask of equal-size polygons against the per-image oracles."""
+    samples = dataops._SAMPLES
+    py, px = np.meshgrid(samples, samples, indexing="ij")
+    verts = np.stack([np.asarray(p, dtype=np.float64) for p in polygons])
+    inside = dataops._inside_polygons(samples, samples, verts[:, :, 0], verts[:, :, 1])
+    outline = dataops._outline_mask(samples, samples, verts[:, :, 0], verts[:, :, 1])
+    for i, v in enumerate(verts):
+        assert np.array_equal(inside[i], oracle_point_in_polygon(px, py, v)), i
+        assert np.array_equal(outline[i], oracle_dist_to_edges(px, py, v) < 0.55), i
+
+
+class TestRasterMatchesOracle:
+    """Row-crossing fill and windowed outline against the full-grid oracles on awkward geometry."""
+
+    def test_vertices_on_sample_rows_and_columns(self):
+        _check_raster(
+            [
+                [(3.1, 2.25), (10.7, 5.75), (7.3, 12.25), (2.0, 8.75)],
+                [(2.25, 2.25), (13.75, 7.25), (8.25, 14.75), (4.75, 7.25)],
+                [(8.25, 0.25), (15.75, 8.25), (8.25, 15.75), (0.25, 8.25)],
+            ]
+        )
+
+    def test_horizontal_and_vertical_edges(self):
+        _check_raster(
+            [
+                [(2.25, 3.25), (12.75, 3.25), (12.75, 9.0), (2.25, 9.0)],
+                [(1.1, 4.0), (14.9, 4.0), (14.9, 4.6), (1.1, 4.6)],
+                [(5.0, 0.75), (5.0, 15.25), (5.5, 15.25), (5.5, 0.75)],
+            ]
+        )
+
+    def test_crossings_exactly_at_sample_x(self):
+        # rows y = 0.25 + 0.5j cut these edges at x = 0.25 + 0.5i exactly
+        _check_raster([[(1.25, 0.25), (9.25, 8.25), (1.25, 12.25)], [(3.25, 1.25), (11.25, 5.25), (3.25, 13.25)]])
+
+    def test_windows_clipped_by_the_grid_border(self):
+        _check_raster(
+            [
+                [(-3.0, -2.0), (5.0, 1.0), (20.0, 18.0), (-1.0, 30.0)],
+                [(-0.4, 7.0), (0.3, -0.2), (15.9, 0.1), (16.4, 15.8)],
+                [(-9.0, -9.0), (-1.0, -8.0), (-2.0, -1.0), (-8.0, -2.0)],
+                [(15.5, 15.5), (25.0, 16.0), (24.0, 24.0), (16.0, 25.0)],
+            ]
+        )
+
+    @pytest.mark.parametrize("label", range(NUM_CLASSES))
+    def test_class_polygons_at_extreme_scale_and_offset(self, label):
+        # vertices built as the per-image renderer builds them, at u = 0 and u -> 1
+        top = 1 - 2.0**-53
+        polygons = []
+        for u_rot in (0.0, 0.125, 0.3, top):
+            for u_scale, u_x, u_y in [(0.0, 0.0, 0.0), (top, top, top), (0.0, top, 0.0), (top, 0.0, top)]:
+                scale = 0.325 * IMAGE_SIZE * (1.0 + 0.10 * (2 * u_scale - 1))
+                offset = np.array([IMAGE_SIZE / 2 + 1.5 * (2 * u_x - 1), IMAGE_SIZE / 2 + 1.5 * (2 * u_y - 1)])
+                c, s = math.cos(2 * math.pi * u_rot), math.sin(2 * math.pi * u_rot)
+                polygons.append(dataops._class_polygon(label) * scale @ np.array([[c, s], [-s, c]]) + offset)
+        _check_raster(polygons)
+
+    # coordinates on a 1/64 lattice, which holds every sample coordinate, or
+    # floats kept away from 0 so that no edge's squared length underflows
+    _coordinate = st.one_of(
+        st.integers(-3 * 64, 19 * 64).map(lambda k: k / 64), st.floats(-3.0, 19.0).filter(lambda x: abs(x) > 1e-9)
+    )
+
+    @given(st.lists(st.tuples(_coordinate, _coordinate), min_size=3, max_size=9, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_property_random_polygons(self, vertices):
+        # distinct vertices, so no edge has zero length
+        _check_raster([vertices, vertices[::-1]])
+
+
 class TestRenderArgumentsRejected:
     @pytest.mark.parametrize("split", ["val", "Train", ""])
     def test_unknown_split(self, split):
@@ -226,6 +300,21 @@ class TestGenerate:
     def test_small_n_warns(self):
         with pytest.warns(UserWarning):
             generate(domain_spec("source"), "train", 5, 1)
+
+    def test_numpy_integer_n_and_seed_stored_as_int(self, tmp_path):
+        ds = generate(domain_spec("source"), "train", np.int64(12), np.uint32(3))
+        assert type(ds.provenance["n"]) is int and type(ds.provenance["seed"]) is int
+        assert np.array_equal(ds.images, generate(domain_spec("source"), "train", 12, 3).images)
+        persistence.save_dataset(ds, tmp_path / "ds.llds")
+        assert persistence.load_dataset(tmp_path / "ds.llds").provenance == ds.provenance
+
+    @pytest.mark.parametrize("args", [("train", 2.5), ("train", True), ("val", 5)])
+    def test_bad_n_or_split_raises_before_warning(self, args):
+        split, n = args
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                generate(domain_spec("source"), split, n, 1)
 
     def test_unknown_domain_rejected(self):
         with pytest.raises(DomainError):
@@ -317,6 +406,16 @@ class TestBlockShuffle:
     def test_bool_block_rejected(self, block):
         with pytest.raises(DomainError):
             ShuffleSpec(block, 0)
+
+    def test_numpy_integer_block_sweep(self):
+        ds = generate(domain_spec("source"), "train", 12, 30)
+        for block in np.array([1, 2, 4, 8, 16]):
+            spec = ShuffleSpec(block, np.int64(7))
+            assert type(spec.block_size) is int and type(spec.seed) is int
+            want = apply_shuffle(ds, ShuffleSpec(int(block), 7))
+            assert np.array_equal(apply_shuffle(ds, spec).images, want.images)
+        with pytest.raises(DomainError):
+            ShuffleSpec(np.int64(3), 0)
 
     @given(st.sampled_from([16, 8, 4, 2, 1, STAR]), st.integers(0, 2**32), st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)

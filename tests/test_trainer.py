@@ -83,6 +83,8 @@ class TestConfig:
             dict(clip_grad_norm=-1.0),
             dict(checkpoint_epochs=(3,)),
             dict(checkpoint_epochs=(-1,)),
+            dict(epochs=2.5),
+            dict(batch_size="50"),
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -98,6 +100,8 @@ class TestConfig:
             dict(shuffle_block=0),
             dict(n_train=0),
             dict(n_test=0),
+            dict(n_train=2.5),
+            dict(shuffle_block=np.float64(4.0)),
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -108,6 +112,16 @@ class TestConfig:
     def test_config_hash_pinned(self):
         config = TrainConfig(TINY4, DataSpec(("source",)), 3)
         assert config_hash(config) == "ffc27f5885ca862ffde4308495df698b4ffd48a113395f80801425250e2be992"
+
+    def test_numpy_integer_fields_stored_as_int(self):
+        i = np.int64
+        data = DataSpec(("source",), n_train=i(200), n_test=i(100), seed=i(1), shuffle_block=i(4), shuffle_seed=i(2))
+        config = small_config(data=data, epochs=i(2), batch_size=i(50), seed=i(1), init=InitSpec("random", seed=i(1)))
+        want = small_config(data=DataSpec(("source",), 200, 100, 1, shuffle_block=4, shuffle_seed=2))
+        assert config == want
+        assert config_hash(config) == config_hash(want)
+        fields = [data.n_train, data.n_test, data.seed, data.shuffle_block, data.shuffle_seed]
+        assert all(type(v) is int for v in fields + [config.epochs, config.batch_size, config.seed, config.init.seed])
 
 
 class TestEvaluate:
