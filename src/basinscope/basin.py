@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector
+from .numerics import _as_int
 from .rng import RngStream, gaussian, uniform_in_ball
 
 _STREAM_MU = 1
@@ -194,12 +195,15 @@ def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: floa
     )
 
 
-def _check_budget(samples: int, *scales: float) -> None:
-    """Reject fewer than 100 Monte Carlo samples or a non-positive epsilon or delta."""
+def _check_budget(samples: int, *scales: float) -> int:
+    """samples as an int, after rejecting fewer than 100 Monte Carlo samples
+    or a non-positive epsilon or delta."""
+    samples = _as_int(samples, "samples")
     if samples < 100:
         raise DomainError("need at least 100 samples")
     if any(s <= 0 for s in scales):
         raise DomainError("epsilon and delta must be positive")
+    return samples
 
 
 def check_basin(ball: BallSet, loss, epsilon: float, delta: float, samples: int, rng: RngStream) -> BasinReport:
@@ -208,7 +212,7 @@ def check_basin(ball: BallSet, loss, epsilon: float, delta: float, samples: int,
     loss maps a flat float64 vector to a scalar; epsilon and delta are the
     candidate basin parameters.
     """
-    _check_budget(samples, epsilon, delta)
+    samples = _check_budget(samples, epsilon, delta)
     return _report_from_draws(_ConditionDraws(ball, rng, samples, loss), loss, epsilon, delta)
 
 
@@ -273,7 +277,7 @@ def fit_basin(
     located by doubling-then-bisection with common random numbers. The delta
     bracket is expressed in units of the fitted radius.
     """
-    _check_budget(samples, epsilon_target)
+    samples = _check_budget(samples, epsilon_target)
     a, b = (np.asarray(t.values if isinstance(t, ParamVector) else t, dtype=np.float64) for t in (theta_a, theta_b))
     if a.shape != b.shape:
         raise DomainError("endpoint shapes differ")

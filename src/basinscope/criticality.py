@@ -31,6 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector, _module_input, _run_layers
+from .numerics import _as_int
 from .rng import RngStream, gaussian_rows
 from .trainer import EVAL_BATCH, Checkpoint, _score_batches, split_metrics
 
@@ -64,6 +65,7 @@ class CriticalityConfig:
             raise DomainError("grids must be sorted strictly ascending")
         if np.any(self.sigma_grid <= 0):
             raise DomainError("sigmas must be positive")
+        self.noise_samples = _as_int(self.noise_samples, "noise_samples")
         if self.noise_samples < 1:
             raise DomainError("need at least one noise sample")
         if self.epsilon <= 0:

@@ -31,13 +31,13 @@ at a time: ``render_image`` is a batch of one.
 from __future__ import annotations
 
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
+from .numerics import _as_int
 from .rng import derive_stream_id, lane_permutations, lane_uniforms
 
 DOMAIN_NAMES = ("source", "real_like", "clipart_like", "quickdraw_like", "xray_like")
@@ -79,16 +79,6 @@ _STYLES = {
     "quickdraw_like": {"noise": 0.0, "bg": 1.0, "outline": True, "gray": True, "blur": 0},
     "xray_like": {"noise": 0.04, "bg": 0.35, "outline": False, "gray": True, "blur": 2},
 }
-
-
-def _as_int(value, what: str) -> int:
-    """``value`` as a Python int; numpy integers are accepted, bools and non-integers are not."""
-    if isinstance(value, bool):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector
+from .numerics import _as_int
 from .trainer import Checkpoint, split_metrics
 
 METRIC_KEYS = ("train_loss", "train_acc", "test_loss", "test_acc")
@@ -46,6 +47,7 @@ def interpolate(theta: ParamVector, theta_tilde: ParamVector, lam: float) -> Par
 
 
 def lambda_grid(lo: float = 0.0, hi: float = 1.0, points: int = 25) -> np.ndarray:
+    points = _as_int(points, "points")
     if points < 2:
         raise DomainError("need at least two lambda points")
     return np.linspace(lo, hi, points)

@@ -7,6 +7,12 @@ linear interpolation between two parameter vectors is well defined.
 
 Parameters live in a flat ParamVector with a named index; each module
 ("conv1", ..., "fc1", "classifier") owns a contiguous slice.
+
+Every forward-only pass (``forward``, ``trainer.evaluate``, the frozen
+prefixes of the analyses) runs the one cache-tiled core, ``_run_layers``;
+``forward`` also takes each layer's float32 output from it. ``backward``
+keeps each layer's input, patches and output for the whole batch
+(``_records``), as its weight gradients sum over the batch at once.
 """
 
 from __future__ import annotations
@@ -356,11 +362,14 @@ def _run_layers(
     stop: int | None = None,
     *,
     patches: np.ndarray | None = None,
+    acts: list | None = None,
 ) -> np.ndarray:
     """The logits-only core: the output of layers [start, stop) of the plan
     on x, the float64 input to layer start (for start=0, ``_network_input``).
     patches, when given, are layer start's gathered conv patches of x, so
-    the gather is skipped.
+    the gather is skipped. acts, when given, receives one (name, output)
+    pair per layer, the output in float32 for the whole batch: conv tiles
+    are written into one float32 array per layer as they are made.
 
     With more than ``_TILE`` images, the conv layers run
     depth-first over tiles of ``_TILE`` images (cache blocking; Goto & van
@@ -383,19 +392,28 @@ def _run_layers(
     weights = [_weights(params, layer) for layer in plan]
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
     if (convs > 1 or (convs == 1 and patches is None)) and x.shape[0] > _TILE:
+        outs = [None] * convs  # whole-batch float32 conv outputs, when acts is given
         tiles = []
         for i in range(0, x.shape[0], _TILE):
             tile = x[i : i + _TILE]
             tile_patches = None if patches is None else patches[i : i + _TILE]
-            for layer, (w, b) in zip(plan[:convs], weights):
+            for j, (layer, (w, b)) in enumerate(zip(plan[:convs], weights)):
                 _, tile, _ = _apply_layer(layer, tile, w, b, tile_patches)
                 tile_patches = None
+                if acts is not None:
+                    if outs[j] is None:
+                        outs[j] = np.empty((x.shape[0],) + tile.shape[1:], dtype=np.float32)
+                    outs[j][i : i + _TILE] = tile
             tiles.append(tile)
+        if acts is not None:
+            acts.extend((layer["name"], out) for layer, out in zip(plan, outs))
         x, patches = np.concatenate(tiles), None
         plan, weights = plan[convs:], weights[convs:]
     for layer, (w, b) in zip(plan, weights):
         x = _apply_layer(layer, x, w, b, patches)[1]
         patches = None
+        if acts is not None:
+            acts.append((layer["name"], x.astype(np.float32)))
     return x
 
 
@@ -412,18 +430,11 @@ def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
 
 def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarray, list]:
     """Logits (batch, num_classes) in float64 plus per-module post-activation
-    outputs in storage precision.
-
-    Runs the untiled per-layer step (``_apply_layer`` on the whole batch), so
-    logits and activations have the bits of the records ``backward`` uses,
-    and drops each layer's input and conv patches before the next layer
-    runs: only the float32 activations accumulate."""
-    x = _network_input(arch, batch)
+    outputs in storage precision: the core (``_run_layers``) on the network
+    input, so the logits are ``evaluate``'s and only the float32
+    activations outlive the tile that made them."""
     acts = []
-    for layer in arch.layer_plan():
-        x = _apply_layer(layer, x, *_weights(params, layer))[1]
-        acts.append((layer["name"], x.astype(np.float32)))
-    return x, acts
+    return _run_layers(params, arch, _network_input(arch, batch), acts=acts), acts
 
 
 def _records(params: ParamVector, arch: ArchDescriptor, x: np.ndarray) -> list:

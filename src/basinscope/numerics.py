@@ -1,4 +1,4 @@
-"""Low-level numerics: the power-of-two test and singular values.
+"""Low-level numerics: integer arguments, the power-of-two test and singular values.
 
 Storage convention for the toolkit: tensors are row-major float32, all
 reductions (dots, norms, losses) accumulate in float64.
@@ -6,9 +6,21 @@ reductions (dots, norms, losses) accumulate in float64.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import DomainError, SizeError
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as a Python int; numpy integers are accepted, bools and non-integers are not."""
+    if isinstance(value, bool):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from None
 
 
 def is_power_of_two(n: int) -> bool:

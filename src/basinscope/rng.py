@@ -9,7 +9,8 @@ The seeding and the state recurrence are written once and run either on
 Python ints (one ``RngStream``) or on ``uint64`` arrays, where numpy wraps
 mod 2^64 silently and one array op steps many streams in lockstep
 (``lane_uniforms``, ``lane_permutations``). Arrays must be at least 1-D:
-numpy scalars warn on overflow.
+numpy scalars warn on overflow. A lone stream id skips the lockstep and
+draws as its own ``RngStream``, with the same outputs.
 
 One stream's bulk draws use the same lockstep through jump-ahead lanes
 (Blackman & Vigna 2018; Haramoto et al. 2008). The state update is linear
@@ -38,6 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
+from .numerics import _as_int
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -116,10 +118,16 @@ def _unit(raw: np.ndarray) -> np.ndarray:
 
 
 def _lane_raw(seed: int, stream_ids, n: int) -> np.ndarray:
-    """(n, len(stream_ids)) raw draws, column i the first n of stream (seed, stream_ids[i])."""
+    """(n, len(stream_ids)) raw draws, column i the first n of stream (seed, stream_ids[i]).
+
+    One stream draws its own block: a one-column lockstep pays a numpy op
+    per term of the recurrence for a single draw."""
+    n = _as_int(n, "n")
     if n < 0:
         raise DomainError("n must be non-negative")
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    if ids.size == 1:
+        return RngStream(seed, int(ids[0]))._raw_block(n)[:, None]
     raw = np.empty((n, ids.size), dtype=np.uint64)
     _xoshiro_fill(_seed_state(operator.index(seed) & _MASK64, ids), raw)
     return raw
@@ -153,12 +161,16 @@ def lane_permutations(seed: int, stream_ids, n: int) -> np.ndarray:
 
     The streams draw in lockstep and Fisher-Yates swaps one column of every
     row per step. A lane with a draw at or above its rejection limit is
-    redrawn by ``RngStream.permutation``.
+    redrawn by ``RngStream.permutation``. One stream is its own
+    ``RngStream.permutation``.
     """
+    n = _as_int(n, "n")
     if n < 0:
         raise DomainError("n must be non-negative")
     seed = operator.index(seed) & _MASK64
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    if ids.size == 1:
+        return RngStream(seed, int(ids[0])).permutation(n)[None]
     j, accepted = _swap_targets(_lane_raw(seed, ids, max(n - 1, 0)))
     # one row per position, one column per lane: each swap moves two rows' elements
     perms = np.repeat(np.arange(n)[:, None], ids.size, axis=1)
@@ -276,12 +288,14 @@ class RngStream:
         """Uniform doubles in [0, 1) using the top 53 bits per draw."""
         if n is None:
             return (self.next_u64() >> 11) * 2.0**-53
+        n = _as_int(n, "n")
         if n < 0:
             raise DomainError("n must be non-negative")
         return _unit(self._raw_block(n))
 
     def randint_below(self, bound: int) -> int:
         """Unbiased integer in [0, bound), 0 < bound <= 2^64, via rejection sampling."""
+        bound = _as_int(bound, "bound")
         if bound <= 0:
             raise DomainError("bound must be positive")
         if bound > 1 << 64:
@@ -298,6 +312,7 @@ class RngStream:
         The n-1 draws come as one block; if any falls at or above its
         rejection limit, the stream rewinds and draws them one at a time.
         """
+        n = _as_int(n, "n")
         if n < 0:
             raise DomainError("n must be non-negative")
         s, position = self._s, self.position
@@ -318,6 +333,7 @@ class RngStream:
     @classmethod
     def restore(cls, seed: int, stream_id: int, position: int) -> "RngStream":
         """Rebuild a stream and fast-forward to ``position`` raw draws."""
+        position = _as_int(position, "position")
         if position < 0:
             raise DomainError("position must be non-negative")
         rng = cls(seed, stream_id)
@@ -350,6 +366,7 @@ def _box_muller(u: np.ndarray, n: int, std: float) -> np.ndarray:
 
 def _gaussian_width(n: int, std: float) -> int:
     """Raw draws per n samples, 2*ceil(n/2), after checking the arguments."""
+    n = _as_int(n, "n")
     if n < 0:
         raise DomainError("n must be non-negative")
     if not math.isfinite(std) or std < 0:
@@ -371,6 +388,7 @@ def gaussian_rows(rng: RngStream, rows: int, n: int, std: float) -> np.ndarray:
 
     The draws come from one raw block, split into a block per row.
     """
+    rows = _as_int(rows, "rows")
     if rows < 0:
         raise DomainError("rows must be non-negative")
     width = _gaussian_width(n, std)

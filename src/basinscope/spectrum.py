@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .numerics import is_power_of_two, svd_values
+from .numerics import _as_int, is_power_of_two, svd_values
 from .trainer import Checkpoint
 
 
@@ -89,6 +89,7 @@ def threshold_count_curve(values, thresholds) -> list[tuple[float, int]]:
 
 def spectrum_histogram(values, bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Counts over uniform bins spanning [0, max value]."""
+    bins = _as_int(bins, "bins")
     if bins < 1:
         raise DomainError("need at least one bin")
     values = np.asarray(values, dtype=np.float64)

@@ -22,6 +22,7 @@ from .errors import DivergedRunError, DomainError
 from .model import (
     ArchDescriptor, ParamVector, _check_labels, _network_input, _nll, _run_layers, backward, init_random, sgd_step
 )
+from .numerics import _as_int
 from .rng import RngStream, derive_stream_id
 
 _STREAM_BATCH = 0x42415443  # "BATC"
@@ -37,7 +38,7 @@ class InitSpec:
     path: str = ""
 
     def __post_init__(self):
-        object.__setattr__(self, "seed", dataops._as_int(self.seed, "init seed"))
+        object.__setattr__(self, "seed", _as_int(self.seed, "init seed"))
         if self.kind not in ("random", "checkpoint"):
             raise DomainError(f"init kind must be random or checkpoint, got {self.kind!r}")
 
@@ -57,7 +58,7 @@ class DataSpec:
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
         for name in ("n_train", "n_test", "seed", "shuffle_seed"):
-            object.__setattr__(self, name, dataops._as_int(getattr(self, name), name))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         if not self.domains:
             raise DomainError("need at least one domain")
         for name in self.domains:
@@ -89,7 +90,7 @@ class TrainConfig:
         object.__setattr__(self, "lr_schedule", tuple((int(e), float(lr)) for e, lr in self.lr_schedule))
         object.__setattr__(self, "checkpoint_epochs", tuple(int(e) for e in self.checkpoint_epochs))
         for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, dataops._as_int(getattr(self, name), name))
+            object.__setattr__(self, name, _as_int(getattr(self, name), name))
         epochs = [e for e, _ in self.lr_schedule]
         if not epochs or epochs[0] != 0:
             raise DomainError("lr schedule must start at epoch 0")

@@ -25,6 +25,7 @@ from basinscope.model import (
     sgd_step,
     softmax_cross_entropy,
 )
+from basinscope import trainer
 from basinscope.rng import RngStream, gaussian
 from basinscope.trainer import EVAL_BATCH, _score_batches, evaluate
 
@@ -255,18 +256,26 @@ def traced_peak(fn, *args):
 
 
 class TestLayerByLayerForward:
-    """forward runs one layer at a time and keeps only what it returns."""
+    """forward keeps only what it returns: the logits and float32 activations."""
 
     @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
     @pytest.mark.parametrize("n", [1, _TILE + 1, 256])
     def test_equals_keep_records_bit_for_bit(self, arch, n):
+        """forward's outputs are backward's records, except where the core
+        reassociates: SMALL's conv1 at 256 images (REASSOCIATING), whose
+        oracle is the core itself, layer by layer."""
         params = with_biases(init_random(arch, RngStream(23)), 24)
         batch, _ = rand_batch(arch, n, 25)
-        records = _records(params, arch, _network_input(arch, batch))
+        x0 = _network_input(arch, batch)
+        records = _records(params, arch, x0)
+        if arch is SMALL and n == 256:
+            posts = [_run_layers(params, arch, x0, 0, m + 1) for m in range(len(records))]
+        else:
+            posts = [post for *_, post in records]
         logits, acts = forward(params, arch, batch)
-        assert np.array_equal(logits, records[-1][-1])
+        assert np.array_equal(logits, posts[-1])
         assert [name for name, _ in acts] == [layer["name"] for layer, *_ in records]
-        for (name, act), (*_, post) in zip(acts, records):
+        for (name, act), post in zip(acts, posts):
             assert act.dtype == np.float32 and np.array_equal(act, post.astype(np.float32)), name
 
     def test_peak_below_keep_records_at_batch_256(self):
@@ -276,16 +285,25 @@ class TestLayerByLayerForward:
         layered = traced_peak(forward, params, TINY4, batch)
         assert layered < kept
 
-
-    def test_peak_is_the_first_conv_working_set_at_batch_256(self):
-        """The peak is conv1's input, patches and output, the largest layer's
-        working set; a layer's patches kept alive into the next layer added
-        conv2's working set on top."""
+    def test_peak_is_the_tiled_working_set_at_batch_256(self):
+        """The peak is the network input, the float32 activations, conv1's
+        working set on one tile (patches and output) and the last conv's
+        float64 output, as tiles and joined; whole-batch conv1 patches
+        (the untiled loop's peak) would add 14 MB on top."""
         params = init_random(TINY4, RngStream(26))
         batch, _ = rand_batch(TINY4, 256, 27)
-        cout, k = TINY4.conv_blocks[0][:2]
-        pixels = 256 * 16 * 16
-        working_set = 8 * pixels * (3 + k * k * 3 + cout)
+        h, w, c = TINY4.input_shape
+        plan = TINY4.layer_plan()
+        sizes = [
+            256 * (layer["in_hw"][0] // layer["stride"]) * (layer["in_hw"][1] // layer["stride"]) * layer["cout"]
+            if layer["kind"] == "conv"
+            else 256 * layer["fan_out"]
+            for layer in plan
+        ]
+        conv1 = plan[0]
+        tile = 8 * _TILE * h * w * (conv1["kernel"] ** 2 * c + conv1["cout"])
+        joined = 2 * 8 * sizes[len(TINY4.conv_blocks) - 1]
+        working_set = 8 * 256 * h * w * c + 4 * sum(sizes) + tile + joined
         assert traced_peak(forward, params, TINY4, batch) < 1.1 * working_set
 
 
@@ -414,28 +432,71 @@ class TestTiledCore:
         assert np.array_equal(got.predictions, want.predictions)
         assert np.array_equal(got.per_class_accuracy, want.per_class_accuracy)
 
+    @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 256, 300])
+    def test_tiny4_forward_matches_single_pass(self, n):
+        params = with_biases(init_random(TINY4, RngStream(50)), 51)
+        batch, _ = rand_batch(TINY4, n, 52)
+        x0 = _network_input(TINY4, batch)
+        logits, acts = forward(params, TINY4, batch)
+        assert np.array_equal(logits, single_pass(params, TINY4, x0))
+        for m, (name, act) in enumerate(acts):
+            assert np.array_equal(act, single_pass(params, TINY4, x0, 0, m + 1).astype(np.float32)), name
+
+    @pytest.mark.parametrize("arch", [TINY4] + REASSOCIATING, ids=lambda a: "x".join(map(str, a.input_shape)) + f"o{a.conv_blocks[0][0]}")
+    def test_forward_equals_core_and_evaluate(self, arch, monkeypatch):
+        """forward is the core: its logits are the whole core's and each
+        evaluation batch's, and activation m is the core's layers [0, m]."""
+        params = with_biases(init_random(arch, RngStream(53)), 54)
+        images, labels = rand_batch(arch, 300, 55)
+        x0 = _network_input(arch, images)
+        logits, acts = forward(params, arch, images)
+        assert np.array_equal(logits, _run_layers(params, arch, x0))
+        for m, (name, act) in enumerate(acts):
+            assert np.array_equal(act, _run_layers(params, arch, x0, 0, m + 1).astype(np.float32)), name
+        monkeypatch.setattr(trainer, "_score_batches", lambda labels, num_classes, batches: list(batches))
+        batches = evaluate(params, arch, Dataset(images, labels, "test", {}))
+        assert len(batches) == 2
+        for i, z in enumerate(batches):
+            assert np.array_equal(z, forward(params, arch, images[i * EVAL_BATCH : (i + 1) * EVAL_BATCH])[0])
+
     @pytest.mark.parametrize("arch", REASSOCIATING, ids=lambda a: "x".join(map(str, a.input_shape)) + f"o{a.conv_blocks[0][0]}")
     def test_narrow_convs_within_reassociation_bound(self, arch):
         """Where tiling changes a conv's bits, each output is still its
         k*k*Cin dot product plus bias, summed in another order: within
-        2*gamma_K of the sum of the terms' magnitudes, K = k*k*Cin + 1."""
+        2*gamma_K of the sum of the terms' magnitudes, K = k*k*Cin + 1.
+
+        The core's tiled layer is checked on the single pass's input, and
+        forward's float32 activation on the core's own input: rounding to
+        float32 is monotone, so it lies between the roundings of the
+        bound's ends."""
         params = with_biases(init_random(arch, RngStream(47)), 48)
         batch, _ = rand_batch(arch, 300, 49)
-        x = _network_input(arch, batch)
-        for m, layer in enumerate(arch.layer_plan()):
-            if layer["kind"] != "conv":
-                break
+        x = core = _network_input(arch, batch)
+        _, acts = forward(params, arch, batch)
+
+        def bound(m, layer, x):
+            """The single pass of layer m on x and its 2*gamma_K bound."""
             name = layer["name"]
             w = params.get(f"{name}.weight").astype(np.float64)
             b = params.get(f"{name}.bias").astype(np.float64)
-            got = _run_layers(params, arch, x, m, m + 1)
             want = single_pass(params, arch, x, m, m + 1)
             n_terms = w[..., 0].size + 1
             gamma = n_terms * 2.0**-53 / (1 - n_terms * 2.0**-53)
             patches = np.abs(_gather_patches(x, layer["kernel"], layer["stride"]))
             magnitude = (patches.reshape(-1, n_terms - 1) @ np.abs(w).reshape(n_terms - 1, -1)).reshape(want.shape) + np.abs(b)
-            assert np.all(np.abs(got - want) <= 2 * gamma * magnitude), name
+            return want, 2 * gamma * magnitude
+
+        for m, layer in enumerate(arch.layer_plan()):
+            if layer["kind"] != "conv":
+                break
+            name = layer["name"]
+            want, slack = bound(m, layer, x)
+            assert np.all(np.abs(_run_layers(params, arch, x, m, m + 1) - want) <= slack), name
             x = want
+            want, slack = bound(m, layer, core)
+            act = acts[m][1]
+            assert np.all(((want - slack).astype(np.float32) <= act) & (act <= (want + slack).astype(np.float32))), name
+            core = _run_layers(params, arch, core, m, m + 1)
 
 
 def oracle_patches(x, kernel, stride):

@@ -323,6 +323,17 @@ def test_lane_permutations_equal_stream_permutations(n):
     assert lane_permutations(17, [], n).shape == (0, n)
 
 
+@pytest.mark.parametrize("n", [0, 1, 260, _LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1])
+def test_one_lane_equals_its_stream(n):
+    """A lone stream id draws as its own RngStream, on either side of the
+    jump-ahead threshold."""
+    for sid in (0, 2**64 - 1, int(LANE_PERM_IDS[0])):
+        u = lane_uniforms(17, [sid], n)
+        assert u.shape == (1, n) and np.array_equal(u[0], RngStream(17, sid).uniform(n))
+        perm = lane_permutations(17, np.array([sid], dtype=np.uint64), n)
+        assert perm.shape == (1, n) and np.array_equal(perm[0], RngStream(17, sid).permutation(n))
+
+
 def test_lane_permutations_rejected_lane_is_redrawn(monkeypatch):
     lane_raw = rng_module._lane_raw
 
