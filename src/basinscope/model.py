@@ -431,8 +431,8 @@ def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
 def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarray, list]:
     """Logits (batch, num_classes) in float64 plus per-module post-activation
     outputs in storage precision: the core (``_run_layers``) on the network
-    input, so the logits are ``evaluate``'s and only the float32
-    activations outlive the tile that made them."""
+    input, so on one batch its logits are ``evaluate``'s, and only the
+    float32 activations outlive the tile that made them."""
     acts = []
     return _run_layers(params, arch, _network_input(arch, batch), acts=acts), acts
 

@@ -3,6 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from basinscope import trainer
 from basinscope.dataops import Dataset
 from basinscope.errors import DomainError, SizeError
 from basinscope.model import (
@@ -25,7 +26,6 @@ from basinscope.model import (
     sgd_step,
     softmax_cross_entropy,
 )
-from basinscope import trainer
 from basinscope.rng import RngStream, gaussian
 from basinscope.trainer import EVAL_BATCH, _score_batches, evaluate
 
@@ -402,6 +402,11 @@ REASSOCIATING = [SMALL] + [
 ]
 
 
+def arch_id(arch):
+    """Input shape and first conv's output count, e.g. 16x16x3o4."""
+    return "x".join(map(str, arch.input_shape)) + f"o{arch.conv_blocks[0][0]}"
+
+
 class TestTiledCore:
     """The logits-only core runs the conv layers over tiles of _TILE images;
     the single-pass loop is the oracle."""
@@ -442,7 +447,7 @@ class TestTiledCore:
         for m, (name, act) in enumerate(acts):
             assert np.array_equal(act, single_pass(params, TINY4, x0, 0, m + 1).astype(np.float32)), name
 
-    @pytest.mark.parametrize("arch", [TINY4] + REASSOCIATING, ids=lambda a: "x".join(map(str, a.input_shape)) + f"o{a.conv_blocks[0][0]}")
+    @pytest.mark.parametrize("arch", [TINY4] + REASSOCIATING, ids=arch_id)
     def test_forward_equals_core_and_evaluate(self, arch, monkeypatch):
         """forward is the core: its logits are the whole core's and each
         evaluation batch's, and activation m is the core's layers [0, m]."""
@@ -459,7 +464,7 @@ class TestTiledCore:
         for i, z in enumerate(batches):
             assert np.array_equal(z, forward(params, arch, images[i * EVAL_BATCH : (i + 1) * EVAL_BATCH])[0])
 
-    @pytest.mark.parametrize("arch", REASSOCIATING, ids=lambda a: "x".join(map(str, a.input_shape)) + f"o{a.conv_blocks[0][0]}")
+    @pytest.mark.parametrize("arch", REASSOCIATING, ids=arch_id)
     def test_narrow_convs_within_reassociation_bound(self, arch):
         """Where tiling changes a conv's bits, each output is still its
         k*k*Cin dot product plus bias, summed in another order: within
