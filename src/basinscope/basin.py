@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector
-from .numerics import _as_int
+from .numerics import _as_int, _as_real
 from .rng import RngStream, gaussian, uniform_in_ball
 
 _STREAM_MU = 1
@@ -42,6 +42,7 @@ MAX_WALK_STEPS = 60
 BISECT_STEPS = 12
 DELTA_BRACKET = (1e-3, 10.0)
 DELTA_BISECT_STEPS = 20
+CONTAINS_TOL = 1e-9  # relative slack on the radius in BallSet.contains
 
 
 @dataclass
@@ -53,15 +54,15 @@ class BallSet:
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
-        if not (np.isfinite(self.radius) and self.radius > 0):
-            raise DomainError("radius must be finite and positive")
+        if _as_real(self.radius, "radius") <= 0:
+            raise DomainError("radius must be positive")
 
     @property
     def dimension(self) -> int:
         return self.center.size
 
-    def contains(self, w, tol: float = 1e-9) -> bool:
-        return float(np.linalg.norm(np.asarray(w) - self.center)) <= self.radius * (1 + tol)
+    def contains(self, w) -> bool:
+        return float(np.linalg.norm(np.asarray(w) - self.center)) <= self.radius * (1 + CONTAINS_TOL)
 
 
 @dataclass
@@ -195,24 +196,15 @@ def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: floa
     )
 
 
-def _check_budget(samples: int, *scales: float) -> int:
-    """samples as an int, after rejecting fewer than 100 Monte Carlo samples
-    or a non-positive epsilon or delta."""
-    samples = _as_int(samples, "samples")
-    if samples < 100:
-        raise DomainError("need at least 100 samples")
-    if any(s <= 0 for s in scales):
-        raise DomainError("epsilon and delta must be positive")
-    return samples
-
-
 def check_basin(ball: BallSet, loss, epsilon: float, delta: float, samples: int, rng: RngStream) -> BasinReport:
     """Estimate the three conditions by Monte Carlo and return verdicts.
 
     loss maps a flat float64 vector to a scalar; epsilon and delta are the
     candidate basin parameters.
     """
-    samples = _check_budget(samples, epsilon, delta)
+    samples = _as_int(samples, "samples", 100)
+    if _as_real(epsilon, "epsilon") <= 0 or _as_real(delta, "delta") <= 0:
+        raise DomainError("epsilon and delta must be positive")
     return _report_from_draws(_ConditionDraws(ball, rng, samples, loss), loss, epsilon, delta)
 
 
@@ -277,7 +269,9 @@ def fit_basin(
     located by doubling-then-bisection with common random numbers. The delta
     bracket is expressed in units of the fitted radius.
     """
-    samples = _check_budget(samples, epsilon_target)
+    samples = _as_int(samples, "samples", 100)
+    if _as_real(epsilon_target, "epsilon_target") <= 0:
+        raise DomainError("epsilon_target must be positive")
     a, b = (np.asarray(t.values if isinstance(t, ParamVector) else t, dtype=np.float64) for t in (theta_a, theta_b))
     if a.shape != b.shape:
         raise DomainError("endpoint shapes differ")

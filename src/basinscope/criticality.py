@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector, _module_input, _run_layers
-from .numerics import _as_int
+from .numerics import _as_grid, _as_int, _as_real
 from .rng import RngStream, gaussian_rows
 from .trainer import EVAL_BATCH, Checkpoint, _score_batches, split_metrics
 
@@ -57,18 +57,12 @@ class CriticalityConfig:
     metric: str = "error"  # "error" | "xent"
 
     def __post_init__(self):
-        self.alpha_grid = np.asarray(self.alpha_grid, dtype=np.float64)
-        self.sigma_grid = np.asarray(self.sigma_grid, dtype=np.float64)
-        if self.alpha_grid.size == 0 or self.sigma_grid.size == 0:
-            raise DomainError("grids must be non-empty")
-        if np.any(np.diff(self.alpha_grid) <= 0) or np.any(np.diff(self.sigma_grid) <= 0):
-            raise DomainError("grids must be sorted strictly ascending")
+        self.alpha_grid = _as_grid(self.alpha_grid, "alpha grid")
+        self.sigma_grid = _as_grid(self.sigma_grid, "sigma grid")
         if np.any(self.sigma_grid <= 0):
             raise DomainError("sigmas must be positive")
-        self.noise_samples = _as_int(self.noise_samples, "noise_samples")
-        if self.noise_samples < 1:
-            raise DomainError("need at least one noise sample")
-        if self.epsilon <= 0:
+        self.noise_samples = _as_int(self.noise_samples, "noise_samples", 1)
+        if _as_real(self.epsilon, "epsilon") <= 0:
             raise DomainError("epsilon must be positive")
         if self.noise_mode not in NOISE_MODES:
             raise DomainError(f"unknown noise mode {self.noise_mode!r}")
@@ -98,7 +92,7 @@ class CriticalityMap:
 
     def mu_at(self, epsilon: float) -> tuple[float, tuple | None]:
         """Re-minimize over cells feasible at a different epsilon (no re-sampling)."""
-        return _minimize(self.alpha_grid, self.sigma_grid, self.train, epsilon, self.path_distance)
+        return _minimize(self.alpha_grid, self.sigma_grid, self.train, _as_real(epsilon, "epsilon"), self.path_distance)
 
 
 def _minimize(alphas, sigmas, train_grid, epsilon, path_distance):

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _as_int
+from .numerics import _as_int, _as_real
 from .rng import derive_stream_id, lane_permutations, lane_uniforms
 
 DOMAIN_NAMES = ("source", "real_like", "clipart_like", "quickdraw_like", "xray_like")
@@ -105,9 +105,7 @@ class ShuffleSpec:
 
     def __post_init__(self):
         if not (isinstance(self.block_size, str) and self.block_size == STAR):
-            block = _as_int(self.block_size, "block size")
-            if block < 1:
-                raise DomainError(f"bad block size {block!r}")
+            block = _as_int(self.block_size, "block size", 1)
             if IMAGE_SIZE % block:
                 raise DomainError(f"block size {block} must divide {IMAGE_SIZE}")
             object.__setattr__(self, "block_size", block)
@@ -291,8 +289,8 @@ def _render(domain: DomainSpec, split: str, first: int, n: int, seed: int) -> tu
     """Images ``first`` .. ``first + n - 1`` of a split with their labels."""
     if split not in _SPLIT_BASE:
         raise DomainError(f"split must be train or test, got {split!r}")
-    first = _as_int(first, "index")
-    if first < 0 or first + n > _TEST_INDEX_BASE:
+    first = _as_int(first, "index", 0)
+    if first + n > _TEST_INDEX_BASE:
         raise DomainError(f"indices {first}..{first + n - 1} outside [0, 2**32)")
     global_index = _SPLIT_BASE[split] + np.arange(first, first + n, dtype=np.uint64)
     labels = (global_index % np.uint64(NUM_CLASSES)).astype(np.int64)
@@ -318,9 +316,7 @@ def render_image(domain: DomainSpec, split: str, index: int, seed: int) -> tuple
 
 def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
     """Class-balanced (+-1) deterministic dataset for one domain and split."""
-    n, seed = _as_int(n, "n"), _as_int(seed, "seed")
-    if n < 1:
-        raise DomainError("n must be at least 1")
+    n, seed = _as_int(n, "n", 1), _as_int(seed, "seed")
     images, labels = _render(domain, split, 0, n, seed)
     if n < NUM_CLASSES:
         warnings.warn(f"n={n} below num_classes={NUM_CLASSES}; balance impossible")
@@ -396,9 +392,9 @@ def concat_datasets(datasets: list[Dataset]) -> Dataset:
 
 def relative_accuracy_drop(a_pt: float, a_rit: float) -> float:
     """100 * (a_pt - a_rit) / a_pt; negative when training from scratch wins."""
-    if a_pt <= 0:
+    if _as_real(a_pt, "a_pt") <= 0:
         raise DomainError("a_pt must be positive")
-    return 100.0 * (a_pt - a_rit) / a_pt
+    return 100.0 * (a_pt - _as_real(a_rit, "a_rit")) / a_pt
 
 
 def domain_spec(name: str) -> DomainSpec:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector
-from .numerics import _as_int
+from .numerics import _as_grid, _as_int, _as_real
 from .trainer import Checkpoint, split_metrics
 
 METRIC_KEYS = ("train_loss", "train_acc", "test_loss", "test_acc")
@@ -40,6 +40,7 @@ def interpolate(theta: ParamVector, theta_tilde: ParamVector, lam: float) -> Par
     """(1 - lam) * theta + lam * theta_tilde; lam outside [0, 1] extrapolates."""
     if not theta.same_index(theta_tilde):
         raise DomainError("parameter vectors have different index tables")
+    lam = _as_real(lam, "lam")
     a = theta.values.astype(np.float64)
     b = theta_tilde.values.astype(np.float64)
     mixed = (1.0 - lam) * a + lam * b
@@ -47,10 +48,7 @@ def interpolate(theta: ParamVector, theta_tilde: ParamVector, lam: float) -> Par
 
 
 def lambda_grid(lo: float = 0.0, hi: float = 1.0, points: int = 25) -> np.ndarray:
-    points = _as_int(points, "points")
-    if points < 2:
-        raise DomainError("need at least two lambda points")
-    return np.linspace(lo, hi, points)
+    return np.linspace(_as_real(lo, "lo"), _as_real(hi, "hi"), _as_int(points, "points", 2))
 
 
 def barrier_curve_from_fn(lambdas, point_fn, eval_fns: dict) -> BarrierCurve:
@@ -58,9 +56,7 @@ def barrier_curve_from_fn(lambdas, point_fn, eval_fns: dict) -> BarrierCurve:
 
     This is the hook the tests drive with closed-form scalar losses.
     """
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    if np.any(np.diff(lambdas) <= 0):
-        raise DomainError("lambda grid must be strictly increasing")
+    lambdas = _as_grid(lambdas, "lambdas")
     metrics = {name: {k: [] for k in METRIC_KEYS} for name in eval_fns}
     for lam in lambdas:
         point = point_fn(float(lam))

@@ -24,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .numerics import is_power_of_two
+from .numerics import _as_int, _as_real, is_power_of_two
 from .rng import RngStream, gaussian
 
 _STREAM_INIT = 0x494E4954  # "INIT"
@@ -32,7 +32,8 @@ _STREAM_INIT = 0x494E4954  # "INIT"
 
 @dataclass(frozen=True)
 class ArchDescriptor:
-    """Shape of the network family; round-trips through JSON text."""
+    """Shape of the network family; round-trips through JSON text. A descriptor
+    is checked when it is built, its layer plan included, not at first use."""
 
     input_shape: tuple[int, int, int]  # (height, width, channels)
     conv_blocks: tuple[tuple[int, int, int], ...]  # (out_channels, kernel, stride)
@@ -40,6 +41,13 @@ class ArchDescriptor:
     num_classes: int
 
     def __post_init__(self):
+        if len(self.input_shape) != 3 or any(len(b) != 3 for b in self.conv_blocks):
+            raise SizeError("input_shape and every conv block must have three entries")
+        counts = lambda values, what: tuple(_as_int(v, what, 1) for v in values)
+        object.__setattr__(self, "input_shape", counts(self.input_shape, "input size"))
+        object.__setattr__(self, "conv_blocks", tuple(counts(b, "conv block entry") for b in self.conv_blocks))
+        object.__setattr__(self, "fc_widths", counts(self.fc_widths, "fc width"))
+        object.__setattr__(self, "num_classes", _as_int(self.num_classes, "num_classes", 1))
         h, w, _ = self.input_shape
         if not (is_power_of_two(h) and is_power_of_two(w)):
             raise SizeError("input height and width must be powers of two")
@@ -52,9 +60,7 @@ class ArchDescriptor:
             raise SizeError("need at least one fully connected layer")
         if self.num_classes < 2:
             raise SizeError("need at least two classes")
-        object.__setattr__(self, "input_shape", tuple(self.input_shape))
-        object.__setattr__(self, "conv_blocks", tuple(tuple(b) for b in self.conv_blocks))
-        object.__setattr__(self, "fc_widths", tuple(self.fc_widths))
+        self.layer_plan()
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -517,11 +523,11 @@ def sgd_step(
     weight_decay: float,
 ) -> tuple[ParamVector, ParamVector]:
     """buf' = momentum*buf + grad + wd*params; params' = params - lr*buf'."""
-    if lr <= 0:
+    if _as_real(lr, "lr") <= 0:
         raise DomainError("lr must be positive")
-    if not (0 <= momentum < 1):
+    if not (0 <= _as_real(momentum, "momentum") < 1):
         raise DomainError("momentum must lie in [0, 1)")
-    if weight_decay < 0:
+    if _as_real(weight_decay, "weight_decay") < 0:
         raise DomainError("weight_decay must be non-negative")
     if not params.same_index(grad):
         raise DomainError("params and grad have different index tables")

@@ -21,6 +21,7 @@ import numpy as np
 from . import __version__, dataops
 from .errors import DomainError, FileFormatError
 from .model import ArchDescriptor, ParamVector, build_index
+from .numerics import _as_int
 from .trainer import Checkpoint
 
 CKPT_MAGIC = b"LLCK"
@@ -86,7 +87,6 @@ def load_checkpoint(path) -> Checkpoint:
         _check_container(f, CKPT_MAGIC)
         try:
             arch = ArchDescriptor.from_json(_read_prefixed(f, "arch").decode())
-            index = build_index(arch)  # the plan checks kernel and stride against the input
         except (TypeError, ValueError) as e:
             raise FileFormatError("arch", f"bad arch: {e}") from e
         try:
@@ -103,6 +103,7 @@ def load_checkpoint(path) -> Checkpoint:
         if extra:
             raise FileFormatError("params", "trailing bytes after parameter block")
     values = np.frombuffer(raw, dtype="<f4").copy()
+    index = build_index(arch)
     total = index[-1].offset + index[-1].length
     if total != count:
         raise FileFormatError("params", f"arch wants {total} params, file has {count}")
@@ -169,9 +170,7 @@ def emit_table(rows, schema, path) -> str:
         cells = []
         for value, kind in zip(row, kinds):
             if kind == "int":
-                if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                    raise DomainError(f"expected int, got {value!r}")
-                cells.append(str(int(value)))
+                cells.append(str(_as_int(value, "an int cell")))
             elif kind == "real":
                 if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
                     raise DomainError(f"expected real, got {value!r}")

@@ -39,7 +39,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _as_int
+from .numerics import _as_int, _as_real
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -122,9 +122,7 @@ def _lane_raw(seed: int, stream_ids, n: int) -> np.ndarray:
 
     One stream draws its own block: a one-column lockstep pays a numpy op
     per term of the recurrence for a single draw."""
-    n = _as_int(n, "n")
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    n = _as_int(n, "n", 0)
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
     if ids.size == 1:
         return RngStream(seed, int(ids[0]))._raw_block(n)[:, None]
@@ -164,9 +162,7 @@ def lane_permutations(seed: int, stream_ids, n: int) -> np.ndarray:
     redrawn by ``RngStream.permutation``. One stream is its own
     ``RngStream.permutation``.
     """
-    n = _as_int(n, "n")
-    if n < 0:
-        raise DomainError("n must be non-negative")
+    n = _as_int(n, "n", 0)
     seed = operator.index(seed) & _MASK64
     ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
     if ids.size == 1:
@@ -233,7 +229,7 @@ def _lane_block(s: list, n: int) -> tuple[np.ndarray, list]:
     lanes, jumped by T^(L*2^i), give the next 2^i. The lanes then advance
     in lockstep; the last one stops at step n, where the stream's state is.
     """
-    a = max(_SHORTEST, (operator.index(n).bit_length() - 4) // 2)
+    a = max(_SHORTEST, (n.bit_length() - 4) // 2)
     steps = 1 << a
     lanes = -(-n // steps)
     starts = np.empty((lanes, 4), dtype=np.uint64)
@@ -288,16 +284,12 @@ class RngStream:
         """Uniform doubles in [0, 1) using the top 53 bits per draw."""
         if n is None:
             return (self.next_u64() >> 11) * 2.0**-53
-        n = _as_int(n, "n")
-        if n < 0:
-            raise DomainError("n must be non-negative")
+        n = _as_int(n, "n", 0)
         return _unit(self._raw_block(n))
 
     def randint_below(self, bound: int) -> int:
         """Unbiased integer in [0, bound), 0 < bound <= 2^64, via rejection sampling."""
-        bound = _as_int(bound, "bound")
-        if bound <= 0:
-            raise DomainError("bound must be positive")
+        bound = _as_int(bound, "bound", 1)
         if bound > 1 << 64:
             raise DomainError("bound must be at most 2**64")
         limit = (1 << 64) - ((1 << 64) % bound)
@@ -312,9 +304,7 @@ class RngStream:
         The n-1 draws come as one block; if any falls at or above its
         rejection limit, the stream rewinds and draws them one at a time.
         """
-        n = _as_int(n, "n")
-        if n < 0:
-            raise DomainError("n must be non-negative")
+        n = _as_int(n, "n", 0)
         s, position = self._s, self.position
         j, accepted = _swap_targets(self._raw_block(max(n - 1, 0)))
         if accepted:
@@ -332,17 +322,16 @@ class RngStream:
 
     @classmethod
     def restore(cls, seed: int, stream_id: int, position: int) -> "RngStream":
-        """Rebuild a stream and fast-forward to ``position`` raw draws."""
-        position = _as_int(position, "position")
-        if position < 0:
-            raise DomainError("position must be non-negative")
+        """Rebuild a stream at ``position`` raw draws: scalar steps for the low
+        _SHORTEST bits, then one jump-table product T^(2^k) per higher set bit k."""
+        position = _as_int(position, "position", 0)
         rng = cls(seed, stream_id)
-        chunk = 1 << 14
-        remaining = position
-        while remaining > 0:
-            k = min(chunk, remaining)
-            rng._raw_block(k)
-            remaining -= k
+        rng._s = _xoshiro_fill(rng._s, [0] * (position % (1 << _SHORTEST)))
+        state = np.array([rng._s], dtype=np.uint64)
+        for k in range(_SHORTEST, position.bit_length()):
+            if position >> k & 1:
+                state = _jump_apply(_jump_table(k), state)
+        rng._s, rng.position = state[0].tolist(), position
         return rng
 
     def split(self, *parts: int) -> "RngStream":
@@ -366,11 +355,9 @@ def _box_muller(u: np.ndarray, n: int, std: float) -> np.ndarray:
 
 def _gaussian_width(n: int, std: float) -> int:
     """Raw draws per n samples, 2*ceil(n/2), after checking the arguments."""
-    n = _as_int(n, "n")
-    if n < 0:
-        raise DomainError("n must be non-negative")
-    if not math.isfinite(std) or std < 0:
-        raise DomainError("std must be finite and non-negative")
+    n = _as_int(n, "n", 0)
+    if _as_real(std, "std") < 0:
+        raise DomainError("std must be non-negative")
     return 2 * ((n + 1) // 2)
 
 
@@ -388,9 +375,7 @@ def gaussian_rows(rng: RngStream, rows: int, n: int, std: float) -> np.ndarray:
 
     The draws come from one raw block, split into a block per row.
     """
-    rows = _as_int(rows, "rows")
-    if rows < 0:
-        raise DomainError("rows must be non-negative")
+    rows = _as_int(rows, "rows", 0)
     width = _gaussian_width(n, std)
     u = rng._raw_block(rows * width).reshape(rows, width)
     out = np.empty((rows, n), dtype=np.float64)
@@ -405,8 +390,8 @@ def uniform_in_ball(rng: RngStream, center: Sequence[float] | np.ndarray, radius
     Gaussian direction normalized to the sphere, then scaled by
     radius * U^(1/n) so the radial CDF is r^n.
     """
-    if not math.isfinite(radius) or radius < 0:
-        raise DomainError("radius must be finite and non-negative")
+    if _as_real(radius, "radius") < 0:
+        raise DomainError("radius must be non-negative")
     center = np.asarray(center, dtype=np.float64)
     n = center.size
     if n == 0:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector, forward
+from .numerics import _as_int
 from .rng import RngStream
 from .trainer import EVAL_BATCH, Checkpoint
 
@@ -129,8 +130,7 @@ class MistakeTable:
 
 def mistake_ratios(g1: int, g2: int, common: int) -> tuple[float, float, bool]:
     """(r1, r2, zero_denominator): a model's mistakes are its g + common."""
-    if g1 < 0 or g2 < 0 or common < 0:
-        raise DomainError("counts must be non-negative")
+    g1, g2, common = (_as_int(count, "mistake count", 0) for count in (g1, g2, common))
     flagged = False
     if g2 + common > 0:
         r1 = g2 / (g2 + common)

@@ -27,7 +27,7 @@ def conv_singular_values(kernel, input_size: int) -> np.ndarray:
     k = kernel.shape[0]
     if kernel.shape[1] != k:
         raise SizeError("kernel spatial dims must be square")
-    n = input_size
+    n = _as_int(input_size, "input size", 1)
     if not is_power_of_two(n):
         raise SizeError(f"input size must be a power of two, got {n}")
     if k > n:
@@ -89,9 +89,7 @@ def threshold_count_curve(values, thresholds) -> list[tuple[float, int]]:
 
 def spectrum_histogram(values, bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
     """Counts over uniform bins spanning [0, max value]."""
-    bins = _as_int(bins, "bins")
-    if bins < 1:
-        raise DomainError("need at least one bin")
+    bins = _as_int(bins, "bins", 1)
     values = np.asarray(values, dtype=np.float64)
     if not np.isfinite(values).all():
         raise DomainError("values must be finite")

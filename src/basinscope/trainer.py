@@ -22,7 +22,7 @@ from .errors import DivergedRunError, DomainError
 from .model import (
     ArchDescriptor, ParamVector, _check_labels, _network_input, _nll, _run_layers, backward, init_random, sgd_step
 )
-from .numerics import _as_int
+from .numerics import _as_grid, _as_int, _as_real
 from .rng import RngStream, derive_stream_id
 
 _STREAM_BATCH = 0x42415443  # "BATC"
@@ -31,7 +31,7 @@ EVAL_BATCH = 256
 
 @dataclass(frozen=True)
 class InitSpec:
-    """Random(seed) or FromCheckpoint(path)."""
+    """Random(seed) or FromCheckpoint(path); each kind rejects the other's field."""
 
     kind: str  # "random" | "checkpoint"
     seed: int = 0
@@ -41,6 +41,9 @@ class InitSpec:
         object.__setattr__(self, "seed", _as_int(self.seed, "init seed"))
         if self.kind not in ("random", "checkpoint"):
             raise DomainError(f"init kind must be random or checkpoint, got {self.kind!r}")
+        unused = "path" if self.kind == "random" else "seed"
+        if getattr(self, unused):
+            raise DomainError(f"a {self.kind} init takes no {unused}")
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,8 @@ class DataSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "domains", tuple(self.domains))
-        for name in ("n_train", "n_test", "seed", "shuffle_seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
+        for name, least in (("n_train", 1), ("n_test", 1), ("seed", None), ("shuffle_seed", None)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
         if not self.domains:
             raise DomainError("need at least one domain")
         for name in self.domains:
@@ -66,8 +69,8 @@ class DataSpec:
         if self.shuffle_block is not None:
             shuffle = dataops.ShuffleSpec(self.shuffle_block, self.shuffle_seed, self.shared_permutation)
             object.__setattr__(self, "shuffle_block", shuffle.block_size)
-        if self.n_train < 1 or self.n_test < 1:
-            raise DomainError("n_train and n_test must be at least 1")
+        elif self.shuffle_seed or self.shared_permutation:
+            raise DomainError("shuffle_seed and shared_permutation need a shuffle_block")
 
 
 @dataclass(frozen=True)
@@ -87,27 +90,25 @@ class TrainConfig:
     clip_grad_norm: float | None = 2.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lr_schedule", tuple((int(e), float(lr)) for e, lr in self.lr_schedule))
-        object.__setattr__(self, "checkpoint_epochs", tuple(int(e) for e in self.checkpoint_epochs))
-        for name in ("epochs", "batch_size", "seed"):
-            object.__setattr__(self, name, _as_int(getattr(self, name), name))
-        epochs = [e for e, _ in self.lr_schedule]
-        if not epochs or epochs[0] != 0:
+        schedule = tuple((_as_int(e, "lr schedule epoch"), _as_real(lr, "learning rate")) for e, lr in self.lr_schedule)
+        object.__setattr__(self, "lr_schedule", schedule)
+        object.__setattr__(self, "checkpoint_epochs", tuple(_as_int(e, "checkpoint epoch") for e in self.checkpoint_epochs))
+        for name, least in (("epochs", 0), ("batch_size", 1), ("seed", None)):
+            object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
+        for name in ("momentum", "weight_decay"):
+            object.__setattr__(self, name, _as_real(getattr(self, name), name))
+        if _as_grid([e for e, _ in schedule], "lr schedule epochs")[0] != 0:
             raise DomainError("lr schedule must start at epoch 0")
-        if any(b <= a for a, b in zip(epochs, epochs[1:])):
-            raise DomainError("lr schedule epochs must be strictly increasing")
-        if any(lr <= 0 for _, lr in self.lr_schedule):
+        if any(lr <= 0 for _, lr in schedule):
             raise DomainError("learning rates must be positive")
-        if self.batch_size < 1:
-            raise DomainError("batch_size must be at least 1")
-        if self.epochs < 0:
-            raise DomainError("epochs must be non-negative")
         if not 0 <= self.momentum < 1:
             raise DomainError("momentum must lie in [0, 1)")
         if self.weight_decay < 0:
             raise DomainError("weight_decay must be non-negative")
-        if self.clip_grad_norm is not None and self.clip_grad_norm <= 0:
-            raise DomainError("clip_grad_norm must be positive or None")
+        if self.clip_grad_norm is not None:
+            object.__setattr__(self, "clip_grad_norm", _as_real(self.clip_grad_norm, "clip_grad_norm"))
+            if self.clip_grad_norm <= 0:
+                raise DomainError("clip_grad_norm must be positive or None")
         if any(not 0 <= e <= self.epochs for e in self.checkpoint_epochs):
             raise DomainError(f"checkpoint epochs must lie in [0, {self.epochs}]")
 

@@ -2,12 +2,16 @@ import numpy as np
 import pytest
 
 from basinscope.basin import BallSet, check_basin, fit_basin
-from basinscope.criticality import CriticalityConfig
-from basinscope.errors import DomainError
-from basinscope.landscape import lambda_grid
+from basinscope.criticality import CriticalityConfig, CriticalityMap
+from basinscope.dataops import relative_accuracy_drop
+from basinscope.errors import DomainError, SizeError
+from basinscope.landscape import barrier_curve_from_fn, interpolate, lambda_grid
+from basinscope.model import TINY4, ArchDescriptor, ParamVector, sgd_step
 from basinscope.numerics import svd_values
-from basinscope.rng import RngStream, gaussian, gaussian_rows, lane_permutations, lane_uniforms
-from basinscope.spectrum import spectrum_histogram
+from basinscope.rng import RngStream, gaussian, gaussian_rows, lane_permutations, lane_uniforms, uniform_in_ball
+from basinscope.similarity import mistake_ratios
+from basinscope.spectrum import conv_singular_values, spectrum_histogram
+from basinscope.trainer import DataSpec, TrainConfig, config_hash
 
 
 def jacobi_eigenvalues(s):
@@ -88,6 +92,15 @@ class TestSvdValues:
         assert np.all(np.diff(values) <= 1e-12)
 
 
+def config(**kw):
+    return TrainConfig(TINY4, DataSpec(("source",)), 3, **kw)
+
+
+def arch(**kw):
+    fields = dict(input_shape=(16, 16, 3), conv_blocks=((8, 3, 1),), fc_widths=(32,), num_classes=10)
+    return ArchDescriptor(**{**fields, **kw})
+
+
 # Count arguments that are not integers, each as a call that must raise DomainError.
 NON_INTEGER_COUNTS = {
     "randint_below(2.5)": lambda: RngStream(1).randint_below(2.5),
@@ -102,10 +115,22 @@ NON_INTEGER_COUNTS = {
     "lambda_grid(points=2.5)": lambda: lambda_grid(points=2.5),
     "spectrum_histogram(bins=True)": lambda: spectrum_histogram([1.0, 2.0], bins=True),
     "spectrum_histogram(bins=2.5)": lambda: spectrum_histogram([1.0, 2.0], bins=2.5),
+    "conv_singular_values(input_size=8.0)": lambda: conv_singular_values(np.ones((3, 3, 1, 1)), 8.0),
+    "mistake_ratios(g1=1.5)": lambda: mistake_ratios(1.5, 2, 3),
     "CriticalityConfig(noise_samples=True)": lambda: CriticalityConfig("conv1", 0.1, noise_samples=True),
     "CriticalityConfig(noise_samples=2.5)": lambda: CriticalityConfig("conv1", 0.1, noise_samples=2.5),
     "check_basin(samples=100.5)": lambda: check_basin(BallSet(np.zeros(2), 1.0), lambda p: 0.0, 0.1, 0.1, 100.5, RngStream(1)),
     "fit_basin(samples=100.5)": lambda: fit_basin(np.zeros(2), np.ones(2), lambda p: 0.0, 0.1, RngStream(1), samples=100.5),
+    "TrainConfig(lr schedule epoch 0.9)": lambda: config(lr_schedule=((0.9, 0.05),)),
+    "TrainConfig(lr schedule epoch 1.5)": lambda: config(lr_schedule=((0, 0.05), (1.5, 0.01))),
+    "TrainConfig(lr schedule epoch True)": lambda: config(lr_schedule=((0, 0.05), (True, 0.01))),
+    "TrainConfig(checkpoint_epochs=(1.5,))": lambda: config(checkpoint_epochs=(1.5,)),
+    "TrainConfig(checkpoint_epochs=(True,))": lambda: config(checkpoint_epochs=(True,)),
+    "ArchDescriptor(input size 16.0)": lambda: arch(input_shape=(16.0, 16, 3)),
+    "ArchDescriptor(conv channels 8.5)": lambda: arch(conv_blocks=((8.5, 3, 1),)),
+    "ArchDescriptor(kernel True)": lambda: arch(conv_blocks=((8, True, 1),)),
+    "ArchDescriptor(fc width '32')": lambda: arch(fc_widths=("32",)),
+    "ArchDescriptor(num_classes=2.5)": lambda: arch(num_classes=2.5),
 }
 
 
@@ -121,3 +146,101 @@ def test_numpy_integer_counts_act_as_ints():
     assert np.array_equal(RngStream(1).permutation(np.int32(9)), RngStream(1).permutation(9))
     assert np.array_equal(gaussian_rows(RngStream(1), np.int64(2), 3, 1.0), gaussian_rows(RngStream(1), 2, 3, 1.0))
     assert np.array_equal(spectrum_histogram([1.0, 2.0], bins=np.int16(4))[1], spectrum_histogram([1.0, 2.0], bins=4)[1])
+    assert arch(input_shape=np.array([16, 16, 3]), num_classes=np.int64(10)) == arch()
+
+
+def _sgd(**kw):
+    params = ParamVector.zeros(TINY4)
+    args = dict(lr=0.05, momentum_buf=None, momentum=0.9, weight_decay=1e-4)
+    return sgd_step(params, params, **{**args, **kw})
+
+
+_BALL = BallSet(np.zeros(2), 1.0)
+_FLAT = {"train_loss": 0.0, "train_acc": 1.0, "test_loss": 0.0, "test_acc": 1.0}
+
+# Real arguments that are not finite reals, and grids that are not 1-D and
+# finite, each as (error, call): the call must raise the error.
+NON_FINITE_REALS = {
+    "TrainConfig(lr nan)": (DomainError, lambda: config(lr_schedule=((0, float("nan")),))),
+    "TrainConfig(lr inf)": (DomainError, lambda: config(lr_schedule=((0, 0.05), (1, float("inf"))))),
+    "TrainConfig(lr '0.05')": (DomainError, lambda: config(lr_schedule=((0, "0.05"),))),
+    "TrainConfig(empty lr schedule)": (DomainError, lambda: config(lr_schedule=())),
+    "TrainConfig(momentum nan)": (DomainError, lambda: config(momentum=float("nan"))),
+    "TrainConfig(weight_decay True)": (DomainError, lambda: config(weight_decay=True)),
+    "TrainConfig(weight_decay nan)": (DomainError, lambda: config(weight_decay=float("nan"))),
+    "TrainConfig(clip_grad_norm nan)": (DomainError, lambda: config(clip_grad_norm=float("nan"))),
+    "TrainConfig(clip_grad_norm inf)": (DomainError, lambda: config(clip_grad_norm=float("inf"))),
+    "sgd_step(lr nan)": (DomainError, lambda: _sgd(lr=float("nan"))),
+    "sgd_step(momentum nan)": (DomainError, lambda: _sgd(momentum=float("nan"))),
+    "sgd_step(weight_decay nan)": (DomainError, lambda: _sgd(weight_decay=float("nan"))),
+    "sgd_step(lr '0.05')": (DomainError, lambda: _sgd(lr="0.05")),
+    "CriticalityConfig(epsilon nan)": (DomainError, lambda: CriticalityConfig("conv1", float("nan"))),
+    "CriticalityConfig(epsilon inf)": (DomainError, lambda: CriticalityConfig("conv1", float("inf"))),
+    "CriticalityConfig(alpha grid nan)": (DomainError, lambda: CriticalityConfig("conv1", 0.1, alpha_grid=[0.0, float("nan")])),
+    "CriticalityConfig(sigma grid inf)": (DomainError, lambda: CriticalityConfig("conv1", 0.1, sigma_grid=[0.1, float("inf")])),
+    "CriticalityConfig(alpha grid 2-D)": (SizeError, lambda: CriticalityConfig("conv1", 0.1, alpha_grid=[[0.0, 0.5], [0.6, 1.0]])),
+    "CriticalityConfig(sigma grid 2-D)": (SizeError, lambda: CriticalityConfig("conv1", 0.1, sigma_grid=[[0.1], [0.2]])),
+    "interpolate(lam nan)": (DomainError, lambda: interpolate(ParamVector.zeros(TINY4), ParamVector.zeros(TINY4), float("nan"))),
+    "CriticalityMap.mu_at(nan)": (DomainError, lambda: CriticalityMap("conv1", np.ones(1), np.ones(1), np.zeros((1, 1)), np.zeros((1, 1)), 0.1, 1.0, 1.0, (1.0, 1.0)).mu_at(float("nan"))),
+    "lambda_grid(0, nan)": (DomainError, lambda: lambda_grid(0.0, float("nan"))),
+    "lambda_grid(-inf, 1)": (DomainError, lambda: lambda_grid(float("-inf"), 1.0)),
+    "lambda_grid('0', 1)": (DomainError, lambda: lambda_grid("0", 1.0)),
+    "barrier_curve_from_fn(lambdas nan)": (DomainError, lambda: barrier_curve_from_fn([0.0, float("nan")], float, {"a": lambda p: _FLAT})),
+    "barrier_curve_from_fn(lambdas 2-D)": (SizeError, lambda: barrier_curve_from_fn([[0.0, 1.0]], float, {"a": lambda p: _FLAT})),
+    "check_basin(epsilon nan)": (DomainError, lambda: check_basin(_BALL, lambda p: 0.0, float("nan"), 0.1, 100, RngStream(1))),
+    "check_basin(delta inf)": (DomainError, lambda: check_basin(_BALL, lambda p: 0.0, 0.1, float("inf"), 100, RngStream(1))),
+    "fit_basin(epsilon nan)": (DomainError, lambda: fit_basin(np.zeros(2), np.ones(2), lambda p: 0.0, float("nan"), RngStream(1))),
+    "relative_accuracy_drop(nan, 0.5)": (DomainError, lambda: relative_accuracy_drop(float("nan"), 0.5)),
+    "relative_accuracy_drop(0.9, nan)": (DomainError, lambda: relative_accuracy_drop(0.9, float("nan"))),
+    "gaussian(std nan)": (DomainError, lambda: gaussian(RngStream(1), 4, float("nan"))),
+    "gaussian_rows(std inf)": (DomainError, lambda: gaussian_rows(RngStream(1), 2, 4, float("inf"))),
+    "uniform_in_ball(radius nan)": (DomainError, lambda: uniform_in_ball(RngStream(1), np.zeros(2), float("nan"))),
+    "BallSet(radius inf)": (DomainError, lambda: BallSet(np.zeros(2), float("inf"))),
+    "BallSet(radius '1')": (DomainError, lambda: BallSet(np.zeros(2), "1")),
+}
+
+
+@pytest.mark.parametrize("error,call", NON_FINITE_REALS.values(), ids=NON_FINITE_REALS.keys())
+def test_non_finite_real_raises(error, call):
+    with pytest.raises(error):
+        call()
+
+
+def test_numpy_reals_act_as_floats():
+    cfg = config(lr_schedule=((0, np.float64(0.05)),), momentum=np.float32(0.5), weight_decay=0, clip_grad_norm=np.int64(2))
+    assert cfg.lr_schedule == ((0, 0.05),) and cfg.momentum == 0.5 and cfg.clip_grad_norm == 2.0
+    assert all(type(v) is float for v in (cfg.lr_schedule[0][1], cfg.momentum, cfg.weight_decay, cfg.clip_grad_norm))
+    assert np.array_equal(lambda_grid(np.float32(0.5), 1, 3), [0.5, 0.75, 1.0])
+
+
+def test_python_float_config_hash_pinned():
+    """Normalising the reals leaves a Python-float config's JSON, and so its hash, as it was."""
+    explicit = config(lr_schedule=((0, 0.05), (30, 0.005)), momentum=0.9, weight_decay=1e-4, clip_grad_norm=2.0)
+    want = "ffc27f5885ca862ffde4308495df698b4ffd48a113395f80801425250e2be992"
+    assert config_hash(explicit) == config_hash(config()) == want
+    numpy_reals = config(lr_schedule=((0, np.float64(0.05)), (30, 0.005)), momentum=np.float64(0.9))
+    assert config_hash(numpy_reals) == want
+
+
+# Architectures that cannot be built, each as (error, fields): the descriptor
+# must raise the error when it is built, not at first use.
+BAD_ARCHITECTURES = {
+    "stride 0": (DomainError, dict(conv_blocks=((8, 3, 0),))),
+    "stride -1": (DomainError, dict(conv_blocks=((8, 3, -1),))),
+    "stride 3 on 16": (SizeError, dict(conv_blocks=((8, 3, 3),))),
+    "kernel -1": (DomainError, dict(conv_blocks=((8, -1, 1),))),
+    "kernel 17 on 16": (SizeError, dict(conv_blocks=((8, 17, 1),))),
+    "zero channels": (DomainError, dict(conv_blocks=((0, 3, 1),))),
+    "zero input channels": (DomainError, dict(input_shape=(16, 16, 0))),
+    "fc width 0": (DomainError, dict(fc_widths=(0,))),
+    "num_classes=2.5": (DomainError, dict(num_classes=2.5)),
+    "num_classes=1": (SizeError, dict(num_classes=1)),
+    "two-element input_shape": (SizeError, dict(input_shape=(16, 16))),
+    "two-element conv block": (SizeError, dict(conv_blocks=((8, 3),))),
+}
+
+
+@pytest.mark.parametrize("error,fields", BAD_ARCHITECTURES.values(), ids=BAD_ARCHITECTURES.keys())
+def test_bad_architecture_raises_when_built(error, fields):
+    with pytest.raises(error):
+        arch(**fields)

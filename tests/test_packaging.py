@@ -37,7 +37,7 @@ def test_importing_every_module_pulls_in_neither_scipy_nor_multiprocessing():
     assert out[1].strip() == "[]"
 
 
-SETTABLE_OPTIONS = 43
+SETTABLE_OPTIONS = 42
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

@@ -63,6 +63,16 @@ def test_restore_negative_position_rejected():
         RngStream.restore(1, 2, -5)
 
 
+@pytest.mark.parametrize("position", [0, 1, 15, 16, 17, 767, 768, 12345, 100003, 2**20])
+def test_restore_jump_matches_stepping(position):
+    for seed, sid in [(1, 2), (2**64 - 1, 7)]:
+        stepped = RngStream(seed, sid)
+        stepped._raw_block(position)
+        restored = RngStream.restore(seed, sid, position)
+        assert restored.state() == stepped.state() and restored._s == stepped._s
+        assert [restored.next_u64() for _ in range(5)] == [stepped.next_u64() for _ in range(5)]
+
+
 def test_restore_zero_position_is_fresh_stream():
     assert RngStream.restore(1, 2, 0).next_u64() == RngStream(1, 2).next_u64()
 

@@ -102,12 +102,26 @@ class TestConfig:
             dict(n_test=0),
             dict(n_train=2.5),
             dict(shuffle_block=np.float64(4.0)),
+            dict(shuffle_seed=3),
+            dict(shared_permutation=True),
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
     def test_impossible_data_spec_rejected(self, bad):
         with pytest.raises(DomainError):
             DataSpec(**{"domains": ("source",), **bad})
+
+    @pytest.mark.parametrize("bad", [dict(kind="random", path="p.llck"), dict(kind="checkpoint", seed=3)], ids=["random+path", "checkpoint+seed"])
+    def test_init_field_of_the_other_kind_rejected(self, bad):
+        """Each was validated and then ignored."""
+        with pytest.raises(DomainError):
+            InitSpec(**bad)
+
+    def test_fields_used_by_their_kind_construct(self):
+        assert InitSpec("random", seed=3).seed == 3
+        assert InitSpec("checkpoint", path="p.llck").path == "p.llck"
+        spec = DataSpec(("source",), shuffle_block=4, shuffle_seed=3, shared_permutation=True)
+        assert (spec.shuffle_block, spec.shuffle_seed, spec.shared_permutation) == (4, 3, True)
 
     def test_config_hash_pinned(self):
         config = TrainConfig(TINY4, DataSpec(("source",)), 3)
