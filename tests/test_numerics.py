@@ -157,6 +157,7 @@ def _sgd(**kw):
 
 _BALL = BallSet(np.zeros(2), 1.0)
 _FLAT = {"train_loss": 0.0, "train_acc": 1.0, "test_loss": 0.0, "test_acc": 1.0}
+_MAP = CriticalityMap("conv1", np.ones(1), np.ones(1), np.zeros((1, 1)), np.zeros((1, 1)), 0.1, 1.0, 1.0, (1.0, 1.0))
 
 # Real arguments that are not finite reals, and grids that are not 1-D and
 # finite, each as (error, call): the call must raise the error.
@@ -181,7 +182,7 @@ NON_FINITE_REALS = {
     "CriticalityConfig(alpha grid 2-D)": (SizeError, lambda: CriticalityConfig("conv1", 0.1, alpha_grid=[[0.0, 0.5], [0.6, 1.0]])),
     "CriticalityConfig(sigma grid 2-D)": (SizeError, lambda: CriticalityConfig("conv1", 0.1, sigma_grid=[[0.1], [0.2]])),
     "interpolate(lam nan)": (DomainError, lambda: interpolate(ParamVector.zeros(TINY4), ParamVector.zeros(TINY4), float("nan"))),
-    "CriticalityMap.mu_at(nan)": (DomainError, lambda: CriticalityMap("conv1", np.ones(1), np.ones(1), np.zeros((1, 1)), np.zeros((1, 1)), 0.1, 1.0, 1.0, (1.0, 1.0)).mu_at(float("nan"))),
+    "CriticalityMap.mu_at(nan)": (DomainError, lambda: _MAP.mu_at(float("nan"))),
     "lambda_grid(0, nan)": (DomainError, lambda: lambda_grid(0.0, float("nan"))),
     "lambda_grid(-inf, 1)": (DomainError, lambda: lambda_grid(float("-inf"), 1.0)),
     "lambda_grid('0', 1)": (DomainError, lambda: lambda_grid("0", 1.0)),
