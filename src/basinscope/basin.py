@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ParamVector
 from .numerics import _as_int, _as_real
-from .rng import RngStream, gaussian, uniform_in_ball
+from .rng import RngStream, gaussian, gaussian_rows, uniform_in_ball
 
 _STREAM_MU = 1
 _STREAM_PAIRS2 = 2
@@ -150,8 +150,7 @@ class _ConditionDraws:
             raise DomainError("loss returned non-finite value on a ball sample")
 
         self.f2 = [f for _, f in _chords(ball, rng.split(_STREAM_PAIRS2), samples)]
-        n2 = rng.split(_STREAM_NOISE2)
-        self.z2 = [gaussian(n2, n, 1.0) for _ in range(samples)]
+        self.z2 = gaussian_rows(rng.split(_STREAM_NOISE2), samples, n, 1.0)
 
         self.f3, self.dir3 = [], []
         for w1, f in _chords(ball, rng.split(_STREAM_PAIRS3), samples):

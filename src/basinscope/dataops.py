@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _as_int, _as_real
+from .numerics import _as_flag, _as_int, _as_real
 from .rng import derive_stream_id, lane_permutations, lane_uniforms
 
 DOMAIN_NAMES = ("source", "real_like", "clipart_like", "quickdraw_like", "xray_like")
@@ -110,6 +110,7 @@ class ShuffleSpec:
                 raise DomainError(f"block size {block} must divide {IMAGE_SIZE}")
             object.__setattr__(self, "block_size", block)
         object.__setattr__(self, "seed", _as_int(self.seed, "shuffle seed"))
+        object.__setattr__(self, "shared_permutation", _as_flag(self.shared_permutation, "shared_permutation"))
 
 
 @dataclass

@@ -3,10 +3,10 @@
 Storage convention for the toolkit: tensors are row-major float32, all
 reductions (dots, norms, losses) accumulate in float64.
 
-Public entry points check arguments by two rules, raising DomainError: a
+Public entry points check arguments by three rules, raising DomainError: a
 count is an int at least its bound (``_as_int``), a real a finite float
 (``_as_real``; ``_as_grid`` for a strictly increasing 1-D grid of them,
-SizeError if it is not 1-D).
+SizeError if it is not 1-D), and a flag a bool (``_as_flag``).
 """
 
 from __future__ import annotations
@@ -40,6 +40,14 @@ def _as_real(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
         raise DomainError(f"{what} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _as_flag(value, what: str) -> bool:
+    """``value`` as a Python bool; numpy bools are accepted, anything else
+    (ints and strings such as ``"False"`` included) is not."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{what} must be a bool, got {value!r}")
+    return bool(value)
 
 
 def _as_grid(values, what: str) -> np.ndarray:

@@ -45,6 +45,12 @@ def _read_prefixed(f, section: str) -> bytes:
     return _read_exact(f, length, section)
 
 
+def _check_end(f, section: str) -> None:
+    """Raise unless f is at its end: bytes after the last block are an error."""
+    if f.read(1):
+        raise FileFormatError(section, f"trailing bytes after the {section} block")
+
+
 def _write_container(path, magic: bytes, sections: list[str], blocks: list[np.ndarray]) -> str:
     """Write magic, version, the length-prefixed JSON sections and the raw
     blocks; return the file digest."""
@@ -99,9 +105,7 @@ def load_checkpoint(path) -> Checkpoint:
         if count < 0:
             raise FileFormatError("metadata", f"negative param_count {count}")
         raw = _read_exact(f, 4 * count, "params")
-        extra = f.read(1)
-        if extra:
-            raise FileFormatError("params", "trailing bytes after parameter block")
+        _check_end(f, "params")
     values = np.frombuffer(raw, dtype="<f4").copy()
     index = build_index(arch)
     total = index[-1].offset + index[-1].length
@@ -147,6 +151,9 @@ def load_dataset(path) -> dataops.Dataset:
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
         img_bytes = 4 * n * int(np.prod(shape))
         images = np.frombuffer(_read_exact(f, img_bytes, "images"), dtype="<f4").reshape((n, *shape)).copy()
+        _check_end(f, "images")
+    if not np.all(np.isfinite(images)):
+        raise FileFormatError("images", "non-finite pixel values")
     return dataops.Dataset(images, labels, split, provenance)
 
 

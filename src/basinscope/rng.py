@@ -5,12 +5,16 @@ independent uses (data, init, batch order, noise, sampling) on separate,
 non-overlapping sequences. Everything is integer arithmetic mod 2^64, so a
 given (seed, stream_id) pair produces the same sequence on every platform.
 
+A key (a seed, a stream id or a part folded into one) is an integer,
+numpy integers included and bools not, reduced mod 2^64; anything else
+raises DomainError. An integer array of stream ids wraps element-wise, so
+-1 and 2^64 - 1 name the same stream. ``_key`` and ``_keys`` are that rule.
+
 The seeding and the state recurrence are written once and run either on
-Python ints (one ``RngStream``) or on ``uint64`` arrays, where numpy wraps
-mod 2^64 silently and one array op steps many streams in lockstep
-(``lane_uniforms``, ``lane_permutations``). Arrays must be at least 1-D:
-numpy scalars warn on overflow. A lone stream id skips the lockstep and
-draws as its own ``RngStream``, with the same outputs.
+Python ints (one ``RngStream``) or on 1-D ``uint64`` arrays, where numpy
+wraps mod 2^64 silently and one array op steps many streams in lockstep
+(``lane_uniforms``, ``lane_permutations``). A lone stream id skips the
+lockstep and draws as its own ``RngStream``, with the same outputs.
 
 One stream's bulk draws use the same lockstep through jump-ahead lanes
 (Blackman & Vigna 2018; Haramoto et al. 2008). The state update is linear
@@ -32,7 +36,6 @@ to keep the outputs bit-identical by construction, not for speed.
 from __future__ import annotations
 
 import math
-import operator
 from functools import lru_cache
 from typing import Sequence
 
@@ -53,17 +56,29 @@ def mix64(x: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-def derive_stream_id(*parts: int) -> int:
-    """Fold integer parts into one stream id (order-sensitive).
+def _key(value, what: str) -> int:
+    """``value`` as a key: an integer (not a bool) reduced mod 2^64."""
+    return _as_int(value, what) & _MASK64
 
-    A part may be a 1-D integer array, giving one id per element; signed
-    elements wrap mod 2^64, as Python ints do.
+
+def _keys(values) -> np.ndarray:
+    """Stream ids as a 1-D uint64 array: an integer array wraps element-wise,
+    anything else goes through ``_key`` element by element."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iu":
+        return values.astype(np.uint64, copy=False).reshape(-1)
+    # object dtype keeps Python ints exact; numpy would turn [2**63, 0] into floats
+    return np.array([_key(v, "stream id") for v in np.ravel(np.asarray(values, dtype=object))], dtype=np.uint64)
+
+
+def derive_stream_id(*parts: int) -> int:
+    """Fold keys into one stream id (order-sensitive).
+
+    A part may be a 1-D array, giving one id per element.
     """
     sid = 0
     for part in parts:
-        if isinstance(part, np.ndarray) and part.dtype.kind == "i":
-            part = part.astype(np.uint64)
-        sid = mix64(((sid + _GOLDEN) & _MASK64) ^ (part & _MASK64))
+        part = _keys(part) if isinstance(part, np.ndarray) else _key(part, "stream id part")
+        sid = mix64(((sid + _GOLDEN) & _MASK64) ^ part)
     return sid
 
 
@@ -122,12 +137,11 @@ def _lane_raw(seed: int, stream_ids, n: int) -> np.ndarray:
 
     One stream draws its own block: a one-column lockstep pays a numpy op
     per term of the recurrence for a single draw."""
-    n = _as_int(n, "n", 0)
-    ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    n, ids = _as_int(n, "n", 0), _keys(stream_ids)
     if ids.size == 1:
-        return RngStream(seed, int(ids[0]))._raw_block(n)[:, None]
+        return RngStream(seed, ids[0])._raw_block(n)[:, None]
     raw = np.empty((n, ids.size), dtype=np.uint64)
-    _xoshiro_fill(_seed_state(operator.index(seed) & _MASK64, ids), raw)
+    _xoshiro_fill(_seed_state(_key(seed, "seed"), ids), raw)
     return raw
 
 
@@ -162,11 +176,9 @@ def lane_permutations(seed: int, stream_ids, n: int) -> np.ndarray:
     redrawn by ``RngStream.permutation``. One stream is its own
     ``RngStream.permutation``.
     """
-    n = _as_int(n, "n", 0)
-    seed = operator.index(seed) & _MASK64
-    ids = np.asarray(stream_ids, dtype=np.uint64).reshape(-1)
+    n, ids = _as_int(n, "n", 0), _keys(stream_ids)
     if ids.size == 1:
-        return RngStream(seed, int(ids[0])).permutation(n)[None]
+        return RngStream(seed, ids[0]).permutation(n)[None]
     j, accepted = _swap_targets(_lane_raw(seed, ids, max(n - 1, 0)))
     # one row per position, one column per lane: each swap moves two rows' elements
     perms = np.repeat(np.arange(n)[:, None], ids.size, axis=1)
@@ -176,7 +188,7 @@ def lane_permutations(seed: int, stream_ids, n: int) -> np.ndarray:
         perms[i] = perms[ji, lanes]
         perms[ji, lanes] = held
     for lane in np.flatnonzero(~accepted):
-        perms[:, lane] = RngStream(seed, int(ids[lane])).permutation(n)
+        perms[:, lane] = RngStream(seed, ids[lane]).permutation(n)
     return perms.T
 
 
@@ -258,9 +270,8 @@ class RngStream:
     __slots__ = ("seed", "stream_id", "position", "_s")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        # operator.index turns numpy integers into Python ints, which never overflow
-        self.seed = operator.index(seed) & _MASK64
-        self.stream_id = operator.index(stream_id) & _MASK64
+        self.seed = _key(seed, "seed")
+        self.stream_id = _key(stream_id, "stream id")
         self.position = 0
         self._s = _seed_state(self.seed, self.stream_id)
 
@@ -339,48 +350,34 @@ class RngStream:
         return RngStream(self.seed, derive_stream_id(self.stream_id, *parts))
 
 
-def _box_muller(u: np.ndarray, n: int, std: float) -> np.ndarray:
-    """n N(0, std^2) samples from 2*ceil(n/2) raw draws: u1 from the first half, u2 the second."""
-    pairs = len(u) // 2
-    # u1 in (0, 1] to keep log finite; u2 in [0, 1)
-    u1 = ((u[:pairs] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    u2 = (u[pairs:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    z = np.empty(2 * pairs, dtype=np.float64)
-    z[0::2] = r * np.cos(theta)
-    z[1::2] = r * np.sin(theta)
-    return std * z[:n]
-
-
-def _gaussian_width(n: int, std: float) -> int:
-    """Raw draws per n samples, 2*ceil(n/2), after checking the arguments."""
-    n = _as_int(n, "n", 0)
-    if _as_real(std, "std") < 0:
-        raise DomainError("std must be non-negative")
-    return 2 * ((n + 1) // 2)
-
-
 def gaussian(rng: RngStream, n: int, std: float) -> np.ndarray:
-    """i.i.d. N(0, std^2) samples via Box-Muller on the deterministic stream.
-
-    Consumes exactly 2*ceil(n/2) raw draws so replay does not depend on n's
-    parity history.
-    """
-    return _box_muller(rng._raw_block(_gaussian_width(n, std)), n, std)
+    """n i.i.d. N(0, std^2) samples: row 0 of ``gaussian_rows``, the one carrier
+    of the draw layout (2*ceil(n/2) raw draws, u1 from the first half)."""
+    return gaussian_rows(rng, 1, n, std)[0]
 
 
 def gaussian_rows(rng: RngStream, rows: int, n: int, std: float) -> np.ndarray:
-    """(rows, n) samples, row k equal to the k-th of ``rows`` consecutive gaussian(rng, n, std) calls.
+    """(rows, n) i.i.d. N(0, std^2) samples via Box-Muller on the deterministic stream.
 
-    The draws come from one raw block, split into a block per row.
+    The one carrier of the draw layout: each row takes the next 2*ceil(n/2)
+    raw draws, whatever n's parity, u1 from the first half and u2 from the
+    second. So row k equals the k-th of ``rows`` consecutive
+    gaussian(rng, n, std) calls, and all rows come from one raw block.
     """
-    rows = _as_int(rows, "rows", 0)
-    width = _gaussian_width(n, std)
-    u = rng._raw_block(rows * width).reshape(rows, width)
+    rows, n = _as_int(rows, "rows", 0), _as_int(n, "n", 0)
+    if _as_real(std, "std") < 0:
+        raise DomainError("std must be non-negative")
+    pairs = (n + 1) // 2
+    raw = rng._raw_block(rows * 2 * pairs).reshape(rows, 2, pairs)
+    z = np.empty(2 * pairs, dtype=np.float64)
     out = np.empty((rows, n), dtype=np.float64)
     for k in range(rows):
-        out[k] = _box_muller(u[k], n, std)
+        # u1 in (0, 1] to keep log finite (the sum is exact); u2 in [0, 1)
+        r = np.sqrt(-2.0 * np.log(_unit(raw[k, 0]) + 2.0**-53))
+        theta = 2.0 * math.pi * _unit(raw[k, 1])
+        z[0::2] = r * np.cos(theta)
+        z[1::2] = r * np.sin(theta)
+        out[k] = std * z[:n]
     return out
 
 

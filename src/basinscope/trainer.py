@@ -22,7 +22,7 @@ from .errors import DivergedRunError, DomainError
 from .model import (
     ArchDescriptor, ParamVector, _check_labels, _network_input, _nll, _run_layers, backward, init_random, sgd_step
 )
-from .numerics import _as_grid, _as_int, _as_real
+from .numerics import _as_flag, _as_grid, _as_int, _as_real
 from .rng import RngStream, derive_stream_id
 
 _STREAM_BATCH = 0x42415443  # "BATC"
@@ -62,6 +62,7 @@ class DataSpec:
         object.__setattr__(self, "domains", tuple(self.domains))
         for name, least in (("n_train", 1), ("n_test", 1), ("seed", None), ("shuffle_seed", None)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
+        object.__setattr__(self, "shared_permutation", _as_flag(self.shared_permutation, "shared_permutation"))
         if not self.domains:
             raise DomainError("need at least one domain")
         for name in self.domains:

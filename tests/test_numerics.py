@@ -3,12 +3,20 @@ import pytest
 
 from basinscope.basin import BallSet, check_basin, fit_basin
 from basinscope.criticality import CriticalityConfig, CriticalityMap
-from basinscope.dataops import relative_accuracy_drop
+from basinscope.dataops import ShuffleSpec, block_shuffle, relative_accuracy_drop
 from basinscope.errors import DomainError, SizeError
 from basinscope.landscape import barrier_curve_from_fn, interpolate, lambda_grid
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, sgd_step
 from basinscope.numerics import svd_values
-from basinscope.rng import RngStream, gaussian, gaussian_rows, lane_permutations, lane_uniforms, uniform_in_ball
+from basinscope.rng import (
+    RngStream,
+    derive_stream_id,
+    gaussian,
+    gaussian_rows,
+    lane_permutations,
+    lane_uniforms,
+    uniform_in_ball,
+)
 from basinscope.similarity import mistake_ratios
 from basinscope.spectrum import conv_singular_values, spectrum_histogram
 from basinscope.trainer import DataSpec, TrainConfig, config_hash
@@ -134,12 +142,30 @@ NON_INTEGER_COUNTS = {
 }
 
 
-@pytest.mark.parametrize("call", NON_INTEGER_COUNTS.values(), ids=NON_INTEGER_COUNTS.keys())
+_IMAGE = np.zeros((16, 16, 3), dtype=np.float32)
+
+# Keys (seeds, stream ids, a shuffled image's index) that are not integers,
+# each as a call that must raise DomainError; the count test runs them too.
+NON_INTEGER_KEYS = {
+    "RngStream(seed=2.5)": lambda: RngStream(2.5),
+    "RngStream(seed=True)": lambda: RngStream(True),
+    "lane_uniforms(ids [1.5, 2.5])": lambda: lane_uniforms(3, [1.5, 2.5], 4),
+    "lane_uniforms(float id array)": lambda: lane_uniforms(3, np.array([1.5, 2.5]), 4),
+    "lane_permutations(seed=2.0)": lambda: lane_permutations(2.0, [1, 2], 3),
+    "block_shuffle(index=True)": lambda: block_shuffle(_IMAGE, ShuffleSpec(4, 0), True),
+    "block_shuffle(index=1.5)": lambda: block_shuffle(_IMAGE, ShuffleSpec(4, 0), 1.5),
+}
+
+
+@pytest.mark.parametrize(
+    "call", [*NON_INTEGER_COUNTS.values(), *NON_INTEGER_KEYS.values()], ids=[*NON_INTEGER_COUNTS, *NON_INTEGER_KEYS]
+)
 def test_non_integer_count_raises_domain_error(call):
     with pytest.raises(DomainError):
         call()
 
 
+@pytest.mark.filterwarnings("error")
 def test_numpy_integer_counts_act_as_ints():
     assert type(CriticalityConfig("conv1", 0.1, noise_samples=np.int64(3)).noise_samples) is int
     assert RngStream(1).randint_below(np.uint8(7)) == RngStream(1).randint_below(7)
@@ -147,6 +173,33 @@ def test_numpy_integer_counts_act_as_ints():
     assert np.array_equal(gaussian_rows(RngStream(1), np.int64(2), 3, 1.0), gaussian_rows(RngStream(1), 2, 3, 1.0))
     assert np.array_equal(spectrum_histogram([1.0, 2.0], bins=np.int16(4))[1], spectrum_histogram([1.0, 2.0], bins=4)[1])
     assert arch(input_shape=np.array([16, 16, 3]), num_classes=np.int64(10)) == arch()
+    # keys: numpy integers and negative ints equal their Python-int forms mod 2^64
+    assert RngStream(1).split(np.int64(2)).state() == RngStream(1).split(2).state()
+    assert derive_stream_id(np.int64(5)) == derive_stream_id(np.uint64(5)) == derive_stream_id(5)
+    assert derive_stream_id(np.int32(-1)) == derive_stream_id(-1) == derive_stream_id(2**64 - 1)
+    assert np.array_equal(lane_uniforms(1, [-1, 2], 4)[0], RngStream(1, 2**64 - 1).uniform(4))
+    assert np.array_equal(lane_uniforms(1, [np.int64(-1), np.uint8(2)], 4), lane_uniforms(1, [2**64 - 1, 2], 4))
+
+
+# Flags that are not bools, each as a call that must raise DomainError.
+NON_BOOL_FLAGS = {
+    "ShuffleSpec(shared_permutation='False')": lambda: ShuffleSpec(4, 0, "False"),
+    "ShuffleSpec(shared_permutation=1)": lambda: ShuffleSpec(4, 0, 1),
+    "DataSpec(shared_permutation='no')": lambda: DataSpec(("source",), shuffle_block=4, shared_permutation="no"),
+}
+
+
+@pytest.mark.parametrize("call", NON_BOOL_FLAGS.values(), ids=NON_BOOL_FLAGS.keys())
+def test_non_bool_flag_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_numpy_bool_flags_act_as_bools():
+    assert ShuffleSpec(4, 0, np.True_).shared_permutation is True
+    spec = DataSpec(("source",), shuffle_block=4, shared_permutation=np.False_)
+    assert spec.shared_permutation is False
+    assert config_hash(TrainConfig(TINY4, spec, 3)) == config_hash(TrainConfig(TINY4, DataSpec(("source",), shuffle_block=4), 3))
 
 
 def _sgd(**kw):

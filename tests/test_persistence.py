@@ -70,6 +70,13 @@ def write_header_only_dataset(path, header: dict) -> None:
     path.write_bytes(b"LLDS" + struct.pack("<II", 1, len(header_json)) + header_json)
 
 
+def write_one_image_dataset(path, image: np.ndarray) -> None:
+    """An LLDS file built by hand: one image of label 0."""
+    header_json = json.dumps({**GOOD_HEADER, "n": 1}).encode()
+    blocks = np.zeros(1, dtype="<u2").tobytes() + image.astype("<f4").tobytes()
+    path.write_bytes(b"LLDS" + struct.pack("<II", 1, len(header_json)) + header_json + blocks)
+
+
 class TestCheckpointIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         ckpt = make_ckpt()
@@ -184,6 +191,14 @@ class TestCheckpointIO:
             load_checkpoint(truncated)
         assert err.value.section == "params"
 
+    def test_trailing_bytes_name_params_section(self, tmp_path):
+        path = tmp_path / "a.llck"
+        save_checkpoint(make_ckpt(), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FileFormatError) as err:
+            load_checkpoint(path)
+        assert err.value.section == "params"
+
     def test_flipped_byte_loads_but_digest_mismatches(self, tmp_path):
         ckpt = make_ckpt()
         path = tmp_path / "a.llck"
@@ -236,6 +251,25 @@ class TestDatasetIO:
         with pytest.raises(FileFormatError) as err:
             load_dataset(path)
         assert err.value.section == "header"
+
+    def test_trailing_bytes_name_images_section(self, tmp_path):
+        path = tmp_path / "t.llds"
+        write_one_image_dataset(path, np.zeros((16, 16, 3)))
+        assert len(load_dataset(path)) == 1
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(FileFormatError) as err:
+            load_dataset(path)
+        assert err.value.section == "images"
+
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf])
+    def test_non_finite_image_names_images_section(self, tmp_path, pixel):
+        image = np.zeros((16, 16, 3))
+        image[3, 4, 1] = pixel
+        path = tmp_path / "nan.llds"
+        write_one_image_dataset(path, image)
+        with pytest.raises(FileFormatError) as err:
+            load_dataset(path)
+        assert err.value.section == "images"
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.llds"

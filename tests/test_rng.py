@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from basinscope.errors import DomainError
 from basinscope import rng as rng_module
@@ -409,3 +413,13 @@ def test_gaussian_rows_equal_consecutive_gaussians(rows, n):
     for row in got:
         assert np.array_equal(row, gaussian(twin, n, 0.3))
     assert rng._s == twin._s and rng.position == twin.position
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(-(2**63), 2**64 - 1), k=st.integers(-(2**63), 2**64 - 1), n=st.integers(0, 6))
+def test_lane_row_equals_its_stream_for_every_integer_key(seed, k, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lane_uniforms(seed, [k, 0], n)[0]
+        want = RngStream(seed, k).uniform(n)
+    assert np.array_equal(got, want)
