@@ -128,6 +128,14 @@ def boundary_point(ball: BallSet, w1, w2) -> np.ndarray:
     return w1 + alpha * d
 
 
+def _finite_losses(values, where: str) -> np.ndarray:
+    """The losses as an array; DomainError naming where if any is NaN or +-inf."""
+    losses = np.array(values)
+    if not np.all(np.isfinite(losses)):
+        raise DomainError(f"loss returned non-finite value on {where}")
+    return losses
+
+
 def _chords(ball: BallSet, rng: RngStream, samples: int):
     """(start, boundary) per chord: a uniform start in the ball, a uniform
     second point, and the ball's boundary along the ray through them."""
@@ -145,9 +153,9 @@ class _ConditionDraws:
         n = ball.dimension
         mu_rng = rng.split(_STREAM_MU)
         self.ball = ball
-        self.inside_losses = np.array([loss(uniform_in_ball(mu_rng, ball.center, ball.radius)) for _ in range(samples)])
-        if not np.all(np.isfinite(self.inside_losses)):
-            raise DomainError("loss returned non-finite value on a ball sample")
+        self.inside_losses = _finite_losses(
+            [loss(uniform_in_ball(mu_rng, ball.center, ball.radius)) for _ in range(samples)], "a ball sample"
+        )
 
         self.f2 = [f for _, f in _chords(ball, rng.split(_STREAM_PAIRS2), samples)]
         self.z2 = gaussian_rows(rng.split(_STREAM_NOISE2), samples, n, 1.0)
@@ -180,9 +188,10 @@ def _report_from_draws(draws: _ConditionDraws, loss, epsilon: float, delta: floa
     est1 = _mean_se(np.abs(dev))[0]
     se1 = _mean_se(np.abs(dev) + (2.0 * np.mean(losses < mu_hat) - 1.0) * dev)[1]
     scale2 = delta / math.sqrt(n)
-    vals2 = np.array([loss(f + scale2 * z) for f, z in zip(draws.f2, draws.z2)])
+    vals2 = _finite_losses([loss(f + scale2 * z) for f, z in zip(draws.f2, draws.z2)], "a condition-2 probe")
     est2, se2 = _mean_se(vals2 - mu_hat)
-    vals3 = np.array([loss(f + (delta * a) * d) for f, d, a in zip(draws.f3, draws.dir3, draws.z3)])
+    vals3 = [loss(f + (delta * a) * d) for f, d, a in zip(draws.f3, draws.dir3, draws.z3)]
+    vals3 = _finite_losses(vals3, "a condition-3 probe")
     est3, se3 = _mean_se(vals3 - mu_hat)
     return BasinReport(
         mu_hat=mu_hat,
@@ -280,12 +289,12 @@ def fit_basin(
         direction = gaussian(rng.split(_STREAM_DEGENERATE), a.size, 1.0)
         direction /= np.linalg.norm(direction)
         point_fn = lambda lam: a + lam * direction
-        seg_losses = np.array([loss(a)])
+        seg_losses = _finite_losses([loss(a)], "the segment")
     else:
         d = b - a
         point_fn = lambda lam: a + lam * d
         seg = np.linspace(0.0, 1.0, INTERVAL_POINTS)
-        seg_losses = np.array([loss(point_fn(t)) for t in seg])
+        seg_losses = _finite_losses([loss(point_fn(t)) for t in seg], "the segment")
     mu_seg = float(seg_losses.mean())
     threshold = mu_seg + 2.0 * epsilon_target
 

@@ -33,25 +33,17 @@ from .errors import DomainError
 from .model import ParamVector, _module_input, _run_layers
 from .numerics import _as_grid, _as_int, _as_real
 from .rng import RngStream, gaussian_rows
-from .trainer import EVAL_BATCH, Checkpoint, _score_batches, split_metrics
+from .trainer import Checkpoint, _eval_batches, _same_arch, _score_batches, split_metrics
 
 NOISE_MODES = ("current_norm", "raw")
-
-
-def default_alpha_grid() -> np.ndarray:
-    return np.linspace(0.0, 1.0, 21)
-
-
-def default_sigma_grid() -> np.ndarray:
-    return np.logspace(-3, 0, 16)
 
 
 @dataclass
 class CriticalityConfig:
     module_name: str
     epsilon: float
-    alpha_grid: np.ndarray = field(default_factory=default_alpha_grid)
-    sigma_grid: np.ndarray = field(default_factory=default_sigma_grid)
+    alpha_grid: np.ndarray = field(default_factory=lambda: np.linspace(0.0, 1.0, 21))
+    sigma_grid: np.ndarray = field(default_factory=lambda: np.logspace(-3, 0, 16))
     noise_samples: int = 20
     noise_mode: str = "current_norm"
     metric: str = "error"  # "error" | "xent"
@@ -84,7 +76,7 @@ class CriticalityMap:
 
     @property
     def feasible(self) -> np.ndarray:
-        return self.train <= self.epsilon
+        return _feasible(self.train, self.epsilon)
 
     @property
     def gap(self) -> np.ndarray:
@@ -95,13 +87,18 @@ class CriticalityMap:
         return _minimize(self.alpha_grid, self.sigma_grid, self.train, _as_real(epsilon, "epsilon"), self.path_distance)
 
 
+def _feasible(train_grid, epsilon) -> np.ndarray:
+    """The cells whose mean train metric stays within epsilon."""
+    return np.asarray(train_grid) <= epsilon
+
+
 def _minimize(alphas, sigmas, train_grid, epsilon, path_distance):
     """Smallest alpha^2 * dist^2 / sigma^2 over feasible cells and its (alpha,
     sigma); ties go to the first cell in row-major order. (inf, None) when no
     feasible cell has a value below inf."""
     alphas, sigmas = np.asarray(alphas), np.asarray(sigmas)
     values = (alphas * alphas)[:, None] * (path_distance * path_distance) / (sigmas * sigmas)
-    values = np.where((np.asarray(train_grid) <= epsilon) & (values < math.inf), values, math.inf)
+    values = np.where(_feasible(train_grid, epsilon) & (values < math.inf), values, math.inf)
     i, j = np.unravel_index(np.argmin(values), values.shape)
     if values[i, j] == math.inf:
         return math.inf, None
@@ -187,12 +184,6 @@ def criticality_grid(
     )
 
 
-def _cached_batches(params: ParamVector, arch, dataset, start: int):
-    """Per evaluation batch: the input to layer start and its conv patches."""
-    images = dataset.images
-    return [_module_input(params, arch, images[i : i + EVAL_BATCH], start) for i in range(0, len(images), EVAL_BATCH)]
-
-
 def criticality_map(
     final_or_opt: Checkpoint,
     init: Checkpoint,
@@ -213,11 +204,9 @@ def criticality_map(
     evaluation batch; every noise sample runs only the module and the layers
     after it.
     """
-    if final_or_opt.arch != init.arch:
-        raise DomainError("checkpoint architectures differ")
+    arch = _same_arch(final_or_opt, init, *(checkpoints or ()))
     if cfg.module_name not in final_or_opt.params.module_names():
         raise DomainError(f"unknown module {cfg.module_name!r}")
-    arch = final_or_opt.arch
     span = final_or_opt.params.module_slice(cfg.module_name)
     base = final_or_opt.params.values.astype(np.float64)
     theta0 = init.params.values[span].astype(np.float64)
@@ -227,18 +216,21 @@ def criticality_map(
     if checkpoints is not None:
         if not checkpoints:
             raise DomainError("optimization path requires checkpoints")
-        if any(c.arch != arch for c in checkpoints):
-            raise DomainError("optimization-path checkpoint architectures differ from the endpoints'")
         ordered = sorted(checkpoints, key=lambda c: c.epoch)
         for a, b in zip(ordered, ordered[1:]):
             if a.epoch == b.epoch:
                 raise DomainError("duplicate checkpoint epochs on optimization path")
+        if ordered[-1].epoch > final_or_opt.epoch:
+            raise DomainError(f"path checkpoint epoch {ordered[-1].epoch} is past the endpoint's {final_or_opt.epoch}")
         path_points = [c.params.values[span].astype(np.float64) for c in ordered]
         path_points = [theta0] + path_points if ordered[0].epoch != init.epoch else path_points
         path_points.append(theta_end)
 
     start = arch.module_names().index(cfg.module_name)
-    splits = [(ds.labels, _cached_batches(final_or_opt.params, arch, ds, start)) for ds in (train_ds, test_ds)]
+    splits = [
+        (ds.labels, [_module_input(final_or_opt.params, arch, batch, start) for batch in _eval_batches(ds.images)])
+        for ds in (train_ds, test_ds)
+    ]
 
     def eval_fn(vec):
         work = base.copy()
@@ -256,12 +248,11 @@ def criticality_map(
 
 def rewind_probe(final: Checkpoint, init: Checkpoint, module_name: str, train_ds, test_ds) -> dict:
     """Evaluate the hybrid network with one module rewound to its init value."""
-    if final.arch != init.arch:
-        raise DomainError("checkpoint architectures differ")
+    arch = _same_arch(final, init)
     params = final.params.copy()
     span = params.module_slice(module_name)
     params.values[span] = init.params.values[span]
-    return {"module": module_name, **split_metrics(params, final.arch, train_ds, test_ds)}
+    return {"module": module_name, **split_metrics(params, arch, train_ds, test_ds)}
 
 
 def network_criticality(maps: list[CriticalityMap]) -> float:

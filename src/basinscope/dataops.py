@@ -73,11 +73,11 @@ _PALETTE = np.array(
 
 # Per-domain render constants.
 _STYLES = {
-    "source": {"noise": 0.22, "bg": 0.45, "outline": False, "gray": False, "blur": 0},
-    "real_like": {"noise": 0.16, "bg": 0.55, "outline": False, "gray": False, "blur": 0},
-    "clipart_like": {"noise": 0.0, "bg": 0.92, "outline": True, "gray": False, "blur": 0},
-    "quickdraw_like": {"noise": 0.0, "bg": 1.0, "outline": True, "gray": True, "blur": 0},
-    "xray_like": {"noise": 0.04, "bg": 0.35, "outline": False, "gray": True, "blur": 2},
+    "source": {"noise": 0.22, "bg": 0.45, "fill": True, "outline": False, "gray": False, "blur": 0},
+    "real_like": {"noise": 0.16, "bg": 0.55, "fill": True, "outline": False, "gray": False, "blur": 0},
+    "clipart_like": {"noise": 0.0, "bg": 0.92, "fill": True, "outline": True, "gray": False, "blur": 0},
+    "quickdraw_like": {"noise": 0.0, "bg": 1.0, "fill": False, "outline": True, "gray": True, "blur": 0},
+    "xray_like": {"noise": 0.04, "bg": 0.35, "fill": True, "outline": False, "gray": True, "blur": 2},
 }
 
 
@@ -245,26 +245,21 @@ def _render_group(domain_id: str, label: int, u: np.ndarray) -> np.ndarray:
     verts = np.matmul(polygon * scale[:, None, None], turn) + np.stack([cx, cy], axis=1)[:, None, :]
     vx, vy = verts[:, :, 0], verts[:, :, 1]
 
-    # 2x2 supersampled coverage and outline, (G, 16, 16) each
-    coverage = _pixel_means(_inside_polygons(_SAMPLES, _SAMPLES, vx, vy))
-
     # The image is composed channels first, (C, G, 16, 16), so that every op
     # runs over whole images; C is 1 until a colored fill broadcasts it to 3.
-    fill = _PALETTE[label][:, None, None, None]
-    if style["gray"]:
-        fill = float(_PALETTE[label].mean()) * 0.4
     img = np.full((1, g, size, size), style["bg"], dtype=np.float64)
     if style["noise"] > 0:
         noise = u[:, 4:].reshape(g, size, size)
         img += style["noise"] * (2 * noise - 1)
 
+    # 2x2 supersampled coverage and outline, (G, 16, 16) each
+    if style["fill"]:
+        coverage = _pixel_means(_inside_polygons(_SAMPLES, _SAMPLES, vx, vy))
+        fill = float(_PALETTE[label].mean()) * 0.4 if style["gray"] else _PALETTE[label][:, None, None, None]
+        img = img * (1 - coverage) + fill * coverage
     if style["outline"]:
         edge = _pixel_means(_outline_mask(_SAMPLES, _SAMPLES, vx, vy))
-        if domain_id == "clipart_like":
-            img = img * (1 - coverage) + fill * coverage
         img = img * (1 - edge) + 0.05 * edge
-    else:
-        img = img * (1 - coverage) + fill * coverage
 
     if style["blur"]:
         img = _blur_wrap(img, style["blur"])

@@ -15,7 +15,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ParamVector
 from .numerics import _as_grid, _as_int, _as_real
-from .trainer import Checkpoint, split_metrics
+from .trainer import Checkpoint, _same_arch, split_metrics
 
 METRIC_KEYS = ("train_loss", "train_acc", "test_loss", "test_acc")
 
@@ -76,11 +76,9 @@ def barrier_curve(ckpt_a: Checkpoint, ckpt_b: Checkpoint, lambdas, eval_datasets
     eval_datasets: name -> (train Dataset, test Dataset); names may be other
     domains than the endpoints' training domain (cross-domain evaluation).
     """
-    if ckpt_a.arch != ckpt_b.arch:
-        raise DomainError("checkpoint architectures differ")
+    arch = _same_arch(ckpt_a, ckpt_b)
     if not eval_datasets:
         raise DomainError("need at least one evaluation dataset")
-    arch = ckpt_a.arch
 
     def point_fn(lam):
         return interpolate(ckpt_a.params, ckpt_b.params, lam)
@@ -93,7 +91,8 @@ def barrier_curve(ckpt_a: Checkpoint, ckpt_b: Checkpoint, lambdas, eval_datasets
 
 
 def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | None = None, split: str = "test") -> float:
-    """Worst rise above (loss) or drop below (accuracy) the endpoint chord on [0, 1]."""
+    """Worst rise above (loss) or drop below (accuracy) the endpoint chord on
+    [0, 1]; DomainError if the metric is NaN anywhere there."""
     if metric not in ("loss", "accuracy"):
         raise DomainError(f"metric must be loss or accuracy, got {metric!r}")
     key = f"{split}_{'loss' if metric == 'loss' else 'acc'}"
@@ -102,6 +101,8 @@ def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | Non
     if not inside.any() or lam[inside].min() > 0.0 or lam[inside].max() < 1.0:
         raise DomainError("curve must cover [0, 1]")
     series = curve.series(dataset, key)[inside]
+    if np.isnan(series).any():
+        raise DomainError(f"{key} is NaN on [0, 1]; a barrier needs every point")
     lam = lam[inside]
     baseline = (1.0 - lam) * series[0] + lam * series[-1]
     if metric == "loss":

@@ -158,10 +158,10 @@ class ParamVector:
         self.index = tuple(index)
 
     @classmethod
-    def zeros(cls, arch: ArchDescriptor, dtype=np.float32) -> "ParamVector":
+    def zeros(cls, arch: ArchDescriptor) -> "ParamVector":
         index = build_index(arch)
         total = index[-1].offset + index[-1].length
-        return cls(np.zeros(total, dtype=dtype), index)
+        return cls(np.zeros(total, dtype=np.float32), index)
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.index)
@@ -497,7 +497,7 @@ def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[
     _check_labels(labels, arch.num_classes, x.shape[0])
     records = _records(params, arch, x)
     loss, g = softmax_cross_entropy(records[-1][-1], labels)
-    grad = ParamVector.zeros(arch, dtype=params.values.dtype)
+    grad = ParamVector(np.zeros_like(params.values), params.index)
     for depth in reversed(range(len(records))):
         layer, x_in, w, patches, post = records[depth]
         name = layer["name"]

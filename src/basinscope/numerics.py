@@ -1,4 +1,4 @@
-"""Low-level numerics: the argument rules, the power-of-two test and singular values.
+"""Low-level numerics: the argument rules and the power-of-two test.
 
 Storage convention for the toolkit: tensors are row-major float32, all
 reductions (dots, norms, losses) accumulate in float64.
@@ -63,13 +63,3 @@ def _as_grid(values, what: str) -> np.ndarray:
 def is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
-
-def svd_values(m) -> np.ndarray:
-    """Singular values of a real or complex matrix, or of each matrix of a
-    stack (..., M, N), descending along the last axis (LAPACK gesdd)."""
-    a = np.asarray(m)
-    if a.ndim < 2:
-        raise SizeError(f"svd_values expects a matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("svd_values requires finite entries")
-    return np.linalg.svd(a.astype(np.complex128 if np.iscomplexobj(a) else np.float64), compute_uv=False)

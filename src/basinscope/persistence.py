@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 import time
 from pathlib import Path
@@ -21,7 +22,7 @@ import numpy as np
 from . import __version__, dataops
 from .errors import DomainError, FileFormatError
 from .model import ArchDescriptor, ParamVector, build_index
-from .numerics import _as_int
+from .numerics import _as_flag, _as_int
 from .trainer import Checkpoint
 
 CKPT_MAGIC = b"LLCK"
@@ -97,13 +98,12 @@ def load_checkpoint(path) -> Checkpoint:
             raise FileFormatError("arch", f"bad arch: {e}") from e
         try:
             meta = json.loads(_read_prefixed(f, "metadata"))
-            count = int(meta["param_count"])
-            epoch = int(meta["epoch"])
+            count = _as_int(meta["param_count"], "param_count", 0)
+            epoch = _as_int(meta["epoch"], "epoch", 0)
+            optimal = _as_flag(meta.get("optimal", False), "optimal")
             metrics, config_hash, rng_digest = meta["metrics"], meta["config_hash"], meta["rng_digest"]
         except (KeyError, TypeError, ValueError) as e:
             raise FileFormatError("metadata", f"bad metadata: {e!r}") from e
-        if count < 0:
-            raise FileFormatError("metadata", f"negative param_count {count}")
         raw = _read_exact(f, 4 * count, "params")
         _check_end(f, "params")
     values = np.frombuffer(raw, dtype="<f4").copy()
@@ -121,7 +121,7 @@ def load_checkpoint(path) -> Checkpoint:
         config_hash=config_hash,
         rng_digest=rng_digest,
         provenance=meta.get("provenance", {}),
-        optimal=bool(meta.get("optimal", False)),
+        optimal=optimal,
     )
 
 
@@ -141,15 +141,13 @@ def load_dataset(path) -> dataops.Dataset:
         _check_container(f, DATA_MAGIC)
         try:
             header = json.loads(_read_prefixed(f, "header"))
-            n = int(header["n"])
-            shape = tuple(int(d) for d in header["image_shape"])
+            n = _as_int(header["n"], "n", 0)
+            shape = tuple(_as_int(d, "image_shape entry", 0) for d in header["image_shape"])
             split, provenance = header["split"], header["provenance"]
         except (KeyError, TypeError, ValueError) as e:
             raise FileFormatError("header", f"bad header: {e!r}") from e
-        if n < 0 or any(d < 0 for d in shape):
-            raise FileFormatError("header", f"negative size in n={n}, image_shape={shape}")
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)
-        img_bytes = 4 * n * int(np.prod(shape))
+        img_bytes = 4 * n * math.prod(shape)
         images = np.frombuffer(_read_exact(f, img_bytes, "images"), dtype="<f4").reshape((n, *shape)).copy()
         _check_end(f, "images")
     if not np.all(np.isfinite(images)):

@@ -22,7 +22,7 @@ from .errors import DomainError
 from .model import ParamVector, forward
 from .numerics import _as_int
 from .rng import RngStream
-from .trainer import EVAL_BATCH, Checkpoint
+from .trainer import Checkpoint, _eval_batches, _same_arch
 
 CKA_MAX_EXAMPLES = 2048
 _STREAM_CKA = 0x434B41  # "CKA"
@@ -210,8 +210,8 @@ class SimilarityReport:
 
 def _module_activations(ckpt: Checkpoint, images) -> dict:
     acts: dict[str, list] = {}
-    for start in range(0, len(images), EVAL_BATCH):
-        _, batch_acts = forward(ckpt.params, ckpt.arch, images[start : start + EVAL_BATCH])
+    for batch in _eval_batches(images):
+        _, batch_acts = forward(ckpt.params, ckpt.arch, batch)
         for name, a in batch_acts:
             acts.setdefault(name, []).append(a.reshape(a.shape[0], -1))
     return {name: np.concatenate(parts) for name, parts in acts.items()}
@@ -230,8 +230,7 @@ def similarity_report(
     Activations are subsampled to at most CKA_MAX_EXAMPLES rows with a fixed
     stream so reports are reproducible.
     """
-    if ckpt_a.arch != ckpt_b.arch:
-        raise DomainError("checkpoint architectures differ")
+    _same_arch(*(c for c in (ckpt_a, ckpt_b, init_a, init_b) if c is not None))
     images = dataset.images
     if len(images) < 2:
         raise DomainError("CKA needs at least 2 images")

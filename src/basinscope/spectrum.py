@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .numerics import _as_int, is_power_of_two, svd_values
+from .numerics import _as_int, is_power_of_two
 from .trainer import Checkpoint
 
 
@@ -36,13 +36,20 @@ def conv_singular_values(kernel, input_size: int) -> np.ndarray:
     padded = np.zeros((n, n, cin, cout), dtype=np.float64)
     padded[:k, :k] = kernel
     transform = np.fft.fft2(padded, axes=(0, 1))
-    flat = svd_values(transform.reshape(n * n, cin, cout)).ravel()
+    flat = dense_singular_values(transform.reshape(n * n, cin, cout)).ravel()
     flat.sort()
     return flat[::-1].copy()
 
 
-def dense_singular_values(weight) -> np.ndarray:
-    return svd_values(np.asarray(weight, dtype=np.float64))
+def dense_singular_values(m) -> np.ndarray:
+    """Singular values of a real or complex matrix, or of each matrix of a
+    stack (..., M, N), descending along the last axis (LAPACK gesdd)."""
+    a = np.asarray(m)
+    if a.ndim < 2:
+        raise SizeError(f"dense_singular_values expects a matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("dense_singular_values requires finite entries")
+    return np.linalg.svd(a.astype(np.complex128 if np.iscomplexobj(a) else np.float64), compute_uv=False)
 
 
 @dataclass

@@ -206,13 +206,27 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
     )
 
 
+def _eval_batches(images):
+    """Consecutive slices of at most EVAL_BATCH images: the batches of every
+    forward-only pass."""
+    for start in range(0, len(images), EVAL_BATCH):
+        yield images[start : start + EVAL_BATCH]
+
+
+def _same_arch(*holders) -> ArchDescriptor:
+    """The architecture that checkpoints and configs share; DomainError
+    naming the first two that differ."""
+    arch = holders[0].arch
+    for other in holders[1:]:
+        if other.arch != arch:
+            raise DomainError(f"architectures differ: {arch.to_json()} vs {other.arch.to_json()}")
+    return arch
+
+
 def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset) -> EvalResult:
     """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class
     accuracy, over batches of EVAL_BATCH images."""
-    logits = (
-        _run_layers(params, arch, _network_input(arch, dataset.images[start : start + EVAL_BATCH]))
-        for start in range(0, len(dataset), EVAL_BATCH)
-    )
+    logits = (_run_layers(params, arch, _network_input(arch, batch)) for batch in _eval_batches(dataset.images))
     return _score_batches(dataset.labels, arch.num_classes, logits)
 
 
@@ -237,10 +251,7 @@ def _resolve_init(config: TrainConfig, init_checkpoint: Checkpoint | None) -> Pa
         from . import persistence
 
         ckpt = persistence.load_checkpoint(config.init.path)
-    if ckpt.arch != config.arch:
-        raise DomainError(
-            f"init checkpoint arch {ckpt.arch.to_json()} does not match config arch {config.arch.to_json()}"
-        )
+    _same_arch(config, ckpt)
     return ckpt.params.copy()
 
 
@@ -324,9 +335,7 @@ def checkpoint_sweep(pretrain_ckpts: list[Checkpoint], finetune_config: TrainCon
     """
     if not pretrain_ckpts:
         raise DomainError("need at least one checkpoint")
-    for ckpt in pretrain_ckpts:
-        if ckpt.arch != finetune_config.arch:
-            raise DomainError("checkpoint arch mismatch in sweep")
+    _same_arch(finetune_config, *pretrain_ckpts)
     config = replace(finetune_config, init=InitSpec("checkpoint", path=""))
     datasets = make_datasets(config.data)
     rows = []

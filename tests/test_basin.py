@@ -376,6 +376,24 @@ def test_check_basin_pinned(name):
     assert report.samples == 150
 
 
+@pytest.mark.parametrize("outside", [math.inf, math.nan])
+def test_non_finite_boundary_probe_loss_rejected(outside):
+    """A loss that is finite in the ball but not past its boundary makes the
+    condition-2 and -3 means meaningless; it raises instead of reading as
+    an inconclusive estimate."""
+    loss = lambda w: float(w @ w) if np.linalg.norm(w) <= 1.0 + 1e-9 else outside
+    with pytest.raises(DomainError, match="non-finite value on a condition-2 probe"):
+        check_basin(BallSet(np.zeros(4), 1.0), loss, 0.05, 0.5, 100, RngStream(1))
+
+
+def test_non_finite_segment_loss_rejected():
+    """A NaN on the segment between the endpoints would make the threshold
+    NaN, so no walk could cross it."""
+    loss = lambda w: math.nan if abs(float(w[0])) < 0.1 else double_well(w)
+    with pytest.raises(DomainError, match="non-finite value on the segment"):
+        fit_basin(np.array([-1.0]), np.array([1.0]), loss, 0.05, RngStream(2), samples=100)
+
+
 def test_non_finite_inside_loss_rejected_before_conditions_2_3():
     loss = CountingLoss(lambda w: math.nan)
     with pytest.raises(DomainError, match="non-finite"):

@@ -340,6 +340,23 @@ class TestNetworkMap:
         with pytest.raises(DomainError, match="requires checkpoints"):
             criticality_map(final, init, cfg, RngStream(25), train_ds, test_ds, checkpoints=[])
 
+    def test_path_checkpoint_past_the_endpoint_rejected(self):
+        """Checkpoints at epochs 0-3 of a run with the epoch-1 one as endpoint
+        would run the path out to epoch 3 and back."""
+        init, _ = self.make_ckpts()
+        saved = [init]
+        for epoch in (1, 2, 3):
+            params = init.params.copy()
+            params.values[:] = params.values * (1.0 + 0.1 * epoch)
+            saved.append(Checkpoint(TINY4, params, epoch, {}, "h", "r"))
+        ds = generate(domain_spec("source"), "train", 10, 3)
+        cfg = CriticalityConfig(
+            module_name="fc1", epsilon=0.9, alpha_grid=np.array([1.0]), sigma_grid=np.array([0.05]), noise_samples=1
+        )
+        criticality_map(saved[1], init, cfg, RngStream(26), ds, ds, checkpoints=saved[:2])
+        with pytest.raises(DomainError, match="past the endpoint"):
+            criticality_map(saved[1], init, cfg, RngStream(26), ds, ds, checkpoints=saved)
+
     @pytest.mark.parametrize("module", ["conv1", "classifier"])
     def test_optimization_path_checkpoint_of_another_arch_rejected(self, module):
         # a 16-wide fc1 shares conv1's slice with TINY4 but not the classifier's

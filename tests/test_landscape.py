@@ -148,6 +148,16 @@ class TestBarrierHeight:
         # grid contains 0 and 1 exactly; barrier measured between them
         assert barrier_height(curve, "loss", "scalar", split="train") == pytest.approx(1.0)
 
+    def test_nan_series_raises_and_inf_reads_inf(self):
+        """max(0.0, nan) is 0.0 in Python, which would read a NaN curve as the
+        one-basin verdict; a NaN on [0, 1] raises, naming the metric."""
+        lambdas = np.linspace(0.0, 1.0, 5)
+        nan_curve = scalar_curve(lambda w: np.nan if w == 0.5 else w * w, lambdas, -1.0, 1.0)
+        with pytest.raises(DomainError, match="test_loss"):
+            barrier_height(nan_curve, "loss")
+        inf_curve = scalar_curve(lambda w: np.inf if w == 0.5 else w * w, lambdas, -1.0, 1.0)
+        assert barrier_height(inf_curve, "loss") == np.inf
+
     def test_unknown_split_raises_domain_error(self):
         curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)
         with pytest.raises(DomainError, match="val_loss"):

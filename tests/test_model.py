@@ -128,7 +128,7 @@ class TestParamVector:
         assert params.size == offset
 
     def test_index_built_once_per_arch(self):
-        # backward's ParamVector.zeros reads the index on every call
+        # ParamVector.zeros and every checkpoint load read the index; it is built once
         assert build_index(TINY4) is build_index(ArchDescriptor.from_json(TINY4.to_json()))
         assert ParamVector.zeros(TINY4).index is build_index(TINY4)
 

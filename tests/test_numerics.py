@@ -7,7 +7,6 @@ from basinscope.dataops import ShuffleSpec, block_shuffle, relative_accuracy_dro
 from basinscope.errors import DomainError, SizeError
 from basinscope.landscape import barrier_curve_from_fn, interpolate, lambda_grid
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, sgd_step
-from basinscope.numerics import svd_values
 from basinscope.rng import (
     RngStream,
     derive_stream_id,
@@ -18,7 +17,7 @@ from basinscope.rng import (
     uniform_in_ball,
 )
 from basinscope.similarity import mistake_ratios
-from basinscope.spectrum import conv_singular_values, spectrum_histogram
+from basinscope.spectrum import conv_singular_values, dense_singular_values, spectrum_histogram
 from basinscope.trainer import DataSpec, TrainConfig, config_hash
 
 
@@ -53,50 +52,50 @@ def rand_matrix(shape, seed):
 
 class TestSvdValues:
     def test_identity(self):
-        assert np.allclose(svd_values(np.eye(3)), [1, 1, 1])
+        assert np.allclose(dense_singular_values(np.eye(3)), [1, 1, 1])
 
     def test_rect_diag(self):
         m = np.zeros((2, 3))
         m[0, 0] = 3.0
         m[1, 1] = 2.0
-        assert np.allclose(svd_values(m), [3, 2])
+        assert np.allclose(dense_singular_values(m), [3, 2])
 
     def test_matches_jacobi_eigensolver_oracle(self):
         m = rand_matrix((5, 4), 3)
         want = np.sqrt(np.clip(jacobi_eigenvalues(m.T @ m), 0, None))
-        got = svd_values(m)
+        got = dense_singular_values(m)
         assert np.allclose(got, want, atol=1e-8)
 
     def test_energy_identity(self):
         m = rand_matrix((7, 5), 4)
-        values = svd_values(m)
+        values = dense_singular_values(m)
         assert abs(np.sum(values**2) - np.linalg.norm(m) ** 2) <= 1e-4 * np.linalg.norm(m) ** 2
 
     def test_transpose_invariance(self):
         m = rand_matrix((6, 3), 5)
-        assert np.allclose(svd_values(m), svd_values(m.T), atol=1e-6)
+        assert np.allclose(dense_singular_values(m), dense_singular_values(m.T), atol=1e-6)
 
     def test_complex_matrix(self):
         re = rand_matrix((4, 3), 6)
         im = rand_matrix((4, 3), 7)
         m = re + 1j * im
-        got = svd_values(m)
+        got = dense_singular_values(m)
         want = np.linalg.svd(m, compute_uv=False)
         assert np.allclose(got, want, atol=1e-8)
         assert got.dtype == np.float64
 
     def test_zero_matrix(self):
-        assert np.allclose(svd_values(np.zeros((3, 2))), [0, 0])
+        assert np.allclose(dense_singular_values(np.zeros((3, 2))), [0, 0])
 
     def test_non_finite_rejected(self):
         m = np.ones((2, 2))
         m[0, 1] = np.nan
         with pytest.raises(DomainError):
-            svd_values(m)
+            dense_singular_values(m)
 
     def test_descending_order(self):
         m = rand_matrix((8, 8), 8)
-        values = svd_values(m)
+        values = dense_singular_values(m)
         assert np.all(np.diff(values) <= 1e-12)
 
 

@@ -37,7 +37,7 @@ def test_importing_every_module_pulls_in_neither_scipy_nor_multiprocessing():
     assert out[1].strip() == "[]"
 
 
-SETTABLE_OPTIONS = 42
+SETTABLE_OPTIONS = 41
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -92,3 +92,27 @@ def test_settable_option_count():
     """A new knob must show up in review: raise SETTABLE_OPTIONS only on purpose."""
     options = settable_options()
     assert len(options) == SETTABLE_OPTIONS, f"{len(options)} settable options:\n" + "\n".join(options)
+
+
+PUBLIC_NAMES = 130
+
+
+def public_names() -> list[str]:
+    """Public module-level functions and classes over the package, and the
+    public methods of those classes."""
+    found = []
+    for path in sorted(Path(basinscope.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found.append(f"{path.stem}.{node.name}")
+                if isinstance(node, ast.ClassDef):
+                    for item in node.body:
+                        if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                            found.append(f"{path.stem}.{node.name}.{item.name}")
+    return found
+
+
+def test_public_name_count():
+    """New API must show up in review: raise PUBLIC_NAMES only on purpose."""
+    names = public_names()
+    assert len(names) == PUBLIC_NAMES, f"{len(names)} public names:\n" + "\n".join(names)

@@ -77,6 +77,42 @@ def write_one_image_dataset(path, image: np.ndarray) -> None:
     path.write_bytes(b"LLDS" + struct.pack("<II", 1, len(header_json)) + header_json + blocks)
 
 
+def dataset_bytes(header: dict, count: int) -> bytes:
+    """An LLDS file built by hand: header, then count zero labels and zero 16 x 16 x 3 images."""
+    header_json = json.dumps(header).encode()
+    blocks = np.zeros(count, dtype="<u2").tobytes() + np.zeros((count, 16, 16, 3), dtype="<f4").tobytes()
+    return b"LLDS" + struct.pack("<II", 1, len(header_json)) + header_json + blocks
+
+
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("LLCK", "epoch", value) for value in (2.7, True, "5", -1)]
+    + [("LLCK", "optimal", "no"), ("LLCK", "param_count", 12266.0)]
+    + [("LLDS", "n", "3"), ("LLDS", "n", 3.0), ("LLDS", "image_shape", [16.0, 16, 3])],
+    ids=[
+        "epoch_real", "epoch_bool", "epoch_string", "epoch_negative", "optimal_string",
+        "param_count_real", "n_string", "n_real", "shape_entry_real",
+    ],
+)
+def test_header_counts_and_flags_follow_the_argument_rules(tmp_path, kind, key, value):
+    """A count read from a file is an int at least 0 and a flag a bool. Each
+    file is whole and loads with the field's own value, so only the field's
+    type rejects it, naming the metadata or header section."""
+    if kind == "LLCK":
+        load, section, path = load_checkpoint, "metadata", tmp_path / "f.llck"
+        count = good_meta()["param_count"]
+        make = lambda fields: ckpt_bytes(json.loads(TINY4.to_json()), {**good_meta(), **fields}, count)
+    else:
+        load, section, path = load_dataset, "header", tmp_path / "f.llds"
+        make = lambda fields: dataset_bytes({**GOOD_HEADER, "n": 3, **fields}, 3)
+    path.write_bytes(make({}))
+    load(path)
+    path.write_bytes(make({key: value}))
+    with pytest.raises(FileFormatError) as err:
+        load(path)
+    assert err.value.section == section
+
+
 class TestCheckpointIO:
     def test_roundtrip_bit_exact(self, tmp_path):
         ckpt = make_ckpt()

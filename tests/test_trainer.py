@@ -1,13 +1,17 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 from basinscope import dataops
+from basinscope.criticality import CriticalityConfig, criticality_map, rewind_probe
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DivergedRunError, DomainError
+from basinscope.landscape import barrier_curve
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, backward, init_random
 from basinscope.rng import RngStream
+from basinscope.similarity import similarity_report
 from basinscope.trainer import (
     Checkpoint,
     DataSpec,
@@ -382,3 +386,36 @@ class TestSweep:
                 "final_test_acc": final.metrics["test_acc"],
                 "optimization_speed": record.optimization_speed,
             }
+
+
+# --- one architecture gate for every analysis that pairs checkpoints ---
+
+WIDE = ArchDescriptor(TINY4.input_shape, TINY4.conv_blocks, (16,), TINY4.num_classes)
+
+GATED_CALLS = {
+    "train_init": lambda tiny, wide, ds: train(small_config(init=InitSpec("checkpoint")), init_checkpoint=wide),
+    "checkpoint_sweep": lambda tiny, wide, ds: checkpoint_sweep([tiny, wide], small_config()),
+    "criticality_endpoints": lambda tiny, wide, ds: criticality_map(
+        tiny, wide, CriticalityConfig("fc1", 0.5), RngStream(1), ds, ds
+    ),
+    "criticality_path": lambda tiny, wide, ds: criticality_map(
+        tiny, tiny, CriticalityConfig("fc1", 0.5), RngStream(1), ds, ds, checkpoints=[wide]
+    ),
+    "rewind_probe": lambda tiny, wide, ds: rewind_probe(tiny, wide, "conv1", ds, ds),
+    "barrier_curve": lambda tiny, wide, ds: barrier_curve(tiny, wide, [0.0, 1.0], {"source": (ds, ds)}),
+    "similarity_report": lambda tiny, wide, ds: similarity_report(tiny, wide, ds),
+    "similarity_init_a": lambda tiny, wide, ds: similarity_report(tiny, tiny, ds, init_a=wide),
+    "similarity_init_b": lambda tiny, wide, ds: similarity_report(tiny, tiny, ds, init_b=wide),
+}
+
+
+@pytest.mark.parametrize("entry", list(GATED_CALLS))
+def test_mismatched_architectures_raise_the_gate_error(entry):
+    """Every entry point that pairs checkpoints, or a checkpoint with a
+    config, raises one DomainError naming both architectures."""
+    tiny = Checkpoint(TINY4, init_random(TINY4, RngStream(1)), 0, {}, "h", "r")
+    wide = Checkpoint(WIDE, init_random(WIDE, RngStream(2)), 0, {}, "h", "r")
+    ds = generate(domain_spec("source"), "train", 10, 1)
+    message = f"architectures differ: {TINY4.to_json()} vs {WIDE.to_json()}"
+    with pytest.raises(DomainError, match=re.escape(message)):
+        GATED_CALLS[entry](tiny, wide, ds)
