@@ -198,7 +198,10 @@ def criticality_map(
     final_or_opt supplies both the frozen context (all other modules) and the
     path endpoint; the caller picks the endpoint (the final or the optimal
     checkpoint) by what it passes. Passing checkpoints, the saved ones up to
-    that endpoint in any order, selects the optimization path.
+    that endpoint in any order, selects the optimization path: the polyline
+    from init's module through the checkpoints' in epoch order to the
+    endpoint's, init's not repeated when the earliest checkpoint's module
+    equals it.
 
     The frozen prefix's output, the module's input, is computed once per
     evaluation batch; every noise sample runs only the module and the layers
@@ -223,7 +226,9 @@ def criticality_map(
         if ordered[-1].epoch > final_or_opt.epoch:
             raise DomainError(f"path checkpoint epoch {ordered[-1].epoch} is past the endpoint's {final_or_opt.epoch}")
         path_points = [c.params.values[span].astype(np.float64) for c in ordered]
-        path_points = [theta0] + path_points if ordered[0].epoch != init.epoch else path_points
+        # the path starts at init's module, whatever the earliest checkpoint's epoch
+        if not np.array_equal(path_points[0], theta0):
+            path_points.insert(0, theta0)
         path_points.append(theta_end)
 
     start = arch.module_names().index(cfg.module_name)

@@ -92,7 +92,9 @@ def barrier_curve(ckpt_a: Checkpoint, ckpt_b: Checkpoint, lambdas, eval_datasets
 
 def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | None = None, split: str = "test") -> float:
     """Worst rise above (loss) or drop below (accuracy) the endpoint chord on
-    [0, 1]; DomainError if the metric is NaN anywhere there."""
+    [0, 1]; DomainError if the metric is NaN anywhere there or infinite at
+    an endpoint (the chord would be inf - inf there). An infinite interior
+    point is an infinite barrier."""
     if metric not in ("loss", "accuracy"):
         raise DomainError(f"metric must be loss or accuracy, got {metric!r}")
     key = f"{split}_{'loss' if metric == 'loss' else 'acc'}"
@@ -103,6 +105,8 @@ def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | Non
     series = curve.series(dataset, key)[inside]
     if np.isnan(series).any():
         raise DomainError(f"{key} is NaN on [0, 1]; a barrier needs every point")
+    if not (np.isfinite(series[0]) and np.isfinite(series[-1])):
+        raise DomainError(f"{key} is infinite at an endpoint; a barrier needs a finite chord")
     lam = lam[inside]
     baseline = (1.0 - lam) * series[0] + lam * series[-1]
     if metric == "loss":

@@ -13,11 +13,19 @@ prefixes of the analyses) runs the one cache-tiled core, ``_run_layers``;
 ``forward`` also takes each layer's float32 output from it. ``backward``
 keeps each layer's input, patches and output for the whole batch
 (``_records``), as its weight gradients sum over the batch at once.
+
+Every conv gather, the forward patches and the transposed conv's phase
+columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
+float64 values (``_take_runs``), 32 bytes at most, through a cached
+read-only run index; and a conv bias is added a whole output row (OW*Cout
+values) at a time. Both do the same floating-point operations on the same
+operands as a per-pixel gather and add, so every output keeps its bits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -227,29 +235,53 @@ def init_random(arch: ArchDescriptor, rng: RngStream) -> ParamVector:
     return params
 
 
+def _run_index(pixels: np.ndarray, channels: int) -> np.ndarray:
+    """Read-only run index pixel*(C//g) + j, shape pixels.shape + (C//g,),
+    into a (..., pixels, C) array seen as (..., pixels*C//g, g) runs of
+    g = gcd(C, 4) values: a pixel's channels are C//g runs, run j holding
+    channels [j*g, (j+1)*g)."""
+    runs = channels // math.gcd(channels, 4)
+    index = pixels[..., None] * runs + np.arange(runs)
+    index.flags.writeable = False
+    return index
+
+
+def _take_runs(src: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """C-contiguous (B,) + index.shape[:-1] + (C,) gather of src's
+    (B, ..., C) pixels through a ``_run_index`` run index: run r of image b
+    is src.reshape(B, -1, g)[b, r], g = C // index.shape[-1].
+
+    A run is at most 4 float64 values, 32 bytes: numpy's take copies a chunk
+    of up to 32 bytes with one fixed-size move, but a whole pixel of 3 (24
+    bytes), 8 or 16 channels with memmove; the copied values are the same."""
+    bsz, channels = src.shape[0], src.shape[-1]
+    runs = np.take(src.reshape(bsz, -1, channels // index.shape[-1]), index, axis=1)
+    return runs.reshape(runs.shape[:-2] + (channels,))
+
+
 @lru_cache(maxsize=64)
-def _patch_indices(h: int, wid: int, kernel: int, stride: int) -> np.ndarray:
-    """Flat spatial gather index rows*wid + cols, shape (OH, OW, k, k): tap t
-    of output o reads (o*stride + t - (k-1)//2) mod size along each axis."""
+def _patch_indices(h: int, wid: int, kernel: int, stride: int, channels: int) -> np.ndarray:
+    """Run index (``_run_index``) of the flat pixels rows*wid + cols, shape
+    (OH, OW, k, k, C//g): tap t of output o reads pixel
+    (o*stride + t - (k-1)//2) mod size along each axis."""
     taps = np.arange(kernel) - (kernel - 1) // 2
     rows = (np.arange(h // stride)[:, None] * stride + taps) % h  # (OH, k)
     cols = (np.arange(wid // stride)[:, None] * stride + taps) % wid  # (OW, k)
-    flat = rows[:, None, :, None] * wid + cols[None, :, None, :]
-    flat.flags.writeable = False
-    return flat
+    return _run_index(rows[:, None, :, None] * wid + cols[None, :, None, :], channels)
 
 
 def _gather_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """C-contiguous (B, OH, OW, k, k, Cin) patch tensor for a circular-padded
-    conv, so the GEMM's (B*OH*OW, k*k*Cin) reshape is a view."""
-    bsz, h, wid, cin = x.shape
-    return np.take(x.reshape(bsz, h * wid, cin), _patch_indices(h, wid, kernel, stride), axis=1)
+    conv, so the GEMM's (B*OH*OW, k*k*Cin) reshape is a view; each pixel's
+    channels are taken in runs of at most 32 bytes (``_take_runs``)."""
+    _, h, wid, cin = x.shape
+    return _take_runs(x, _patch_indices(h, wid, kernel, stride, cin))
 
 
 @lru_cache(maxsize=64)
-def _phase_indices(oh: int, ow: int, kernel: int, stride: int) -> tuple:
-    """Sub-pixel split of a stride-s transposed conv over a (OH, OW) gradient:
-    one (p, q, taps, index) per output phase (p, q), the pixels
+def _phase_indices(oh: int, ow: int, kernel: int, stride: int, channels: int) -> tuple:
+    """Sub-pixel split of a stride-s transposed conv over a (OH, OW, C)
+    gradient: one (p, q, taps, index) per output phase (p, q), the pixels
     (p + s*i, q + s*j) of the (s*OH, s*OW) input gradient, that some tap
     reaches (with k < s some phases get none and stay zero).
 
@@ -258,9 +290,10 @@ def _phase_indices(oh: int, ow: int, kernel: int, stride: int) -> tuple:
     zero unless p + t - (k-1)//2 is a multiple of s, and then it is gout row
     i + (p + t - (k-1)//2)//s mod OH. taps lists the phase's flipped-kernel
     taps (tr, tc) in row-major order as flat indices (k-1-tr)*k + (k-1-tc)
-    into the unflipped kernel's k*k tap axis; index is the flat gather index
-    rows*OW + cols into gout, shape (OH, OW, rows' taps, cols' taps).
-    Stride 1 is the single phase with every tap."""
+    into the unflipped kernel's k*k tap axis; index is the run index
+    (``_run_index``) of the flat pixels rows*OW + cols of gout, shape
+    (OH, OW, rows' taps, cols' taps, C//g). Stride 1 is the single phase
+    with every tap."""
     taps = np.arange(kernel)
     live = [taps[(p + taps - (kernel - 1) // 2) % stride == 0] for p in range(stride)]
     phases = []
@@ -270,8 +303,8 @@ def _phase_indices(oh: int, ow: int, kernel: int, stride: int) -> tuple:
             cols = (np.arange(ow)[:, None] + (q + live[q] - (kernel - 1) // 2) // stride) % ow
             flipped = ((kernel - 1 - live[p])[:, None] * kernel + (kernel - 1 - live[q])).ravel()
             if flipped.size:
-                index = rows[:, None, :, None] * ow + cols[None, :, None, :]
-                flipped.flags.writeable = index.flags.writeable = False
+                flipped.flags.writeable = False
+                index = _run_index(rows[:, None, :, None] * ow + cols[None, :, None, :], channels)
                 phases.append((p, q, flipped, index))
     return tuple(phases)
 
@@ -298,7 +331,9 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
     product's terms in that order (OpenBLAS 0.3.31 does for every TINY4
     layer and for stride 1) the bits
     are the zero-stuffed form's, and adding the GEMM result to +0.0 keeps
-    its signed zeros too. Elsewhere the two differ by reassociation only."""
+    its signed zeros too. Elsewhere the two differ by reassociation only.
+    A phase's gout columns are gathered in runs of at most 32 bytes
+    (``_take_runs``), as the forward patches are."""
     k, _, cin, cout = w.shape
     bsz = x_shape[0]
     oh, ow = patches.shape[1:3]
@@ -308,10 +343,9 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
     grad_b = gout.sum(axis=(0, 1, 2))
     if not need_input_grad:
         return None, grad_w, grad_b
-    gsrc = gout.reshape(bsz, oh * ow, cout)
     grad_x = np.zeros(x_shape)
-    for p, q, taps, index in _phase_indices(oh, ow, k, stride):
-        cols = np.take(gsrc, index, axis=1).reshape(bsz * oh * ow, taps.size * cout)
+    for p, q, taps, index in _phase_indices(oh, ow, k, stride, cout):
+        cols = _take_runs(gout, index).reshape(bsz * oh * ow, taps.size * cout)
         # the phase's flipped taps with channel axes swapped, rows (tap, Cout);
         # C order, as BLAS takes another kernel, and other bits, for a transpose
         sub = np.ascontiguousarray(w.reshape(k * k, cin, cout)[taps].transpose(0, 2, 1)).reshape(-1, cin)
@@ -339,25 +373,34 @@ _TILE = 8
 
 def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, patches=None):
     """One layer on x: its affine map, then bias and (on every layer but the
-    classifier) ReLU in place on the fresh GEMM output. Returns (x_in, out,
-    gathered): the input as the GEMM read it (flattened for a dense layer),
-    the output and the conv patches (None for a dense layer)."""
+    classifier) ReLU in place on the fresh GEMM output. b is ``_weights``'s
+    bias row, added to the output seen as rows of b.size values: a conv's
+    output row of OW pixels takes its OW bias copies in one pass, instead of
+    a pass per pixel over Cout values, with the same sums. Returns (x_in,
+    out, gathered): the input as the GEMM read it (flattened for a dense
+    layer), the output and the conv patches (None for a dense layer)."""
     if layer["kind"] == "conv":
         x_in = x
         out, gathered = _conv_forward(x, w, layer["stride"], patches)
     else:
         x_in = x.reshape(x.shape[0], -1)
         out, gathered = x_in @ w.T, None
-    out += b
+    rows = out.reshape(-1, b.size)  # a view: the GEMM output is C-contiguous
+    rows += b
     if layer["kind"] != "classifier":
         np.maximum(out, 0.0, out=out)
     return x_in, out, gathered
 
 
 def _weights(params: ParamVector, layer: dict) -> tuple[np.ndarray, np.ndarray]:
-    """A layer's weight and bias in float64."""
+    """A layer's weight in float64 and its bias row for ``_apply_layer``:
+    the float64 bias, tiled once per call across one output row (OW copies)
+    for a conv layer."""
     name = layer["name"]
-    return params.get(f"{name}.weight").astype(np.float64), params.get(f"{name}.bias").astype(np.float64)
+    w, b = params.get(f"{name}.weight").astype(np.float64), params.get(f"{name}.bias").astype(np.float64)
+    if layer["kind"] == "conv":
+        b = np.tile(b, layer["in_hw"][1] // layer["stride"])
+    return w, b
 
 
 def _run_layers(

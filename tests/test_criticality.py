@@ -340,6 +340,34 @@ class TestNetworkMap:
         with pytest.raises(DomainError, match="requires checkpoints"):
             criticality_map(final, init, cfg, RngStream(25), train_ds, test_ds, checkpoints=[])
 
+    def test_path_starts_at_init_by_parameters_not_epoch(self):
+        """A different epoch-0 checkpoint does not replace init at alpha 0,
+        and init itself passed as the first checkpoint is not a second
+        vertex: both maps match the ones without it bit for bit."""
+        init, final = self.make_ckpts()
+        span = init.params.module_slice("fc1")
+        other0_params = init.params.copy()
+        other0_params.values[span] = -init.params.values[span]
+        other0 = Checkpoint(TINY4, other0_params, 0, {}, "h", "r")
+        mid_params = init.params.copy()
+        mid_params.values[:] = mid_params.values * 1.2
+        mid = Checkpoint(TINY4, mid_params, 2, {}, "h", "r")
+        ds = generate(domain_spec("source"), "train", 30, 3)
+        cfg = CriticalityConfig(
+            module_name="fc1", epsilon=10.0, alpha_grid=np.array([0.0, 0.5, 1.0]), sigma_grid=np.array([1e-12]),
+            noise_samples=1, noise_mode="raw", metric="xent",
+        )
+        direct = criticality_map(final, init, cfg, RngStream(27), ds, ds)
+        via_other0 = criticality_map(final, init, cfg, RngStream(27), ds, ds, checkpoints=[other0])
+        assert via_other0.train[0, 0] == direct.train[0, 0]
+        assert via_other0.path_distance == direct.path_distance
+        # other0 is still a vertex of the path: its midpoint is not the line's
+        assert via_other0.train[1, 0] != direct.train[1, 0]
+        via_mid = criticality_map(final, init, cfg, RngStream(27), ds, ds, checkpoints=[mid])
+        via_init_mid = criticality_map(final, init, cfg, RngStream(27), ds, ds, checkpoints=[init, mid])
+        assert np.array_equal(via_init_mid.train, via_mid.train)
+        assert np.array_equal(via_init_mid.test, via_mid.test)
+
     def test_path_checkpoint_past_the_endpoint_rejected(self):
         """Checkpoints at epochs 0-3 of a run with the epoch-1 one as endpoint
         would run the path out to epoch 3 and back."""

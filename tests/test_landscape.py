@@ -158,6 +158,19 @@ class TestBarrierHeight:
         inf_curve = scalar_curve(lambda w: np.inf if w == 0.5 else w * w, lambdas, -1.0, 1.0)
         assert barrier_height(inf_curve, "loss") == np.inf
 
+    @pytest.mark.parametrize("end", [0, -1])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_endpoint_raises(self, end, value):
+        """The chord through an infinite endpoint is inf - inf = NaN there,
+        which max(0.0, nan) would read as no barrier."""
+        series = np.ones(5)
+        series[end] = value
+        metrics = {"d": {k: series.copy() for k in ("train_loss", "train_acc", "test_loss", "test_acc")}}
+        curve = BarrierCurve(np.linspace(0.0, 1.0, 5), metrics)
+        for metric in ("loss", "accuracy"):
+            with pytest.raises(DomainError, match="test_.* infinite at an endpoint"):
+                barrier_height(curve, metric)
+
     def test_unknown_split_raises_domain_error(self):
         curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)
         with pytest.raises(DomainError, match="val_loss"):

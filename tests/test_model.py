@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -11,14 +12,18 @@ from basinscope.model import (
     TINY4,
     ArchDescriptor,
     ParamVector,
+    _apply_layer,
     _conv_backward,
     _conv_forward,
     _gather_patches,
     _module_input,
     _network_input,
     _nll,
+    _patch_indices,
+    _phase_indices,
     _records,
     _run_layers,
+    _weights,
     backward,
     build_index,
     forward,
@@ -357,6 +362,41 @@ class TestForwardCore:
             prev = post
         assert np.array_equal(prev, forward(params, TINY4, batch)[0])
 
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    def test_row_wide_bias_add_matches_broadcast_bit_for_bit(self, arch):
+        """_apply_layer adds _weights' bias row to the output seen as rows of
+        OW*Cout values; the broadcast form np.maximum(flat @ w + b, 0) (no
+        ReLU on the classifier) is the oracle, sign bits included. Input and
+        bias hold +0.0 and -0.0, and the first image is all zeros, so every
+        layer's output has zeros (the classifier's where its bias is one)."""
+        rng = RngStream(56)
+        params = with_biases(init_random(arch, rng), 57)
+        for e in params.index:
+            if e.name.endswith(".bias"):
+                b = params.get(e.name)
+                b[::3], b[1::3] = 0.0, -0.0
+                params.set(e.name, b)
+        for layer in arch.layer_plan():
+            name = layer["name"]
+            features = (*layer["in_hw"], layer["cin"]) if layer["kind"] == "conv" else (layer["fan_in"],)
+            x = gaussian(rng, 3 * math.prod(features), 1.0).reshape(3, *features)
+            x[x < -0.5], x[x > 0.5] = 0.0, -0.0
+            x[0] = np.where(np.arange(x[0].size).reshape(x[0].shape) % 2, 0.0, -0.0)
+            w, brow = _weights(params, layer)
+            b = params.get(f"{name}.bias").astype(np.float64)
+            _, got, _ = _apply_layer(layer, x, w, brow)
+            if layer["kind"] == "conv":
+                flat, wmat = oracle_patches(x, layer["kernel"], layer["stride"]).reshape(-1, w[..., 0].size), w.reshape(-1, layer["cout"])
+            else:
+                flat, wmat = x, w.T
+            want = flat @ wmat + b
+            if layer["kind"] != "classifier":
+                want = np.maximum(want, 0.0)
+            want = want.reshape(got.shape)
+            assert np.array_equal(got, want), name
+            assert np.array_equal(np.signbit(got), np.signbit(want)), name
+            assert np.any(got == 0), name
+
     def test_network_input_centers_in_float64(self):
         batch, _ = rand_batch(TINY4, 3, 8)
         x = _network_input(TINY4, batch)
@@ -523,7 +563,10 @@ def conv_geometries():
         for layer in arch.layer_plan()
         if layer["kind"] == "conv"
     ]
-    return geoms + [((8, 8), 3, 1, 1), ((16, 8), 2, 5, 2)]
+    extra = [((8, 8), 3, 1, 1), ((16, 8), 2, 5, 2)]
+    # runs of gcd(C, 4) values: 1 (C = 1, 5) and 4 (C = 12, 32)
+    runs = [((8, 8), 1, 3, 1), ((8, 8), 5, 3, 2), ((8, 8), 12, 3, 1), ((8, 8), 32, 3, 2)]
+    return geoms + extra + runs
 
 
 class TestGatherPatches:
@@ -537,6 +580,23 @@ class TestGatherPatches:
         assert np.array_equal(got, want)
         # so the GEMM reshape is a view, not a second transposing copy
         assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("geom", conv_geometries(), ids=lambda g: f"{g[0][0]}x{g[0][1]}c{g[1]}k{g[2]}s{g[3]}")
+    def test_run_indices_cached_and_read_only(self, geom):
+        """One run of gcd(C, 4) values per index entry, C // gcd(C, 4) per
+        pixel; the forward and phase indices are built once per geometry
+        and cannot be written through."""
+        (h, wid), cin, kernel, stride = geom
+        runs = cin // math.gcd(cin, 4)
+        index = _patch_indices(h, wid, kernel, stride, cin)
+        assert index is _patch_indices(h, wid, kernel, stride, cin)
+        assert index.shape == (h // stride, wid // stride, kernel, kernel, runs)
+        assert not index.flags.writeable
+        phases = _phase_indices(h // stride, wid // stride, kernel, stride, cin)
+        assert phases is _phase_indices(h // stride, wid // stride, kernel, stride, cin)
+        for _, _, taps, index in phases:
+            assert index.shape[:2] == (h // stride, wid // stride) and index.shape[-1] == runs
+            assert not taps.flags.writeable and not index.flags.writeable
 
 
 def zero_stuffed_input_grad(gout, x_shape, w, stride):
@@ -616,7 +676,7 @@ class TestInputGradient:
     )
     def test_within_reassociation_bound_of_oracle(self, geom, bsz):
         (h, wid), cin, kernel, stride = geom
-        for cout in (3, 16):
+        for cout in (3, 6, 16):
             gout, x_shape, w, patches = input_grad_case(h, wid, cin, cout, kernel, stride, bsz, 32)
             got, _, _ = _conv_backward(gout, x_shape, w, patches, stride)
             want = zero_stuffed_input_grad(gout, x_shape, w, stride)
