@@ -290,18 +290,19 @@ def fit_basin(
         direction /= np.linalg.norm(direction)
         point_fn = lambda lam: a + lam * direction
         seg_losses = _finite_losses([loss(a)], "the segment")
+        loss_a = loss_b = float(seg_losses[0])
     else:
         d = b - a
         point_fn = lambda lam: a + lam * d
         seg = np.linspace(0.0, 1.0, INTERVAL_POINTS)
         seg_losses = _finite_losses([loss(point_fn(t)) for t in seg], "the segment")
+        loss_a, loss_b = float(loss(a)), float(loss(b))
     mu_seg = float(seg_losses.mean())
     threshold = mu_seg + 2.0 * epsilon_target
 
     def reject(reason: str, ball=None, eps=None, report=None) -> BasinFit:
         return BasinFit("not_in_one_basin", reason, ball, mu_seg, epsilon_target, eps, None, report, degenerate)
 
-    loss_a, loss_b = float(loss(a)), float(loss(b))
     if loss_a > threshold or loss_b > threshold:
         return reject("an endpoint sits above the segment loss threshold")
 
@@ -328,16 +329,16 @@ def fit_basin(
         return rep.cond2.verdict == "pass" and rep.cond3.verdict == "pass", rep
 
     # double up from the bracket floor until a delta passes, then bisect
-    # between the last failing and the first passing delta
-    delta = lo_d
+    # between the last failing and the first passing delta; when doubling
+    # is capped at hi_d the last failure is not hi_d / 2
+    delta, lo = lo_d, None
     ok, report = passes(delta)
     while not ok and delta < hi_d:
-        delta = min(2.0 * delta, hi_d)
+        lo, delta = delta, min(2.0 * delta, hi_d)
         ok, report = passes(delta)
     if not ok:
         return reject("conditions 2-3 fail for every delta in the bracket", ball, eps_cert, report)
-    if delta > lo_d:
-        lo = delta / 2.0
+    if lo is not None:
         for _ in range(DELTA_BISECT_STEPS):
             mid = 0.5 * (lo + delta)
             ok, rep = passes(mid)

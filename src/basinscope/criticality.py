@@ -78,14 +78,6 @@ class CriticalityMap:
     def feasible(self) -> np.ndarray:
         return _feasible(self.train, self.epsilon)
 
-    @property
-    def gap(self) -> np.ndarray:
-        return self.test - self.train
-
-    def mu_at(self, epsilon: float) -> tuple[float, tuple | None]:
-        """Re-minimize over cells feasible at a different epsilon (no re-sampling)."""
-        return _minimize(self.alpha_grid, self.sigma_grid, self.train, _as_real(epsilon, "epsilon"), self.path_distance)
-
 
 def _feasible(train_grid, epsilon) -> np.ndarray:
     """The cells whose mean train metric stays within epsilon."""
@@ -259,9 +251,3 @@ def rewind_probe(final: Checkpoint, init: Checkpoint, module_name: str, train_ds
     params.values[span] = init.params.values[span]
     return {"module": module_name, **split_metrics(params, arch, train_ds, test_ds)}
 
-
-def network_criticality(maps: list[CriticalityMap]) -> float:
-    """Sum of module criticalities; +inf propagates from any infeasible module."""
-    if not maps:
-        raise DomainError("need at least one map")
-    return float(sum(m.mu for m in maps))

@@ -574,6 +574,8 @@ def sgd_step(
         raise DomainError("weight_decay must be non-negative")
     if not params.same_index(grad):
         raise DomainError("params and grad have different index tables")
+    if momentum_buf is not None and not params.same_index(momentum_buf):
+        raise DomainError("params and momentum_buf have different index tables")
     if not np.all(np.isfinite(grad.values)):
         raise DomainError("non-finite gradient")
     p = params.values.astype(np.float64)

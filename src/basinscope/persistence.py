@@ -1,4 +1,4 @@
-"""Binary file formats, CSV/JSON emission, and run manifests.
+"""Binary file formats for checkpoints and datasets.
 
 Both binary formats share one container: a 4-byte magic, a u32 version,
 length-prefixed JSON sections (u32 byte count, then UTF-8 text), then raw
@@ -14,12 +14,11 @@ import hashlib
 import json
 import math
 import struct
-import time
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__, dataops
+from . import dataops
 from .errors import DomainError, FileFormatError
 from .model import ArchDescriptor, ParamVector, build_index
 from .numerics import _as_flag, _as_int
@@ -75,18 +74,33 @@ def _check_container(f, magic: bytes) -> None:
         raise FileFormatError("version", f"unsupported version {version}")
 
 
+def _finite_f4(values, what: str) -> np.ndarray:
+    """values as a little-endian float32 block; DomainError, before any file
+    is opened, unless every value is finite in float32 as the readers
+    require (a float64 past float32's range would be written as inf)."""
+    with np.errstate(over="ignore"):
+        block = np.ascontiguousarray(values, dtype="<f4")
+    if not np.all(np.isfinite(block)):
+        raise DomainError(f"{what} must be finite in float32")
+    return block
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> str:
+    # refuse, before any file is opened, what load_checkpoint would reject
+    if ckpt.params.index != build_index(ckpt.arch):
+        raise DomainError("checkpoint params do not follow its arch's index table")
     meta = {
-        "epoch": ckpt.epoch,
+        "epoch": _as_int(ckpt.epoch, "epoch", 0),
         "metrics": ckpt.metrics,
         "config_hash": ckpt.config_hash,
         "rng_digest": ckpt.rng_digest,
         "provenance": ckpt.provenance,
-        "optimal": ckpt.optimal,
+        "optimal": _as_flag(ckpt.optimal, "optimal"),
         "param_count": ckpt.params.size,
     }
     sections = [ckpt.arch.to_json(), json.dumps(meta, sort_keys=True)]
-    return _write_container(path, CKPT_MAGIC, sections, [np.ascontiguousarray(ckpt.params.values, dtype="<f4")])
+    block = _finite_f4(ckpt.params.values, "parameter values")
+    return _write_container(path, CKPT_MAGIC, sections, [block])
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -132,7 +146,12 @@ def save_dataset(ds: dataops.Dataset, path) -> str:
         "n": len(ds),
         "image_shape": list(ds.images.shape[1:]),
     }
-    blocks = [np.ascontiguousarray(ds.labels, dtype="<u2"), np.ascontiguousarray(ds.images, dtype="<f4")]
+    with np.errstate(invalid="ignore"):
+        labels = np.ascontiguousarray(ds.labels, dtype="<u2")
+    # u16 wraps -1 to 65535 and 70000 to 4464; refuse what would not read back
+    if not np.array_equal(labels, ds.labels):
+        raise DomainError("labels must be integers in [0, 65535]")
+    blocks = [labels, _finite_f4(ds.images, "pixel values")]
     return _write_container(path, DATA_MAGIC, [json.dumps(header, sort_keys=True)], blocks)
 
 
@@ -153,80 +172,3 @@ def load_dataset(path) -> dataops.Dataset:
     if not np.all(np.isfinite(images)):
         raise FileFormatError("images", "non-finite pixel values")
     return dataops.Dataset(images, labels, split, provenance)
-
-
-def format_real(value: float) -> str:
-    """CSV real formatting: 9 significant digits, '.' separator."""
-    return f"{float(value):.9g}"
-
-
-def emit_table(rows, schema, path) -> str:
-    """RFC-4180-style CSV with LF endings; returns the file digest.
-
-    schema: sequence of (column_name, kind) with kind in str|int|real.
-    """
-    kinds = [k for _, k in schema]
-    if any(k not in ("str", "int", "real") for k in kinds):
-        raise DomainError(f"bad schema kinds: {kinds}")
-    lines = [",".join(name for name, _ in schema)]
-    for row in rows:
-        if len(row) != len(schema):
-            raise DomainError(f"row width {len(row)} does not match schema width {len(schema)}")
-        cells = []
-        for value, kind in zip(row, kinds):
-            if kind == "int":
-                cells.append(str(_as_int(value, "an int cell")))
-            elif kind == "real":
-                if isinstance(value, bool) or not isinstance(value, (int, float, np.floating, np.integer)):
-                    raise DomainError(f"expected real, got {value!r}")
-                cells.append(format_real(value))
-            else:
-                value = str(value)
-                if any(ch in value for ch in ",\"\n"):
-                    value = '"' + value.replace('"', '""') + '"'
-                cells.append(value)
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-    return sha256_file(path)
-
-
-def write_json(obj, path) -> str:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="\n")
-    return sha256_file(path)
-
-
-def make_manifest(run_id: str, command: str, config: dict, inputs: dict, outputs: list, seed: int) -> dict:
-    """Manifest for one run; inputs/outputs map logical names to file paths."""
-    return {
-        "run_id": run_id,
-        "command": command,
-        "config": config,
-        "inputs": {name: {"path": str(p), "sha256": sha256_file(p)} for name, p in inputs.items()},
-        "outputs": [{"path": str(p), "sha256": sha256_file(p)} for p in outputs],
-        "seed": seed,
-        "toolkit_version": __version__,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-    }
-
-
-def write_manifest(manifest: dict, out_dir) -> Path:
-    path = Path(out_dir) / f"{manifest['run_id']}.manifest.json"
-    write_json(manifest, path)
-    return path
-
-
-def verify_manifest(manifest_path) -> list[str]:
-    """Recompute digests of every referenced file; return mismatch messages."""
-    manifest = json.loads(Path(manifest_path).read_text())
-    problems = []
-    for name, entry in manifest["inputs"].items():
-        if not Path(entry["path"]).exists():
-            problems.append(f"input {name}: missing {entry['path']}")
-        elif sha256_file(entry["path"]) != entry["sha256"]:
-            problems.append(f"input {name}: digest mismatch at {entry['path']}")
-    for entry in manifest["outputs"]:
-        if not Path(entry["path"]).exists():
-            problems.append(f"output missing: {entry['path']}")
-        elif sha256_file(entry["path"]) != entry["sha256"]:
-            problems.append(f"output digest mismatch: {entry['path']}")
-    return problems

@@ -1,6 +1,6 @@
 """Representation and parameter-space comparison between trained models:
-linear CKA per module, per-module and whole-network l2 distances, mistake
-agreement tables, and the per-class accuracy vs class-size correlation.
+linear CKA per module, per-module and whole-network l2 distances, and
+mistake agreement tables.
 
 Linear CKA of centered (n, dx) and (n, dy) activations X and Y needs
 ||Y^T X||_F^2, ||X^T X||_F and ||Y^T Y||_F. These equal <X X^T, Y Y^T>_F,
@@ -179,24 +179,6 @@ def mistake_table(preds1, preds2, labels, group_by: str = "overall") -> MistakeT
         mask = labels == k
         rows.append(_mistake_row(str(int(k)), p1[mask], p2[mask], labels[mask]))
     return MistakeTable(rows)
-
-
-def class_size_correlation(per_class_acc, class_sizes) -> tuple[float, float]:
-    """Pearson r between per-class accuracy and class size, with the
-    two-sided p-value from the t distribution on n-2 dof."""
-    from scipy.stats import pearsonr  # late import: scipy.stats adds ~45 MB of resident memory
-
-    x = np.asarray(per_class_acc, dtype=np.float64)
-    y = np.asarray(class_sizes, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise DomainError("inputs must be 1-D and equally long")
-    n = x.size
-    if n < 3:
-        raise DomainError("need at least 3 points")
-    if np.all(x == x[0]) or np.all(y == y[0]):
-        raise DomainError("zero variance input: correlation undefined")
-    r, p = pearsonr(x, y)
-    return float(r), float(p)
 
 
 @dataclass

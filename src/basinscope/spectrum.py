@@ -61,14 +61,17 @@ class SpectrumReport:
 
 def network_spectrum(ckpt: Checkpoint) -> SpectrumReport:
     """Spectra of every module of a checkpoint, conv operators at their
-    deployed input sizes."""
+    deployed input sizes; DomainError for a conv whose input is not square,
+    since the DFT diagonalization here covers n x n grids only."""
     per_module = {}
     conv_sizes = {}
     for layer in ckpt.arch.layer_plan():
         name = layer["name"]
         weight = ckpt.params.get(f"{name}.weight").astype(np.float64)
         if layer["kind"] == "conv":
-            n = layer["in_hw"][0]
+            n, w = layer["in_hw"]
+            if n != w:
+                raise DomainError(f"{name} input is {n}x{w}; conv spectra need a square input")
             per_module[name] = conv_singular_values(weight, n)
             conv_sizes[name] = n
         else:
@@ -80,30 +83,6 @@ def network_spectrum(ckpt: Checkpoint) -> SpectrumReport:
             "spectral": float(values[0]) if values.size else 0.0,
         }
     return SpectrumReport(per_module=per_module, norms=norms, conv_input_sizes=conv_sizes)
-
-
-def threshold_count_curve(values, thresholds) -> list[tuple[float, int]]:
-    """(t, #values strictly below t) for every threshold; non-decreasing in t."""
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    if np.any(np.isnan(thresholds)):
-        raise DomainError("thresholds must not be NaN")
-    if np.any(np.diff(thresholds) < 0):
-        raise DomainError("thresholds must be sorted ascending")
-    sorted_values = np.sort(np.asarray(values, dtype=np.float64))
-    counts = np.searchsorted(sorted_values, thresholds, side="left")
-    return [(float(t), int(c)) for t, c in zip(thresholds, counts)]
-
-
-def spectrum_histogram(values, bins: int = 64) -> tuple[np.ndarray, np.ndarray]:
-    """Counts over uniform bins spanning [0, max value]."""
-    bins = _as_int(bins, "bins", 1)
-    values = np.asarray(values, dtype=np.float64)
-    if not np.isfinite(values).all():
-        raise DomainError("values must be finite")
-    top = float(values.max()) if values.size else 1.0
-    edges = np.linspace(0.0, top if top > 0 else 1.0, bins + 1)
-    counts, _ = np.histogram(values, bins=edges)
-    return edges, counts
 
 
 def norm_ratio_term(report: SpectrumReport) -> tuple[float, float]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from basinscope.basin import BallSet, BasinReport, boundary_point, check_basin, fit_basin
+from basinscope.basin import BallSet, BasinReport, ConditionEstimate, boundary_point, check_basin, fit_basin
 from basinscope.errors import DomainError
 from basinscope.rng import RngStream, gaussian
 
@@ -91,6 +91,12 @@ def family_z(checks, delta=1e-2):
     return stats.norm.isf(delta / (2 * checks))
 
 
+@pytest.mark.parametrize("radius", [0.0, -1.0])
+def test_non_positive_radius_rejected(radius):
+    with pytest.raises(DomainError, match="radius must be positive"):
+        BallSet(np.zeros(2), radius)
+
+
 class TestBoundaryPoint:
     def test_from_center(self):
         ball = BallSet(np.zeros(4), 1.0)
@@ -106,6 +112,12 @@ class TestBoundaryPoint:
         ball = BallSet(np.zeros(2), 1.0)
         with pytest.raises(DomainError):
             boundary_point(ball, np.ones(2) * 0.1, np.ones(2) * 0.1)
+
+    def test_ray_missing_the_ball_rejected(self):
+        # from (0, 2) along the first axis: the line passes 2 from the center
+        ball = BallSet(np.zeros(2), 1.0)
+        with pytest.raises(DomainError, match="does not intersect"):
+            boundary_point(ball, np.array([0.0, 2.0]), np.array([1.0, 2.0]))
 
     def test_matches_bisection_oracle(self):
         rng = RngStream(5, 1)
@@ -227,6 +239,11 @@ class TestCheckBasin:
         if passing:
             assert passing[-1] == 0.5  # once passing, larger epsilon still passes
 
+    @pytest.mark.parametrize("epsilon, delta", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0)])
+    def test_non_positive_epsilon_or_delta_rejected(self, epsilon, delta):
+        with pytest.raises(DomainError, match="must be positive"):
+            check_basin(BallSet(np.zeros(1), 0.5), bowl, epsilon, delta, 100, RngStream(3))
+
     def test_sample_floor(self):
         with pytest.raises(DomainError):
             check_basin(BallSet(np.zeros(1), 1.0), double_well, 0.05, 1.0, 50, RngStream(1))
@@ -264,6 +281,10 @@ class TestFitBasin:
         with pytest.raises(DomainError):
             fit_basin(np.array([0.1]), np.array([-0.1]), bowl, epsilon_target=epsilon, rng=RngStream(25), samples=samples)
 
+    def test_endpoint_shapes_differ_rejected(self):
+        with pytest.raises(DomainError, match="endpoint shapes differ"):
+            fit_basin(np.array([0.1, 0.0]), np.array([-0.1]), bowl, 0.05, RngStream(25))
+
     def test_dict_roundtrip_serializable(self):
         import json
 
@@ -277,7 +298,9 @@ class TestFitBasin:
 # --- outputs pinned to the values of the earlier fit_basin/check_basin ------
 # Reals were recorded before the inside-ball losses moved into the draws and
 # fit_basin's exits were merged; the rewrite keeps streams, draw order and the
-# number of loss calls, so reports and call counts must not move.
+# number of loss calls, so reports and call counts must not move. The one
+# exception: degenerate endpoints now reuse the segment loss for both of them,
+# which saves two calls.
 
 def steep(w):
     return 100.0 * float(np.atleast_1d(w)[0]) ** 2
@@ -340,7 +363,7 @@ FIT_PINS = {
     "cond23_fail": ("not_in_one_basin", "conditions 2-3 fail for every delta in the bracket", 0.999993896484375, 0.0, 0.039984000000000006, None, (0.0408, (0.039984000000000006, 0.00011339830633389987, "inconclusive"), (-0.0362, 0.003179867574120772, "fail"), (-0.03915, 0.0029892079756363627, "fail")), 6683),
     "floor": ("in_basin", "ok", 0.999993896484375, 0.0, 0.0, 0.000999993896484375, (0.0, (0.0, 0.0, "pass"), (0.5, 0.0354440602504168, "pass"), (0.995, 0.005000000000000002, "pass")), 1083),
     "bisection": ("in_basin", "ok", 0.32197875976562507, 0.0036666666666666675, 0.02644280843593573, 0.09164241841733459, (0.05254140725962296, (0.02644280843593573, 0.0011268212764453515, "inconclusive"), (0.06024433896705169, 0.00367935696290164, "pass"), (0.10192662337359336, 0.0036750107258737225, "pass")), 12657),
-    "degenerate": ("in_basin", "ok", 0.31707763671875006, 0.0025000000000000005, 0.02532172112946448, 0.1434468982368708, (0.06296289476040998, (0.02532172112946448, 0.001197931846632251, "inconclusive"), (0.05888602159900835, 0.00412128725653461, "pass"), (0.1219447263780209, 0.005713828073900594, "pass")), 12631),
+    "degenerate": ("in_basin", "ok", 0.31707763671875006, 0.0025000000000000005, 0.02532172112946448, 0.1434468982368708, (0.06296289476040998, (0.02532172112946448, 0.001197931846632251, "inconclusive"), (0.05888602159900835, 0.00412128725653461, "pass"), (0.1219447263780209, 0.005713828073900594, "pass")), 12629),
 }
 
 
@@ -374,6 +397,36 @@ def test_check_basin_pinned(name):
     assert_pinned(report_summary(report), want)
     assert loss.calls == 3 * 150
     assert report.samples == 150
+
+
+def test_capped_doubling_bisects_above_the_last_failing_delta(monkeypatch):
+    """Doubling from 1e-3 radius fails up to 8.192 radius and is capped at
+    10 radius; conditions 2-3 pass only from 9 radius, so no probe after the
+    doubling may lie below the last failure, where one could be certified."""
+    deltas = []
+
+    def stub(draws, loss, epsilon, delta):
+        deltas.append(delta)
+        sign = 1.0 if delta >= 9.0 * draws.ball.radius else -1.0
+        cond23 = ConditionEstimate(sign, 0.0, 2.0 * epsilon, ">=")
+        return BasinReport(0.0, ConditionEstimate(0.0, 0.0, epsilon, "<="), cond23, cond23, epsilon, delta, 100)
+
+    monkeypatch.setattr("basinscope.basin._report_from_draws", stub)
+    fit = fit_basin(np.array([0.1, 0.0]), np.array([-0.1, 0.0]), bowl, 0.05, RngStream(21), samples=100)
+    r = fit.ball.radius
+    last_fail = 1e-3 * r * 2**13
+    # deltas[0] is the condition-1 report at the cap; then 14 doubling probes
+    assert deltas[:16] == [10.0 * r] + [1e-3 * r * 2**k for k in range(14)] + [10.0 * r]
+    assert len(deltas) == 16 + 20
+    assert min(deltas[16:]) > last_fail
+    assert 9.0 * r <= fit.delta_certified <= 9.0 * r + (10.0 * r - last_fail) / 2**20
+
+
+def test_degenerate_endpoints_reuse_the_segment_loss():
+    a = np.array([0.05, 0.0, 0.0])
+    calls = []
+    fit_basin(a, a.copy(), lambda w: calls.append(w.copy()) or bowl(w), 0.05, RngStream(22), samples=100)
+    assert sum(np.array_equal(w, a) for w in calls) == 1
 
 
 @pytest.mark.parametrize("outside", [math.inf, math.nan])

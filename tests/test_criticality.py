@@ -10,7 +10,6 @@ from basinscope.criticality import (
     _polyline_point,
     criticality_grid,
     criticality_map,
-    network_criticality,
     rewind_probe,
 )
 from basinscope.dataops import domain_spec, generate
@@ -145,9 +144,14 @@ class TestSyntheticClosedForm:
         assert cmap.argmin == (1.0, 0.2)
 
     def test_mu_monotone_in_epsilon(self):
-        cfg = synthetic_cfg(eps=0.01, mode="raw")
-        cmap = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, cfg, RngStream(7))
-        mus = [cmap.mu_at(eps)[0] for eps in (0.01, 0.05, 0.1)]
+        # one map per epsilon from the same stream: the same noise, so the
+        # same train grid, with more cells feasible as epsilon grows
+        maps = [
+            criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(eps=eps), RngStream(7))
+            for eps in (0.01, 0.05, 0.1)
+        ]
+        assert all(np.array_equal(m.train, maps[0].train) for m in maps)
+        mus = [m.mu for m in maps]
         assert mus[0] >= mus[1] >= mus[2]
 
     def test_mu_infinite_when_nothing_feasible(self):
@@ -170,11 +174,6 @@ class TestSyntheticClosedForm:
         )
         cmap_f = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, fine, RngStream(9))
         assert cmap_f.mu <= cmap_c.mu + 1e-12
-
-    def test_gap_identity(self):
-        cfg = synthetic_cfg(samples=50)
-        cmap = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, cfg, RngStream(10))
-        assert np.allclose(cmap.gap, cmap.test - cmap.train, atol=1e-12)
 
     def test_untouched_module_gives_zero_mu(self):
         # theta0 == thetaE with loss below epsilon: alpha=0 cell is feasible
@@ -209,6 +208,12 @@ class TestSyntheticClosedForm:
         # verify the alpha=0.5 anchor by replaying the noise stream
         assert len(seen) == 3
 
+    def test_path_of_one_point_rejected(self):
+        with pytest.raises(DomainError, match="at least two checkpoints"):
+            criticality_grid(
+                np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(), RngStream(12), path_points=[np.array([0.0])]
+            )
+
 
 class TestConfig:
     @pytest.mark.parametrize("mode", ["path_norm", "bogus"])
@@ -222,21 +227,14 @@ class TestConfig:
             CriticalityConfig("w", 0.05, alpha_grid=ALPHAS, sigma_grid=sigmas, noise_samples=samples)
 
 
-class TestNetworkCriticality:
-    def test_sum_and_infeasible_propagation(self):
-        a = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(), RngStream(13))
-        b = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(), RngStream(14))
-        assert network_criticality([a, b]) == pytest.approx(a.mu + b.mu)
-        bad = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(eps=1e-9), RngStream(15))
-        assert network_criticality([a, bad]) == math.inf
+    @pytest.mark.parametrize("eps", [0.0, -0.05])
+    def test_non_positive_epsilon_rejected(self, eps):
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            synthetic_cfg(eps=eps)
 
-    def test_single_map_identity(self):
-        a = criticality_grid(np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(), RngStream(16))
-        assert network_criticality([a]) == a.mu
-
-    def test_empty_rejected(self):
-        with pytest.raises(DomainError):
-            network_criticality([])
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(DomainError, match="unknown metric"):
+            CriticalityConfig("w", 0.05, metric="accuracy")
 
 
 class TestNetworkMap:
@@ -384,6 +382,17 @@ class TestNetworkMap:
         criticality_map(saved[1], init, cfg, RngStream(26), ds, ds, checkpoints=saved[:2])
         with pytest.raises(DomainError, match="past the endpoint"):
             criticality_map(saved[1], init, cfg, RngStream(26), ds, ds, checkpoints=saved)
+
+    def test_duplicate_path_epochs_rejected(self):
+        init, final = self.make_ckpts()
+        twin = Checkpoint(TINY4, final.params.copy(), 2, {}, "h", "r")
+        mid = Checkpoint(TINY4, init.params.copy(), 2, {}, "h", "r")
+        ds = generate(domain_spec("source"), "train", 10, 3)
+        cfg = CriticalityConfig(
+            module_name="fc1", epsilon=0.9, alpha_grid=np.array([1.0]), sigma_grid=np.array([0.05]), noise_samples=1
+        )
+        with pytest.raises(DomainError, match="duplicate checkpoint epochs"):
+            criticality_map(final, init, cfg, RngStream(27), ds, ds, checkpoints=[init, mid, twin])
 
     @pytest.mark.parametrize("module", ["conv1", "classifier"])
     def test_optimization_path_checkpoint_of_another_arch_rejected(self, module):

@@ -113,6 +113,11 @@ class TestBarrierCurve:
         with pytest.raises(DomainError):
             barrier_curve(a, b, lambda_grid(), {"x": (None, None)})
 
+    def test_no_evaluation_dataset_rejected(self):
+        a = make_ckpt(9)
+        with pytest.raises(DomainError, match="at least one evaluation dataset"):
+            barrier_curve(a, a, lambda_grid(), {})
+
 
 class TestBarrierHeight:
     def test_convex_below_baseline_clamps_to_zero(self):
@@ -170,6 +175,11 @@ class TestBarrierHeight:
         for metric in ("loss", "accuracy"):
             with pytest.raises(DomainError, match="test_.* infinite at an endpoint"):
                 barrier_height(curve, metric)
+
+    def test_unknown_metric_raises_domain_error(self):
+        curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)
+        with pytest.raises(DomainError, match="loss or accuracy"):
+            barrier_height(curve, metric="error")
 
     def test_unknown_split_raises_domain_error(self):
         curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)

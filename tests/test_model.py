@@ -149,6 +149,19 @@ class TestParamVector:
         with pytest.raises(DomainError):
             params.module_slice("conv9")
 
+    def test_unknown_entry_rejected(self):
+        params = ParamVector.zeros(TINY4)
+        with pytest.raises(DomainError, match="conv1.gamma"):
+            params.get("conv1.gamma")
+
+    @pytest.mark.parametrize("shape", ["short", "2-D"])
+    def test_values_not_covering_the_index_rejected(self, shape):
+        index = build_index(TINY4)
+        total = index[-1].offset + index[-1].length
+        values = np.zeros(total - 1) if shape == "short" else np.zeros((2, total // 2))
+        with pytest.raises(SizeError, match="does not match index total"):
+            ParamVector(values, index)
+
 
 class TestInit:
     def test_deterministic(self):
@@ -913,3 +926,18 @@ class TestSgdStep:
         grad = self.scalar_params(np.inf)
         with pytest.raises(DomainError):
             sgd_step(params, grad, 0.1, None, 0.0, 0.0)
+
+    def test_grad_of_another_index_rejected(self):
+        params = init_random(TINY4, RngStream(23))
+        with pytest.raises(DomainError, match="params and grad"):
+            sgd_step(params, ParamVector.zeros(SMALL), 0.1, None, 0.9, 0.0)
+
+    @pytest.mark.parametrize("other", ["size_1", "SMALL"])
+    def test_momentum_buffer_of_another_index_rejected(self, other):
+        # a size-1 buffer would broadcast over all 12,266 entries; another
+        # architecture's would fail inside numpy
+        params = init_random(TINY4, RngStream(23))
+        grad = ParamVector.zeros(TINY4)
+        buf = self.scalar_params(1.0) if other == "size_1" else ParamVector.zeros(SMALL)
+        with pytest.raises(DomainError, match="momentum_buf"):
+            sgd_step(params, grad, 0.1, buf, 0.9, 0.0)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from basinscope.basin import BallSet, check_basin, fit_basin
-from basinscope.criticality import CriticalityConfig, CriticalityMap
+from basinscope.criticality import CriticalityConfig
 from basinscope.dataops import ShuffleSpec, block_shuffle, relative_accuracy_drop
 from basinscope.errors import DomainError, SizeError
 from basinscope.landscape import barrier_curve_from_fn, interpolate, lambda_grid
@@ -17,7 +17,7 @@ from basinscope.rng import (
     uniform_in_ball,
 )
 from basinscope.similarity import mistake_ratios
-from basinscope.spectrum import conv_singular_values, dense_singular_values, spectrum_histogram
+from basinscope.spectrum import conv_singular_values, dense_singular_values
 from basinscope.trainer import DataSpec, TrainConfig, config_hash
 
 
@@ -93,6 +93,10 @@ class TestSvdValues:
         with pytest.raises(DomainError):
             dense_singular_values(m)
 
+    def test_vector_rejected(self):
+        with pytest.raises(SizeError, match="expects a matrix"):
+            dense_singular_values(np.ones(3))
+
     def test_descending_order(self):
         m = rand_matrix((8, 8), 8)
         values = dense_singular_values(m)
@@ -120,8 +124,6 @@ NON_INTEGER_COUNTS = {
     "lane_uniforms(one lane, n=2.5)": lambda: lane_uniforms(1, [1], 2.5),
     "lane_permutations(n=True)": lambda: lane_permutations(1, [1, 2], True),
     "lambda_grid(points=2.5)": lambda: lambda_grid(points=2.5),
-    "spectrum_histogram(bins=True)": lambda: spectrum_histogram([1.0, 2.0], bins=True),
-    "spectrum_histogram(bins=2.5)": lambda: spectrum_histogram([1.0, 2.0], bins=2.5),
     "conv_singular_values(input_size=8.0)": lambda: conv_singular_values(np.ones((3, 3, 1, 1)), 8.0),
     "mistake_ratios(g1=1.5)": lambda: mistake_ratios(1.5, 2, 3),
     "CriticalityConfig(noise_samples=True)": lambda: CriticalityConfig("conv1", 0.1, noise_samples=True),
@@ -170,7 +172,8 @@ def test_numpy_integer_counts_act_as_ints():
     assert RngStream(1).randint_below(np.uint8(7)) == RngStream(1).randint_below(7)
     assert np.array_equal(RngStream(1).permutation(np.int32(9)), RngStream(1).permutation(9))
     assert np.array_equal(gaussian_rows(RngStream(1), np.int64(2), 3, 1.0), gaussian_rows(RngStream(1), 2, 3, 1.0))
-    assert np.array_equal(spectrum_histogram([1.0, 2.0], bins=np.int16(4))[1], spectrum_histogram([1.0, 2.0], bins=4)[1])
+    kernel = np.ones((3, 3, 1, 1))
+    assert np.array_equal(conv_singular_values(kernel, np.int16(8)), conv_singular_values(kernel, 8))
     assert arch(input_shape=np.array([16, 16, 3]), num_classes=np.int64(10)) == arch()
     # keys: numpy integers and negative ints equal their Python-int forms mod 2^64
     assert RngStream(1).split(np.int64(2)).state() == RngStream(1).split(2).state()
@@ -209,7 +212,6 @@ def _sgd(**kw):
 
 _BALL = BallSet(np.zeros(2), 1.0)
 _FLAT = {"train_loss": 0.0, "train_acc": 1.0, "test_loss": 0.0, "test_acc": 1.0}
-_MAP = CriticalityMap("conv1", np.ones(1), np.ones(1), np.zeros((1, 1)), np.zeros((1, 1)), 0.1, 1.0, 1.0, (1.0, 1.0))
 
 # Real arguments that are not finite reals, and grids that are not 1-D and
 # finite, each as (error, call): the call must raise the error.
@@ -234,7 +236,6 @@ NON_FINITE_REALS = {
     "CriticalityConfig(alpha grid 2-D)": (SizeError, lambda: CriticalityConfig("conv1", 0.1, alpha_grid=[[0.0, 0.5], [0.6, 1.0]])),
     "CriticalityConfig(sigma grid 2-D)": (SizeError, lambda: CriticalityConfig("conv1", 0.1, sigma_grid=[[0.1], [0.2]])),
     "interpolate(lam nan)": (DomainError, lambda: interpolate(ParamVector.zeros(TINY4), ParamVector.zeros(TINY4), float("nan"))),
-    "CriticalityMap.mu_at(nan)": (DomainError, lambda: _MAP.mu_at(float("nan"))),
     "lambda_grid(0, nan)": (DomainError, lambda: lambda_grid(0.0, float("nan"))),
     "lambda_grid(-inf, 1)": (DomainError, lambda: lambda_grid(float("-inf"), 1.0)),
     "lambda_grid('0', 1)": (DomainError, lambda: lambda_grid("0", 1.0)),
@@ -290,6 +291,8 @@ BAD_ARCHITECTURES = {
     "num_classes=1": (SizeError, dict(num_classes=1)),
     "two-element input_shape": (SizeError, dict(input_shape=(16, 16))),
     "two-element conv block": (SizeError, dict(conv_blocks=((8, 3),))),
+    "no conv blocks": (SizeError, dict(conv_blocks=())),
+    "no fc layers": (SizeError, dict(fc_widths=())),
 }
 
 

@@ -21,8 +21,8 @@ def test_declared_scripts_import():
 
 
 def test_importing_every_module_pulls_in_neither_scipy_nor_multiprocessing():
-    """scipy.stats costs tens of MB of resident memory, so only the functions
-    that need it import it; nothing in the library starts worker processes."""
+    """The library runs on numpy alone; scipy is a test dependency, so no
+    module may import it. Nothing in the library starts worker processes."""
     code = (
         "import importlib, pkgutil, sys\n"
         f"sys.path.insert(0, {str(Path(basinscope.__file__).parents[1])!r})\n"
@@ -37,7 +37,7 @@ def test_importing_every_module_pulls_in_neither_scipy_nor_multiprocessing():
     assert out[1].strip() == "[]"
 
 
-SETTABLE_OPTIONS = 41
+SETTABLE_OPTIONS = 40
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -94,7 +94,7 @@ def test_settable_option_count():
     assert len(options) == SETTABLE_OPTIONS, f"{len(options)} settable options:\n" + "\n".join(options)
 
 
-PUBLIC_NAMES = 130
+PUBLIC_NAMES = 118
 
 
 def public_names() -> list[str]:

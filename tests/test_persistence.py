@@ -6,19 +6,13 @@ import pytest
 
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError, FileFormatError
-from basinscope.model import TINY4, init_random
+from basinscope.model import TINY4, ArchDescriptor, init_random
 from basinscope.persistence import (
-    emit_table,
-    format_real,
     load_checkpoint,
     load_dataset,
-    make_manifest,
     save_checkpoint,
     save_dataset,
     sha256_file,
-    verify_manifest,
-    write_json,
-    write_manifest,
 )
 from basinscope.rng import RngStream
 from basinscope.trainer import Checkpoint
@@ -235,6 +229,59 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert err.value.section == "params"
 
+    @pytest.mark.parametrize("value", [1e300, np.nan, -np.inf], ids=["past_float32", "nan", "-inf"])
+    def test_non_finite_parameter_refused_before_writing(self, tmp_path, value):
+        ckpt = make_ckpt()
+        ckpt.params = ckpt.params.astype(np.float64)
+        ckpt.params.values[5] = value
+        path = tmp_path / "bad.llck"
+        with pytest.raises(DomainError):
+            save_checkpoint(ckpt, path)  # RuntimeWarnings are errors in this suite
+        assert not path.exists()
+
+    def test_params_of_another_arch_refused_before_writing(self, tmp_path):
+        # TINY4's parameters under a one-conv arch were written, then read
+        # back as "arch wants 66122 params, file has 12266"
+        ckpt = make_ckpt()
+        ckpt.arch = ArchDescriptor(TINY4.input_shape, TINY4.conv_blocks[:1], TINY4.fc_widths, TINY4.num_classes)
+        path = tmp_path / "bad.llck"
+        with pytest.raises(DomainError, match="index table"):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("field,value", [("epoch", -1), ("epoch", 2.5), ("optimal", "yes")], ids=["epoch_negative", "epoch_real", "optimal_string"])
+    def test_metadata_the_loader_rejects_refused_before_writing(self, tmp_path, field, value):
+        ckpt = make_ckpt()
+        setattr(ckpt, field, value)
+        path = tmp_path / "bad.llck"
+        with pytest.raises(DomainError, match=field):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
+
+    def test_numpy_epoch_and_flag_saved_as_python_values(self, tmp_path):
+        ckpt = make_ckpt()
+        digest = save_checkpoint(ckpt, tmp_path / "a.llck")
+        ckpt.epoch, ckpt.optimal = np.int64(ckpt.epoch), np.True_
+        assert save_checkpoint(ckpt, tmp_path / "b.llck") == digest
+
+    def test_param_count_not_matching_arch_names_params_section(self, tmp_path):
+        meta = {**good_meta(), "param_count": good_meta()["param_count"] - 1}
+        path = tmp_path / "count.llck"
+        path.write_bytes(ckpt_bytes(json.loads(TINY4.to_json()), meta, meta["param_count"]))
+        with pytest.raises(FileFormatError, match="arch wants 12266 params, file has 12265") as err:
+            load_checkpoint(path)
+        assert err.value.section == "params"
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_names_params_section(self, tmp_path, value):
+        meta = good_meta()
+        blob = ckpt_bytes(json.loads(TINY4.to_json()), meta, meta["param_count"] - 1)
+        path = tmp_path / "nan.llck"
+        path.write_bytes(blob + np.array([value], dtype="<f4").tobytes())
+        with pytest.raises(FileFormatError, match="non-finite") as err:
+            load_checkpoint(path)
+        assert err.value.section == "params"
+
     def test_flipped_byte_loads_but_digest_mismatches(self, tmp_path):
         ckpt = make_ckpt()
         path = tmp_path / "a.llck"
@@ -307,70 +354,27 @@ class TestDatasetIO:
             load_dataset(path)
         assert err.value.section == "images"
 
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf])
+    def test_non_finite_pixel_refused_before_writing(self, tmp_path, pixel):
+        ds = generate(domain_spec("source"), "train", 10, 5)
+        ds.images[2, 3, 4, 1] = pixel
+        path = tmp_path / "bad.llds"
+        with pytest.raises(DomainError):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("label", [-1, 70000, 2.5])
+    def test_label_outside_u16_refused_before_writing(self, tmp_path, label):
+        ds = generate(domain_spec("source"), "train", 10, 5)
+        ds.labels = ds.labels.astype(np.float64) if isinstance(label, float) else ds.labels.copy()
+        ds.labels[1] = label
+        path = tmp_path / "bad.llds"
+        with pytest.raises(DomainError):
+            save_dataset(ds, path)
+        assert not path.exists()
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.llds"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(FileFormatError):
             load_dataset(path)
-
-
-class TestEmitTable:
-    SCHEMA = (("name", "str"), ("epoch", "int"), ("value", "real"))
-
-    def test_basic_format(self, tmp_path):
-        path = tmp_path / "t.csv"
-        emit_table([("run,1", 3, 0.123456789123)], self.SCHEMA, path)
-        text = path.read_text()
-        assert text == 'name,epoch,value\n"run,1",3,0.123456789\n'
-
-    def test_nine_significant_digits(self):
-        assert format_real(0.123456789123) == "0.123456789"
-        assert format_real(2.0) == "2"
-        assert format_real(1234567891.23) == "1.23456789e+09"
-
-    def test_header_only_for_empty_rows(self, tmp_path):
-        path = tmp_path / "e.csv"
-        emit_table([], self.SCHEMA, path)
-        assert path.read_text() == "name,epoch,value\n"
-
-    def test_deterministic_digest(self, tmp_path):
-        rows = [("a", 1, 0.5), ("b", 2, 1.5)]
-        d1 = emit_table(rows, self.SCHEMA, tmp_path / "1.csv")
-        d2 = emit_table(rows, self.SCHEMA, tmp_path / "2.csv")
-        assert d1 == d2
-
-    def test_schema_violations(self, tmp_path):
-        with pytest.raises(DomainError):
-            emit_table([("a", 1)], self.SCHEMA, tmp_path / "x.csv")
-        with pytest.raises(DomainError):
-            emit_table([("a", 1.5, 0.5)], self.SCHEMA, tmp_path / "x.csv")
-        with pytest.raises(DomainError):
-            emit_table([("a", 1, "nope")], self.SCHEMA, tmp_path / "x.csv")
-
-
-class TestManifest:
-    def test_verify_clean_and_detect_tamper(self, tmp_path):
-        ckpt_path = tmp_path / "a.llck"
-        save_checkpoint(make_ckpt(), ckpt_path)
-        out_csv = tmp_path / "out.csv"
-        emit_table([("a", 1, 0.5)], TestEmitTable.SCHEMA, out_csv)
-        manifest = make_manifest(
-            run_id="run1",
-            command="test",
-            config={"k": 1},
-            inputs={"ckpt": ckpt_path},
-            outputs=[out_csv],
-            seed=1,
-        )
-        mpath = write_manifest(manifest, tmp_path)
-        assert mpath.name == "run1.manifest.json"
-        assert verify_manifest(mpath) == []
-        out_csv.write_text("tampered\n")
-        problems = verify_manifest(mpath)
-        assert len(problems) == 1 and "mismatch" in problems[0]
-
-    def test_write_json_deterministic(self, tmp_path):
-        d1 = write_json({"b": 1, "a": [1.5, 2.5]}, tmp_path / "x.json")
-        d2 = write_json({"a": [1.5, 2.5], "b": 1}, tmp_path / "y.json")
-        assert d1 == d2
-        assert json.loads((tmp_path / "x.json").read_text()) == {"a": [1.5, 2.5], "b": 1}

@@ -2,9 +2,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy import stats
 
 from basinscope import similarity
 from basinscope.dataops import Dataset, domain_spec, generate
@@ -12,7 +9,6 @@ from basinscope.errors import DomainError
 from basinscope.model import TINY4, ParamVector, init_random
 from basinscope.rng import RngStream, gaussian
 from basinscope.similarity import (
-    class_size_correlation,
     linear_cka,
     linear_cka_flagged,
     mistake_ratios,
@@ -56,13 +52,6 @@ CKA_SHAPES = {
 }
 
 
-def pearson_oracle(x, y):
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    xd, yd = x - x.mean(), y - y.mean()
-    return float((xd * yd).sum() / np.sqrt((xd * xd).sum() * (yd * yd).sum()))
-
-
 class TestLinearCKA:
     def test_self_similarity_is_one(self):
         x = rand_acts(20, 5, 1)
@@ -100,6 +89,20 @@ class TestLinearCKA:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
             linear_cka(rand_acts(10, 3, 9), rand_acts(11, 3, 9))
+
+    @pytest.mark.parametrize("side", ["x_1d", "y_3d"])
+    def test_activations_not_2d_rejected(self, side):
+        x, y = rand_acts(10, 3, 9), rand_acts(10, 4, 10)
+        if side == "x_1d":
+            x = x[:, 0]
+        else:
+            y = y.reshape(10, 2, 2)
+        with pytest.raises(DomainError, match="must be 2-D"):
+            linear_cka(x, y)
+
+    def test_single_example_rejected(self):
+        with pytest.raises(DomainError, match="at least 2 examples"):
+            linear_cka(rand_acts(1, 3, 9), rand_acts(1, 3, 10))
 
     @pytest.mark.parametrize("case", CKA_SHAPES.items(), ids=CKA_SHAPES.keys())
     def test_matches_feature_space_oracle_on_both_paths(self, case):
@@ -264,69 +267,14 @@ class TestMistakeTable:
         with pytest.raises(DomainError):
             mistake_table([0, 1], [0], [0, 1])
 
+    def test_unknown_grouping_rejected(self):
+        with pytest.raises(DomainError, match="overall or class"):
+            mistake_table([0, 1], [0, 1], [0, 1], group_by="domain")
 
-class TestClassSizeCorrelation:
-    def test_identical_vectors_r_one(self):
-        sizes = np.array([10.0, 20.0, 30.0, 40.0])
-        r, p = class_size_correlation(sizes, sizes)
-        assert r == pytest.approx(1.0)
-        assert p == pytest.approx(0.0, abs=1e-12)
-
-    def test_negated_r_minus_one(self):
-        sizes = np.array([10.0, 20.0, 30.0, 40.0])
-        r, _ = class_size_correlation(-sizes + 100.0, sizes)
-        assert r == pytest.approx(-1.0)
-
-    def test_matches_direct_formula_oracle(self):
-        x = gaussian(RngStream(11, 1), 30, 1.0)
-        y = 0.3 * x + gaussian(RngStream(12, 1), 30, 1.0)
-        r, p = class_size_correlation(x, y)
-        assert r == pytest.approx(pearson_oracle(x, y), abs=1e-10)
-        assert 0.0 <= p <= 1.0
-
-    def test_p_value_matches_t_distribution_oracle(self):
-        # two-sided p of t = r sqrt((n-2)/(1-r^2)) on n-2 dof
-        x = gaussian(RngStream(16, 1), 12, 1.0)
-        y = 0.5 * x + gaussian(RngStream(17, 1), 12, 1.0)
-        r, p = class_size_correlation(x, y)
-        t = r * np.sqrt(10 / (1.0 - r * r))
-        assert p == pytest.approx(2.0 * stats.t.sf(abs(t), 10), rel=1e-9)
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_perfect_correlation_p_exactly_zero(self, sign):
-        # r rounds to exactly +-1 on these sizes; on some other exactly
-        # linear inputs it lands a few ulp short and p is tiny but not 0
-        sizes = np.array([10.0, 20.0, 30.0, 40.0])
-        r, p = class_size_correlation(sign * sizes, sizes)
-        assert r == sign
-        assert p == 0.0
-
-    def test_p_value_magnitude_sanity(self):
-        # strong correlation on 30 points: p should be small
-        x = np.arange(30.0)
-        y = x + gaussian(RngStream(13, 1), 30, 1.0)
-        _, p = class_size_correlation(x, y)
-        assert p < 1e-6
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(DomainError):
-            class_size_correlation(np.ones(5), np.arange(5.0))
-
-    def test_constant_input_with_inexact_mean_rejected(self):
-        # the float mean of three 0.1s is not 0.1, so deviations are not all 0
-        x = np.full(3, 0.1)
-        assert x.mean() != 0.1
-        with pytest.raises(DomainError):
-            class_size_correlation(x, np.arange(3.0))
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=20, deadline=None)
-    def test_property_r_in_range(self, seed):
-        x = gaussian(RngStream(seed, 2), 10, 1.0)
-        y = gaussian(RngStream(seed, 3), 10, 1.0)
-        r, p = class_size_correlation(x, y)
-        assert -1.0 <= r <= 1.0
-        assert 0.0 <= p <= 1.0
+    def test_row_of_an_absent_group_rejected(self):
+        table = mistake_table([0, 1], [0, 1], [0, 1], group_by="class")
+        with pytest.raises(DomainError, match="no row for group '7'"):
+            table.row("7")
 
 
 class TestSimilarityReport:
@@ -352,3 +300,27 @@ class TestSimilarityReport:
         with pytest.raises(DomainError):
             similarity_report(a, a, ds)
         assert calls == []
+
+    def test_images_past_the_cap_subsampled_by_seed(self, monkeypatch):
+        # pixel (0, 0, 0) of each image holds its row number
+        n = similarity.CKA_MAX_EXAMPLES + 1
+        images = np.zeros((n, 16, 16, 3), dtype=np.float32)
+        images[:, 0, 0, 0] = np.arange(n)
+        a = Checkpoint(TINY4, init_random(TINY4, RngStream(21)), 0, {}, "", "")
+        seen = []
+
+        def rows_seen(ckpt, imgs):
+            seen.append(imgs[:, 0, 0, 0].astype(np.int64))
+            return {"m": imgs.reshape(len(imgs), -1)[:, :2]}
+
+        monkeypatch.setattr(similarity, "_module_activations", rows_seen)
+        for seed in (0, 0, 1):
+            similarity_report(a, a, Dataset(images, np.zeros(n, dtype=np.int64), "test", {}), seed=seed)
+        assert all(np.array_equal(seen[i], seen[i + 1]) for i in (0, 2, 4))  # both models, the same rows
+        rows = seen[0]
+        assert len(rows) == similarity.CKA_MAX_EXAMPLES and np.all(np.diff(rows) > 0)  # distinct, in dataset order
+        assert np.array_equal(seen[2], rows) and not np.array_equal(seen[4], rows)
+        # at the cap every image is used, whatever the seed
+        seen.clear()
+        similarity_report(a, a, Dataset(images[:-1], np.zeros(n - 1, dtype=np.int64), "test", {}), seed=5)
+        assert np.array_equal(seen[0], np.arange(n - 1))

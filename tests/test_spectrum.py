@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from basinscope.errors import DomainError, SizeError
-from basinscope.model import TINY4, init_random
+from basinscope.model import TINY4, ArchDescriptor, init_random
 from basinscope.rng import RngStream, gaussian
 from basinscope.spectrum import (
     SpectrumReport,
@@ -10,8 +10,6 @@ from basinscope.spectrum import (
     dense_singular_values,
     network_spectrum,
     norm_ratio_term,
-    spectrum_histogram,
-    threshold_count_curve,
 )
 from basinscope.trainer import Checkpoint
 
@@ -122,34 +120,12 @@ class TestConvSingularValues:
         with pytest.raises(SizeError):
             conv_singular_values(rand_kernel(3, 1, 1, 7), 6)
 
-
-class TestThresholdCurve:
-    def test_simple_counts(self):
-        curve = threshold_count_curve([1.0, 2.0, 3.0], [2.5])
-        assert curve == [(2.5, 2)]
-
-    def test_extremes(self):
-        values = [1.0, 2.0, 3.0]
-        assert threshold_count_curve(values, [0.5]) == [(0.5, 0)]
-        assert threshold_count_curve(values, [99.0]) == [(99.0, 3)]
-
-    def test_strictly_below_at_equality(self):
-        assert threshold_count_curve([1.0, 2.0], [2.0]) == [(2.0, 1)]
-
-    def test_matches_counting_oracle_and_monotone(self):
-        values = gaussian(RngStream(8, 51), 200, 1.0) ** 2
-        thresholds = np.linspace(0, values.max() + 0.1, 17)
-        curve = threshold_count_curve(values, thresholds)
-        prev = -1
-        for t, c in curve:
-            assert c == int(np.sum(values < t))  # independent count
-            assert c >= prev
-            prev = c
-
-    @pytest.mark.parametrize("thresholds", [[np.nan], [1.0, np.nan, 2.0]])
-    def test_nan_threshold_rejected(self, thresholds):
-        with pytest.raises(DomainError):
-            threshold_count_curve([1.0, 2.0, 3.0], thresholds)
+    @pytest.mark.parametrize(
+        "shape, message", [((3, 3, 2), "must be \\(k, k, Cin, Cout\\)"), ((3, 1, 2, 2), "spatial dims must be square")], ids=["3-D", "3x1"]
+    )
+    def test_kernel_not_square_4d_rejected(self, shape, message):
+        with pytest.raises(SizeError, match=message):
+            conv_singular_values(np.ones(shape), 8)
 
 
 class TestNormRatio:
@@ -214,17 +190,10 @@ class TestNetworkSpectrum:
                 n * n * np.sum(kernel**2), rel=1e-4
             )
 
-    def test_histogram_bins(self):
-        edges, counts = spectrum_histogram(np.array([0.1, 0.5, 0.9, 0.9]), bins=64)
-        assert edges.shape == (65,)
-        assert counts.sum() == 4
-
-    @pytest.mark.parametrize("bins", [0, -3])
-    def test_histogram_without_bins_rejected(self, bins):
-        with pytest.raises(DomainError):
-            spectrum_histogram(np.array([0.1, 0.5, 0.9]), bins=bins)
-
-    @pytest.mark.parametrize("values", [[0.1, np.inf], [0.1, np.nan], [-np.inf, 0.5]], ids=["inf", "nan", "-inf"])
-    def test_histogram_of_non_finite_values_rejected(self, values):
-        with pytest.raises(DomainError):
-            spectrum_histogram(np.array(values), bins=4)
+    def test_non_square_conv_input_rejected(self):
+        # a 16x8 input trains, but its conv1 operator lives on a 16x8 grid,
+        # not the 16x16 one the DFT spectrum would use
+        arch = ArchDescriptor((16, 8, 3), ((4, 3, 1),), (8,), 2)
+        ckpt = Checkpoint(arch, init_random(arch, RngStream(33)), 0, {}, "", "")
+        with pytest.raises(DomainError, match="conv1"):
+            network_spectrum(ckpt)

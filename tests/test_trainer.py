@@ -108,6 +108,7 @@ class TestConfig:
             dict(shuffle_block=np.float64(4.0)),
             dict(shuffle_seed=3),
             dict(shared_permutation=True),
+            dict(domains=()),
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
@@ -120,6 +121,18 @@ class TestConfig:
         """Each was validated and then ignored."""
         with pytest.raises(DomainError):
             InitSpec(**bad)
+
+    def test_unknown_init_kind_rejected(self):
+        with pytest.raises(DomainError, match="random or checkpoint"):
+            InitSpec("pretrained")
+
+    def test_shuffled_data_spec_shuffles_both_splits(self):
+        plain = make_datasets(small_data(n_train=20, n_test=10))
+        spec = DataSpec(("source",), n_train=20, n_test=10, seed=1, shuffle_block=4, shuffle_seed=2)
+        for got, ds in zip(make_datasets(spec), plain, strict=True):
+            want = dataops.apply_shuffle(ds, dataops.ShuffleSpec(4, 2))
+            assert np.array_equal(got.images, want.images) and np.array_equal(got.labels, ds.labels)
+            assert not np.array_equal(got.images, ds.images)
 
     def test_fields_used_by_their_kind_construct(self):
         assert InitSpec("random", seed=3).seed == 3
@@ -242,6 +255,32 @@ class TestTrain:
         with pytest.raises(DomainError, match="random init"):
             train(small_config(epochs=0), init_checkpoint=ckpt)
 
+    def test_checkpoint_init_from_a_path_equals_the_checkpoint_passed_in(self, tmp_path):
+        from basinscope.persistence import save_checkpoint
+
+        pre, _, _ = train(small_config(epochs=1))
+        path = tmp_path / "pre.llck"
+        save_checkpoint(pre, path)
+        cfg = small_config(epochs=1, seed=4, init=InitSpec("checkpoint", path=str(path)))
+        from_path, record, _ = train(cfg)
+        passed, passed_record, _ = train(cfg, init_checkpoint=pre)
+        assert from_path.equals(passed) and record == passed_record
+        assert not from_path.params.equals(pre.params)
+
+    def test_binding_clip_caps_the_step_norm(self):
+        # one full-batch step, no momentum or decay: the step is lr * clip
+        # exactly, up to the float32 rounding of each parameter
+        lr, clip = 0.05, 0.1
+        cfg = small_config(
+            data=small_data(n_train=50), epochs=1, batch_size=50, lr_schedule=((0, lr),), momentum=0.0, weight_decay=0.0
+        )
+        init = init_random(TINY4, RngStream(1)).values.astype(np.float64)
+        unclipped, _, _ = train(dataclasses.replace(cfg, clip_grad_norm=None))
+        clipped, _, _ = train(dataclasses.replace(cfg, clip_grad_norm=clip))
+        assert np.linalg.norm(unclipped.params.values - init) > lr * clip  # the clip binds
+        step = np.linalg.norm(clipped.params.values.astype(np.float64) - init)
+        assert abs(step - lr * clip) <= 2.0**-23 * np.linalg.norm(init)
+
     def test_checkpoint_init_without_a_source_rejected(self):
         """With neither a checkpoint nor a path, open("") raised FileNotFoundError."""
         with pytest.raises(DomainError, match="init_checkpoint or a path"):
@@ -346,6 +385,10 @@ class TestSweep:
         rit_final, rit_record, _ = train(rit_cfg)
         assert rows[0]["final_test_acc"] == rit_final.metrics["test_acc"]
         assert rows[0]["optimization_speed"] == rit_record.optimization_speed
+
+    def test_no_checkpoint_rejected(self):
+        with pytest.raises(DomainError, match="at least one checkpoint"):
+            checkpoint_sweep([], small_config(epochs=1))
 
     def test_arch_mismatch_rejected(self):
         cfg = small_config(epochs=1)
