@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector
-from .numerics import _as_int, _as_real
+from .numerics import _as_int, _as_real, _as_vector
 from .rng import RngStream, gaussian, gaussian_rows, uniform_in_ball
 
 _STREAM_MU = 1
@@ -42,7 +42,6 @@ MAX_WALK_STEPS = 60
 BISECT_STEPS = 12
 DELTA_BRACKET = (1e-3, 10.0)
 DELTA_BISECT_STEPS = 20
-CONTAINS_TOL = 1e-9  # relative slack on the radius in BallSet.contains
 
 
 @dataclass
@@ -53,16 +52,13 @@ class BallSet:
     radius: float
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=np.float64)
+        self.center = _as_vector(self.center, "center")
         if _as_real(self.radius, "radius") <= 0:
             raise DomainError("radius must be positive")
 
     @property
     def dimension(self) -> int:
         return self.center.size
-
-    def contains(self, w) -> bool:
-        return float(np.linalg.norm(np.asarray(w) - self.center)) <= self.radius * (1 + CONTAINS_TOL)
 
 
 @dataclass
@@ -280,7 +276,7 @@ def fit_basin(
     samples = _as_int(samples, "samples", 100)
     if _as_real(epsilon_target, "epsilon_target") <= 0:
         raise DomainError("epsilon_target must be positive")
-    a, b = (np.asarray(t.values if isinstance(t, ParamVector) else t, dtype=np.float64) for t in (theta_a, theta_b))
+    a, b = (_as_vector(t.values if isinstance(t, ParamVector) else t, "endpoint") for t in (theta_a, theta_b))
     if a.shape != b.shape:
         raise DomainError("endpoint shapes differ")
 

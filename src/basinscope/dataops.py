@@ -25,7 +25,7 @@ The rotations run as one stacked 2x2 product; only ``math.cos``/``math.sin``
 stay per image. The image is then composed channels first. Every array op
 repeats the per-image arithmetic element for element, and every reduction
 runs in the per-image order, so a batch renders bit-identically to one image
-at a time: ``render_image`` is a batch of one.
+at a time.
 """
 
 from __future__ import annotations
@@ -304,12 +304,6 @@ def _render(domain: DomainSpec, split: str, first: int, n: int, seed: int) -> tu
     return images, labels
 
 
-def render_image(domain: DomainSpec, split: str, index: int, seed: int) -> tuple[np.ndarray, int]:
-    """Image ``index`` (0 <= index < 2**32) of a split and its label: a batch of one."""
-    images, labels = _render(domain, split, index, 1, seed)
-    return images[0], int(labels[0])
-
-
 def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
     """Class-balanced (+-1) deterministic dataset for one domain and split."""
     n, seed = _as_int(n, "n", 1), _as_int(seed, "seed")
@@ -326,8 +320,6 @@ def _shuffle_batch(images: np.ndarray, spec: ShuffleSpec, stream_ids: np.ndarray
     if images.shape[1:] != (IMAGE_SIZE, IMAGE_SIZE, 3):
         raise DomainError(f"expected (16, 16, 3) images, got {images.shape[1:]}")
     b = spec.block_size
-    if b == IMAGE_SIZE:
-        return images.copy()
     n = len(images)
     rows = np.arange(n)[:, None]
     if b == STAR:
@@ -338,12 +330,6 @@ def _shuffle_batch(images: np.ndarray, spec: ShuffleSpec, stream_ids: np.ndarray
     src_y, src_x = np.divmod(lane_permutations(spec.seed, stream_ids, nb * nb), nb)
     shuffled = images.reshape(n, nb, b, nb, b, 3)[rows, src_y, :, src_x]
     return shuffled.reshape(n, nb, nb, b, b, 3).transpose(0, 1, 3, 2, 4, 5).reshape(images.shape)
-
-
-def block_shuffle(img: np.ndarray, spec: ShuffleSpec, index: int) -> np.ndarray:
-    """Permute b x b blocks (scalars for STAR) with the (seed, index) stream: a batch of one."""
-    key = 0 if spec.shared_permutation else index
-    return _shuffle_batch(np.asarray(img)[None], spec, [derive_stream_id(_STREAM_SHUFFLE, key)])[0]
 
 
 def apply_shuffle(dataset: Dataset, spec: ShuffleSpec) -> Dataset:

@@ -160,8 +160,8 @@ class ParamVector:
     def __init__(self, values: np.ndarray, index: tuple[IndexEntry, ...]):
         values = np.ascontiguousarray(values)
         total = index[-1].offset + index[-1].length if index else 0
-        if values.ndim != 1 or values.size != total:
-            raise SizeError(f"values length {values.size} does not match index total {total}")
+        if values.shape != (total,):
+            raise SizeError(f"values of shape {values.shape} do not match the index's ({total},)")
         self.values = values
         self.index = tuple(index)
 
@@ -173,9 +173,6 @@ class ParamVector:
 
     def copy(self) -> "ParamVector":
         return ParamVector(self.values.copy(), self.index)
-
-    def astype(self, dtype) -> "ParamVector":
-        return ParamVector(self.values.astype(dtype), self.index)
 
     @property
     def size(self) -> int:
@@ -193,7 +190,9 @@ class ParamVector:
 
     def set(self, name: str, array) -> None:
         e = self.entry(name)
-        arr = np.asarray(array, dtype=self.values.dtype).reshape(e.shape)
+        arr = np.asarray(array, dtype=self.values.dtype)
+        if arr.size != e.length:
+            raise SizeError(f"{name} takes shape {e.shape}, got an array of shape {arr.shape}")
         self.values[e.offset : e.offset + e.length] = arr.ravel()
 
     def module_names(self) -> list[str]:
@@ -216,6 +215,14 @@ class ParamVector:
 
     def equals(self, other: "ParamVector") -> bool:
         return self.same_index(other) and np.array_equal(self.values, other.values)
+
+
+def _check_params(params: ParamVector, arch: ArchDescriptor) -> None:
+    """DomainError unless params follow arch's index table; the cached
+    ``build_index`` tuple is the one ParamVector keeps, so this is one
+    comparison of two identical tuples."""
+    if params.index != build_index(arch):
+        raise DomainError(f"params of {params.size} values do not follow the arch's index table")
 
 
 def init_random(arch: ArchDescriptor, rng: RngStream) -> ParamVector:
@@ -359,8 +366,6 @@ INPUT_CENTER = 0.5  # images are in [0, 1]; centering keeps early training stabl
 def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
     """Shape-checked, centered float64 input to the first layer."""
     x = np.asarray(batch)
-    if x.ndim == 3:
-        x = x[None]
     if x.shape[1:] != tuple(arch.input_shape):
         raise SizeError(f"batch shape {x.shape[1:]} does not match arch input {arch.input_shape}")
     return np.subtract(x, INPUT_CENTER, dtype=np.float64)
@@ -427,8 +432,7 @@ def _run_layers(
     whole-batch patch tensors through memory step by step. A patches tile
     is a view, as the patch tensor is C-contiguous along the batch axis.
     The tiles' outputs are joined and the dense layers run once on the
-    whole batch. A lone conv layer on given patches runs untiled: nothing
-    it makes is read by a later conv, so tiles would only add calls.
+    whole batch.
 
     Tiling changes only how many rows a conv GEMM call has. OpenBLAS 0.3.31
     gives every TINY4 conv row the same bits at any row count, so the
@@ -437,10 +441,11 @@ def _run_layers(
     product. Dense GEMM rows change bits with the row count (fc1 below 64
     rows, the classifier below 128), so dense layers are never tiled.
     """
+    _check_params(params, arch)
     plan = arch.layer_plan()[start:stop]
     weights = [_weights(params, layer) for layer in plan]
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
-    if (convs > 1 or (convs == 1 and patches is None)) and x.shape[0] > _TILE:
+    if convs and x.shape[0] > _TILE:
         outs = [None] * convs  # whole-batch float32 conv outputs, when acts is given
         tiles = []
         for i in range(0, x.shape[0], _TILE):
@@ -492,6 +497,7 @@ def _records(params: ParamVector, arch: ArchDescriptor, x: np.ndarray) -> list:
     conv patches (None for a dense layer) and output. Bias and ReLU are
     applied in place to the fresh GEMM output, so post > 0 is the ReLU's
     mask (the same as pre > 0, NaN included)."""
+    _check_params(params, arch)
     records = []
     for layer in arch.layer_plan():
         w, b = _weights(params, layer)

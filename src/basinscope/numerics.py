@@ -5,8 +5,9 @@ reductions (dots, norms, losses) accumulate in float64.
 
 Public entry points check arguments by three rules, raising DomainError: a
 count is an int at least its bound (``_as_int``), a real a finite float
-(``_as_real``; ``_as_grid`` for a strictly increasing 1-D grid of them,
-SizeError if it is not 1-D), and a flag a bool (``_as_flag``).
+(``_as_real``; ``_as_grid`` for a strictly increasing 1-D grid of them and
+``_as_vector`` for a 1-D vector, SizeError if either is not 1-D), and a flag
+a bool (``_as_flag``).
 """
 
 from __future__ import annotations
@@ -50,13 +51,21 @@ def _as_flag(value, what: str) -> bool:
     return bool(value)
 
 
+def _as_vector(values, what: str) -> np.ndarray:
+    """``values`` as a 1-D (else SizeError), finite float64 array."""
+    vector = np.asarray(values, dtype=np.float64)
+    if vector.ndim != 1:
+        raise SizeError(f"{what} must be 1-D, got shape {vector.shape}")
+    if not np.all(np.isfinite(vector)):
+        raise DomainError(f"{what} must be finite")
+    return vector
+
+
 def _as_grid(values, what: str) -> np.ndarray:
-    """``values`` as a 1-D (else SizeError), non-empty, finite, strictly increasing float64 array."""
-    grid = np.asarray(values, dtype=np.float64)
-    if grid.ndim != 1:
-        raise SizeError(f"{what} must be 1-D, got shape {grid.shape}")
-    if grid.size == 0 or not np.all(np.isfinite(grid)) or np.any(np.diff(grid) <= 0):
-        raise DomainError(f"{what} must be non-empty, finite and strictly increasing")
+    """``values`` as a non-empty, strictly increasing ``_as_vector``."""
+    grid = _as_vector(values, what)
+    if grid.size == 0 or np.any(np.diff(grid) <= 0):
+        raise DomainError(f"{what} must be non-empty and strictly increasing")
     return grid
 
 

@@ -6,6 +6,11 @@ little-endian blocks. Checkpoints ("LLCK") hold an arch and a metadata JSON,
 then the float32 parameter block. Dataset files ("LLDS") hold a header
 JSON, then the u16 labels and the float32 images. All digests are SHA-256 of
 file bytes.
+
+The JSON is standard: no NaN or infinity token is written or read. Metrics
+are a dict of str to finite reals, hashes, digests and splits are strings,
+and provenance is a dict. The writers raise DomainError, before any file is
+opened, for what the readers reject.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import numpy as np
 
 from . import dataops
 from .errors import DomainError, FileFormatError
-from .model import ArchDescriptor, ParamVector, build_index
-from .numerics import _as_flag, _as_int
+from .model import ArchDescriptor, ParamVector, _check_params, build_index
+from .numerics import _as_flag, _as_int, _as_real
 from .trainer import Checkpoint
 
 CKPT_MAGIC = b"LLCK"
@@ -74,6 +79,33 @@ def _check_container(f, magic: bytes) -> None:
         raise FileFormatError("version", f"unsupported version {version}")
 
 
+def _typed(value, kind: type, what: str):
+    """value, if it is a kind (str or dict); DomainError otherwise."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
+def _metrics(value) -> dict:
+    """Checkpoint metrics as a dict of str to finite floats; DomainError otherwise."""
+    metrics = _typed(value, dict, "metrics")
+    return {_typed(k, str, "metrics key"): _as_real(v, f"metrics[{k!r}]") for k, v in metrics.items()}
+
+
+def _dumps(section: dict) -> str:
+    """section as sorted standard JSON; DomainError for a value JSON cannot
+    hold (NaN or infinity included)."""
+    try:
+        return json.dumps(section, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError) as e:
+        raise DomainError(f"metadata not storable as JSON: {e}") from e
+
+
+def _reject_constant(token: str):
+    """json.loads hook: refuse the NaN and infinity tokens ``_dumps`` never writes."""
+    raise ValueError(f"non-standard JSON token {token}")
+
+
 def _finite_f4(values, what: str) -> np.ndarray:
     """values as a little-endian float32 block; DomainError, before any file
     is opened, unless every value is finite in float32 as the readers
@@ -86,19 +118,19 @@ def _finite_f4(values, what: str) -> np.ndarray:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> str:
-    # refuse, before any file is opened, what load_checkpoint would reject
-    if ckpt.params.index != build_index(ckpt.arch):
-        raise DomainError("checkpoint params do not follow its arch's index table")
+    # refuse, before any file is opened, what load_checkpoint would reject;
+    # a Checkpoint's fields can be reassigned after it was built
+    _check_params(ckpt.params, ckpt.arch)
     meta = {
         "epoch": _as_int(ckpt.epoch, "epoch", 0),
-        "metrics": ckpt.metrics,
-        "config_hash": ckpt.config_hash,
-        "rng_digest": ckpt.rng_digest,
-        "provenance": ckpt.provenance,
+        "metrics": _metrics(ckpt.metrics),
+        "config_hash": _typed(ckpt.config_hash, str, "config_hash"),
+        "rng_digest": _typed(ckpt.rng_digest, str, "rng_digest"),
+        "provenance": _typed(ckpt.provenance, dict, "provenance"),
         "optimal": _as_flag(ckpt.optimal, "optimal"),
         "param_count": ckpt.params.size,
     }
-    sections = [ckpt.arch.to_json(), json.dumps(meta, sort_keys=True)]
+    sections = [ckpt.arch.to_json(), _dumps(meta)]
     block = _finite_f4(ckpt.params.values, "parameter values")
     return _write_container(path, CKPT_MAGIC, sections, [block])
 
@@ -111,11 +143,14 @@ def load_checkpoint(path) -> Checkpoint:
         except (TypeError, ValueError) as e:
             raise FileFormatError("arch", f"bad arch: {e}") from e
         try:
-            meta = json.loads(_read_prefixed(f, "metadata"))
+            meta = json.loads(_read_prefixed(f, "metadata"), parse_constant=_reject_constant)
             count = _as_int(meta["param_count"], "param_count", 0)
             epoch = _as_int(meta["epoch"], "epoch", 0)
             optimal = _as_flag(meta.get("optimal", False), "optimal")
-            metrics, config_hash, rng_digest = meta["metrics"], meta["config_hash"], meta["rng_digest"]
+            metrics = _metrics(meta["metrics"])
+            config_hash = _typed(meta["config_hash"], str, "config_hash")
+            rng_digest = _typed(meta["rng_digest"], str, "rng_digest")
+            provenance = _typed(meta.get("provenance", {}), dict, "provenance")
         except (KeyError, TypeError, ValueError) as e:
             raise FileFormatError("metadata", f"bad metadata: {e!r}") from e
         raw = _read_exact(f, 4 * count, "params")
@@ -134,15 +169,15 @@ def load_checkpoint(path) -> Checkpoint:
         metrics=metrics,
         config_hash=config_hash,
         rng_digest=rng_digest,
-        provenance=meta.get("provenance", {}),
+        provenance=provenance,
         optimal=optimal,
     )
 
 
 def save_dataset(ds: dataops.Dataset, path) -> str:
     header = {
-        "provenance": ds.provenance,
-        "split": ds.split,
+        "provenance": _typed(ds.provenance, dict, "provenance"),
+        "split": _typed(ds.split, str, "split"),
         "n": len(ds),
         "image_shape": list(ds.images.shape[1:]),
     }
@@ -152,17 +187,18 @@ def save_dataset(ds: dataops.Dataset, path) -> str:
     if not np.array_equal(labels, ds.labels):
         raise DomainError("labels must be integers in [0, 65535]")
     blocks = [labels, _finite_f4(ds.images, "pixel values")]
-    return _write_container(path, DATA_MAGIC, [json.dumps(header, sort_keys=True)], blocks)
+    return _write_container(path, DATA_MAGIC, [_dumps(header)], blocks)
 
 
 def load_dataset(path) -> dataops.Dataset:
     with open(path, "rb") as f:
         _check_container(f, DATA_MAGIC)
         try:
-            header = json.loads(_read_prefixed(f, "header"))
+            header = json.loads(_read_prefixed(f, "header"), parse_constant=_reject_constant)
             n = _as_int(header["n"], "n", 0)
             shape = tuple(_as_int(d, "image_shape entry", 0) for d in header["image_shape"])
-            split, provenance = header["split"], header["provenance"]
+            split = _typed(header["split"], str, "split")
+            provenance = _typed(header["provenance"], dict, "provenance")
         except (KeyError, TypeError, ValueError) as e:
             raise FileFormatError("header", f"bad header: {e!r}") from e
         labels = np.frombuffer(_read_exact(f, 2 * n, "labels"), dtype="<u2").astype(np.int64)

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _as_int, _as_real
+from .numerics import _as_int, _as_real, _as_vector
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -389,7 +389,7 @@ def uniform_in_ball(rng: RngStream, center: Sequence[float] | np.ndarray, radius
     """
     if _as_real(radius, "radius") < 0:
         raise DomainError("radius must be non-negative")
-    center = np.asarray(center, dtype=np.float64)
+    center = _as_vector(center, "center")
     n = center.size
     if n == 0:
         raise DomainError("center must have at least one coordinate")

@@ -86,10 +86,6 @@ def linear_cka_flagged(x, y) -> tuple[float, bool]:
     return float(cross / (nx * ny)), False
 
 
-def linear_cka(x, y) -> float:
-    return linear_cka_flagged(x, y)[0]
-
-
 def param_l2(a: ParamVector, b: ParamVector) -> tuple[dict, float]:
     """Per-module Euclidean distances and the whole-network distance."""
     if not a.same_index(b):

@@ -20,7 +20,8 @@ import numpy as np
 from . import dataops
 from .errors import DivergedRunError, DomainError
 from .model import (
-    ArchDescriptor, ParamVector, _check_labels, _network_input, _nll, _run_layers, backward, init_random, sgd_step
+    ArchDescriptor, ParamVector, _check_labels, _check_params, _network_input, _nll, _run_layers, backward, init_random,
+    sgd_step,
 )
 from .numerics import _as_flag, _as_grid, _as_int, _as_real
 from .rng import RngStream, derive_stream_id
@@ -132,6 +133,9 @@ class Checkpoint:
     rng_digest: str
     provenance: dict = field(default_factory=dict)
     optimal: bool = False
+
+    def __post_init__(self):
+        _check_params(self.params, self.arch)
 
     def equals(self, other: "Checkpoint") -> bool:
         pairs = ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))

@@ -150,9 +150,9 @@ class TestBoundaryPoint:
         w1 = np.array([1.1, 2.1])
         w2 = np.array([0.8, 1.9])
         f = boundary_point(ball, w1, w2)
-        assert ball.contains(f)
+        assert np.linalg.norm(f - ball.center) <= ball.radius * (1 + 1e-9)
         outward = (f - ball.center) / np.linalg.norm(f - ball.center)
-        assert not ball.contains(f + 1e-3 * ball.radius * outward)
+        assert np.linalg.norm(f + 1e-3 * ball.radius * outward - ball.center) > ball.radius
 
 
 class TestCheckBasin:

@@ -14,7 +14,7 @@ from basinscope.criticality import (
 )
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError
-from basinscope.model import TINY4, ArchDescriptor, init_random
+from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random
 from basinscope.rng import RngStream, gaussian, gaussian_rows
 from basinscope.trainer import Checkpoint, evaluate
 
@@ -326,7 +326,7 @@ class TestNetworkMap:
         )
 
         def loss_at(scale):
-            params = final.params.astype(np.float64)
+            params = ParamVector(final.params.values.astype(np.float64), final.params.index)
             params.values[span] = scale * init.params.values[span].astype(np.float64)
             return evaluate(params, TINY4, train_ds).loss
 
@@ -408,6 +408,17 @@ class TestNetworkMap:
         with pytest.raises(DomainError, match="architectures"):
             criticality_map(final, init, cfg, RngStream(23), train_ds, test_ds, checkpoints=[other])
 
+    def test_params_reassigned_to_another_arch_rejected(self):
+        # a checkpoint's fields can be reassigned after it is built; the
+        # frozen prefix must not run a 16-wide fc1 through TINY4's plan
+        init, final = self.make_ckpts()
+        wide = ArchDescriptor(TINY4.input_shape, TINY4.conv_blocks, (16,), TINY4.num_classes)
+        init.params, final.params = init_random(wide, RngStream(24)), init_random(wide, RngStream(25))
+        ds = generate(domain_spec("source"), "train", 20, 3)
+        cfg = CriticalityConfig(module_name="conv1", epsilon=0.9, sigma_grid=np.array([0.05]), noise_samples=1)
+        with pytest.raises(DomainError, match="index table"):
+            criticality_map(final, init, cfg, RngStream(23), ds, ds)
+
 
 @pytest.fixture(scope="module")
 def prefix_setup():
@@ -444,7 +455,7 @@ class TestPrefixReuse:
         span = final.params.module_slice(module)
 
         def eval_fn(vec):
-            params = final.params.astype(np.float64)
+            params = ParamVector(final.params.values.astype(np.float64), final.params.index)
             params.values[span] = vec
             tr = evaluate(params, TINY4, train_ds)
             te = evaluate(params, TINY4, test_ds)

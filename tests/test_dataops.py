@@ -16,12 +16,10 @@ from basinscope.dataops import (
     DomainSpec,
     ShuffleSpec,
     apply_shuffle,
-    block_shuffle,
     concat_datasets,
     domain_spec,
     generate,
     relative_accuracy_drop,
-    render_image,
 )
 from basinscope.errors import DomainError
 from basinscope.rng import RngStream, derive_stream_id
@@ -30,6 +28,18 @@ from basinscope.rng import RngStream, derive_stream_id
 def rand_image(seed):
     rng = RngStream(seed, 1)
     return rng.uniform(16 * 16 * 3).reshape(16, 16, 3).astype(np.float32)
+
+
+def render_one(domain, split, index, seed):
+    """Image ``index`` of a split and its label, rendered as a batch of one."""
+    images, labels = dataops._render(domain, split, index, 1, seed)
+    return images[0], int(labels[0])
+
+
+def shuffle_one(img, spec, index):
+    """One image shuffled as ``apply_shuffle`` shuffles image ``index``."""
+    key = 0 if spec.shared_permutation else index
+    return dataops._shuffle_batch(img[None], spec, [derive_stream_id(dataops._STREAM_SHUFFLE, key)])[0]
 
 
 # Per-image reference renderer: the loop that batched rendering replaced,
@@ -138,11 +148,11 @@ class TestBatchRenderMatchesOracle:
                 assert np.array_equal(ds.labels, labels[:n])
 
     @pytest.mark.parametrize("name", ["source", "xray_like"])
-    def test_render_image_is_row_of_generate(self, name):
+    def test_batch_of_one_is_row_of_generate(self, name):
         spec = domain_spec(name)
         ds = generate(spec, "test", 23, 8)
         for i in (0, 7, 22):
-            img, label = render_image(spec, "test", i, 8)
+            img, label = render_one(spec, "test", i, 8)
             assert np.array_equal(img, ds.images[i])
             assert label == ds.labels[i]
 
@@ -155,7 +165,7 @@ class TestBatchRenderMatchesOracle:
 
     def test_last_train_index_matches_oracle(self):
         spec = domain_spec("real_like")
-        img, label = render_image(spec, "train", 2**32 - 1, 4)
+        img, label = render_one(spec, "train", 2**32 - 1, 4)
         want_img, want_label = oracle_render(spec, "train", 2**32 - 1, 4)
         assert np.array_equal(img, want_img) and label == want_label
 
@@ -237,20 +247,20 @@ class TestRenderArgumentsRejected:
     @pytest.mark.parametrize("split", ["val", "Train", ""])
     def test_unknown_split(self, split):
         with pytest.raises(DomainError):
-            render_image(domain_spec("source"), split, 0, 1)
+            render_one(domain_spec("source"), split, 0, 1)
         with pytest.raises(DomainError):
             generate(domain_spec("source"), split, 10, 1)
 
     @pytest.mark.parametrize("index", [-1, 2**32, 2**64, True, 1.0])
     def test_bad_index(self, index):
         with pytest.raises(DomainError):
-            render_image(domain_spec("source"), "train", index, 1)
+            render_one(domain_spec("source"), "train", index, 1)
 
     def test_train_index_cannot_alias_test_split(self):
         with pytest.raises(DomainError):
-            render_image(domain_spec("source"), "train", 2**32, 1)
+            render_one(domain_spec("source"), "train", 2**32, 1)
         # the image that index would have aliased stays reachable only as test 0
-        assert render_image(domain_spec("source"), "test", 0, 1)[1] == (2**32) % NUM_CLASSES
+        assert render_one(domain_spec("source"), "test", 0, 1)[1] == (2**32) % NUM_CLASSES
 
 
 class TestGenerate:
@@ -322,8 +332,8 @@ class TestGenerate:
 
     def test_render_parallel_equals_serial(self):
         # per-index purity: order of rendering must not matter
-        serial = [render_image(domain_spec("real_like"), "train", i, 11)[0] for i in range(8)]
-        shuffled_order = [render_image(domain_spec("real_like"), "train", i, 11)[0] for i in (5, 0, 7, 2, 1, 6, 3, 4)]
+        serial = [render_one(domain_spec("real_like"), "train", i, 11)[0] for i in range(8)]
+        shuffled_order = [render_one(domain_spec("real_like"), "train", i, 11)[0] for i in (5, 0, 7, 2, 1, 6, 3, 4)]
         lookup = dict(zip((5, 0, 7, 2, 1, 6, 3, 4), shuffled_order))
         for i in range(8):
             assert np.array_equal(serial[i], lookup[i])
@@ -344,26 +354,26 @@ class TestGenerate:
 class TestBlockShuffle:
     def test_identity_at_full_block(self):
         img = rand_image(1)
-        out = block_shuffle(img, ShuffleSpec(16, 3), 0)
+        out = shuffle_one(img, ShuffleSpec(16, 3), 0)
         assert np.array_equal(out, img)
 
     @pytest.mark.parametrize("block", [8, 4, 2, 1, STAR])
     def test_scalar_multiset_preserved(self, block):
         img = rand_image(2)
-        out = block_shuffle(img, ShuffleSpec(block, 3), 5)
+        out = shuffle_one(img, ShuffleSpec(block, 3), 5)
         assert np.array_equal(np.sort(out.ravel()), np.sort(img.ravel()))
 
     @pytest.mark.parametrize("block", [8, 4, 2, 1])
     def test_per_channel_histograms_preserved(self, block):
         img = rand_image(3)
-        out = block_shuffle(img, ShuffleSpec(block, 4), 2)
+        out = shuffle_one(img, ShuffleSpec(block, 4), 2)
         for c in range(3):
             assert np.array_equal(np.sort(out[:, :, c].ravel()), np.sort(img[:, :, c].ravel()))
 
     def test_star_moves_values_across_channels(self):
         img = np.zeros((16, 16, 3), dtype=np.float32)
         img[:, :, 0] = 1.0  # all ones in channel 0 only
-        out = block_shuffle(img, ShuffleSpec(STAR, 5), 0)
+        out = shuffle_one(img, ShuffleSpec(STAR, 5), 0)
         assert out[:, :, 1].sum() > 0 or out[:, :, 2].sum() > 0
         assert np.array_equal(np.sort(out.ravel()), np.sort(img.ravel()))
 
@@ -373,7 +383,7 @@ class TestBlockShuffle:
         for q, (r, c) in enumerate([(0, 0), (0, 8), (8, 0), (8, 8)]):
             img[r : r + 8, c : c + 8, :] = q + 1
         spec = ShuffleSpec(8, 77)
-        out = block_shuffle(img, spec, 12)
+        out = shuffle_one(img, spec, 12)
 
         twin = RngStream(77, derive_stream_id(0x53484646, 12))
         a = list(range(4))
@@ -390,13 +400,13 @@ class TestBlockShuffle:
     def test_same_index_same_permutation(self):
         img = rand_image(4)
         spec = ShuffleSpec(4, 9)
-        assert np.array_equal(block_shuffle(img, spec, 3), block_shuffle(img, spec, 3))
-        assert not np.array_equal(block_shuffle(img, spec, 3), block_shuffle(img, spec, 4))
+        assert np.array_equal(shuffle_one(img, spec, 3), shuffle_one(img, spec, 3))
+        assert not np.array_equal(shuffle_one(img, spec, 3), shuffle_one(img, spec, 4))
 
     def test_shared_permutation_ignores_index(self):
         img = rand_image(5)
         spec = ShuffleSpec(4, 9, shared_permutation=True)
-        assert np.array_equal(block_shuffle(img, spec, 3), block_shuffle(img, spec, 4))
+        assert np.array_equal(shuffle_one(img, spec, 3), shuffle_one(img, spec, 4))
 
     def test_non_dividing_block_rejected(self):
         with pytest.raises(DomainError):
@@ -421,7 +431,7 @@ class TestBlockShuffle:
     @settings(max_examples=25, deadline=None)
     def test_property_multiset_preserved(self, block, seed, index):
         img = rand_image(6)
-        out = block_shuffle(img, ShuffleSpec(block, seed), index)
+        out = shuffle_one(img, ShuffleSpec(block, seed), index)
         assert np.array_equal(np.sort(out.ravel()), np.sort(img.ravel()))
 
     def test_apply_shuffle_epoch_stable(self):
@@ -457,9 +467,9 @@ class TestBlockShuffle:
         for i, img in enumerate(ds.images):
             want = self._per_image(img, spec, i)
             assert np.array_equal(out.images[i], want), i
-            assert np.array_equal(block_shuffle(img, spec, i), want), i
+            assert np.array_equal(shuffle_one(img, spec, i), want), i
 
-    @pytest.mark.parametrize("block", [4, STAR])
+    @pytest.mark.parametrize("block", [4, 16, STAR])
     @pytest.mark.parametrize("shared", [False, True])
     def test_apply_shuffle_empty_dataset_any_block(self, block, shared):
         empty = Dataset(np.zeros((0, IMAGE_SIZE, IMAGE_SIZE, 3), dtype=np.float32), np.zeros(0, dtype=np.int64), "train", {})

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -159,8 +160,31 @@ class TestParamVector:
         index = build_index(TINY4)
         total = index[-1].offset + index[-1].length
         values = np.zeros(total - 1) if shape == "short" else np.zeros((2, total // 2))
-        with pytest.raises(SizeError, match="does not match index total"):
+        with pytest.raises(SizeError, match=re.escape(f"values of shape {values.shape} do not match the index's ({total},)")):
             ParamVector(values, index)
+
+    @pytest.mark.parametrize("array", [np.zeros(5), np.zeros((3, 3, 3, 8, 1, 2))], ids=["short", "long"])
+    def test_set_of_another_size_rejected(self, array):
+        params = ParamVector.zeros(TINY4)
+        with pytest.raises(SizeError, match=re.escape(f"conv1.weight takes shape (3, 3, 3, 8), got an array of shape {array.shape}")):
+            params.set("conv1.weight", array)
+        assert not params.values.any()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda params, batch, labels: forward(params, TINY4, batch),
+            lambda params, batch, labels: backward(params, TINY4, batch, labels),
+            lambda params, batch, labels: evaluate(params, TINY4, Dataset(batch, labels, "test", {})),
+        ],
+        ids=["forward", "backward", "evaluate"],
+    )
+    def test_params_of_another_arch_rejected(self, call):
+        # these ran, and computed the 16-wide network, before the check
+        narrow = ArchDescriptor(TINY4.input_shape, TINY4.conv_blocks, (16,), TINY4.num_classes)
+        batch, labels = rand_batch(TINY4, 4, 42)
+        with pytest.raises(DomainError, match="index table"):
+            call(init_random(narrow, RngStream(41)), batch, labels)
 
 
 class TestInit:
@@ -415,7 +439,9 @@ class TestForwardCore:
         x = _network_input(TINY4, batch)
         assert x.dtype == np.float64
         assert np.array_equal(x, batch.astype(np.float64) - 0.5)
-        assert np.array_equal(_network_input(TINY4, batch[0]), x[:1])
+        assert np.array_equal(_network_input(TINY4, batch[:1]), x[:1])
+        with pytest.raises(SizeError):
+            _network_input(TINY4, batch[0])  # one image is passed as a batch of one
 
 
 def single_pass(params, arch, x, start=0, stop=None, patches=None):
@@ -823,7 +849,8 @@ class TestBackward:
 
     @pytest.mark.parametrize("module", ["conv1", "conv2", "fc1", "classifier"])
     def test_gradient_matches_finite_differences(self, module):
-        params = init_random(SMALL, RngStream(21)).astype(np.float64)
+        init = init_random(SMALL, RngStream(21))
+        params = ParamVector(init.values.astype(np.float64), init.index)
         batch, labels = rand_batch(SMALL, 4, 9)
         loss, grad = backward(params, SMALL, batch, labels)
         assert abs(loss - xent_loss(params, SMALL, batch, labels)) < 1e-9
@@ -834,7 +861,8 @@ class TestBackward:
 
     def test_tiny4_first_layer_matches_finite_differences(self):
         # conv1's input gradient is skipped; its weight gradient must not change
-        params = init_random(TINY4, RngStream(28)).astype(np.float64)
+        init = init_random(TINY4, RngStream(28))
+        params = ParamVector(init.values.astype(np.float64), init.index)
         batch, labels = rand_batch(TINY4, 2, 11)
         _, grad = backward(params, TINY4, batch, labels)
         worst = fd_gradient_check(
@@ -857,7 +885,8 @@ class TestBackward:
 
     def test_gradient_via_directional_derivative(self):
         # full-vector check at tiny step; immune to coordinate kinks
-        params = init_random(SMALL, RngStream(25)).astype(np.float64)
+        init = init_random(SMALL, RngStream(25))
+        params = ParamVector(init.values.astype(np.float64), init.index)
         batch, labels = rand_batch(SMALL, 4, 10)
         _, grad = backward(params, SMALL, batch, labels)
         d = gaussian(RngStream(26), params.size, 1.0)

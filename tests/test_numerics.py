@@ -3,7 +3,7 @@ import pytest
 
 from basinscope.basin import BallSet, check_basin, fit_basin
 from basinscope.criticality import CriticalityConfig
-from basinscope.dataops import ShuffleSpec, block_shuffle, relative_accuracy_drop
+from basinscope.dataops import ShuffleSpec, relative_accuracy_drop
 from basinscope.errors import DomainError, SizeError
 from basinscope.landscape import barrier_curve_from_fn, interpolate, lambda_grid
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, sgd_step
@@ -143,9 +143,7 @@ NON_INTEGER_COUNTS = {
 }
 
 
-_IMAGE = np.zeros((16, 16, 3), dtype=np.float32)
-
-# Keys (seeds, stream ids, a shuffled image's index) that are not integers,
+# Keys (seeds and stream ids) that are not integers,
 # each as a call that must raise DomainError; the count test runs them too.
 NON_INTEGER_KEYS = {
     "RngStream(seed=2.5)": lambda: RngStream(2.5),
@@ -153,8 +151,6 @@ NON_INTEGER_KEYS = {
     "lane_uniforms(ids [1.5, 2.5])": lambda: lane_uniforms(3, [1.5, 2.5], 4),
     "lane_uniforms(float id array)": lambda: lane_uniforms(3, np.array([1.5, 2.5]), 4),
     "lane_permutations(seed=2.0)": lambda: lane_permutations(2.0, [1, 2], 3),
-    "block_shuffle(index=True)": lambda: block_shuffle(_IMAGE, ShuffleSpec(4, 0), True),
-    "block_shuffle(index=1.5)": lambda: block_shuffle(_IMAGE, ShuffleSpec(4, 0), 1.5),
 }
 
 
@@ -213,8 +209,8 @@ def _sgd(**kw):
 _BALL = BallSet(np.zeros(2), 1.0)
 _FLAT = {"train_loss": 0.0, "train_acc": 1.0, "test_loss": 0.0, "test_acc": 1.0}
 
-# Real arguments that are not finite reals, and grids that are not 1-D and
-# finite, each as (error, call): the call must raise the error.
+# Real arguments that are not finite reals, and grids and vectors that are
+# not 1-D and finite, each as (error, call): the call must raise the error.
 NON_FINITE_REALS = {
     "TrainConfig(lr nan)": (DomainError, lambda: config(lr_schedule=((0, float("nan")),))),
     "TrainConfig(lr inf)": (DomainError, lambda: config(lr_schedule=((0, 0.05), (1, float("inf"))))),
@@ -251,6 +247,11 @@ NON_FINITE_REALS = {
     "uniform_in_ball(radius nan)": (DomainError, lambda: uniform_in_ball(RngStream(1), np.zeros(2), float("nan"))),
     "BallSet(radius inf)": (DomainError, lambda: BallSet(np.zeros(2), float("inf"))),
     "BallSet(radius '1')": (DomainError, lambda: BallSet(np.zeros(2), "1")),
+    "BallSet(center nan)": (DomainError, lambda: BallSet([0.0, float("nan")], 1.0)),
+    "BallSet(center 2-D)": (SizeError, lambda: BallSet(np.zeros((2, 2)), 1.0)),
+    "uniform_in_ball(center inf)": (DomainError, lambda: uniform_in_ball(RngStream(1), [float("inf"), 0.0], 1.0)),
+    "uniform_in_ball(center 2-D)": (SizeError, lambda: uniform_in_ball(RngStream(1), np.zeros((2, 2)), 1.0)),
+    "fit_basin(endpoints 2-D)": (SizeError, lambda: fit_basin(np.zeros((1, 2)), np.ones((1, 2)), lambda p: 0.0, 0.1, RngStream(1))),
 }
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError, FileFormatError
-from basinscope.model import TINY4, ArchDescriptor, init_random
+from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random
 from basinscope.persistence import (
     load_checkpoint,
     load_dataset,
@@ -82,16 +82,23 @@ def dataset_bytes(header: dict, count: int) -> bytes:
     "kind, key, value",
     [("LLCK", "epoch", value) for value in (2.7, True, "5", -1)]
     + [("LLCK", "optimal", "no"), ("LLCK", "param_count", 12266.0)]
-    + [("LLDS", "n", "3"), ("LLDS", "n", 3.0), ("LLDS", "image_shape", [16.0, 16, 3])],
+    + [("LLDS", "n", "3"), ("LLDS", "n", 3.0), ("LLDS", "image_shape", [16.0, 16, 3])]
+    + [("LLCK", "metrics", []), ("LLCK", "metrics", {"test_acc": float("nan")}), ("LLCK", "config_hash", 1)]
+    + [("LLCK", "provenance", []), ("LLCK", "provenance", {"loss": float("inf")}), ("LLCK", "rng_digest", None)]
+    + [("LLDS", "provenance", []), ("LLDS", "provenance", {"x": float("nan")}), ("LLDS", "split", 0)],
     ids=[
         "epoch_real", "epoch_bool", "epoch_string", "epoch_negative", "optimal_string",
         "param_count_real", "n_string", "n_real", "shape_entry_real",
+        "metrics_list", "metric_nan", "config_hash_int", "provenance_list", "provenance_inf_token",
+        "rng_digest_null", "llds_provenance_list", "llds_nan_token", "split_int",
     ],
 )
 def test_header_counts_and_flags_follow_the_argument_rules(tmp_path, kind, key, value):
-    """A count read from a file is an int at least 0 and a flag a bool. Each
-    file is whole and loads with the field's own value, so only the field's
-    type rejects it, naming the metadata or header section."""
+    """A count read from a file is an int at least 0, a flag a bool, metrics a
+    dict of str to finite reals, a hash, digest or split a str and provenance
+    a dict, and no JSON section holds a NaN or infinity token. Each file is
+    whole and loads with the field's own value, so only the field's value
+    rejects it, naming the metadata or header section."""
     if kind == "LLCK":
         load, section, path = load_checkpoint, "metadata", tmp_path / "f.llck"
         count = good_meta()["param_count"]
@@ -232,7 +239,7 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("value", [1e300, np.nan, -np.inf], ids=["past_float32", "nan", "-inf"])
     def test_non_finite_parameter_refused_before_writing(self, tmp_path, value):
         ckpt = make_ckpt()
-        ckpt.params = ckpt.params.astype(np.float64)
+        ckpt.params = ParamVector(ckpt.params.values.astype(np.float64), ckpt.params.index)
         ckpt.params.values[5] = value
         path = tmp_path / "bad.llck"
         with pytest.raises(DomainError):
@@ -249,12 +256,29 @@ class TestCheckpointIO:
             save_checkpoint(ckpt, path)
         assert not path.exists()
 
-    @pytest.mark.parametrize("field,value", [("epoch", -1), ("epoch", 2.5), ("optimal", "yes")], ids=["epoch_negative", "epoch_real", "optimal_string"])
+    @pytest.mark.parametrize(
+        "field,value",
+        [("epoch", -1), ("epoch", 2.5), ("optimal", "yes"), ("metrics", []), ("metrics", {"test_acc": float("nan")})]
+        + [("metrics", {1: 0.5}), ("config_hash", 1), ("rng_digest", None), ("provenance", [])],
+        ids=[
+            "epoch_negative", "epoch_real", "optimal_string", "metrics_list", "metric_nan", "metric_key_int",
+            "config_hash_int", "rng_digest_none", "provenance_list",
+        ],
+    )
     def test_metadata_the_loader_rejects_refused_before_writing(self, tmp_path, field, value):
         ckpt = make_ckpt()
         setattr(ckpt, field, value)
         path = tmp_path / "bad.llck"
         with pytest.raises(DomainError, match=field):
+            save_checkpoint(ckpt, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), b"abc"], ids=["nan", "bytes"])
+    def test_provenance_standard_json_cannot_hold_refused_before_writing(self, tmp_path, value):
+        ckpt = make_ckpt()
+        ckpt.provenance = {"data": value}
+        path = tmp_path / "bad.llck"
+        with pytest.raises(DomainError, match="not storable as JSON"):
             save_checkpoint(ckpt, path)
         assert not path.exists()
 
@@ -358,6 +382,17 @@ class TestDatasetIO:
     def test_non_finite_pixel_refused_before_writing(self, tmp_path, pixel):
         ds = generate(domain_spec("source"), "train", 10, 5)
         ds.images[2, 3, 4, 1] = pixel
+        path = tmp_path / "bad.llds"
+        with pytest.raises(DomainError):
+            save_dataset(ds, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "field,value", [("provenance", []), ("provenance", {"x": float("nan")}), ("split", 0)], ids=["provenance_list", "provenance_nan", "split_int"]
+    )
+    def test_header_the_loader_rejects_refused_before_writing(self, tmp_path, field, value):
+        ds = generate(domain_spec("source"), "train", 10, 5)
+        setattr(ds, field, value)
         path = tmp_path / "bad.llds"
         with pytest.raises(DomainError):
             save_dataset(ds, path)

@@ -9,7 +9,6 @@ from basinscope.errors import DomainError
 from basinscope.model import TINY4, ParamVector, init_random
 from basinscope.rng import RngStream, gaussian
 from basinscope.similarity import (
-    linear_cka,
     linear_cka_flagged,
     mistake_ratios,
     mistake_table,
@@ -55,29 +54,29 @@ CKA_SHAPES = {
 class TestLinearCKA:
     def test_self_similarity_is_one(self):
         x = rand_acts(20, 5, 1)
-        assert linear_cka(x, x) == pytest.approx(1.0, abs=1e-10)
+        assert linear_cka_flagged(x, x)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_scale_and_orthogonal_invariance(self):
         x = rand_acts(24, 6, 2)
         q, _ = np.linalg.qr(rand_acts(6, 6, 3))
         y = 3.7 * (x @ q)
-        assert linear_cka(x, y) == pytest.approx(1.0, abs=1e-10)
+        assert linear_cka_flagged(x, y)[0] == pytest.approx(1.0, abs=1e-10)
 
     def test_matches_gram_oracle(self):
         x = rand_acts(20, 5, 4)
         y = rand_acts(20, 7, 5)
-        assert linear_cka(x, y) == pytest.approx(gram_cka_oracle(x, y), abs=1e-6)
+        assert linear_cka_flagged(x, y)[0] == pytest.approx(gram_cka_oracle(x, y), abs=1e-6)
 
     def test_symmetry(self):
         x = rand_acts(16, 4, 6)
         y = rand_acts(16, 9, 7)
-        assert linear_cka(x, y) == pytest.approx(linear_cka(y, x), abs=1e-10)
+        assert linear_cka_flagged(x, y)[0] == pytest.approx(linear_cka_flagged(y, x)[0], abs=1e-10)
 
     def test_range(self):
         for seed in range(5):
             x = rand_acts(15, 3, 10 + seed)
             y = rand_acts(15, 4, 20 + seed)
-            v = linear_cka(x, y)
+            v = linear_cka_flagged(x, y)[0]
             assert 0.0 <= v <= 1.0 + 1e-8
 
     def test_zero_input_flagged(self):
@@ -88,7 +87,7 @@ class TestLinearCKA:
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(DomainError):
-            linear_cka(rand_acts(10, 3, 9), rand_acts(11, 3, 9))
+            linear_cka_flagged(rand_acts(10, 3, 9), rand_acts(11, 3, 9))
 
     @pytest.mark.parametrize("side", ["x_1d", "y_3d"])
     def test_activations_not_2d_rejected(self, side):
@@ -98,11 +97,11 @@ class TestLinearCKA:
         else:
             y = y.reshape(10, 2, 2)
         with pytest.raises(DomainError, match="must be 2-D"):
-            linear_cka(x, y)
+            linear_cka_flagged(x, y)
 
     def test_single_example_rejected(self):
         with pytest.raises(DomainError, match="at least 2 examples"):
-            linear_cka(rand_acts(1, 3, 9), rand_acts(1, 3, 10))
+            linear_cka_flagged(rand_acts(1, 3, 9), rand_acts(1, 3, 10))
 
     @pytest.mark.parametrize("case", CKA_SHAPES.items(), ids=CKA_SHAPES.keys())
     def test_matches_feature_space_oracle_on_both_paths(self, case):
@@ -150,7 +149,7 @@ class TestLinearCKA:
         x = rand_acts(12, 4, 67)
         y = np.tanh(x + rand_acts(12, 4, 68))
         padded = np.column_stack([x, np.full(12, 0.1)])
-        assert linear_cka(padded, y) == pytest.approx(linear_cka(x, y), rel=1e-12)
+        assert linear_cka_flagged(padded, y)[0] == pytest.approx(linear_cka_flagged(x, y)[0], rel=1e-12)
 
     @pytest.mark.parametrize("shape", [CKA_SHAPES["example-n<d"], CKA_SHAPES["feature-n>d"]], ids=["example", "feature"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -349,7 +349,9 @@ class TestCheckpointEquals:
         }
         assert sorted(changed) == sorted(f.name for f in dataclasses.fields(Checkpoint))
         for name, value in changed.items():
-            assert not base.equals(dataclasses.replace(base, **{name: value})), name
+            other = dataclasses.replace(base)
+            setattr(other, name, value)  # set after building: the 11-class arch does not fit these params
+            assert not base.equals(other), name
 
 
 class TestScoringAgreement:
@@ -462,3 +464,11 @@ def test_mismatched_architectures_raise_the_gate_error(entry):
     message = f"architectures differ: {TINY4.to_json()} vs {WIDE.to_json()}"
     with pytest.raises(DomainError, match=re.escape(message)):
         GATED_CALLS[entry](tiny, wide, ds)
+
+
+def test_checkpoint_of_another_archs_params_rejected():
+    """A TINY4 checkpoint holding WIDE's parameters would run every analysis
+    (evaluate, barrier curves, spectra, similarity, rewinds) on the WIDE
+    network; it cannot be built."""
+    with pytest.raises(DomainError, match="index table"):
+        Checkpoint(TINY4, init_random(WIDE, RngStream(2)), 0, {}, "h", "r")
