@@ -53,7 +53,8 @@ class BallSet:
 
     def __post_init__(self):
         self.center = _as_vector(self.center, "center")
-        if _as_real(self.radius, "radius") <= 0:
+        self.radius = _as_real(self.radius, "radius")
+        if self.radius <= 0:
             raise DomainError("radius must be positive")
 
     @property
@@ -207,7 +208,8 @@ def check_basin(ball: BallSet, loss, epsilon: float, delta: float, samples: int,
     candidate basin parameters.
     """
     samples = _as_int(samples, "samples", 100)
-    if _as_real(epsilon, "epsilon") <= 0 or _as_real(delta, "delta") <= 0:
+    epsilon, delta = _as_real(epsilon, "epsilon"), _as_real(delta, "delta")
+    if epsilon <= 0 or delta <= 0:
         raise DomainError("epsilon and delta must be positive")
     return _report_from_draws(_ConditionDraws(ball, rng, samples, loss), loss, epsilon, delta)
 
@@ -274,7 +276,8 @@ def fit_basin(
     bracket is expressed in units of the fitted radius.
     """
     samples = _as_int(samples, "samples", 100)
-    if _as_real(epsilon_target, "epsilon_target") <= 0:
+    epsilon_target = _as_real(epsilon_target, "epsilon_target")
+    if epsilon_target <= 0:
         raise DomainError("epsilon_target must be positive")
     a, b = (_as_vector(t.values if isinstance(t, ParamVector) else t, "endpoint") for t in (theta_a, theta_b))
     if a.shape != b.shape:

@@ -54,7 +54,8 @@ class CriticalityConfig:
         if np.any(self.sigma_grid <= 0):
             raise DomainError("sigmas must be positive")
         self.noise_samples = _as_int(self.noise_samples, "noise_samples", 1)
-        if _as_real(self.epsilon, "epsilon") <= 0:
+        self.epsilon = _as_real(self.epsilon, "epsilon")
+        if self.epsilon <= 0:
             raise DomainError("epsilon must be positive")
         if self.noise_mode not in NOISE_MODES:
             raise DomainError(f"unknown noise mode {self.noise_mode!r}")
@@ -200,8 +201,6 @@ def criticality_map(
     after it.
     """
     arch = _same_arch(final_or_opt, init, *(checkpoints or ()))
-    if cfg.module_name not in final_or_opt.params.module_names():
-        raise DomainError(f"unknown module {cfg.module_name!r}")
     span = final_or_opt.params.module_slice(cfg.module_name)
     base = final_or_opt.params.values.astype(np.float64)
     theta0 = init.params.values[span].astype(np.float64)

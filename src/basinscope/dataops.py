@@ -1,4 +1,4 @@
-"""Synthetic multi-domain image tasks and block-shuffle corruptions.
+"""Synthetic image tasks, one domain per dataset, and block-shuffle corruptions.
 
 Every image is a pure function of (domain, seed, split, index): class k draws
 a polygon with k+3 vertices and a class-fixed radius pattern, rendered in the
@@ -281,14 +281,13 @@ def _channels_last(img: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.broadcast_to(img, (3,) + img.shape[1:]), 0, -1)
 
 
-def _render(domain: DomainSpec, split: str, first: int, n: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Images ``first`` .. ``first + n - 1`` of a split with their labels."""
+def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
+    """Class-balanced (+-1) deterministic dataset: images 0 .. n-1 of one
+    domain and split, with their labels."""
+    n, seed = _as_int(n, "n", 1), _as_int(seed, "seed")
     if split not in _SPLIT_BASE:
         raise DomainError(f"split must be train or test, got {split!r}")
-    first = _as_int(first, "index", 0)
-    if first + n > _TEST_INDEX_BASE:
-        raise DomainError(f"indices {first}..{first + n - 1} outside [0, 2**32)")
-    global_index = _SPLIT_BASE[split] + np.arange(first, first + n, dtype=np.uint64)
+    global_index = _SPLIT_BASE[split] + np.arange(n, dtype=np.uint64)
     labels = (global_index % np.uint64(NUM_CLASSES)).astype(np.int64)
     stream_ids = derive_stream_id(_STREAM_DATA, domain.index, global_index)
     n_draws = 4 + (IMAGE_SIZE * IMAGE_SIZE if _STYLES[domain.domain_id]["noise"] > 0 else 0)
@@ -301,13 +300,6 @@ def _render(domain: DomainSpec, split: str, first: int, n: int, seed: int) -> tu
         for r in range(min(NUM_CLASSES, hi - lo)):
             group = _render_group(domain.domain_id, int(labels[lo + r]), u[r::NUM_CLASSES])
             images[lo + r : hi : NUM_CLASSES] = group
-    return images, labels
-
-
-def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
-    """Class-balanced (+-1) deterministic dataset for one domain and split."""
-    n, seed = _as_int(n, "n", 1), _as_int(seed, "seed")
-    images, labels = _render(domain, split, 0, n, seed)
     if n < NUM_CLASSES:
         warnings.warn(f"n={n} below num_classes={NUM_CLASSES}; balance impossible")
     provenance = {"domain": domain.domain_id, "seed": seed, "split": split, "n": n, "shuffle": None}
@@ -352,29 +344,10 @@ def apply_shuffle(dataset: Dataset, spec: ShuffleSpec) -> Dataset:
     return Dataset(images, dataset.labels.copy(), dataset.split, provenance)
 
 
-def concat_datasets(datasets: list[Dataset]) -> Dataset:
-    """Union of several datasets of one split and image shape
-    (combined-domain training)."""
-    if not datasets:
-        raise DomainError("need at least one dataset")
-    first = datasets[0]
-    for d in datasets[1:]:
-        if d.split != first.split:
-            raise DomainError(f"cannot join a {d.split!r} dataset to a {first.split!r} one")
-        if d.images.shape[1:] != first.images.shape[1:]:
-            raise DomainError(f"cannot join images of shape {d.images.shape[1:]} to {first.images.shape[1:]}")
-    images = np.concatenate([d.images for d in datasets])
-    labels = np.concatenate([d.labels for d in datasets])
-    provenance = {
-        "combined": [d.provenance for d in datasets],
-        "split": datasets[0].split,
-    }
-    return Dataset(images, labels, datasets[0].split, provenance)
-
-
 def relative_accuracy_drop(a_pt: float, a_rit: float) -> float:
     """100 * (a_pt - a_rit) / a_pt; negative when training from scratch wins."""
-    if _as_real(a_pt, "a_pt") <= 0:
+    a_pt = _as_real(a_pt, "a_pt")
+    if a_pt <= 0:
         raise DomainError("a_pt must be positive")
     return 100.0 * (a_pt - _as_real(a_rit, "a_rit")) / a_pt
 

@@ -9,10 +9,12 @@ Parameters live in a flat ParamVector with a named index; each module
 ("conv1", ..., "fc1", "classifier") owns a contiguous slice.
 
 Every forward-only pass (``forward``, ``trainer.evaluate``, the frozen
-prefixes of the analyses) runs the one cache-tiled core, ``_run_layers``;
-``forward`` also takes each layer's float32 output from it. ``backward``
-keeps each layer's input, patches and output for the whole batch
-(``_records``), as its weight gradients sum over the batch at once.
+prefixes of the analyses) runs the one cache-tiled core, ``_run_layers``,
+whose conv layers always run in tiles of ``_TILE`` images and whose dense
+layers run on the whole batch; ``forward`` also takes each layer's float32
+output from it. ``backward`` keeps each layer's input, patches and output
+for the whole batch (``_records``), as its weight gradients sum over the
+batch at once.
 
 Every conv gather, the forward patches and the transposed conv's phase
 columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
@@ -425,14 +427,14 @@ def _run_layers(
     pair per layer, the output in float32 for the whole batch: conv tiles
     are written into one float32 array per layer as they are made.
 
-    With more than ``_TILE`` images, the conv layers run
-    depth-first over tiles of ``_TILE`` images (cache blocking; Goto & van
-    de Geijn 2008): each tile is gathered, multiplied, biased and rectified
-    through every conv layer while it is in cache, instead of streaming
-    whole-batch patch tensors through memory step by step. A patches tile
-    is a view, as the patch tensor is C-contiguous along the batch axis.
-    The tiles' outputs are joined and the dense layers run once on the
-    whole batch.
+    The conv layers run depth-first over tiles of ``_TILE`` images (cache
+    blocking; Goto & van de Geijn 2008): each tile is gathered, multiplied,
+    biased and rectified through every conv layer while it is in cache,
+    instead of streaming whole-batch patch tensors through memory step by
+    step. A patches tile is a view, as the patch tensor is C-contiguous
+    along the batch axis. The tiles' outputs are joined and the dense
+    layers run once on the whole batch. A batch of at most ``_TILE`` images
+    is one tile, the same GEMMs as an untiled pass.
 
     Tiling changes only how many rows a conv GEMM call has. OpenBLAS 0.3.31
     gives every TINY4 conv row the same bits at any row count, so the
@@ -445,7 +447,7 @@ def _run_layers(
     plan = arch.layer_plan()[start:stop]
     weights = [_weights(params, layer) for layer in plan]
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
-    if convs and x.shape[0] > _TILE:
+    if convs:
         outs = [None] * convs  # whole-batch float32 conv outputs, when acts is given
         tiles = []
         for i in range(0, x.shape[0], _TILE):

@@ -13,8 +13,8 @@ raises DomainError. An integer array of stream ids wraps element-wise, so
 The seeding and the state recurrence are written once and run either on
 Python ints (one ``RngStream``) or on 1-D ``uint64`` arrays, where numpy
 wraps mod 2^64 silently and one array op steps many streams in lockstep
-(``lane_uniforms``, ``lane_permutations``). A lone stream id skips the
-lockstep and draws as its own ``RngStream``, with the same outputs.
+(``lane_uniforms``, ``lane_permutations``). A lone stream id runs the
+lockstep as a single column, with its ``RngStream``'s outputs.
 
 One stream's bulk draws use the same lockstep through jump-ahead lanes
 (Blackman & Vigna 2018; Haramoto et al. 2008). The state update is linear
@@ -133,13 +133,8 @@ def _unit(raw: np.ndarray) -> np.ndarray:
 
 
 def _lane_raw(seed: int, stream_ids, n: int) -> np.ndarray:
-    """(n, len(stream_ids)) raw draws, column i the first n of stream (seed, stream_ids[i]).
-
-    One stream draws its own block: a one-column lockstep pays a numpy op
-    per term of the recurrence for a single draw."""
+    """(n, len(stream_ids)) raw draws, column i the first n of stream (seed, stream_ids[i])."""
     n, ids = _as_int(n, "n", 0), _keys(stream_ids)
-    if ids.size == 1:
-        return RngStream(seed, ids[0])._raw_block(n)[:, None]
     raw = np.empty((n, ids.size), dtype=np.uint64)
     _xoshiro_fill(_seed_state(_key(seed, "seed"), ids), raw)
     return raw
@@ -173,12 +168,9 @@ def lane_permutations(seed: int, stream_ids, n: int) -> np.ndarray:
 
     The streams draw in lockstep and Fisher-Yates swaps one column of every
     row per step. A lane with a draw at or above its rejection limit is
-    redrawn by ``RngStream.permutation``. One stream is its own
-    ``RngStream.permutation``.
+    redrawn by ``RngStream.permutation``.
     """
     n, ids = _as_int(n, "n", 0), _keys(stream_ids)
-    if ids.size == 1:
-        return RngStream(seed, ids[0]).permutation(n)[None]
     j, accepted = _swap_targets(_lane_raw(seed, ids, max(n - 1, 0)))
     # one row per position, one column per lane: each swap moves two rows' elements
     perms = np.repeat(np.arange(n)[:, None], ids.size, axis=1)
@@ -291,12 +283,9 @@ class RngStream:
         self.position += n
         return out
 
-    def uniform(self, n: int | None = None):
-        """Uniform doubles in [0, 1) using the top 53 bits per draw."""
-        if n is None:
-            return (self.next_u64() >> 11) * 2.0**-53
-        n = _as_int(n, "n", 0)
-        return _unit(self._raw_block(n))
+    def uniform(self, n: int) -> np.ndarray:
+        """n uniform doubles in [0, 1) using the top 53 bits per draw."""
+        return _unit(self._raw_block(_as_int(n, "n", 0)))
 
     def randint_below(self, bound: int) -> int:
         """Unbiased integer in [0, bound), 0 < bound <= 2^64, via rejection sampling."""
@@ -387,7 +376,8 @@ def uniform_in_ball(rng: RngStream, center: Sequence[float] | np.ndarray, radius
     Gaussian direction normalized to the sphere, then scaled by
     radius * U^(1/n) so the radial CDF is r^n.
     """
-    if _as_real(radius, "radius") < 0:
+    radius = _as_real(radius, "radius")
+    if radius < 0:
         raise DomainError("radius must be non-negative")
     center = _as_vector(center, "center")
     n = center.size
@@ -400,5 +390,5 @@ def uniform_in_ball(rng: RngStream, center: Sequence[float] | np.ndarray, radius
         norm = math.sqrt(float(np.dot(direction, direction)))
         if norm > 0:
             break
-    r = radius * rng.uniform() ** (1.0 / n)
+    r = radius * float(rng.uniform(1)[0]) ** (1.0 / n)
     return center + direction * (r / norm)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
+from .model import _check_params
 from .numerics import _as_int, is_power_of_two
 from .trainer import Checkpoint
 
@@ -61,8 +62,10 @@ class SpectrumReport:
 
 def network_spectrum(ckpt: Checkpoint) -> SpectrumReport:
     """Spectra of every module of a checkpoint, conv operators at their
-    deployed input sizes; DomainError for a conv whose input is not square,
-    since the DFT diagonalization here covers n x n grids only."""
+    deployed input sizes; DomainError for parameters of another
+    architecture, and for a conv whose input is not square, since the DFT
+    diagonalization here covers n x n grids only."""
+    _check_params(ckpt.params, ckpt.arch)
     per_module = {}
     conv_sizes = {}
     for layer in ckpt.arch.layer_plan():

@@ -49,7 +49,9 @@ class InitSpec:
 
 @dataclass(frozen=True)
 class DataSpec:
-    """Target task: one or more domains (union), sizes, optional shuffle."""
+    """Target task: one domain, sizes, optional shuffle. ``domains`` holds
+    exactly one name; it stays a tuple so that config hashes keep their
+    bytes."""
 
     domains: tuple[str, ...]
     n_train: int = 2000
@@ -64,10 +66,9 @@ class DataSpec:
         for name, least in (("n_train", 1), ("n_test", 1), ("seed", None), ("shuffle_seed", None)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
         object.__setattr__(self, "shared_permutation", _as_flag(self.shared_permutation, "shared_permutation"))
-        if not self.domains:
-            raise DomainError("need at least one domain")
-        for name in self.domains:
-            dataops.domain_spec(name)
+        if len(self.domains) != 1:
+            raise DomainError(f"need exactly one domain, got {len(self.domains)}")
+        dataops.domain_spec(self.domains[0])
         if self.shuffle_block is not None:
             shuffle = dataops.ShuffleSpec(self.shuffle_block, self.shuffle_seed, self.shared_permutation)
             object.__setattr__(self, "shuffle_block", shuffle.block_size)
@@ -168,11 +169,7 @@ def make_datasets(data: DataSpec):
     """Build the (train, test) datasets the spec describes."""
 
     def build(split, n):
-        parts = []
-        for i, name in enumerate(data.domains):
-            seed = data.seed if len(data.domains) == 1 else derive_stream_id(data.seed, i)
-            parts.append(dataops.generate(dataops.domain_spec(name), split, n, seed))
-        ds = parts[0] if len(parts) == 1 else dataops.concat_datasets(parts)
+        ds = dataops.generate(dataops.domain_spec(data.domains[0]), split, n, data.seed)
         if data.shuffle_block is not None:
             ds = dataops.apply_shuffle(ds, dataops.ShuffleSpec(data.shuffle_block, data.shuffle_seed, data.shared_permutation))
         return ds

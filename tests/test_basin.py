@@ -124,7 +124,7 @@ class TestBoundaryPoint:
         for trial in range(20):
             n = 2 + trial % 5
             center = gaussian(rng, n, 1.0)
-            radius = 0.5 + float(rng.uniform())
+            radius = 0.5 + float(rng.uniform(1)[0])
             w1 = center + gaussian(rng, n, 0.1)
             w2 = center + gaussian(rng, n, 0.1)
             if np.allclose(w1, w2):

@@ -289,7 +289,7 @@ class TestNetworkMap:
         train_ds = generate(domain_spec("source"), "train", 30, 2)
         test_ds = generate(domain_spec("source"), "test", 20, 2)
         cfg = CriticalityConfig(module_name="conv9", epsilon=0.5)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="unknown module 'conv9'"):
             criticality_map(final, init, cfg, RngStream(22), train_ds, test_ds)
 
     def test_optimization_path_via_checkpoints(self):
@@ -520,12 +520,12 @@ class TestVectorizedHelpers:
             else:
                 alphas, sigmas = np.sort(rng.uniform(na)), np.sort(rng.uniform(ns)) + 1e-3
             grid = np.round(rng.uniform(alphas.size * sigmas.size), 1).reshape(alphas.size, sigmas.size)
-            eps = float(rng.uniform())
+            eps = float(rng.uniform(1)[0])
             if trial % 3 == 0:  # cells exactly at epsilon are feasible
                 eps = float(grid.flat[trial % grid.size])
             if trial % 10 == 0:  # all infeasible
                 eps = -1.0
-            dist = 0.5 + float(rng.uniform())
+            dist = 0.5 + float(rng.uniform(1)[0])
             got, want = _minimize(alphas, sigmas, grid, eps, dist), minimize_loop(alphas, sigmas, grid, eps, dist)
             assert got == want and type(got[1]) is type(want[1])
 

@@ -16,7 +16,6 @@ from basinscope.dataops import (
     DomainSpec,
     ShuffleSpec,
     apply_shuffle,
-    concat_datasets,
     domain_spec,
     generate,
     relative_accuracy_drop,
@@ -28,12 +27,6 @@ from basinscope.rng import RngStream, derive_stream_id
 def rand_image(seed):
     rng = RngStream(seed, 1)
     return rng.uniform(16 * 16 * 3).reshape(16, 16, 3).astype(np.float32)
-
-
-def render_one(domain, split, index, seed):
-    """Image ``index`` of a split and its label, rendered as a batch of one."""
-    images, labels = dataops._render(domain, split, index, 1, seed)
-    return images[0], int(labels[0])
 
 
 def shuffle_one(img, spec, index):
@@ -88,10 +81,11 @@ def oracle_render(domain, split, index, seed):
     style = dataops._STYLES[domain.domain_id]
     size = IMAGE_SIZE
 
-    rot = 2 * math.pi * rng.uniform()
-    scale = 0.325 * size * (1.0 + 0.10 * (2 * rng.uniform() - 1))
-    cx = size / 2 + 1.5 * (2 * rng.uniform() - 1)
-    cy = size / 2 + 1.5 * (2 * rng.uniform() - 1)
+    rot, scale, cx, cy = rng.uniform(4).tolist()
+    rot = 2 * math.pi * rot
+    scale = 0.325 * size * (1.0 + 0.10 * (2 * scale - 1))
+    cx = size / 2 + 1.5 * (2 * cx - 1)
+    cy = size / 2 + 1.5 * (2 * cy - 1)
     verts = dataops._class_polygon(label) * scale
     c, s = math.cos(rot), math.sin(rot)
     verts = verts @ np.array([[c, s], [-s, c]]) + np.array([cx, cy])
@@ -147,27 +141,22 @@ class TestBatchRenderMatchesOracle:
                 assert np.array_equal(ds.images, images[:n]), (name, split, seed, n)
                 assert np.array_equal(ds.labels, labels[:n])
 
+    @pytest.mark.filterwarnings("ignore:n=.*below num_classes")
     @pytest.mark.parametrize("name", ["source", "xray_like"])
     def test_batch_of_one_is_row_of_generate(self, name):
         spec = domain_spec(name)
         ds = generate(spec, "test", 23, 8)
-        for i in (0, 7, 22):
-            img, label = render_one(spec, "test", i, 8)
-            assert np.array_equal(img, ds.images[i])
-            assert label == ds.labels[i]
+        one = generate(spec, "test", 1, 8)
+        assert np.array_equal(one.images[0], ds.images[0]) and one.labels[0] == ds.labels[0]
 
-    def test_chunk_boundaries_do_not_change_images(self, monkeypatch):
-        whole = generate(domain_spec("clipart_like"), "train", 40, 2)
+    # at 15 images the last chunk of 7 holds one image, whose lone stream id runs the lockstep
+    @pytest.mark.parametrize("name, n", [("clipart_like", 40), ("real_like", 15)])
+    def test_chunk_boundaries_do_not_change_images(self, monkeypatch, name, n):
+        whole = generate(domain_spec(name), "train", n, 2)
         monkeypatch.setattr(dataops, "_RENDER_CHUNK", 7)
-        chunked = generate(domain_spec("clipart_like"), "train", 40, 2)
+        chunked = generate(domain_spec(name), "train", n, 2)
         assert np.array_equal(whole.images, chunked.images)
         assert np.array_equal(whole.labels, chunked.labels)
-
-    def test_last_train_index_matches_oracle(self):
-        spec = domain_spec("real_like")
-        img, label = render_one(spec, "train", 2**32 - 1, 4)
-        want_img, want_label = oracle_render(spec, "train", 2**32 - 1, 4)
-        assert np.array_equal(img, want_img) and label == want_label
 
 
 def _check_raster(polygons):
@@ -247,20 +236,7 @@ class TestRenderArgumentsRejected:
     @pytest.mark.parametrize("split", ["val", "Train", ""])
     def test_unknown_split(self, split):
         with pytest.raises(DomainError):
-            render_one(domain_spec("source"), split, 0, 1)
-        with pytest.raises(DomainError):
             generate(domain_spec("source"), split, 10, 1)
-
-    @pytest.mark.parametrize("index", [-1, 2**32, 2**64, True, 1.0])
-    def test_bad_index(self, index):
-        with pytest.raises(DomainError):
-            render_one(domain_spec("source"), "train", index, 1)
-
-    def test_train_index_cannot_alias_test_split(self):
-        with pytest.raises(DomainError):
-            render_one(domain_spec("source"), "train", 2**32, 1)
-        # the image that index would have aliased stays reachable only as test 0
-        assert render_one(domain_spec("source"), "test", 0, 1)[1] == (2**32) % NUM_CLASSES
 
 
 class TestGenerate:
@@ -330,13 +306,12 @@ class TestGenerate:
         with pytest.raises(DomainError):
             DomainSpec("cartoon")
 
+    @pytest.mark.filterwarnings("ignore:n=.*below num_classes")
     def test_render_parallel_equals_serial(self):
-        # per-index purity: order of rendering must not matter
-        serial = [render_one(domain_spec("real_like"), "train", i, 11)[0] for i in range(8)]
-        shuffled_order = [render_one(domain_spec("real_like"), "train", i, 11)[0] for i in (5, 0, 7, 2, 1, 6, 3, 4)]
-        lookup = dict(zip((5, 0, 7, 2, 1, 6, 3, 4), shuffled_order))
-        for i in range(8):
-            assert np.array_equal(serial[i], lookup[i])
+        # per-index purity: an image does not depend on how many are rendered with it
+        full = generate(domain_spec("real_like"), "train", 8, 11).images
+        for n in (1, 3, 5, 7):
+            assert np.array_equal(generate(domain_spec("real_like"), "train", n, 11).images, full[:n])
 
     def test_source_vs_quickdraw_linearly_separable(self):
         # least-squares linear classifier on raw pixels, desk-scale floor
@@ -512,23 +487,3 @@ class TestRelativeAccuracyDrop:
     @settings(max_examples=50, deadline=None)
     def test_property_matches_formula(self, a_pt, a_rit):
         assert relative_accuracy_drop(a_pt, a_rit) == pytest.approx(100.0 * (a_pt - a_rit) / a_pt)
-
-
-def test_concat_datasets():
-    a = generate(domain_spec("source"), "train", 10, 1)
-    b = generate(domain_spec("clipart_like"), "train", 10, 2)
-    both = concat_datasets([a, b])
-    assert len(both) == 20
-    assert both.provenance["combined"][1]["domain"] == "clipart_like"
-    with pytest.raises(DomainError):
-        concat_datasets([])
-
-
-def test_concat_datasets_rejects_mixed_splits_and_shapes():
-    train = generate(domain_spec("source"), "train", 10, 1)
-    test = generate(domain_spec("clipart_like"), "test", 10, 2)
-    with pytest.raises(DomainError):
-        concat_datasets([train, test])
-    small = Dataset(train.images[:, :8, :8], train.labels, "train", {})
-    with pytest.raises(DomainError):
-        concat_datasets([train, small])

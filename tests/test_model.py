@@ -301,11 +301,12 @@ class TestLayerByLayerForward:
     """forward keeps only what it returns: the logits and float32 activations."""
 
     @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
-    @pytest.mark.parametrize("n", [1, _TILE + 1, 256])
+    @pytest.mark.parametrize("n", [1, 5, _TILE, _TILE + 1, 256])
     def test_equals_keep_records_bit_for_bit(self, arch, n):
         """forward's outputs are backward's records, except where the core
         reassociates: SMALL's conv1 at 256 images (REASSOCIATING), whose
-        oracle is the core itself, layer by layer."""
+        oracle is the core itself, layer by layer. Up to _TILE images are
+        one conv tile, the same GEMMs as the records' whole-batch pass."""
         params = with_biases(init_random(arch, RngStream(23)), 24)
         batch, _ = rand_batch(arch, n, 25)
         x0 = _network_input(arch, batch)
@@ -316,6 +317,7 @@ class TestLayerByLayerForward:
             posts = [post for *_, post in records]
         logits, acts = forward(params, arch, batch)
         assert np.array_equal(logits, posts[-1])
+        assert np.array_equal(_run_layers(params, arch, x0), posts[-1])
         assert [name for name, _ in acts] == [layer["name"] for layer, *_ in records]
         for (name, act), post in zip(acts, posts):
             assert act.dtype == np.float32 and np.array_equal(act, post.astype(np.float32)), name

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,18 @@ def test_numpy_reals_act_as_floats():
     assert cfg.lr_schedule == ((0, 0.05),) and cfg.momentum == 0.5 and cfg.clip_grad_norm == 2.0
     assert all(type(v) is float for v in (cfg.lr_schedule[0][1], cfg.momentum, cfg.weight_decay, cfg.clip_grad_norm))
     assert np.array_equal(lambda_grid(np.float32(0.5), 1, 3), [0.5, 0.75, 1.0])
+    # a numpy real is the Python float _as_real returns, so float32 arithmetic never leaks in
+    f32 = np.float32
+    assert np.array_equal(uniform_in_ball(RngStream(1, 2), np.zeros(4), f32(1.0)), uniform_in_ball(RngStream(1, 2), np.zeros(4), 1.0))
+    assert type(BallSet(np.zeros(2), f32(0.5)).radius) is float
+    assert type(CriticalityConfig("fc1", epsilon=f32(0.1)).epsilon) is float
+    drop = relative_accuracy_drop(f32(0.8), 0.6)
+    assert type(drop) is float and drop == relative_accuracy_drop(float(f32(0.8)), 0.6)
+    bowl = lambda p: float(p @ p)
+    report = check_basin(BallSet(np.zeros(2), f32(0.5)), bowl, f32(0.1), f32(0.2), 100, RngStream(1))
+    assert json.loads(json.dumps(report.to_dict()))["epsilon"] == float(f32(0.1))
+    fit = fit_basin(np.array([-0.1, 0.0]), np.array([0.1, 0.0]), bowl, f32(0.05), RngStream(1), samples=100)
+    assert json.loads(json.dumps(fit.to_dict()))["epsilon_target"] == float(f32(0.05))
 
 
 def test_python_float_config_hash_pinned():

@@ -62,6 +62,14 @@ def test_numpy_integer_seed_and_id_match_python_ints():
     assert np.array_equal(lane_uniforms(np.int64(3), [2**64 - 1], 5)[0], want)
 
 
+def test_one_uniform_is_the_top_53_bits_of_one_draw():
+    rng, twin = RngStream(10, 3), RngStream(10, 3)
+    for _ in range(200):
+        u = rng.uniform(1)
+        assert u.shape == (1,) and u[0] == (twin.next_u64() >> 11) * 2.0**-53
+    assert rng.state() == twin.state()
+
+
 def test_restore_negative_position_rejected():
     with pytest.raises(DomainError):
         RngStream.restore(1, 2, -5)
@@ -97,7 +105,7 @@ def test_consecutive_scalar_draws_equal_one_lane_draw():
     lanes = lane_uniforms(7, LANE_IDS, 4 + 256)
     for i, sid in enumerate(LANE_IDS):
         rng = RngStream(7, sid)
-        head = [rng.uniform() for _ in range(4)]
+        head = [rng.uniform(1)[0] for _ in range(4)]
         tail = rng.uniform(256)
         assert np.array_equal(lanes[i], np.concatenate([head, tail]))
 
@@ -339,8 +347,8 @@ def test_lane_permutations_equal_stream_permutations(n):
 
 @pytest.mark.parametrize("n", [0, 1, 260, _LANE_MIN - 1, _LANE_MIN, _LANE_MIN + 1])
 def test_one_lane_equals_its_stream(n):
-    """A lone stream id draws as its own RngStream, on either side of the
-    jump-ahead threshold."""
+    """A lone stream id runs the lockstep as one column, and gives its
+    RngStream's draws on either side of that stream's jump-ahead threshold."""
     for sid in (0, 2**64 - 1, int(LANE_PERM_IDS[0])):
         u = lane_uniforms(17, [sid], n)
         assert u.shape == (1, n) and np.array_equal(u[0], RngStream(17, sid).uniform(n))

@@ -197,3 +197,12 @@ class TestNetworkSpectrum:
         ckpt = Checkpoint(arch, init_random(arch, RngStream(33)), 0, {}, "", "")
         with pytest.raises(DomainError, match="conv1"):
             network_spectrum(ckpt)
+
+    def test_params_reassigned_to_another_arch_rejected(self):
+        # a Checkpoint checks its params when built; fields reassigned later
+        # must not make the spectrum of the other network
+        ckpt = Checkpoint(TINY4, init_random(TINY4, RngStream(34)), 0, {}, "", "")
+        narrow = ArchDescriptor(TINY4.input_shape, TINY4.conv_blocks, (16,), TINY4.num_classes)
+        ckpt.params = init_random(narrow, RngStream(35))
+        with pytest.raises(DomainError, match="index table"):
+            network_spectrum(ckpt)

@@ -109,6 +109,8 @@ class TestConfig:
             dict(shuffle_seed=3),
             dict(shared_permutation=True),
             dict(domains=()),
+            dict(domains=("source", "clipart_like")),
+            dict(domains=("cartoon",)),
         ],
         ids=lambda bad: ",".join(f"{k}={v}" for k, v in bad.items()),
     )
