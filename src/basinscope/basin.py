@@ -53,9 +53,7 @@ class BallSet:
 
     def __post_init__(self):
         self.center = _as_vector(self.center, "center")
-        self.radius = _as_real(self.radius, "radius")
-        if self.radius <= 0:
-            raise DomainError("radius must be positive")
+        self.radius = _as_real(self.radius, "radius", above=0)
 
     @property
     def dimension(self) -> int:
@@ -208,9 +206,7 @@ def check_basin(ball: BallSet, loss, epsilon: float, delta: float, samples: int,
     candidate basin parameters.
     """
     samples = _as_int(samples, "samples", 100)
-    epsilon, delta = _as_real(epsilon, "epsilon"), _as_real(delta, "delta")
-    if epsilon <= 0 or delta <= 0:
-        raise DomainError("epsilon and delta must be positive")
+    epsilon, delta = _as_real(epsilon, "epsilon", above=0), _as_real(delta, "delta", above=0)
     return _report_from_draws(_ConditionDraws(ball, rng, samples, loss), loss, epsilon, delta)
 
 
@@ -276,9 +272,7 @@ def fit_basin(
     bracket is expressed in units of the fitted radius.
     """
     samples = _as_int(samples, "samples", 100)
-    epsilon_target = _as_real(epsilon_target, "epsilon_target")
-    if epsilon_target <= 0:
-        raise DomainError("epsilon_target must be positive")
+    epsilon_target = _as_real(epsilon_target, "epsilon_target", above=0)
     a, b = (_as_vector(t.values if isinstance(t, ParamVector) else t, "endpoint") for t in (theta_a, theta_b))
     if a.shape != b.shape:
         raise DomainError("endpoint shapes differ")

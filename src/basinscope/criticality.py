@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector, _module_input, _run_layers
-from .numerics import _as_grid, _as_int, _as_real
+from .numerics import _as_choice, _as_grid, _as_int, _as_real
 from .rng import RngStream, gaussian_rows
 from .trainer import Checkpoint, _eval_batches, _same_arch, _score_batches, split_metrics
 
@@ -50,17 +50,11 @@ class CriticalityConfig:
 
     def __post_init__(self):
         self.alpha_grid = _as_grid(self.alpha_grid, "alpha grid")
-        self.sigma_grid = _as_grid(self.sigma_grid, "sigma grid")
-        if np.any(self.sigma_grid <= 0):
-            raise DomainError("sigmas must be positive")
+        self.sigma_grid = _as_grid(self.sigma_grid, "sigma grid", above=0)
         self.noise_samples = _as_int(self.noise_samples, "noise_samples", 1)
-        self.epsilon = _as_real(self.epsilon, "epsilon")
-        if self.epsilon <= 0:
-            raise DomainError("epsilon must be positive")
-        if self.noise_mode not in NOISE_MODES:
-            raise DomainError(f"unknown noise mode {self.noise_mode!r}")
-        if self.metric not in ("error", "xent"):
-            raise DomainError(f"unknown metric {self.metric!r}")
+        self.epsilon = _as_real(self.epsilon, "epsilon", above=0)
+        self.noise_mode = _as_choice(self.noise_mode, "noise_mode", NOISE_MODES)
+        self.metric = _as_choice(self.metric, "metric", ("error", "xent"))
 
 
 @dataclass

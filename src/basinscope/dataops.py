@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _as_flag, _as_int, _as_real
+from .numerics import _as_choice, _as_flag, _as_int, _as_real
 from .rng import derive_stream_id, lane_permutations, lane_uniforms
 
 DOMAIN_NAMES = ("source", "real_like", "clipart_like", "quickdraw_like", "xray_like")
@@ -86,8 +86,7 @@ class DomainSpec:
     domain_id: str
 
     def __post_init__(self):
-        if self.domain_id not in DOMAIN_NAMES:
-            raise DomainError(f"unknown domain {self.domain_id!r}")
+        object.__setattr__(self, "domain_id", _as_choice(self.domain_id, "domain", DOMAIN_NAMES))
 
     @property
     def index(self) -> int:
@@ -285,8 +284,7 @@ def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
     """Class-balanced (+-1) deterministic dataset: images 0 .. n-1 of one
     domain and split, with their labels."""
     n, seed = _as_int(n, "n", 1), _as_int(seed, "seed")
-    if split not in _SPLIT_BASE:
-        raise DomainError(f"split must be train or test, got {split!r}")
+    split = _as_choice(split, "split", _SPLIT_BASE)
     global_index = _SPLIT_BASE[split] + np.arange(n, dtype=np.uint64)
     labels = (global_index % np.uint64(NUM_CLASSES)).astype(np.int64)
     stream_ids = derive_stream_id(_STREAM_DATA, domain.index, global_index)
@@ -346,9 +344,7 @@ def apply_shuffle(dataset: Dataset, spec: ShuffleSpec) -> Dataset:
 
 def relative_accuracy_drop(a_pt: float, a_rit: float) -> float:
     """100 * (a_pt - a_rit) / a_pt; negative when training from scratch wins."""
-    a_pt = _as_real(a_pt, "a_pt")
-    if a_pt <= 0:
-        raise DomainError("a_pt must be positive")
+    a_pt = _as_real(a_pt, "a_pt", above=0)
     return 100.0 * (a_pt - _as_real(a_rit, "a_rit")) / a_pt
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ParamVector
-from .numerics import _as_grid, _as_int, _as_real
+from .numerics import _as_choice, _as_grid, _as_int, _as_real
 from .trainer import Checkpoint, _same_arch, split_metrics
 
 METRIC_KEYS = ("train_loss", "train_acc", "test_loss", "test_acc")
@@ -28,12 +28,8 @@ class BarrierCurve:
 
     def series(self, dataset: str | None, key: str) -> np.ndarray:
         """One metric over lambdas; dataset None means the first dataset."""
-        name = dataset if dataset is not None else next(iter(self.metrics))
-        if name not in self.metrics:
-            raise DomainError(f"unknown dataset {name!r}; the curve has {list(self.metrics)}")
-        if key not in self.metrics[name]:
-            raise DomainError(f"unknown metric {key!r}; the curve has {list(self.metrics[name])}")
-        return np.asarray(self.metrics[name][key])
+        name = _as_choice(dataset if dataset is not None else next(iter(self.metrics)), "dataset", self.metrics)
+        return np.asarray(self.metrics[name][_as_choice(key, "key", self.metrics[name])])
 
 
 def interpolate(theta: ParamVector, theta_tilde: ParamVector, lam: float) -> ParamVector:
@@ -95,8 +91,7 @@ def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | Non
     [0, 1]; DomainError if the metric is NaN anywhere there or infinite at
     an endpoint (the chord would be inf - inf there). An infinite interior
     point is an infinite barrier."""
-    if metric not in ("loss", "accuracy"):
-        raise DomainError(f"metric must be loss or accuracy, got {metric!r}")
+    metric = _as_choice(metric, "metric", ("loss", "accuracy"))
     key = f"{split}_{'loss' if metric == 'loss' else 'acc'}"
     lam = curve.lambdas
     inside = (lam >= 0.0) & (lam <= 1.0)

@@ -366,10 +366,13 @@ INPUT_CENTER = 0.5  # images are in [0, 1]; centering keeps early training stabl
 
 
 def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
-    """Shape-checked, centered float64 input to the first layer."""
+    """Shape-checked, centered float64 input to the first layer; DomainError
+    for a batch of no images."""
     x = np.asarray(batch)
     if x.shape[1:] != tuple(arch.input_shape):
         raise SizeError(f"batch shape {x.shape[1:]} does not match arch input {arch.input_shape}")
+    if x.shape[0] == 0:
+        raise DomainError("cannot run an empty batch")
     return np.subtract(x, INPUT_CENTER, dtype=np.float64)
 
 
@@ -574,12 +577,9 @@ def sgd_step(
     weight_decay: float,
 ) -> tuple[ParamVector, ParamVector]:
     """buf' = momentum*buf + grad + wd*params; params' = params - lr*buf'."""
-    if _as_real(lr, "lr") <= 0:
-        raise DomainError("lr must be positive")
-    if not (0 <= _as_real(momentum, "momentum") < 1):
-        raise DomainError("momentum must lie in [0, 1)")
-    if _as_real(weight_decay, "weight_decay") < 0:
-        raise DomainError("weight_decay must be non-negative")
+    lr = _as_real(lr, "lr", above=0)
+    momentum = _as_real(momentum, "momentum", least=0, below=1)
+    weight_decay = _as_real(weight_decay, "weight_decay", least=0)
     if not params.same_index(grad):
         raise DomainError("params and grad have different index tables")
     if momentum_buf is not None and not params.same_index(momentum_buf):

@@ -354,8 +354,7 @@ def gaussian_rows(rng: RngStream, rows: int, n: int, std: float) -> np.ndarray:
     gaussian(rng, n, std) calls, and all rows come from one raw block.
     """
     rows, n = _as_int(rows, "rows", 0), _as_int(n, "n", 0)
-    if _as_real(std, "std") < 0:
-        raise DomainError("std must be non-negative")
+    std = _as_real(std, "std", least=0)
     pairs = (n + 1) // 2
     raw = rng._raw_block(rows * 2 * pairs).reshape(rows, 2, pairs)
     z = np.empty(2 * pairs, dtype=np.float64)
@@ -376,9 +375,7 @@ def uniform_in_ball(rng: RngStream, center: Sequence[float] | np.ndarray, radius
     Gaussian direction normalized to the sphere, then scaled by
     radius * U^(1/n) so the radial CDF is r^n.
     """
-    radius = _as_real(radius, "radius")
-    if radius < 0:
-        raise DomainError("radius must be non-negative")
+    radius = _as_real(radius, "radius", least=0)
     center = _as_vector(center, "center")
     n = center.size
     if n == 0:

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .model import ParamVector, forward
-from .numerics import _as_int
+from .numerics import _as_choice, _as_int
 from .rng import RngStream
 from .trainer import Checkpoint, _eval_batches, _same_arch
 
@@ -164,10 +164,11 @@ def mistake_table(preds1, preds2, labels, group_by: str = "overall") -> MistakeT
     p1 = np.asarray(preds1)
     p2 = np.asarray(preds2)
     labels = np.asarray(labels)
-    if not (len(p1) == len(p2) == len(labels)):
-        raise DomainError("prediction and label lengths differ")
-    if group_by not in ("overall", "class"):
-        raise DomainError(f"group_by must be overall or class, got {group_by!r}")
+    if not (labels.ndim == 1 and p1.shape == p2.shape == labels.shape):
+        raise SizeError(f"predictions and labels must be 1-D of one shape, got {p1.shape}, {p2.shape} and {labels.shape}")
+    if labels.size == 0:
+        raise DomainError("a mistake table needs at least one example")
+    group_by = _as_choice(group_by, "group_by", ("overall", "class"))
     if group_by == "overall":
         return MistakeTable([_mistake_row("overall", p1, p2, labels)])
     rows = []

@@ -18,12 +18,12 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import dataops
-from .errors import DivergedRunError, DomainError
+from .errors import DivergedRunError, DomainError, SizeError
 from .model import (
     ArchDescriptor, ParamVector, _check_labels, _check_params, _network_input, _nll, _run_layers, backward, init_random,
     sgd_step,
 )
-from .numerics import _as_flag, _as_grid, _as_int, _as_real
+from .numerics import _as_choice, _as_flag, _as_grid, _as_int, _as_real
 from .rng import RngStream, derive_stream_id
 
 _STREAM_BATCH = 0x42415443  # "BATC"
@@ -40,8 +40,7 @@ class InitSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "seed", _as_int(self.seed, "init seed"))
-        if self.kind not in ("random", "checkpoint"):
-            raise DomainError(f"init kind must be random or checkpoint, got {self.kind!r}")
+        object.__setattr__(self, "kind", _as_choice(self.kind, "init kind", ("random", "checkpoint")))
         unused = "path" if self.kind == "random" else "seed"
         if getattr(self, unused):
             raise DomainError(f"a {self.kind} init takes no {unused}")
@@ -93,25 +92,17 @@ class TrainConfig:
     clip_grad_norm: float | None = 2.0
 
     def __post_init__(self):
-        schedule = tuple((_as_int(e, "lr schedule epoch"), _as_real(lr, "learning rate")) for e, lr in self.lr_schedule)
+        schedule = tuple((_as_int(e, "lr schedule epoch"), _as_real(lr, "learning rate", above=0)) for e, lr in self.lr_schedule)
         object.__setattr__(self, "lr_schedule", schedule)
         object.__setattr__(self, "checkpoint_epochs", tuple(_as_int(e, "checkpoint epoch") for e in self.checkpoint_epochs))
         for name, least in (("epochs", 0), ("batch_size", 1), ("seed", None)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
-        for name in ("momentum", "weight_decay"):
-            object.__setattr__(self, name, _as_real(getattr(self, name), name))
+        object.__setattr__(self, "momentum", _as_real(self.momentum, "momentum", least=0, below=1))
+        object.__setattr__(self, "weight_decay", _as_real(self.weight_decay, "weight_decay", least=0))
         if _as_grid([e for e, _ in schedule], "lr schedule epochs")[0] != 0:
             raise DomainError("lr schedule must start at epoch 0")
-        if any(lr <= 0 for _, lr in schedule):
-            raise DomainError("learning rates must be positive")
-        if not 0 <= self.momentum < 1:
-            raise DomainError("momentum must lie in [0, 1)")
-        if self.weight_decay < 0:
-            raise DomainError("weight_decay must be non-negative")
         if self.clip_grad_norm is not None:
-            object.__setattr__(self, "clip_grad_norm", _as_real(self.clip_grad_norm, "clip_grad_norm"))
-            if self.clip_grad_norm <= 0:
-                raise DomainError("clip_grad_norm must be positive or None")
+            object.__setattr__(self, "clip_grad_norm", _as_real(self.clip_grad_norm, "clip_grad_norm", above=0))
         if any(not 0 <= e <= self.epochs for e in self.checkpoint_epochs):
             raise DomainError(f"checkpoint epochs must lie in [0, {self.epochs}]")
 
@@ -182,7 +173,8 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
     accuracy (argmax, ties to lowest class), per-class accuracy.
 
     logit_batches yields float64 logits for consecutive slices of labels; it
-    is consumed only after labels pass their checks.
+    is consumed only after labels pass their checks. SizeError unless the
+    batches cover exactly the labels.
     """
     n = len(labels)
     _check_labels(labels, num_classes, n)
@@ -191,9 +183,13 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
     start = 0
     for z in logit_batches:
         stop = start + z.shape[0]
+        if stop > n:
+            raise SizeError(f"logits for more than the {n} labels")
         loss_sum += float(np.sum(_nll(z, labels[start:stop])[0]))
         preds[start:stop] = np.argmax(z, axis=1)
         start = stop
+    if start != n:
+        raise SizeError(f"logits for {start} of the {n} labels")
     correct = preds == labels
     per_class = np.zeros(num_classes, dtype=np.float64)
     for k in range(num_classes):

@@ -93,7 +93,7 @@ def family_z(checks, delta=1e-2):
 
 @pytest.mark.parametrize("radius", [0.0, -1.0])
 def test_non_positive_radius_rejected(radius):
-    with pytest.raises(DomainError, match="radius must be positive"):
+    with pytest.raises(DomainError, match="radius must be greater than 0"):
         BallSet(np.zeros(2), radius)
 
 
@@ -241,7 +241,8 @@ class TestCheckBasin:
 
     @pytest.mark.parametrize("epsilon, delta", [(0.0, 0.1), (-0.1, 0.1), (0.1, 0.0)])
     def test_non_positive_epsilon_or_delta_rejected(self, epsilon, delta):
-        with pytest.raises(DomainError, match="must be positive"):
+        what = "epsilon" if epsilon <= 0 else "delta"
+        with pytest.raises(DomainError, match=f"{what} must be greater than 0"):
             check_basin(BallSet(np.zeros(1), 0.5), bowl, epsilon, delta, 100, RngStream(3))
 
     def test_sample_floor(self):

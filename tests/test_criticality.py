@@ -12,8 +12,8 @@ from basinscope.criticality import (
     criticality_map,
     rewind_probe,
 )
-from basinscope.dataops import domain_spec, generate
-from basinscope.errors import DomainError
+from basinscope.dataops import Dataset, domain_spec, generate
+from basinscope.errors import DomainError, SizeError
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random
 from basinscope.rng import RngStream, gaussian, gaussian_rows
 from basinscope.trainer import Checkpoint, evaluate
@@ -229,11 +229,11 @@ class TestConfig:
 
     @pytest.mark.parametrize("eps", [0.0, -0.05])
     def test_non_positive_epsilon_rejected(self, eps):
-        with pytest.raises(DomainError, match="epsilon must be positive"):
+        with pytest.raises(DomainError, match="epsilon must be greater than 0"):
             synthetic_cfg(eps=eps)
 
     def test_unknown_metric_rejected(self):
-        with pytest.raises(DomainError, match="unknown metric"):
+        with pytest.raises(DomainError, match="metric must be one of error, xent"):
             CriticalityConfig("w", 0.05, metric="accuracy")
 
 
@@ -283,6 +283,16 @@ class TestNetworkMap:
         b = criticality_map(final, init, cfg, RngStream(21), train_ds, test_ds)
         assert np.array_equal(a.train, b.train)
         assert a.mu == b.mu
+
+    @pytest.mark.parametrize("n_images", [20, 35])
+    def test_images_must_match_labels(self, n_images):
+        init, final = self.make_ckpts()
+        train_ds = generate(domain_spec("source"), "train", 30, 2)
+        images = np.concatenate([train_ds.images, train_ds.images])[:n_images]
+        short = Dataset(images, train_ds.labels, "train", {})
+        cfg = CriticalityConfig("fc1", 0.9, alpha_grid=[0.0, 1.0], sigma_grid=[0.1], noise_samples=1)
+        with pytest.raises(SizeError, match="the 30 labels"):
+            criticality_map(final, init, cfg, RngStream(21), short, generate(domain_spec("source"), "test", 20, 2))
 
     def test_unknown_module_rejected(self):
         init, final = self.make_ckpts()

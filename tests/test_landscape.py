@@ -178,7 +178,7 @@ class TestBarrierHeight:
 
     def test_unknown_metric_raises_domain_error(self):
         curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)
-        with pytest.raises(DomainError, match="loss or accuracy"):
+        with pytest.raises(DomainError, match="metric must be one of loss, accuracy"):
             barrier_height(curve, metric="error")
 
     def test_unknown_split_raises_domain_error(self):

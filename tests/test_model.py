@@ -832,6 +832,8 @@ class TestBackward:
         batch, labels = rand_batch(TINY4, 1, 12)
         with pytest.raises(DomainError):
             backward(params, TINY4, batch[:0], labels[:0])
+        with pytest.raises(DomainError, match="empty batch"):
+            forward(params, TINY4, batch[:0])
 
     def test_grad_index_matches_params(self):
         params = init_random(SMALL, RngStream(19))

@@ -1,14 +1,16 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from basinscope.basin import BallSet, check_basin, fit_basin
 from basinscope.criticality import CriticalityConfig
-from basinscope.dataops import ShuffleSpec, relative_accuracy_drop
+from basinscope.dataops import DomainSpec, ShuffleSpec, domain_spec, generate, relative_accuracy_drop
 from basinscope.errors import DomainError, SizeError
-from basinscope.landscape import barrier_curve_from_fn, interpolate, lambda_grid
-from basinscope.model import TINY4, ArchDescriptor, ParamVector, sgd_step
+from basinscope.landscape import BarrierCurve, barrier_curve_from_fn, barrier_height, interpolate, lambda_grid
+from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random, sgd_step
+from basinscope.numerics import _as_choice, _as_grid, _as_real
 from basinscope.rng import (
     RngStream,
     derive_stream_id,
@@ -18,9 +20,9 @@ from basinscope.rng import (
     lane_uniforms,
     uniform_in_ball,
 )
-from basinscope.similarity import mistake_ratios
+from basinscope.similarity import mistake_ratios, mistake_table
 from basinscope.spectrum import conv_singular_values, dense_singular_values
-from basinscope.trainer import DataSpec, TrainConfig, config_hash
+from basinscope.trainer import DataSpec, InitSpec, TrainConfig, config_hash
 
 
 def jacobi_eigenvalues(s):
@@ -280,6 +282,138 @@ def test_numpy_reals_act_as_floats():
     assert json.loads(json.dumps(report.to_dict()))["epsilon"] == float(f32(0.1))
     fit = fit_basin(np.array([-0.1, 0.0]), np.array([0.1, 0.0]), bowl, f32(0.05), RngStream(1), samples=100)
     assert json.loads(json.dumps(fit.to_dict()))["epsilon_target"] == float(f32(0.05))
+    assert np.array_equal(gaussian_rows(RngStream(1), 2, 3, f32(0.5)), gaussian_rows(RngStream(1), 2, 3, 0.5))
+    params = init_random(TINY4, RngStream(3))
+    grad = ParamVector(np.ones_like(params.values), params.index)
+    numpy_step = sgd_step(params, grad, f32(0.05), grad, f32(0.9), f32(1e-4))
+    float_step = sgd_step(params, grad, float(f32(0.05)), grad, float(f32(0.9)), float(f32(1e-4)))
+    assert all(a.equals(b) for a, b in zip(numpy_step, float_step))
+
+
+# Each kind of bound at its bound, just inside it and just outside it, as
+# (bounds, value, accepted); the smallest steps are one float apart.
+_TINY = math.ulp(0.0)
+REAL_BOUNDS = {
+    "least=0 at 0": (dict(least=0), 0.0, True),
+    "least=0 inside": (dict(least=0), _TINY, True),
+    "least=0 outside": (dict(least=0), -_TINY, False),
+    "above=0 at 0": (dict(above=0), 0.0, False),
+    "above=0 inside": (dict(above=0), _TINY, True),
+    "above=0 outside": (dict(above=0), -_TINY, False),
+    "below=1 at 1": (dict(below=1), 1.0, False),
+    "below=1 inside": (dict(below=1), math.nextafter(1.0, 0.0), True),
+    "below=1 outside": (dict(below=1), math.nextafter(1.0, 2.0), False),
+    "least=0, below=1 at 0": (dict(least=0, below=1), 0.0, True),
+    "least=0, below=1 outside 0": (dict(least=0, below=1), -_TINY, False),
+}
+
+
+@pytest.mark.parametrize("bounds,value,accepted", REAL_BOUNDS.values(), ids=REAL_BOUNDS.keys())
+def test_real_bounds(bounds, value, accepted):
+    if accepted:
+        assert _as_real(value, "x", **bounds) == value
+        assert _as_real(np.float64(value), "x", **bounds) == value
+    else:
+        with pytest.raises(DomainError, match=r"^x must be (at least|greater than|less than) [01], got "):
+            _as_real(value, "x", **bounds)
+
+
+def test_grid_bound_applies_to_every_entry():
+    assert np.array_equal(_as_grid([_TINY, 1.0], "g", above=0), [_TINY, 1.0])
+    for grid in ([0.0, 1.0], [-1.0, 1.0]):
+        with pytest.raises(DomainError, match="every g entry must be greater than 0, got"):
+            _as_grid(grid, "g", above=0)
+
+
+# Choices that are not among their names, as (what, value); str subclasses
+# (numpy strings) are accepted, other types and unhashable values are not.
+CHOICES = ("train", "test")
+NOT_A_CHOICE = {
+    "other str": "val",
+    "case differs": "Train",
+    "bytes": b"train",
+    "list": ["train"],
+    "dict": {"train": 1},
+    "None": None,
+    "numpy str": np.str_("val"),
+}
+
+
+@pytest.mark.parametrize("value", NOT_A_CHOICE.values(), ids=NOT_A_CHOICE.keys())
+def test_not_a_choice_raises_domain_error(value):
+    with pytest.raises(DomainError, match=r"^split must be one of train, test; got "):
+        _as_choice(value, "split", CHOICES)
+
+
+def test_numpy_str_choice_acts_as_str():
+    choice = _as_choice(np.str_("test"), "split", CHOICES)
+    assert type(choice) is str and choice == "test"
+
+
+_CURVE = BarrierCurve(np.linspace(0.0, 1.0, 3), {"t": {k: np.zeros(3) for k in ("train_loss", "train_acc", "test_loss", "test_acc")}})
+
+# Each converted argument just past its bound, or a name not among its
+# choices, as (argument name, call): the call must raise DomainError naming it.
+PAST_THE_BOUND = {
+    "BallSet(radius 0)": ("radius", lambda: BallSet(np.zeros(2), 0.0)),
+    "check_basin(epsilon 0)": ("epsilon", lambda: check_basin(_BALL, lambda p: 0.0, 0.0, 0.1, 100, RngStream(1))),
+    "check_basin(delta 0)": ("delta", lambda: check_basin(_BALL, lambda p: 0.0, 0.1, 0.0, 100, RngStream(1))),
+    "fit_basin(epsilon_target 0)": ("epsilon_target", lambda: fit_basin(np.zeros(2), np.ones(2), lambda p: 0.0, 0.0, RngStream(1))),
+    "CriticalityConfig(epsilon 0)": ("epsilon", lambda: CriticalityConfig("conv1", 0.0)),
+    "CriticalityConfig(sigma 0)": ("sigma grid", lambda: CriticalityConfig("conv1", 0.1, sigma_grid=[0.0, 0.1])),
+    "relative_accuracy_drop(0, 0.5)": ("a_pt", lambda: relative_accuracy_drop(0.0, 0.5)),
+    "sgd_step(lr 0)": ("lr", lambda: _sgd(lr=0.0)),
+    "sgd_step(momentum 1)": ("momentum", lambda: _sgd(momentum=1.0)),
+    "sgd_step(momentum -tiny)": ("momentum", lambda: _sgd(momentum=-_TINY)),
+    "sgd_step(weight_decay -tiny)": ("weight_decay", lambda: _sgd(weight_decay=-_TINY)),
+    "TrainConfig(lr 0)": ("learning rate", lambda: config(lr_schedule=((0, 0.05), (1, 0.0)))),
+    "TrainConfig(momentum 1)": ("momentum", lambda: config(momentum=1.0)),
+    "TrainConfig(momentum -tiny)": ("momentum", lambda: config(momentum=-_TINY)),
+    "TrainConfig(weight_decay -tiny)": ("weight_decay", lambda: config(weight_decay=-_TINY)),
+    "TrainConfig(clip_grad_norm 0)": ("clip_grad_norm", lambda: config(clip_grad_norm=0.0)),
+    "gaussian_rows(std -tiny)": ("std", lambda: gaussian_rows(RngStream(1), 2, 4, -_TINY)),
+    "uniform_in_ball(radius -tiny)": ("radius", lambda: uniform_in_ball(RngStream(1), np.zeros(2), -_TINY)),
+    "DomainSpec('cartoon')": ("domain", lambda: DomainSpec("cartoon")),
+    "generate(split 'val')": ("split", lambda: generate(domain_spec("source"), "val", 10, 0)),
+    "generate(split ['train'])": ("split", lambda: generate(domain_spec("source"), ["train"], 10, 0)),
+    "InitSpec('pretrained')": ("init kind", lambda: InitSpec("pretrained")),
+    "CriticalityConfig(noise_mode 'scaled')": ("noise_mode", lambda: CriticalityConfig("conv1", 0.1, noise_mode="scaled")),
+    "CriticalityConfig(metric 'accuracy')": ("metric", lambda: CriticalityConfig("conv1", 0.1, metric="accuracy")),
+    "barrier_height(metric 'error')": ("metric", lambda: barrier_height(_CURVE, "error")),
+    "BarrierCurve.series(['t'], 'test_loss')": ("dataset", lambda: _CURVE.series(["t"], "test_loss")),
+    "BarrierCurve.series('t', ['test_loss'])": ("key", lambda: _CURVE.series("t", ["test_loss"])),
+    "BarrierCurve.series('t', 'val_loss')": ("key", lambda: _CURVE.series("t", "val_loss")),
+    "mistake_table(group_by 'domain')": ("group_by", lambda: mistake_table([0, 1], [0, 1], [0, 1], group_by="domain")),
+}
+
+
+@pytest.mark.parametrize("what,call", PAST_THE_BOUND.values(), ids=PAST_THE_BOUND.keys())
+def test_argument_past_its_bound_raises_domain_error(what, call):
+    with pytest.raises(DomainError, match=f"^(every )?{what}( entry)? must be "):
+        call()
+
+
+def test_bounds_admit_their_edge():
+    """Zero momentum, weight decay, spread and radius are in range."""
+    params, _ = _sgd(momentum=0, weight_decay=0)
+    assert params.equals(ParamVector.zeros(TINY4))
+    assert config(momentum=0.0, weight_decay=0.0).momentum == 0.0
+    assert np.array_equal(gaussian_rows(RngStream(1), 2, 3, 0), np.zeros((2, 3)))
+    assert np.array_equal(uniform_in_ball(RngStream(1), [1.0, 2.0], 0), [1.0, 2.0])
+
+
+def test_numpy_strs_act_as_strs():
+    assert type(domain_spec(np.str_("source")).domain_id) is str
+    split = generate(domain_spec("source"), np.str_("test"), 10, 0).split
+    assert type(split) is str and split == "test"
+    init = InitSpec(np.str_("random"), seed=3)
+    assert type(init.kind) is str and config_hash(config(init=init)) == config_hash(config(init=InitSpec("random", seed=3)))
+    cfg = CriticalityConfig("conv1", 0.1, noise_mode=np.str_("raw"), metric=np.str_("xent"))
+    assert (type(cfg.noise_mode), type(cfg.metric)) == (str, str)
+    assert barrier_height(_CURVE, np.str_("accuracy")) == barrier_height(_CURVE, "accuracy")
+    assert np.array_equal(_CURVE.series(np.str_("t"), np.str_("test_loss")), _CURVE.series("t", "test_loss"))
+    table = mistake_table([0, 1], [0, 0], [0, 1], group_by=np.str_("class"))
+    assert [r.group for r in table.rows] == ["0", "1"]
 
 
 def test_python_float_config_hash_pinned():

@@ -5,7 +5,7 @@ import pytest
 
 from basinscope import similarity
 from basinscope.dataops import Dataset, domain_spec, generate
-from basinscope.errors import DomainError
+from basinscope.errors import DomainError, SizeError
 from basinscope.model import TINY4, ParamVector, init_random
 from basinscope.rng import RngStream, gaussian
 from basinscope.similarity import (
@@ -263,11 +263,22 @@ class TestMistakeTable:
         assert table.row("0").g2 == 1  # second model alone got index 1 right
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(SizeError):
             mistake_table([0, 1], [0], [0, 1])
 
+    def test_column_predictions_rejected(self):
+        """(4, 1) predictions against 4 labels once broadcast to a 4 x 4
+        comparison and reported 12 common mistakes among 4 examples."""
+        with pytest.raises(SizeError, match=r"\(4, 1\)"):
+            mistake_table(np.zeros((4, 1), int), np.ones((4, 1), int), np.arange(4) % 2)
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_examples_rejected(self):
+        with pytest.raises(DomainError, match="at least one example"):
+            mistake_table([], [], [])
+
     def test_unknown_grouping_rejected(self):
-        with pytest.raises(DomainError, match="overall or class"):
+        with pytest.raises(DomainError, match="group_by must be one of overall, class"):
             mistake_table([0, 1], [0, 1], [0, 1], group_by="domain")
 
     def test_row_of_an_absent_group_rejected(self):

@@ -6,8 +6,8 @@ import pytest
 
 from basinscope import dataops
 from basinscope.criticality import CriticalityConfig, criticality_map, rewind_probe
-from basinscope.dataops import domain_spec, generate
-from basinscope.errors import DivergedRunError, DomainError
+from basinscope.dataops import Dataset, domain_spec, generate
+from basinscope.errors import DivergedRunError, DomainError, SizeError
 from basinscope.landscape import barrier_curve
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, backward, init_random
 from basinscope.rng import RngStream
@@ -125,7 +125,7 @@ class TestConfig:
             InitSpec(**bad)
 
     def test_unknown_init_kind_rejected(self):
-        with pytest.raises(DomainError, match="random or checkpoint"):
+        with pytest.raises(DomainError, match="init kind must be one of random, checkpoint"):
             InitSpec("pretrained")
 
     def test_shuffled_data_spec_shuffles_both_splits(self):
@@ -186,6 +186,16 @@ class TestEvaluate:
         ds.labels = ds.labels[:0]
         with pytest.raises(DomainError):
             evaluate(ParamVector.zeros(TINY4), TINY4, ds)
+
+    @pytest.mark.parametrize("n_images", [100, 305])
+    def test_images_must_match_labels(self, n_images):
+        """Scores of 100 images against 300 labels once read accuracy 0.03
+        from an uninitialised predictions array; 305 images raised numpy's
+        IndexError."""
+        ds = generate(domain_spec("source"), "train", 300, 0)
+        images = np.concatenate([ds.images, ds.images])[:n_images]
+        with pytest.raises(SizeError, match="the 300 labels"):
+            evaluate(init_random(TINY4, RngStream(1)), TINY4, Dataset(images, ds.labels, "train", {}))
 
 
 class TestTrain:
