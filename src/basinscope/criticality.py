@@ -228,7 +228,7 @@ def criticality_map(
         params = ParamVector(work, final_or_opt.params.index)
         metrics = []
         for labels, cache in splits:
-            logits = (_run_layers(params, arch, x, start, patches=patches) for x, patches in cache)
+            logits = (_run_layers([params], arch, x, start, patches=patches)[0] for x, patches in cache)
             result = _score_batches(labels, arch.num_classes, logits)
             metrics.append(1.0 - result.accuracy if cfg.metric == "error" else result.loss)
         return tuple(metrics)

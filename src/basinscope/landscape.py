@@ -4,6 +4,12 @@ and the barrier statistics measured along those paths.
 The barrier of a metric series is its worst deviation from the linear
 baseline between the endpoints, clamped at zero: a curve that never rises
 above the endpoint chord has no barrier.
+
+A curve is built in two steps (``barrier_curve_from_fn``): every point on
+the path is made first, then each named evaluation takes the whole list of
+points and returns one metric row per point. So ``barrier_curve`` scores
+all points on a split in one pass of the core, each tile's conv1 patches
+gathered once for every point, with the bits of scoring each point alone.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .model import ParamVector
 from .numerics import _as_choice, _as_grid, _as_int, _as_real
-from .trainer import Checkpoint, _same_arch, split_metrics
+from .trainer import Checkpoint, _evaluate_all, _metric_row, _same_arch
 
 METRIC_KEYS = ("train_loss", "train_acc", "test_loss", "test_acc")
 
@@ -27,8 +33,10 @@ class BarrierCurve:
     metrics: dict
 
     def series(self, dataset: str | None, key: str) -> np.ndarray:
-        """One metric over lambdas; dataset None means the first dataset."""
-        name = _as_choice(dataset if dataset is not None else next(iter(self.metrics)), "dataset", self.metrics)
+        """One metric over lambdas; dataset None means the first dataset.
+        DomainError for an unknown dataset or key, and for dataset None on
+        a curve with no datasets."""
+        name = _as_choice(dataset if dataset is not None else next(iter(self.metrics), None), "dataset", self.metrics)
         return np.asarray(self.metrics[name][_as_choice(key, "key", self.metrics[name])])
 
 
@@ -48,21 +56,23 @@ def lambda_grid(lo: float = 0.0, hi: float = 1.0, points: int = 25) -> np.ndarra
 
 
 def barrier_curve_from_fn(lambdas, point_fn, eval_fns: dict) -> BarrierCurve:
-    """Generic curve builder: point_fn(lam) -> point, eval_fns name -> fn(point) -> metric dict.
+    """Generic curve builder: point_fn(lam) -> point for every lambda first,
+    then eval_fns name -> fn(points) -> one metric dict per point, in the
+    points' order. DomainError for no eval_fns, SizeError when a fn returns
+    another number of rows than there are points.
 
     This is the hook the tests drive with closed-form scalar losses.
     """
     lambdas = _as_grid(lambdas, "lambdas")
-    metrics = {name: {k: [] for k in METRIC_KEYS} for name in eval_fns}
-    for lam in lambdas:
-        point = point_fn(float(lam))
-        for name, fn in eval_fns.items():
-            row = fn(point)
-            for k in METRIC_KEYS:
-                metrics[name][k].append(float(row[k]))
-    for name in metrics:
-        for k in METRIC_KEYS:
-            metrics[name][k] = np.array(metrics[name][k])
+    if not eval_fns:
+        raise DomainError("need at least one evaluation dataset")
+    points = [point_fn(float(lam)) for lam in lambdas]
+    metrics = {}
+    for name, fn in eval_fns.items():
+        rows = fn(points)
+        if len(rows) != len(points):
+            raise SizeError(f"{name} gave {len(rows)} metric rows for {len(points)} points")
+        metrics[name] = {k: np.array([float(row[k]) for row in rows]) for k in METRIC_KEYS}
     return BarrierCurve(lambdas=lambdas, metrics=metrics)
 
 
@@ -71,18 +81,17 @@ def barrier_curve(ckpt_a: Checkpoint, ckpt_b: Checkpoint, lambdas, eval_datasets
 
     eval_datasets: name -> (train Dataset, test Dataset); names may be other
     domains than the endpoints' training domain (cross-domain evaluation).
+    Each split scores every point in one pass (``trainer._evaluate_all``).
     """
     arch = _same_arch(ckpt_a, ckpt_b)
-    if not eval_datasets:
-        raise DomainError("need at least one evaluation dataset")
 
     def point_fn(lam):
         return interpolate(ckpt_a.params, ckpt_b.params, lam)
 
-    eval_fns = {
-        name: (lambda p, pair=pair: split_metrics(p, arch, pair[0], pair[1]))
-        for name, pair in eval_datasets.items()
-    }
+    def split_rows(points, train_ds, test_ds):
+        return list(map(_metric_row, _evaluate_all(points, arch, train_ds), _evaluate_all(points, arch, test_ds)))
+
+    eval_fns = {name: (lambda points, pair=pair: split_rows(points, *pair)) for name, pair in eval_datasets.items()}
     return barrier_curve_from_fn(lambdas, point_fn, eval_fns)
 
 

@@ -8,13 +8,18 @@ linear interpolation between two parameter vectors is well defined.
 Parameters live in a flat ParamVector with a named index; each module
 ("conv1", ..., "fc1", "classifier") owns a contiguous slice.
 
-Every forward-only pass (``forward``, ``trainer.evaluate``, the frozen
-prefixes of the analyses) runs the one cache-tiled core, ``_run_layers``,
-whose conv layers always run in tiles of ``_TILE`` images and whose dense
-layers run on the whole batch; ``forward`` also takes each layer's float32
-output from it. ``backward`` keeps each layer's input, patches and output
-for the whole batch (``_records``), as its weight gradients sum over the
-batch at once.
+Every forward-only pass (``forward``, ``trainer.evaluate``, a barrier
+curve's points, the frozen prefixes of the analyses) runs the one
+cache-tiled core, ``_run_layers``, on one or more parameter vectors that
+share one input. Its conv layers always run in tiles of ``_TILE`` images:
+a tile's first-layer patches are gathered once and every vector's conv
+stack runs on them. Its dense layers run per vector on the whole batch, so
+it holds per vector only the batch's last conv output, 0.5 MB per 256
+images on TINY4. Scoring one vector is the one-vector case, and each
+vector's output has the bits of that case. ``forward`` also takes each
+layer's float32 output from it. ``backward`` keeps each layer's input,
+patches and output for the whole batch (``_records``), as its weight
+gradients sum over the batch at once.
 
 Every conv gather, the forward patches and the transposed conv's phase
 columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
@@ -414,7 +419,7 @@ def _weights(params: ParamVector, layer: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_layers(
-    params: ParamVector,
+    vectors: list[ParamVector],
     arch: ArchDescriptor,
     x: np.ndarray,
     start: int = 0,
@@ -422,65 +427,82 @@ def _run_layers(
     *,
     patches: np.ndarray | None = None,
     acts: list | None = None,
-) -> np.ndarray:
-    """The logits-only core: the output of layers [start, stop) of the plan
-    on x, the float64 input to layer start (for start=0, ``_network_input``).
+) -> list[np.ndarray]:
+    """The logits-only core: for each parameter vector of the sequence
+    vectors, the output of layers [start, stop) of the plan on x, the
+    float64 input to layer start (for start=0, ``_network_input``) that
+    every vector shares. A caller that scores one vector passes [params].
     patches, when given, are layer start's gathered conv patches of x, so
-    the gather is skipped. acts, when given, receives one (name, output)
-    pair per layer, the output in float32 for the whole batch: conv tiles
-    are written into one float32 array per layer as they are made.
+    the gather is skipped. acts, when given, receives one list per vector
+    of (name, output) pairs, one per layer, the output in float32 for the
+    whole batch: conv tiles are written into one float32 array per layer
+    as they are made.
 
     The conv layers run depth-first over tiles of ``_TILE`` images (cache
-    blocking; Goto & van de Geijn 2008): each tile is gathered, multiplied,
-    biased and rectified through every conv layer while it is in cache,
-    instead of streaming whole-batch patch tensors through memory step by
-    step. A patches tile is a view, as the patch tensor is C-contiguous
-    along the batch axis. The tiles' outputs are joined and the dense
-    layers run once on the whole batch. A batch of at most ``_TILE`` images
-    is one tile, the same GEMMs as an untiled pass.
+    blocking; Goto & van de Geijn 2008): each tile's layer-start patches
+    are gathered once, or taken as a view of the given patches (the patch
+    tensor is C-contiguous along the batch axis), and every vector's conv
+    stack then runs on them, multiplied, biased and rectified while the
+    tile is in cache, instead of streaming whole-batch patch tensors
+    through memory step by step. Each vector's last conv output is written
+    into one float64 array for the whole batch, the only thing held per
+    vector (0.5 MB per 256 images on TINY4), and the dense layers run once
+    per vector on it. A batch of at most ``_TILE`` images is one tile, the
+    same GEMMs as an untiled pass.
 
-    Tiling changes only how many rows a conv GEMM call has. OpenBLAS 0.3.31
-    gives every TINY4 conv row the same bits at any row count, so the
-    logits are the untiled loop's; convs with 2-4 or 9-12 output channels
-    (SMALL's conv1 among them) may differ by reassociation of each dot
-    product. Dense GEMM rows change bits with the row count (fc1 below 64
-    rows, the classifier below 128), so dense layers are never tiled.
+    Each vector's GEMMs have the operands and shapes of its own one-vector
+    pass, so sharing a tile changes no bit of any vector's output, whatever
+    the other vectors hold. Tiling changes only how many rows a conv GEMM
+    call has. OpenBLAS 0.3.31 gives every TINY4 conv row the same bits at
+    any row count, so the logits are the untiled loop's; convs with 2-4 or
+    9-12 output channels (SMALL's conv1 among them) may differ by
+    reassociation of each dot product. Dense GEMM rows change bits with the
+    row count (fc1 below 64 rows, the classifier below 128), so dense
+    layers are never tiled.
     """
-    _check_params(params, arch)
     plan = arch.layer_plan()[start:stop]
-    weights = [_weights(params, layer) for layer in plan]
+    weights = []
+    for params in vectors:
+        _check_params(params, arch)
+        weights.append([_weights(params, layer) for layer in plan])
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
-    if convs:
-        outs = [None] * convs  # whole-batch float32 conv outputs, when acts is given
-        tiles = []
-        for i in range(0, x.shape[0], _TILE):
-            tile = x[i : i + _TILE]
-            tile_patches = None if patches is None else patches[i : i + _TILE]
-            for j, (layer, (w, b)) in enumerate(zip(plan[:convs], weights)):
-                _, tile, _ = _apply_layer(layer, tile, w, b, tile_patches)
+    n = x.shape[0]
+    shapes = [(n, *(size // layer["stride"] for size in layer["in_hw"]), layer["cout"]) for layer in plan[:convs]]
+    outs = [np.empty(shapes[-1]) if convs else x for _ in vectors]
+    kept = (  # per vector, each layer's (name, whole-batch float32 output), when acts is given
+        [[(layer["name"], np.empty(shape, np.float32)) for layer, shape in zip(plan, shapes)] for _ in vectors]
+        if acts is not None
+        else None
+    )
+    for i in range(0, n if convs else 0, _TILE):
+        tile = x[i : i + _TILE]
+        if patches is None:
+            shared = _gather_patches(tile, plan[0]["kernel"], plan[0]["stride"])
+        else:
+            shared = patches[i : i + _TILE]
+        for v, layers in enumerate(weights):
+            y, tile_patches = tile, shared
+            for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
+                y = _apply_layer(layer, y, w, b, tile_patches)[1]
                 tile_patches = None
-                if acts is not None:
-                    if outs[j] is None:
-                        outs[j] = np.empty((x.shape[0],) + tile.shape[1:], dtype=np.float32)
-                    outs[j][i : i + _TILE] = tile
-            tiles.append(tile)
-        if acts is not None:
-            acts.extend((layer["name"], out) for layer, out in zip(plan, outs))
-        x, patches = np.concatenate(tiles), None
-        plan, weights = plan[convs:], weights[convs:]
-    for layer, (w, b) in zip(plan, weights):
-        x = _apply_layer(layer, x, w, b, patches)[1]
-        patches = None
-        if acts is not None:
-            acts.append((layer["name"], x.astype(np.float32)))
-    return x
+                if kept is not None:
+                    kept[v][j][1][i : i + _TILE] = y
+            outs[v][i : i + _TILE] = y
+    for v, layers in enumerate(weights):
+        for layer, (w, b) in zip(plan[convs:], layers[convs:]):
+            outs[v] = _apply_layer(layer, outs[v], w, b)[1]
+            if kept is not None:
+                kept[v].append((layer["name"], outs[v].astype(np.float32)))
+    if kept is not None:
+        acts.extend(kept)
+    return outs
 
 
 def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
     """Input to layer start of the plan, and for a conv layer its gathered
     patches (None otherwise): the frozen prefix's part of a forward pass
     that ``_run_layers(..., start, patches=...)`` completes."""
-    x = _run_layers(params, arch, _network_input(arch, batch), 0, start)
+    x = _run_layers([params], arch, _network_input(arch, batch), 0, start)[0]
     layer = arch.layer_plan()[start]
     if layer["kind"] != "conv":
         return x, None
@@ -493,7 +515,8 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
     input, so on one batch its logits are ``evaluate``'s, and only the
     float32 activations outlive the tile that made them."""
     acts = []
-    return _run_layers(params, arch, _network_input(arch, batch), acts=acts), acts
+    logits = _run_layers([params], arch, _network_input(arch, batch), acts=acts)[0]
+    return logits, acts[0]
 
 
 def _records(params: ParamVector, arch: ArchDescriptor, x: np.ndarray) -> list:

@@ -220,18 +220,30 @@ def _same_arch(*holders) -> ArchDescriptor:
     return arch
 
 
+def _evaluate_all(vectors: list[ParamVector], arch: ArchDescriptor, dataset: dataops.Dataset) -> list[EvalResult]:
+    """``evaluate`` of each parameter vector on dataset, all vectors in one
+    pass of the core per batch of EVAL_BATCH images, so each tile's patches
+    are gathered once for all of them. The labels are checked before any
+    forward pass."""
+    labels = dataset.labels
+    _check_labels(labels, arch.num_classes, len(labels))
+    batches = [_run_layers(vectors, arch, _network_input(arch, batch)) for batch in _eval_batches(dataset.images)]
+    return [_score_batches(labels, arch.num_classes, (logits[v] for logits in batches)) for v in range(len(vectors))]
+
+
 def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset) -> EvalResult:
     """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class
     accuracy, over batches of EVAL_BATCH images."""
-    logits = (_run_layers(params, arch, _network_input(arch, batch)) for batch in _eval_batches(dataset.images))
-    return _score_batches(dataset.labels, arch.num_classes, logits)
+    return _evaluate_all([params], arch, dataset)[0]
+
+
+def _metric_row(train: EvalResult, test: EvalResult) -> dict:
+    return {"train_loss": train.loss, "train_acc": train.accuracy, "test_loss": test.loss, "test_acc": test.accuracy}
 
 
 def split_metrics(params: ParamVector, arch: ArchDescriptor, train_ds: dataops.Dataset, test_ds: dataops.Dataset) -> dict:
     """train_loss, train_acc, test_loss and test_acc of params on the two splits."""
-    tr = evaluate(params, arch, train_ds)
-    te = evaluate(params, arch, test_ds)
-    return {"train_loss": tr.loss, "train_acc": tr.accuracy, "test_loss": te.loss, "test_acc": te.accuracy}
+    return _metric_row(evaluate(params, arch, train_ds), evaluate(params, arch, test_ds))
 
 
 def _resolve_init(config: TrainConfig, init_checkpoint: Checkpoint | None) -> ParamVector:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from basinscope.errors import DomainError
+from basinscope import landscape
+from basinscope.errors import DomainError, SizeError
 from basinscope.landscape import (
     BarrierCurve,
     barrier_curve,
@@ -13,7 +14,7 @@ from basinscope.landscape import (
 from basinscope.dataops import domain_spec, generate
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random
 from basinscope.rng import RngStream
-from basinscope.trainer import Checkpoint, evaluate
+from basinscope.trainer import Checkpoint, evaluate, split_metrics
 
 
 def scalar_curve(loss_fn, lambdas, w_a, w_b):
@@ -22,9 +23,8 @@ def scalar_curve(loss_fn, lambdas, w_a, w_b):
     def point_fn(lam):
         return (1 - lam) * w_a + lam * w_b
 
-    def eval_fn(w):
-        value = loss_fn(w)
-        return {"train_loss": value, "train_acc": -value, "test_loss": value, "test_acc": -value}
+    def eval_fn(points):
+        return [{"train_loss": v, "train_acc": -v, "test_loss": v, "test_acc": -v} for v in map(loss_fn, points)]
 
     return barrier_curve_from_fn(lambdas, point_fn, {"scalar": eval_fn})
 
@@ -117,6 +117,58 @@ class TestBarrierCurve:
         a = make_ckpt(9)
         with pytest.raises(DomainError, match="at least one evaluation dataset"):
             barrier_curve(a, a, lambda_grid(), {})
+
+    def test_curve_without_datasets_rejected(self):
+        """The builder refuses no datasets, and the first dataset of a curve
+        that has none is a DomainError, not a bare StopIteration."""
+        with pytest.raises(DomainError, match="at least one evaluation dataset"):
+            barrier_height(barrier_curve_from_fn([0.0, 1.0], float, {}))
+        empty = BarrierCurve(np.array([0.0, 1.0]), {})
+        with pytest.raises(DomainError, match="dataset"):
+            empty.series(None, "test_loss")
+        with pytest.raises(DomainError, match="dataset"):
+            barrier_height(empty)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_one_row_per_point_required(self, extra):
+        flat = {"train_loss": 0.0, "train_acc": 1.0, "test_loss": 0.0, "test_acc": 1.0}
+        with pytest.raises(SizeError, match="3 points"):
+            barrier_curve_from_fn([0.0, 0.5, 1.0], float, {"d": lambda points: [flat] * (len(points) + extra)})
+
+    def test_every_point_is_split_metrics_bit_for_bit(self):
+        """Every point and metric of an extrapolating grid, on two named
+        pairs, equals split_metrics of the interpolated vector alone. The
+        300-image split has a second EVAL_BATCH batch and a last tile of 4
+        images."""
+        a, b = make_ckpt(10), make_ckpt(11)
+        source = generate(domain_spec("source"), "train", 300, 3), generate(domain_spec("source"), "test", 40, 3)
+        clipart = generate(domain_spec("clipart_like"), "train", 50, 4), generate(domain_spec("clipart_like"), "test", 21, 4)
+        lambdas = lambda_grid(-0.5, 1.5, 9)
+        curve = barrier_curve(a, b, lambdas, {"source": source, "clipart": clipart})
+        assert list(curve.metrics) == ["source", "clipart"]
+        for name, pair in (("source", source), ("clipart", clipart)):
+            want = [split_metrics(interpolate(a.params, b.params, lam), TINY4, *pair) for lam in lambdas]
+            for key in ("train_loss", "train_acc", "test_loss", "test_acc"):
+                got = curve.series(name, key)
+                assert got.shape == lambdas.shape
+                assert all(got[i] == row[key] for i, row in enumerate(want)), (name, key)
+
+    @pytest.mark.parametrize(
+        "error,lambdas,other",
+        [(DomainError, [0.0, float("nan"), 1.0], 9), (SizeError, [[0.0, 1.0]], 9), (DomainError, [0.0, 1.0], None)],
+        ids=["lambdas nan", "lambdas 2-D", "arch mismatch"],
+    )
+    def test_arguments_rejected_before_any_point(self, error, lambdas, other, monkeypatch):
+        small = ArchDescriptor((8, 8, 3), ((4, 3, 1),), (8,), 10)
+        a = make_ckpt(9)
+        b = make_ckpt(other) if other is not None else Checkpoint(small, init_random(small, RngStream(9)), 0, {}, "", "")
+        ds = generate(domain_spec("source"), "train", 10, 1), generate(domain_spec("source"), "test", 10, 1)
+        calls = []
+        monkeypatch.setattr(landscape, "interpolate", lambda *args: calls.append(("interpolate", args)))
+        monkeypatch.setattr(landscape, "_evaluate_all", lambda *args: calls.append(("score", args)))
+        with pytest.raises(error):
+            barrier_curve(a, b, lambdas, {"source": ds})
+        assert calls == []
 
 
 class TestBarrierHeight:

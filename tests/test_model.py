@@ -312,12 +312,12 @@ class TestLayerByLayerForward:
         x0 = _network_input(arch, batch)
         records = _records(params, arch, x0)
         if arch is SMALL and n == 256:
-            posts = [_run_layers(params, arch, x0, 0, m + 1) for m in range(len(records))]
+            posts = [_run_layers([params], arch, x0, 0, m + 1)[0] for m in range(len(records))]
         else:
             posts = [post for *_, post in records]
         logits, acts = forward(params, arch, batch)
         assert np.array_equal(logits, posts[-1])
-        assert np.array_equal(_run_layers(params, arch, x0), posts[-1])
+        assert np.array_equal(_run_layers([params], arch, x0)[0], posts[-1])
         assert [name for name, _ in acts] == [layer["name"] for layer, *_ in records]
         for (name, act), post in zip(acts, posts):
             assert act.dtype == np.float32 and np.array_equal(act, post.astype(np.float32)), name
@@ -361,15 +361,15 @@ class TestForwardCore:
         batch, _ = rand_batch(arch, 5, 6)
         want, _ = forward(params, arch, batch)
         x0 = _network_input(arch, batch)
-        assert np.array_equal(_run_layers(params, arch, x0), want)
+        assert np.array_equal(_run_layers([params], arch, x0)[0], want)
         for m, name in enumerate(arch.module_names()):
-            prefix = _run_layers(params, arch, x0, 0, m)
+            prefix = _run_layers([params], arch, x0, 0, m)[0]
             assert isinstance(prefix, np.ndarray)
-            assert np.array_equal(_run_layers(params, arch, prefix, m), want), name
+            assert np.array_equal(_run_layers([params], arch, prefix, m)[0], want), name
             x, patches = _module_input(params, arch, batch, m)
             assert np.array_equal(x, prefix), name
             assert (patches is None) == name.startswith(("fc", "classifier")), name
-            assert np.array_equal(_run_layers(params, arch, x, m, patches=patches), want), name
+            assert np.array_equal(_run_layers([params], arch, x, m, patches=patches)[0], want), name
 
     def test_keep_builds_one_record_per_module(self):
         """One (layer, x_in, w, patches, post) record per module: each
@@ -501,8 +501,8 @@ class TestTiledCore:
             x, patches = _module_input(params, TINY4, batch, m)
             assert np.array_equal(x, single_pass(params, TINY4, x0, 0, m)), name
             want = single_pass(params, TINY4, x, m)
-            assert np.array_equal(_run_layers(params, TINY4, x, m), want), name
-            assert np.array_equal(_run_layers(params, TINY4, x, m, patches=patches), want), name
+            assert np.array_equal(_run_layers([params], TINY4, x, m)[0], want), name
+            assert np.array_equal(_run_layers([params], TINY4, x, m, patches=patches)[0], want), name
 
     def test_evaluate_matches_single_pass(self):
         """300 images: a full and a partial evaluation batch, both tiled."""
@@ -536,9 +536,9 @@ class TestTiledCore:
         images, labels = rand_batch(arch, 300, 55)
         x0 = _network_input(arch, images)
         logits, acts = forward(params, arch, images)
-        assert np.array_equal(logits, _run_layers(params, arch, x0))
+        assert np.array_equal(logits, _run_layers([params], arch, x0)[0])
         for m, (name, act) in enumerate(acts):
-            assert np.array_equal(act, _run_layers(params, arch, x0, 0, m + 1).astype(np.float32)), name
+            assert np.array_equal(act, _run_layers([params], arch, x0, 0, m + 1)[0].astype(np.float32)), name
         monkeypatch.setattr(trainer, "_score_batches", lambda labels, num_classes, batches: list(batches))
         batches = evaluate(params, arch, Dataset(images, labels, "test", {}))
         assert len(batches) == 2
@@ -577,12 +577,50 @@ class TestTiledCore:
                 break
             name = layer["name"]
             want, slack = bound(m, layer, x)
-            assert np.all(np.abs(_run_layers(params, arch, x, m, m + 1) - want) <= slack), name
+            assert np.all(np.abs(_run_layers([params], arch, x, m, m + 1)[0] - want) <= slack), name
             x = want
             want, slack = bound(m, layer, core)
             act = acts[m][1]
             assert np.all(((want - slack).astype(np.float32) <= act) & (act <= (want + slack).astype(np.float32))), name
-            core = _run_layers(params, arch, core, m, m + 1)
+            core = _run_layers([params], arch, core, m, m + 1)[0]
+
+
+class TestSharedTiles:
+    """Several parameter vectors on one input share each tile's patches;
+    each vector's outputs are its one-vector pass's, bit for bit."""
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    @pytest.mark.parametrize("n", [1, 13, 256])
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_shared_pass_equals_one_vector_passes(self, arch, n, k):
+        """From the network input (start 0), and from conv2 with and without
+        its cached patches; the float32 activations too."""
+        vectors = [with_biases(init_random(arch, RngStream(60, v)), 61 + v) for v in range(k)]
+        batch, _ = rand_batch(arch, n, 62)
+        x0 = _network_input(arch, batch)
+        x1, patches = _module_input(vectors[0], arch, batch, 1)
+        for x, start, given in ((x0, 0, None), (x1, 1, None), (x1, 1, patches)):
+            acts = []
+            shared = _run_layers(vectors, arch, x, start, patches=given, acts=acts)
+            assert len(shared) == len(acts) == k
+            for params, logits, vector_acts in zip(vectors, shared, acts):
+                alone = []
+                assert np.array_equal(logits, _run_layers([params], arch, x, start, patches=given, acts=alone)[0])
+                assert [name for name, _ in vector_acts] == [name for name, _ in alone[0]]
+                for (name, act), (_, want) in zip(vector_acts, alone[0]):
+                    assert act.dtype == np.float32 and np.array_equal(act, want), name
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    def test_nan_vector_leaves_the_others_unchanged(self, arch):
+        vectors = [with_biases(init_random(arch, RngStream(63, v)), 64 + v) for v in range(3)]
+        broken = vectors[1].values.copy()
+        broken[vectors[1].entry("conv1.weight").offset] = np.nan
+        vectors[1] = ParamVector(broken, vectors[1].index)
+        x = _network_input(arch, rand_batch(arch, 13, 65)[0])
+        shared = _run_layers(vectors, arch, x)
+        for params, logits in zip(vectors, shared):
+            assert np.array_equal(logits, _run_layers([params], arch, x)[0], equal_nan=True)
+        assert np.isnan(shared[1]).any() and not np.isnan(shared[0]).any() and not np.isnan(shared[2]).any()
 
 
 def oracle_patches(x, kernel, stride):

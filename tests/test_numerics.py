@@ -8,7 +8,7 @@ from basinscope.basin import BallSet, check_basin, fit_basin
 from basinscope.criticality import CriticalityConfig
 from basinscope.dataops import DomainSpec, ShuffleSpec, domain_spec, generate, relative_accuracy_drop
 from basinscope.errors import DomainError, SizeError
-from basinscope.landscape import BarrierCurve, barrier_curve_from_fn, barrier_height, interpolate, lambda_grid
+from basinscope.landscape import BarrierCurve, barrier_curve, barrier_curve_from_fn, barrier_height, interpolate, lambda_grid
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random, sgd_step
 from basinscope.numerics import _as_choice, _as_grid, _as_real
 from basinscope.rng import (
@@ -22,7 +22,7 @@ from basinscope.rng import (
 )
 from basinscope.similarity import mistake_ratios, mistake_table
 from basinscope.spectrum import conv_singular_values, dense_singular_values
-from basinscope.trainer import DataSpec, InitSpec, TrainConfig, config_hash
+from basinscope.trainer import Checkpoint, DataSpec, InitSpec, TrainConfig, config_hash
 
 
 def jacobi_eigenvalues(s):
@@ -212,6 +212,12 @@ def _sgd(**kw):
 
 _BALL = BallSet(np.zeros(2), 1.0)
 _FLAT = {"train_loss": 0.0, "train_acc": 1.0, "test_loss": 0.0, "test_acc": 1.0}
+_CKPT = Checkpoint(TINY4, ParamVector.zeros(TINY4), 0, {}, "", "")
+
+
+def _flat_rows(points):
+    return [_FLAT] * len(points)
+
 
 # Real arguments that are not finite reals, and grids and vectors that are
 # not 1-D and finite, each as (error, call): the call must raise the error.
@@ -239,8 +245,9 @@ NON_FINITE_REALS = {
     "lambda_grid(0, nan)": (DomainError, lambda: lambda_grid(0.0, float("nan"))),
     "lambda_grid(-inf, 1)": (DomainError, lambda: lambda_grid(float("-inf"), 1.0)),
     "lambda_grid('0', 1)": (DomainError, lambda: lambda_grid("0", 1.0)),
-    "barrier_curve_from_fn(lambdas nan)": (DomainError, lambda: barrier_curve_from_fn([0.0, float("nan")], float, {"a": lambda p: _FLAT})),
-    "barrier_curve_from_fn(lambdas 2-D)": (SizeError, lambda: barrier_curve_from_fn([[0.0, 1.0]], float, {"a": lambda p: _FLAT})),
+    "barrier_curve_from_fn(lambdas nan)": (DomainError, lambda: barrier_curve_from_fn([0.0, float("nan")], float, {"a": _flat_rows})),
+    "barrier_curve_from_fn(lambdas 2-D)": (SizeError, lambda: barrier_curve_from_fn([[0.0, 1.0]], float, {"a": _flat_rows})),
+    "barrier_curve(lambdas nan)": (DomainError, lambda: barrier_curve(_CKPT, _CKPT, [0.0, float("nan")], {"a": (None, None)})),
     "check_basin(epsilon nan)": (DomainError, lambda: check_basin(_BALL, lambda p: 0.0, float("nan"), 0.1, 100, RngStream(1))),
     "check_basin(delta inf)": (DomainError, lambda: check_basin(_BALL, lambda p: 0.0, 0.1, float("inf"), 100, RngStream(1))),
     "fit_basin(epsilon nan)": (DomainError, lambda: fit_basin(np.zeros(2), np.ones(2), lambda p: 0.0, float("nan"), RngStream(1))),
