@@ -16,10 +16,14 @@ a tile's first-layer patches are gathered once and every vector's conv
 stack runs on them. Its dense layers run per vector on the whole batch, so
 it holds per vector only the batch's last conv output, 0.5 MB per 256
 images on TINY4. Scoring one vector is the one-vector case, and each
-vector's output has the bits of that case. ``forward`` also takes each
-layer's float32 output from it. ``backward`` keeps each layer's input,
-patches and output for the whole batch (``_records``), as its weight
-gradients sum over the batch at once.
+vector's output has the bits of that case. When the process may run on two
+CPUs, the calling thread and one pooled worker thread claim a batch's tiles
+from one shared counter, so two tiles are live at once; each tile keeps its
+GEMMs, so the output bits do not depend on which thread ran it. The worker
+starts at the first pass that uses it, and a forked child starts its own.
+``forward`` also takes each layer's float32 output from it. ``backward``
+keeps each layer's input, patches and output for the whole batch
+(``_records``), as its weight gradients sum over the batch at once.
 
 Every conv gather, the forward patches and the transposed conv's phase
 columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
@@ -31,8 +35,11 @@ operands as a per-pixel gather and add, so every output keeps its bits.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -385,6 +392,30 @@ def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
 # patches and conv outputs stay in cache from gather to ReLU.
 _TILE = 8
 
+# Whether this process may run on two CPUs, read once at import: the core
+# then shares a batch's conv tiles with one pooled worker thread.
+_TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2
+_pool: ThreadPoolExecutor | None = None
+
+
+def _tile_pool() -> ThreadPoolExecutor:
+    """The one worker thread of the conv-tile loop, started at first use."""
+    global _pool
+    if _pool is None:
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="basinscope-tiles")
+    return _pool
+
+
+def _drop_pool() -> None:
+    """A forked child has no copy of the parent's worker thread, so it starts
+    its own at first use."""
+    global _pool
+    _pool = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
 
 def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, patches=None):
     """One layer on x: its affine map, then bias and (on every layer but the
@@ -450,15 +481,27 @@ def _run_layers(
     per vector on it. A batch of at most ``_TILE`` images is one tile, the
     same GEMMs as an untiled pass.
 
+    A batch of more than one tile, in a process that may run on two CPUs,
+    is shared between two threads: the caller and the one worker of a
+    module-private pool (``_tile_pool``) run the same tile loop, each
+    claiming the next tile from one shared ``itertools.count`` until the
+    batch runs out, so a busy CPU simply runs fewer tiles. Each thread
+    writes only its own tiles' rows of the outputs and activations. The
+    caller waits for the worker before it returns or raises; when only the
+    worker's tiles failed, the caller raises the worker's error. Two tiles'
+    working sets are live at once. The dense layers run after the join, on
+    the caller's thread. The pool is dropped in a forked child, which has no
+    copy of the worker thread, so the child starts its own at first use.
+
     Each vector's GEMMs have the operands and shapes of its own one-vector
     pass, so sharing a tile changes no bit of any vector's output, whatever
     the other vectors hold. Tiling changes only how many rows a conv GEMM
-    call has. OpenBLAS 0.3.31 gives every TINY4 conv row the same bits at
-    any row count, so the logits are the untiled loop's; convs with 2-4 or
-    9-12 output channels (SMALL's conv1 among them) may differ by
-    reassociation of each dot product. Dense GEMM rows change bits with the
-    row count (fc1 below 64 rows, the classifier below 128), so dense
-    layers are never tiled.
+    call has, and which thread runs a tile changes nothing. OpenBLAS 0.3.31
+    gives every TINY4 conv row the same bits at any row count, so the
+    logits are the untiled loop's; convs with 2-4 or 9-12 output channels
+    (SMALL's conv1 among them) may differ by reassociation of each dot
+    product. Dense GEMM rows change bits with the row count (fc1 below 64
+    rows, the classifier below 128), so dense layers are never tiled.
     """
     plan = arch.layer_plan()[start:stop]
     weights = []
@@ -474,20 +517,36 @@ def _run_layers(
         if acts is not None
         else None
     )
-    for i in range(0, n if convs else 0, _TILE):
-        tile = x[i : i + _TILE]
-        if patches is None:
-            shared = _gather_patches(tile, plan[0]["kernel"], plan[0]["stride"])
-        else:
-            shared = patches[i : i + _TILE]
-        for v, layers in enumerate(weights):
-            y, tile_patches = tile, shared
-            for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
-                y = _apply_layer(layer, y, w, b, tile_patches)[1]
-                tile_patches = None
-                if kept is not None:
-                    kept[v][j][1][i : i + _TILE] = y
-            outs[v][i : i + _TILE] = y
+    claims = itertools.count(0, _TILE)  # the next tile's first image, shared by both threads
+    last = n if convs else 0
+
+    def run_tiles():
+        for i in claims:
+            if i >= last:
+                return
+            tile = x[i : i + _TILE]
+            if patches is None:
+                shared = _gather_patches(tile, plan[0]["kernel"], plan[0]["stride"])
+            else:
+                shared = patches[i : i + _TILE]
+            for v, layers in enumerate(weights):
+                y, tile_patches = tile, shared
+                for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
+                    y = _apply_layer(layer, y, w, b, tile_patches)[1]
+                    tile_patches = None
+                    if kept is not None:
+                        kept[v][j][1][i : i + _TILE] = y
+                outs[v][i : i + _TILE] = y
+
+    if last > _TILE and _TWO_CPUS:
+        worker = _tile_pool().submit(run_tiles)
+        try:
+            run_tiles()
+        finally:
+            wait((worker,))  # neither side returns while the worker still writes
+        worker.result()
+    else:
+        run_tiles()
     for v, layers in enumerate(weights):
         for layer, (w, b) in zip(plan[convs:], layers[convs:]):
             outs[v] = _apply_layer(layer, outs[v], w, b)[1]

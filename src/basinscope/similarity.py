@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .model import ParamVector, forward
+from .model import ArchDescriptor, ParamVector, _network_input, _run_layers
 from .numerics import _as_choice, _as_int
 from .rng import RngStream
 from .trainer import Checkpoint, _eval_batches, _same_arch
@@ -187,13 +187,18 @@ class SimilarityReport:
     distance_to_init_b: dict | None
 
 
-def _module_activations(ckpt: Checkpoint, images) -> dict:
-    acts: dict[str, list] = {}
+def _module_activations(vectors: list[ParamVector], arch: ArchDescriptor, images) -> list[dict]:
+    """Per parameter vector, each module's float32 activations on images as
+    (n, features) rows; each evaluation batch runs through the core once for
+    all vectors, so each tile's patches are gathered once."""
+    parts: list[dict[str, list]] = [{} for _ in vectors]
     for batch in _eval_batches(images):
-        _, batch_acts = forward(ckpt.params, ckpt.arch, batch)
-        for name, a in batch_acts:
-            acts.setdefault(name, []).append(a.reshape(a.shape[0], -1))
-    return {name: np.concatenate(parts) for name, parts in acts.items()}
+        acts = []
+        _run_layers(vectors, arch, _network_input(arch, batch), acts=acts)
+        for modules, vector_acts in zip(parts, acts):
+            for name, a in vector_acts:
+                modules.setdefault(name, []).append(a.reshape(a.shape[0], -1))
+    return [{name: np.concatenate(chunks) for name, chunks in modules.items()} for modules in parts]
 
 
 def similarity_report(
@@ -207,9 +212,10 @@ def similarity_report(
     """Per-module CKA on dataset activations plus parameter-space distances.
 
     Activations are subsampled to at most CKA_MAX_EXAMPLES rows with a fixed
-    stream so reports are reproducible.
+    stream so reports are reproducible. Both checkpoints' activations come
+    from one shared pass of the core per evaluation batch.
     """
-    _same_arch(*(c for c in (ckpt_a, ckpt_b, init_a, init_b) if c is not None))
+    arch = _same_arch(*(c for c in (ckpt_a, ckpt_b, init_a, init_b) if c is not None))
     images = dataset.images
     if len(images) < 2:
         raise DomainError("CKA needs at least 2 images")
@@ -217,8 +223,7 @@ def similarity_report(
         rng = RngStream(seed, _STREAM_CKA)
         idx = np.sort(rng.permutation(len(images))[:CKA_MAX_EXAMPLES])
         images = images[idx]
-    acts_a = _module_activations(ckpt_a, images)
-    acts_b = _module_activations(ckpt_b, images)
+    acts_a, acts_b = _module_activations([ckpt_a.params, ckpt_b.params], arch, images)
     per_module_cka = {name: linear_cka_flagged(acts_a[name], acts_b[name]) for name in acts_a}
     per_module_l2, total = param_l2(ckpt_a.params, ckpt_b.params)
     dist_a = param_l2(ckpt_a.params, init_a.params)[0] if init_a is not None else None

@@ -1,11 +1,16 @@
 import math
 import re
+import subprocess
+import sys
+import textwrap
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from basinscope import trainer
+from basinscope import model, trainer
 from basinscope.dataops import Dataset
 from basinscope.errors import DomainError, SizeError
 from basinscope.model import (
@@ -329,11 +334,13 @@ class TestLayerByLayerForward:
         layered = traced_peak(forward, params, TINY4, batch)
         assert layered < kept
 
-    def test_peak_is_the_tiled_working_set_at_batch_256(self):
+    def test_peak_is_the_tiled_working_set_at_batch_256(self, monkeypatch):
         """The peak is the network input, the float32 activations, conv1's
-        working set on one tile (patches and output) and the last conv's
-        float64 output, as tiles and joined; whole-batch conv1 patches
-        (the untiled loop's peak) would add 14 MB on top."""
+        working set on one tile (patches and output) per thread, as the
+        caller and the worker each hold one, and the last conv's float64
+        output, as tiles and joined; whole-batch conv1 patches (the untiled
+        loop's peak) would add 14 MB on top."""
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
         params = init_random(TINY4, RngStream(26))
         batch, _ = rand_batch(TINY4, 256, 27)
         h, w, c = TINY4.input_shape
@@ -347,7 +354,7 @@ class TestLayerByLayerForward:
         conv1 = plan[0]
         tile = 8 * _TILE * h * w * (conv1["kernel"] ** 2 * c + conv1["cout"])
         joined = 2 * 8 * sizes[len(TINY4.conv_blocks) - 1]
-        working_set = 8 * 256 * h * w * c + 4 * sum(sizes) + tile + joined
+        working_set = 8 * 256 * h * w * c + 4 * sum(sizes) + 2 * tile + joined
         assert traced_peak(forward, params, TINY4, batch) < 1.1 * working_set
 
 
@@ -621,6 +628,140 @@ class TestSharedTiles:
         for params, logits in zip(vectors, shared):
             assert np.array_equal(logits, _run_layers([params], arch, x)[0], equal_nan=True)
         assert np.isnan(shared[1]).any() and not np.isnan(shared[0]).any() and not np.isnan(shared[2]).any()
+
+
+class TestThreadedTiles:
+    """With two CPUs the caller and one pooled worker claim a batch's conv
+    tiles from one counter; the one-thread run is the oracle."""
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    @pytest.mark.parametrize("n", [1, _TILE, _TILE + 1, 2 * _TILE + 1, 256, 300])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_pooled_pass_equals_one_thread_pass(self, arch, n, k, monkeypatch):
+        """From the network input and from conv2, each with and without
+        given patches: logits and float32 activations, bit for bit."""
+        vectors = [with_biases(init_random(arch, RngStream(70, v)), 71 + v) for v in range(k)]
+        batch, _ = rand_batch(arch, n, 72)
+        x0 = _network_input(arch, batch)
+        conv1 = arch.layer_plan()[0]
+        x1, patches1 = _module_input(vectors[0], arch, batch, 1)
+        cases = [(x0, 0, None), (x0, 0, _gather_patches(x0, conv1["kernel"], conv1["stride"])), (x1, 1, None), (x1, 1, patches1)]
+        for x, start, given in cases:
+            runs = []
+            for two_cpus in (False, True):
+                monkeypatch.setattr(model, "_TWO_CPUS", two_cpus)
+                acts = []
+                runs.append((_run_layers(vectors, arch, x, start, patches=given, acts=acts), acts))
+            (serial, serial_acts), (pooled, pooled_acts) = runs
+            for want, got in zip(serial, pooled):
+                assert np.array_equal(got, want)
+            for want, got in zip(serial_acts, pooled_acts):
+                assert [name for name, _ in got] == [name for name, _ in want]
+                for (name, act), (_, expected) in zip(got, want):
+                    assert act.dtype == np.float32 and np.array_equal(act, expected), name
+
+    def test_short_patches_raise_as_in_the_one_thread_pass(self, monkeypatch):
+        """Given patches of no images fail every tile, the worker's too: the
+        error type is the one-thread pass's, and the next call is whole."""
+        vectors = [init_random(TINY4, RngStream(73, v)) for v in range(2)]
+        x = _network_input(TINY4, rand_batch(TINY4, 300, 74)[0])
+        conv1 = TINY4.layer_plan()[0]
+        empty = _gather_patches(x, conv1["kernel"], conv1["stride"])[:0]
+        monkeypatch.setattr(model, "_TWO_CPUS", False)
+        with pytest.raises(Exception) as serial:
+            _run_layers(vectors, TINY4, x, patches=empty)
+        want = _run_layers(vectors, TINY4, x)
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        with pytest.raises(serial.type):
+            _run_layers(vectors, TINY4, x, patches=empty)
+        for got, expected in zip(_run_layers(vectors, TINY4, x), want):
+            assert np.array_equal(got, expected)
+
+    def test_error_in_a_worker_tile_reaches_the_caller(self, monkeypatch):
+        """The worker's first tile raises, and the caller's tiles wait until
+        it has: the caller raises the worker's error."""
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        vectors = [init_random(TINY4, RngStream(75))]
+        x = _network_input(TINY4, rand_batch(TINY4, 300, 76)[0])
+        want = _run_layers(vectors, TINY4, x)[0]
+        gather = model._gather_patches
+        failed = threading.Event()
+
+        def fail_in_the_worker(tile, kernel, stride):
+            if threading.current_thread() is not threading.main_thread():
+                failed.set()
+                raise ValueError("planted")
+            assert failed.wait(timeout=30)
+            return gather(tile, kernel, stride)
+
+        monkeypatch.setattr(model, "_gather_patches", fail_in_the_worker)
+        with pytest.raises(ValueError, match="planted"):
+            _run_layers(vectors, TINY4, x)
+        monkeypatch.setattr(model, "_gather_patches", gather)
+        assert np.array_equal(_run_layers(vectors, TINY4, x)[0], want)
+
+    def test_concurrent_callers_share_the_one_worker(self, monkeypatch):
+        """Four callers at once, more than the CPUs, with the interpreter
+        switching threads every microsecond: each gets its one-thread
+        result, so no tile is lost or written into another call's rows."""
+        vectors = [with_biases(init_random(TINY4, RngStream(79)), 80)]
+        inputs = [_network_input(TINY4, rand_batch(TINY4, 100, 81 + c)[0]) for c in range(4)]
+        monkeypatch.setattr(model, "_TWO_CPUS", False)
+        want = [_run_layers(vectors, TINY4, x)[0] for x in inputs]
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        got = [[] for _ in inputs]
+
+        def call(c):
+            for _ in range(5):
+                got[c].append(_run_layers(vectors, TINY4, inputs[c])[0])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(c,)) for c in range(len(inputs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for c, expected in enumerate(want):
+            assert len(got[c]) == 5 and all(np.array_equal(logits, expected) for logits in got[c]), c
+
+    def test_child_forked_after_a_pooled_pass_runs_its_own(self):
+        """The parent's worker does not exist in a forked child; the child
+        starts its own and gets the parent's logits. A child left waiting
+        on the parent's worker dies by its alarm."""
+        code = textwrap.dedent(
+            f"""
+            import os, signal, sys, threading
+            sys.path.insert(0, {str(Path(model.__file__).parents[1])!r})
+            import numpy as np
+            from basinscope import model
+            from basinscope.dataops import Dataset
+            from basinscope.model import TINY4, forward, init_random
+            from basinscope.rng import RngStream, gaussian
+            from basinscope.trainer import evaluate
+
+            model._TWO_CPUS = True  # pool the tiles whatever CPUs this process may use
+            params = init_random(TINY4, RngStream(77))
+            images = gaussian(RngStream(78), 256 * 16 * 16 * 3, 1.0).reshape(256, 16, 16, 3).astype(np.float32)
+            dataset = Dataset(images, np.arange(256) % 10, "test", {{}})
+            loss = evaluate(params, TINY4, dataset).loss
+            logits = forward(params, TINY4, images)[0]
+            if threading.active_count() != 2:
+                sys.exit(3)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                same = evaluate(params, TINY4, dataset).loss == loss and np.array_equal(forward(params, TINY4, images)[0], logits)
+                os._exit(0 if same else 1)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 def oracle_patches(x, kernel, stride):

@@ -6,7 +6,7 @@ import pytest
 from basinscope import similarity
 from basinscope.dataops import Dataset, domain_spec, generate
 from basinscope.errors import DomainError, SizeError
-from basinscope.model import TINY4, ParamVector, init_random
+from basinscope.model import TINY4, ParamVector, forward, init_random
 from basinscope.rng import RngStream, gaussian
 from basinscope.similarity import (
     linear_cka_flagged,
@@ -300,13 +300,27 @@ class TestSimilarityReport:
         for value, flagged in report_aa.per_module_cka.values():
             assert flagged or value == pytest.approx(1.0, abs=1e-6)
 
+    def test_shared_pass_activations_are_each_forwards(self):
+        """Both checkpoints' activations come from one pass per evaluation
+        batch (300 images: a full and a partial one) and equal each
+        checkpoint's own forward, bit for bit."""
+        images = generate(domain_spec("source"), "test", 300, 3).images
+        vectors = [init_random(TINY4, RngStream(23 + v)) for v in range(2)]
+        shared = similarity._module_activations(vectors, TINY4, images)
+        for params, acts in zip(vectors, shared):
+            batches = [forward(params, TINY4, images[i : i + 256])[1] for i in (0, 256)]
+            assert list(acts) == TINY4.module_names()
+            for m, (name, act) in enumerate(acts.items()):
+                want = np.concatenate([b[m][1].reshape(len(b[m][1]), -1) for b in batches])
+                assert act.dtype == np.float32 and np.array_equal(act, want), name
+
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_images_rejected_before_any_forward(self, n, monkeypatch):
         ds = generate(domain_spec("source"), "test", 10, 2)
         ds = Dataset(ds.images[:n], ds.labels[:n], ds.split, ds.provenance)
         a = Checkpoint(TINY4, init_random(TINY4, RngStream(21)), 0, {}, "", "")
         calls = []
-        monkeypatch.setattr(similarity, "forward", lambda *args: calls.append(args))
+        monkeypatch.setattr(similarity, "_run_layers", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(DomainError):
             similarity_report(a, a, ds)
         assert calls == []
@@ -319,9 +333,9 @@ class TestSimilarityReport:
         a = Checkpoint(TINY4, init_random(TINY4, RngStream(21)), 0, {}, "", "")
         seen = []
 
-        def rows_seen(ckpt, imgs):
-            seen.append(imgs[:, 0, 0, 0].astype(np.int64))
-            return {"m": imgs.reshape(len(imgs), -1)[:, :2]}
+        def rows_seen(vectors, arch, imgs):
+            seen.extend(imgs[:, 0, 0, 0].astype(np.int64) for _ in vectors)
+            return [{"m": imgs.reshape(len(imgs), -1)[:, :2]} for _ in vectors]
 
         monkeypatch.setattr(similarity, "_module_activations", rows_seen)
         for seed in (0, 0, 1):
