@@ -10,17 +10,17 @@ alpha^2 * dist^2 / sigma^2 over cells whose mean train metric stays within
 epsilon.
 
 Only the perturbed module changes from cell to cell, so ``criticality_map``
-runs the frozen prefix once per map: it caches, per evaluation batch, the
-module's input and, for a conv module, its gathered patches, and each noise
-sample runs only the module and the layers after it, with the same
-arithmetic as ``evaluate``: the logits-only core runs the conv layers over
-tiles of a few images, so each tile stays in cache, its cached patches a
-view of the batch's, and the dense layers once on the whole batch, so their
-bits do not depend on the tile size (``model._run_layers``). With two CPUs
-the calling thread and one pooled worker share each batch's tiles, and a
-noise sample's outputs keep their bits. The cache holds float64 arrays;
-the largest is a conv1 map, about 21 MB of patches (plus 2.4 MB of input)
-at 384 images on TINY4.
+runs the frozen prefix once per map: it caches one array per evaluation
+batch, for a conv module the gathered patches of its input and otherwise
+the input itself, and each noise sample runs only the module and the
+layers after it, with the same arithmetic as ``evaluate``: the
+logits-only core runs the conv layers over tiles of a few images, so each
+tile stays in cache, its cached patches a view of the batch's, and the
+dense layers once on the whole batch, so their bits do not depend on the
+tile size (``model._run_layers``). With two CPUs the calling thread and
+one pooled worker share each batch's tiles, and a noise sample's outputs
+keep their bits. The cache holds float64 arrays; the largest is a conv1
+map's, about 21 MB of patches at 384 images on TINY4.
 """
 
 from __future__ import annotations
@@ -192,9 +192,9 @@ def criticality_map(
     endpoint's, init's not repeated when the earliest checkpoint's module
     equals it.
 
-    The frozen prefix's output, the module's input, is computed once per
-    evaluation batch; every noise sample runs only the module and the layers
-    after it.
+    The frozen prefix's output, the module's input (for a conv module, its
+    patches), is computed once per evaluation batch; every noise sample runs
+    only the module and the layers after it.
     """
     arch = _same_arch(final_or_opt, init, *(checkpoints or ()))
     span = final_or_opt.params.module_slice(cfg.module_name)

@@ -283,6 +283,8 @@ def _channels_last(img: np.ndarray) -> np.ndarray:
 def generate(domain: DomainSpec, split: str, n: int, seed: int) -> Dataset:
     """Class-balanced (+-1) deterministic dataset: images 0 .. n-1 of one
     domain and split, with their labels."""
+    if not isinstance(domain, DomainSpec):
+        raise DomainError(f"domain must be a DomainSpec, such as domain_spec(name), got {domain!r}")
     n, seed = _as_int(n, "n", 1), _as_int(seed, "seed")
     split = _as_choice(split, "split", _SPLIT_BASE)
     global_index = _SPLIT_BASE[split] + np.arange(n, dtype=np.uint64)

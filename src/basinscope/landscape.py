@@ -21,7 +21,7 @@ import numpy as np
 from .errors import DomainError, SizeError
 from .model import ParamVector
 from .numerics import _as_choice, _as_grid, _as_int, _as_real
-from .trainer import Checkpoint, _evaluate_all, _metric_row, _same_arch
+from .trainer import Checkpoint, _same_arch, _split_rows
 
 METRIC_KEYS = ("train_loss", "train_acc", "test_loss", "test_acc")
 
@@ -81,17 +81,14 @@ def barrier_curve(ckpt_a: Checkpoint, ckpt_b: Checkpoint, lambdas, eval_datasets
 
     eval_datasets: name -> (train Dataset, test Dataset); names may be other
     domains than the endpoints' training domain (cross-domain evaluation).
-    Each split scores every point in one pass (``trainer._evaluate_all``).
+    Each split scores every point in one pass (``trainer._split_rows``).
     """
     arch = _same_arch(ckpt_a, ckpt_b)
 
     def point_fn(lam):
         return interpolate(ckpt_a.params, ckpt_b.params, lam)
 
-    def split_rows(points, train_ds, test_ds):
-        return list(map(_metric_row, _evaluate_all(points, arch, train_ds), _evaluate_all(points, arch, test_ds)))
-
-    eval_fns = {name: (lambda points, pair=pair: split_rows(points, *pair)) for name, pair in eval_datasets.items()}
+    eval_fns = {name: (lambda points, pair=pair: _split_rows(points, arch, *pair)) for name, pair in eval_datasets.items()}
     return barrier_curve_from_fn(lambdas, point_fn, eval_fns)
 
 

@@ -46,7 +46,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, SizeError
-from .numerics import _as_int, _as_real, is_power_of_two
+from .numerics import _as_int, _as_real
 from .rng import RngStream, gaussian
 
 _STREAM_INIT = 0x494E4954  # "INIT"
@@ -70,9 +70,6 @@ class ArchDescriptor:
         object.__setattr__(self, "conv_blocks", tuple(counts(b, "conv block entry") for b in self.conv_blocks))
         object.__setattr__(self, "fc_widths", counts(self.fc_widths, "fc width"))
         object.__setattr__(self, "num_classes", _as_int(self.num_classes, "num_classes", 1))
-        h, w, _ = self.input_shape
-        if not (is_power_of_two(h) and is_power_of_two(w)):
-            raise SizeError("input height and width must be powers of two")
         if len(self.conv_blocks) < 1:
             raise SizeError("need at least one conv block")
         if any(k % 2 == 0 for _, k, _ in self.conv_blocks):
@@ -89,7 +86,13 @@ class ArchDescriptor:
 
     @classmethod
     def from_json(cls, text: str) -> "ArchDescriptor":
-        return cls(**json.loads(text))
+        """The descriptor that text, a JSON object of the four fields, holds;
+        DomainError for text that is no such object, SizeError or DomainError
+        for values that a descriptor refuses."""
+        try:
+            return cls(**json.loads(text))
+        except (TypeError, json.JSONDecodeError) as e:
+            raise DomainError(f"not an architecture's JSON object: {e}") from None
 
     def layer_plan(self):
         """Per-module plan: (name, kind, in/out shapes and sizes)."""
@@ -452,7 +455,7 @@ def _weights(params: ParamVector, layer: dict) -> tuple[np.ndarray, np.ndarray]:
 def _run_layers(
     vectors: list[ParamVector],
     arch: ArchDescriptor,
-    x: np.ndarray,
+    x: np.ndarray | None,
     start: int = 0,
     stop: int | None = None,
     *,
@@ -464,10 +467,11 @@ def _run_layers(
     float64 input to layer start (for start=0, ``_network_input``) that
     every vector shares. A caller that scores one vector passes [params].
     patches, when given, are layer start's gathered conv patches of x, so
-    the gather is skipped. acts, when given, receives one list per vector
-    of (name, output) pairs, one per layer, the output in float32 for the
-    whole batch: conv tiles are written into one float32 array per layer
-    as they are made.
+    the gather is skipped and x is read only for the batch length; x may
+    then be None, and the batch length is the patches'. acts, when given,
+    receives one list per vector of (name, output) pairs, one per layer,
+    the output in float32 for the whole batch: conv tiles are written into
+    one float32 array per layer as they are made.
 
     The conv layers run depth-first over tiles of ``_TILE`` images (cache
     blocking; Goto & van de Geijn 2008): each tile's layer-start patches
@@ -509,7 +513,7 @@ def _run_layers(
         _check_params(params, arch)
         weights.append([_weights(params, layer) for layer in plan])
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
-    n = x.shape[0]
+    n = (patches if x is None else x).shape[0]
     shapes = [(n, *(size // layer["stride"] for size in layer["in_hw"]), layer["cout"]) for layer in plan[:convs]]
     outs = [np.empty(shapes[-1]) if convs else x for _ in vectors]
     kept = (  # per vector, each layer's (name, whole-batch float32 output), when acts is given
@@ -524,13 +528,12 @@ def _run_layers(
         for i in claims:
             if i >= last:
                 return
-            tile = x[i : i + _TILE]
             if patches is None:
-                shared = _gather_patches(tile, plan[0]["kernel"], plan[0]["stride"])
+                shared = _gather_patches(x[i : i + _TILE], plan[0]["kernel"], plan[0]["stride"])
             else:
                 shared = patches[i : i + _TILE]
             for v, layers in enumerate(weights):
-                y, tile_patches = tile, shared
+                y, tile_patches = None, shared  # layer start reads only its patches
                 for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
                     y = _apply_layer(layer, y, w, b, tile_patches)[1]
                     tile_patches = None
@@ -558,14 +561,16 @@ def _run_layers(
 
 
 def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
-    """Input to layer start of the plan, and for a conv layer its gathered
-    patches (None otherwise): the frozen prefix's part of a forward pass
-    that ``_run_layers(..., start, patches=...)`` completes."""
+    """The frozen prefix's part of a forward pass that
+    ``_run_layers(..., start, patches=...)`` completes, as (x, patches):
+    for a conv layer start, (None, its gathered patches), as the core reads
+    x only for its length once it has the patches; otherwise (the input to
+    layer start, None)."""
     x = _run_layers([params], arch, _network_input(arch, batch), 0, start)[0]
     layer = arch.layer_plan()[start]
     if layer["kind"] != "conv":
         return x, None
-    return x, _gather_patches(x, layer["kernel"], layer["stride"])
+    return None, _gather_patches(x, layer["kernel"], layer["stride"])
 
 
 def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarray, list]:

@@ -1,4 +1,4 @@
-"""Low-level numerics: the argument rules and the power-of-two test.
+"""Low-level numerics: the argument rules.
 
 Storage convention for the toolkit: tensors are row-major float32, all
 reductions (dots, norms, losses) accumulate in float64.
@@ -100,8 +100,4 @@ def _as_choice(value, what: str, choices) -> str:
     if not (isinstance(value, str) and value in choices):
         raise DomainError(f"{what} must be one of {', '.join(choices)}; got {value!r}")
     return str(value)
-
-
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 

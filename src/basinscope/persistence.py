@@ -140,7 +140,7 @@ def load_checkpoint(path) -> Checkpoint:
         _check_container(f, CKPT_MAGIC)
         try:
             arch = ArchDescriptor.from_json(_read_prefixed(f, "arch").decode())
-        except (TypeError, ValueError) as e:
+        except ValueError as e:
             raise FileFormatError("arch", f"bad arch: {e}") from e
         try:
             meta = json.loads(_read_prefixed(f, "metadata"), parse_constant=_reject_constant)

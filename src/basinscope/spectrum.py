@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, SizeError
 from .model import _check_params
-from .numerics import _as_int, is_power_of_two
+from .numerics import _as_int
 from .trainer import Checkpoint
 
 
@@ -29,8 +29,6 @@ def conv_singular_values(kernel, input_size: int) -> np.ndarray:
     if kernel.shape[1] != k:
         raise SizeError("kernel spatial dims must be square")
     n = _as_int(input_size, "input size", 1)
-    if not is_power_of_two(n):
-        raise SizeError(f"input size must be a power of two, got {n}")
     if k > n:
         raise DomainError(f"kernel size {k} exceeds input size {n}")
     cin, cout = kernel.shape[2], kernel.shape[3]

@@ -61,6 +61,8 @@ class DataSpec:
     shared_permutation: bool = False
 
     def __post_init__(self):
+        if isinstance(self.domains, str):
+            raise DomainError(f"domains must be a tuple of one domain name, such as ({self.domains!r},), not a str")
         object.__setattr__(self, "domains", tuple(self.domains))
         for name, least in (("n_train", 1), ("n_test", 1), ("seed", None), ("shuffle_seed", None)):
             object.__setattr__(self, name, _as_int(getattr(self, name), name, least))
@@ -138,7 +140,6 @@ class Checkpoint:
 class EvalResult:
     loss: float
     accuracy: float
-    per_class_accuracy: np.ndarray
     predictions: np.ndarray
 
 
@@ -169,8 +170,8 @@ def make_datasets(data: DataSpec):
 
 
 def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalResult:
-    """Score consecutive per-batch logits against labels: mean cross-entropy,
-    accuracy (argmax, ties to lowest class), per-class accuracy.
+    """Score consecutive per-batch logits against labels: mean cross-entropy
+    and accuracy (argmax, ties to lowest class).
 
     logit_batches yields float64 logits for consecutive slices of labels; it
     is consumed only after labels pass their checks. SizeError unless the
@@ -190,17 +191,7 @@ def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalR
         start = stop
     if start != n:
         raise SizeError(f"logits for {start} of the {n} labels")
-    correct = preds == labels
-    per_class = np.zeros(num_classes, dtype=np.float64)
-    for k in range(num_classes):
-        mask = labels == k
-        per_class[k] = float(correct[mask].mean()) if mask.any() else 0.0
-    return EvalResult(
-        loss=loss_sum / n,
-        accuracy=float(correct.mean()),
-        per_class_accuracy=per_class,
-        predictions=preds,
-    )
+    return EvalResult(loss=loss_sum / n, accuracy=float((preds == labels).mean()), predictions=preds)
 
 
 def _eval_batches(images):
@@ -232,18 +223,23 @@ def _evaluate_all(vectors: list[ParamVector], arch: ArchDescriptor, dataset: dat
 
 
 def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset) -> EvalResult:
-    """Mean cross-entropy, accuracy (argmax, ties to lowest class), per-class
-    accuracy, over batches of EVAL_BATCH images."""
+    """Mean cross-entropy and accuracy (argmax, ties to lowest class) over
+    batches of EVAL_BATCH images, and the predictions. Per-class accuracy
+    is ``similarity.mistake_table(..., group_by="class")``'s."""
     return _evaluate_all([params], arch, dataset)[0]
 
 
-def _metric_row(train: EvalResult, test: EvalResult) -> dict:
-    return {"train_loss": train.loss, "train_acc": train.accuracy, "test_loss": test.loss, "test_acc": test.accuracy}
+def _split_rows(vectors: list[ParamVector], arch: ArchDescriptor, train_ds: dataops.Dataset, test_ds: dataops.Dataset) -> list[dict]:
+    """One metric row per parameter vector: its train_loss, train_acc,
+    test_loss and test_acc on the two splits, each split scored once for
+    all vectors (``_evaluate_all``)."""
+    rows = zip(_evaluate_all(vectors, arch, train_ds), _evaluate_all(vectors, arch, test_ds))
+    return [{"train_loss": a.loss, "train_acc": a.accuracy, "test_loss": b.loss, "test_acc": b.accuracy} for a, b in rows]
 
 
 def split_metrics(params: ParamVector, arch: ArchDescriptor, train_ds: dataops.Dataset, test_ds: dataops.Dataset) -> dict:
     """train_loss, train_acc, test_loss and test_acc of params on the two splits."""
-    return _metric_row(evaluate(params, arch, train_ds), evaluate(params, arch, test_ds))
+    return _split_rows([params], arch, train_ds, test_ds)[0]
 
 
 def _resolve_init(config: TrainConfig, init_checkpoint: Checkpoint | None) -> ParamVector:

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -305,6 +306,13 @@ class TestGenerate:
     def test_unknown_domain_rejected(self):
         with pytest.raises(DomainError):
             DomainSpec("cartoon")
+
+    @pytest.mark.parametrize("domain", ["source", 0, None])
+    def test_domain_name_in_place_of_spec_rejected(self, domain):
+        """A name once reached the stream derivation, which named a bound
+        str method; other values raised AttributeError."""
+        with pytest.raises(DomainError, match=re.escape("must be a DomainSpec, such as domain_spec(name)")):
+            generate(domain, "train", 10, 0)
 
     @pytest.mark.filterwarnings("ignore:n=.*below num_classes")
     def test_render_parallel_equals_serial(self):

@@ -165,7 +165,7 @@ class TestBarrierCurve:
         ds = generate(domain_spec("source"), "train", 10, 1), generate(domain_spec("source"), "test", 10, 1)
         calls = []
         monkeypatch.setattr(landscape, "interpolate", lambda *args: calls.append(("interpolate", args)))
-        monkeypatch.setattr(landscape, "_evaluate_all", lambda *args: calls.append(("score", args)))
+        monkeypatch.setattr(landscape, "_split_rows", lambda *args: calls.append(("score", args)))
         with pytest.raises(error):
             barrier_curve(a, b, lambdas, {"source": ds})
         assert calls == []

@@ -189,12 +189,12 @@ class TestCheckpointIO:
         "edit",
         [
             {"input_shape": [16, 16]},
-            {"input_shape": [12, 12, 3]},
+            {"conv_blocks": [[8, 3, 3]]},
             {"conv_blocks": [[8, 4, 1]]},
             {"conv_blocks": [[8, 33, 1]]},
             {"num_classes": 1},
         ],
-        ids=["two_entry_shape", "non_power_of_two", "even_kernel", "kernel_too_large", "one_class"],
+        ids=["two_entry_shape", "stride_not_dividing", "even_kernel", "kernel_too_large", "one_class"],
     )
     def test_arch_bad_value_names_arch_section(self, tmp_path, edit):
         arch = {**json.loads(TINY4.to_json()), **edit}

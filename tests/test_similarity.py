@@ -15,7 +15,7 @@ from basinscope.similarity import (
     param_l2,
     similarity_report,
 )
-from basinscope.trainer import Checkpoint
+from basinscope.trainer import Checkpoint, evaluate
 
 
 def rand_acts(n, p, seed):
@@ -261,6 +261,17 @@ class TestMistakeTable:
         table = mistake_table(p1, p2, labels, group_by="class")
         assert [r.group for r in table.rows] == ["0", "1", "2"]
         assert table.row("0").g2 == 1  # second model alone got index 1 right
+
+    def test_per_class_accuracy_weighted_identity(self):
+        """The class rows' acc1, weighted by class counts, is the overall
+        acc1, which is evaluate's accuracy."""
+        ds = generate(domain_spec("source"), "test", 300, 4)
+        res = evaluate(init_random(TINY4, RngStream(5)), TINY4, ds)
+        table = mistake_table(res.predictions, np.zeros(300, dtype=np.int64), ds.labels, group_by="class")
+        counts = np.bincount(ds.labels, minlength=10)
+        weighted = sum(table.row(str(k)).acc1 * counts[k] for k in range(10)) / counts.sum()
+        assert weighted == pytest.approx(mistake_table(res.predictions, res.predictions, ds.labels).row("overall").acc1, abs=1e-6)
+        assert weighted == pytest.approx(res.accuracy, abs=1e-6)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(SizeError):

@@ -116,9 +116,15 @@ class TestConvSingularValues:
         with pytest.raises(DomainError):
             conv_singular_values(rand_kernel(3, 1, 1, 6), 2)
 
-    def test_non_power_of_two_rejected(self):
-        with pytest.raises(SizeError):
-            conv_singular_values(rand_kernel(3, 1, 1, 7), 6)
+    @pytest.mark.parametrize("n", [6, 10, 12])
+    def test_any_grid_size_matches_materialized_operator(self, n):
+        """The DFT block-diagonalizes a circular conv on any n x n grid,
+        not only on powers of two."""
+        kernel = rand_kernel(3, 2, 3, 70 + n)
+        got = conv_singular_values(kernel, n)
+        want = np.sort(np.linalg.svd(materialize_circular_conv(kernel, n), compute_uv=False))[::-1]
+        assert got.shape == (2 * n * n,)
+        assert np.allclose(got, want[: got.size], rtol=1e-12, atol=1e-12 * want.max())
 
     @pytest.mark.parametrize(
         "shape, message", [((3, 3, 2), "must be \\(k, k, Cin, Cout\\)"), ((3, 1, 2, 2), "spatial dims must be square")], ids=["3-D", "3x1"]

@@ -18,6 +18,7 @@ from basinscope.trainer import (
     InitSpec,
     RunRecord,
     TrainConfig,
+    _evaluate_all,
     checkpoint_sweep,
     config_hash,
     evaluate,
@@ -118,6 +119,13 @@ class TestConfig:
         with pytest.raises(DomainError):
             DataSpec(**{"domains": ("source",), **bad})
 
+    @pytest.mark.parametrize("name", ["source", "s"])
+    def test_bare_domain_name_rejected_naming_the_tuple_form(self, name):
+        """A bare str was taken as a tuple of its letters: "source" read
+        "need exactly one domain, got 6"."""
+        with pytest.raises(DomainError, match=re.escape(f"such as ({name!r},), not a str")):
+            DataSpec(name)
+
     @pytest.mark.parametrize("bad", [dict(kind="random", path="p.llck"), dict(kind="checkpoint", seed=3)], ids=["random+path", "checkpoint+seed"])
     def test_init_field_of_the_other_kind_rejected(self, bad):
         """Each was validated and then ignored."""
@@ -164,14 +172,6 @@ class TestEvaluate:
         res = evaluate(params, TINY4, ds)
         assert np.all(res.predictions == 0)
         assert res.accuracy == pytest.approx(0.1)
-
-    def test_per_class_accuracy_weighted_identity(self):
-        ds = generate(domain_spec("source"), "test", 300, 4)
-        params = init_random(TINY4, RngStream(5))
-        res = evaluate(params, TINY4, ds)
-        counts = np.bincount(ds.labels, minlength=10)
-        weighted = float((res.per_class_accuracy * counts).sum() / counts.sum())
-        assert weighted == pytest.approx(res.accuracy, abs=1e-6)
 
     def test_negative_label_rejected(self):
         ds = generate(domain_spec("source"), "test", 10, 4)
@@ -325,13 +325,13 @@ class TestTrain:
 
     def test_zero_epochs_with_epoch0_checkpoint_saves_and_evaluates_once(self, monkeypatch):
         calls = []
-        real_evaluate = evaluate
+        real_evaluate_all = _evaluate_all
 
-        def counting_evaluate(*args):
+        def counting_evaluate_all(*args):
             calls.append(args[2].split)
-            return real_evaluate(*args)
+            return real_evaluate_all(*args)
 
-        monkeypatch.setattr("basinscope.trainer.evaluate", counting_evaluate)
+        monkeypatch.setattr("basinscope.trainer._evaluate_all", counting_evaluate_all)
         final, _, saved = train(small_config(epochs=0, checkpoint_epochs=(0,)))
         assert calls == ["train", "test"]
         assert len(saved) == 1 and saved[0] is final
