@@ -16,14 +16,19 @@ a tile's first-layer patches are gathered once and every vector's conv
 stack runs on them. Its dense layers run per vector on the whole batch, so
 it holds per vector only the batch's last conv output, 0.5 MB per 256
 images on TINY4. Scoring one vector is the one-vector case, and each
-vector's output has the bits of that case. When the process may run on two
-CPUs, the calling thread and one pooled worker thread claim a batch's tiles
-from one shared counter, so two tiles are live at once; each tile keeps its
-GEMMs, so the output bits do not depend on which thread ran it. The worker
-starts at the first pass that uses it, and a forked child starts its own.
-``forward`` also takes each layer's float32 output from it. ``backward``
-keeps each layer's input, patches and output for the whole batch
-(``_records``), as its weight gradients sum over the batch at once.
+vector's output has the bits of that case. ``forward`` also takes each
+layer's float32 output from it. ``backward`` keeps each layer's input,
+patches and output for the whole batch (``_records``), as its weight
+gradients sum over the batch at once.
+
+When the process may run on two CPUs, independent pieces of work are
+shared with one pooled worker thread while it is idle (``_share``): the
+conv tiles of a forward pass, and the weight gradient, bias gradient and
+input-gradient phases of each conv layer's backward. ``trainer.train``
+hands the worker each finished epoch's scoring while the next epoch
+trains (``_offload``). Each piece keeps its GEMMs, so no output bit
+depends on which thread ran it. The worker starts at the first piece
+that uses it, and a forked child starts its own.
 
 Every conv gather, the forward patches and the transposed conv's phase
 columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
@@ -35,13 +40,13 @@ operands as a per-pixel gather and add, so every output keeps its bits.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -357,23 +362,36 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
     are the zero-stuffed form's, and adding the GEMM result to +0.0 keeps
     its signed zeros too. Elsewhere the two differ by reassociation only.
     A phase's gout columns are gathered in runs of at most 32 bytes
-    (``_take_runs``), as the forward patches are."""
+    (``_take_runs``), as the forward patches are.
+
+    The weight gradient, the bias gradient and each phase are the jobs of
+    one ``_share``; a phase writes only its own strided slice of grad_x,
+    and every job keeps its GEMM's operands and shapes, so the bits do not
+    depend on which thread ran it."""
     k, _, cin, cout = w.shape
     bsz = x_shape[0]
     oh, ow = patches.shape[1:3]
     flat = patches.reshape(bsz * oh * ow, k * k * cin)
     gflat = gout.reshape(bsz * oh * ow, cout)
-    grad_w = (flat.T @ gflat).reshape(k, k, cin, cout)
-    grad_b = gout.sum(axis=(0, 1, 2))
-    if not need_input_grad:
-        return None, grad_w, grad_b
-    grad_x = np.zeros(x_shape)
-    for p, q, taps, index in _phase_indices(oh, ow, k, stride, cout):
+
+    def weight_grad():
+        # np.dot, not @: numpy's matmul holds the GIL on this transposed operand
+        return np.dot(flat.T, gflat).reshape(k, k, cin, cout)
+
+    def bias_grad():
+        return gout.sum(axis=(0, 1, 2))
+
+    grad_x = np.zeros(x_shape) if need_input_grad else None
+
+    def phase_grad(p, q, taps, index):
         cols = _take_runs(gout, index).reshape(bsz * oh * ow, taps.size * cout)
         # the phase's flipped taps with channel axes swapped, rows (tap, Cout);
         # C order, as BLAS takes another kernel, and other bits, for a transpose
         sub = np.ascontiguousarray(w.reshape(k * k, cin, cout)[taps].transpose(0, 2, 1)).reshape(-1, cin)
         grad_x[:, p::stride, q::stride] += (cols @ sub).reshape(bsz, oh, ow, cin)
+
+    phases = _phase_indices(oh, ow, k, stride, cout) if need_input_grad else ()
+    grad_w, grad_b = _share([weight_grad, bias_grad] + [partial(phase_grad, *phase) for phase in phases])[:2]
     return grad_x, grad_w, grad_b
 
 
@@ -395,29 +413,81 @@ def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
 # patches and conv outputs stay in cache from gather to ReLU.
 _TILE = 8
 
-# Whether this process may run on two CPUs, read once at import: the core
-# then shares a batch's conv tiles with one pooled worker thread.
+# Whether this process may run on two CPUs, read once at import: work is
+# then shared with one pooled worker thread (``_offload``, ``_share``).
 _TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2
 _pool: ThreadPoolExecutor | None = None
+_idle = threading.Lock()  # held from a submit until the worker has run that job
 
 
-def _tile_pool() -> ThreadPoolExecutor:
-    """The one worker thread of the conv-tile loop, started at first use."""
+def _worker_pool() -> ThreadPoolExecutor:
+    """The one pooled worker thread, started at first use."""
     global _pool
     if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="basinscope-tiles")
+        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="basinscope-worker")
     return _pool
 
 
 def _drop_pool() -> None:
-    """A forked child has no copy of the parent's worker thread, so it starts
-    its own at first use."""
-    global _pool
-    _pool = None
+    """A forked child has no copy of the parent's worker thread, and the
+    idle lock may have been copied held, so it starts its own of both."""
+    global _pool, _idle
+    _pool, _idle = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _offload(fn) -> Future | None:
+    """fn() started on the pooled worker, as a Future, when the process may
+    run on two CPUs and the worker is idle; None otherwise, and the caller
+    then runs the work itself. The idle lock is taken without blocking and
+    released when fn ends, so nothing waits in the executor's queue: a
+    queued job would keep its closure's arrays alive. A job on the worker
+    that offloads again finds the lock held, so it never waits on itself."""
+    if not (_TWO_CPUS and _idle.acquire(blocking=False)):
+        return None
+
+    def run():
+        try:
+            return fn()
+        finally:
+            _idle.release()
+
+    try:
+        return _worker_pool().submit(run)
+    except BaseException:
+        _idle.release()
+        raise
+
+
+def _share(jobs: list) -> list:
+    """Each job's result, in the list's order; the jobs are callables that
+    write disjoint outputs. When the worker is idle (``_offload``), the
+    caller and the worker claim jobs from one shared iterator until the
+    list runs out, so a busy CPU simply runs fewer of them; otherwise the
+    caller runs them all. The caller waits for the worker before it returns
+    or raises; when only the worker's jobs failed, the caller raises the
+    worker's error. A job does the same operations on whichever thread runs
+    it, so no output bit depends on the split."""
+    results = [None] * len(jobs)
+    claims = iter(enumerate(jobs))  # each job is claimed once, by one of the two threads
+
+    def run_claimed():
+        for k, job in claims:
+            results[k] = job()
+
+    worker = _offload(run_claimed) if len(jobs) > 1 else None
+    if worker is None:
+        run_claimed()
+        return results
+    try:
+        run_claimed()
+    finally:
+        wait((worker,))  # neither side returns while the worker still writes
+    worker.result()
+    return results
 
 
 def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, patches=None):
@@ -485,17 +555,14 @@ def _run_layers(
     per vector on it. A batch of at most ``_TILE`` images is one tile, the
     same GEMMs as an untiled pass.
 
-    A batch of more than one tile, in a process that may run on two CPUs,
-    is shared between two threads: the caller and the one worker of a
-    module-private pool (``_tile_pool``) run the same tile loop, each
-    claiming the next tile from one shared ``itertools.count`` until the
-    batch runs out, so a busy CPU simply runs fewer tiles. Each thread
-    writes only its own tiles' rows of the outputs and activations. The
-    caller waits for the worker before it returns or raises; when only the
-    worker's tiles failed, the caller raises the worker's error. Two tiles'
-    working sets are live at once. The dense layers run after the join, on
-    the caller's thread. The pool is dropped in a forked child, which has no
-    copy of the worker thread, so the child starts its own at first use.
+    Each tile is one job of ``_share``: while the pooled worker is idle,
+    the caller and the worker claim a batch's tiles from one shared
+    iterator, so a busy CPU simply runs fewer tiles, and each thread writes
+    only its own tiles' rows of the outputs and activations. Two tiles'
+    working sets are then live at once. The dense layers run after the
+    join, on the caller's thread. A pass that runs on the worker itself,
+    such as ``train``'s scoring of a finished epoch, finds it busy and runs
+    every tile on its own thread.
 
     Each vector's GEMMs have the operands and shapes of its own one-vector
     pass, so sharing a tile changes no bit of any vector's output, whatever
@@ -521,35 +588,22 @@ def _run_layers(
         if acts is not None
         else None
     )
-    claims = itertools.count(0, _TILE)  # the next tile's first image, shared by both threads
-    last = n if convs else 0
 
-    def run_tiles():
-        for i in claims:
-            if i >= last:
-                return
-            if patches is None:
-                shared = _gather_patches(x[i : i + _TILE], plan[0]["kernel"], plan[0]["stride"])
-            else:
-                shared = patches[i : i + _TILE]
-            for v, layers in enumerate(weights):
-                y, tile_patches = None, shared  # layer start reads only its patches
-                for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
-                    y = _apply_layer(layer, y, w, b, tile_patches)[1]
-                    tile_patches = None
-                    if kept is not None:
-                        kept[v][j][1][i : i + _TILE] = y
-                outs[v][i : i + _TILE] = y
+    def run_tile(i):
+        if patches is None:
+            shared = _gather_patches(x[i : i + _TILE], plan[0]["kernel"], plan[0]["stride"])
+        else:
+            shared = patches[i : i + _TILE]
+        for v, layers in enumerate(weights):
+            y, tile_patches = None, shared  # layer start reads only its patches
+            for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
+                y = _apply_layer(layer, y, w, b, tile_patches)[1]
+                tile_patches = None
+                if kept is not None:
+                    kept[v][j][1][i : i + _TILE] = y
+            outs[v][i : i + _TILE] = y
 
-    if last > _TILE and _TWO_CPUS:
-        worker = _tile_pool().submit(run_tiles)
-        try:
-            run_tiles()
-        finally:
-            wait((worker,))  # neither side returns while the worker still writes
-        worker.result()
-    else:
-        run_tiles()
+    _share([partial(run_tile, i) for i in range(0, n if convs else 0, _TILE)])
     for v, layers in enumerate(weights):
         for layer, (w, b) in zip(plan[convs:], layers[convs:]):
             outs[v] = _apply_layer(layer, outs[v], w, b)[1]
@@ -632,7 +686,10 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[float, ParamVector]:
     """Mean cross-entropy loss and its gradient as a ParamVector. Its records
-    are untiled, as each weight gradient sums over the whole batch at once."""
+    are untiled, as each weight gradient sums over the whole batch at once;
+    each conv layer's gradients are jobs that the caller shares with the
+    idle worker (``_conv_backward``), and the dense layers run on the
+    caller."""
     x = _network_input(arch, batch)
     labels = np.asarray(labels)
     _check_labels(labels, arch.num_classes, x.shape[0])

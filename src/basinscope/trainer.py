@@ -13,15 +13,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+from concurrent.futures import Future, wait
 from dataclasses import asdict, dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
 from . import dataops
 from .errors import DivergedRunError, DomainError, SizeError
 from .model import (
-    ArchDescriptor, ParamVector, _check_labels, _check_params, _network_input, _nll, _run_layers, backward, init_random,
-    sgd_step,
+    ArchDescriptor, ParamVector, _check_labels, _check_params, _network_input, _nll, _offload, _run_layers, backward,
+    init_random, sgd_step,
 )
 from .numerics import _as_choice, _as_flag, _as_grid, _as_int, _as_real
 from .rng import RngStream, derive_stream_id
@@ -271,6 +273,12 @@ def train(
     datasets, when given, is the (train, test) pair make_datasets(config.data)
     would build. Returns (final checkpoint, run record, checkpoints saved at
     config.checkpoint_epochs plus the final epoch).
+
+    Each epoch but the last is scored on the pooled worker, when it is idle
+    (``model._offload``), while the next epoch trains; rows and checkpoints
+    are recorded after the last epoch, which is scored on the caller. The
+    metrics have the bits of scoring on the caller. Any raise,
+    DivergedRunError included, waits for the scoring in flight.
     """
     params = _resolve_init(config, init_checkpoint)
     train_ds, test_ds = datasets if datasets is not None else make_datasets(config.data)
@@ -283,12 +291,14 @@ def train(
     rows: list[dict] = []
     saved: list[Checkpoint] = []
     n = len(train_ds)
+    # per scored epoch: (epoch, its params if checkpointed, batch rng state, metrics or a Future of them)
+    scored = []
 
-    def snapshot(epoch: int, metrics: dict, batch_rng_state) -> Checkpoint:
+    def snapshot(epoch: int, at: ParamVector, metrics: dict, batch_rng_state) -> Checkpoint:
         digest = hashlib.sha256(repr(batch_rng_state).encode()).hexdigest()
         return Checkpoint(
             arch=config.arch,
-            params=params.copy(),
+            params=at.copy(),
             epoch=epoch,
             metrics=dict(metrics),
             config_hash=chash,
@@ -296,33 +306,44 @@ def train(
             provenance=dict(provenance),
         )
 
-    # with no epochs to run, the final checkpoint is the epoch-0 one
-    if 0 in config.checkpoint_epochs and config.epochs > 0:
-        saved.append(snapshot(0, split_metrics(params, config.arch, train_ds, test_ds), ("init",)))
+    def score(epoch: int, at: ParamVector, batch_rng_state) -> None:
+        """Score at, the params at the end of epoch: on the idle worker while
+        the next epoch trains, unless epoch is the last; here otherwise.
+        sgd_step returns fresh vectors, so at is never changed meanwhile."""
+        job = partial(split_metrics, at, config.arch, train_ds, test_ds)
+        future = _offload(job) if epoch < config.epochs else None
+        scored.append((epoch, at if epoch in config.checkpoint_epochs else None, batch_rng_state, job() if future is None else future))
 
-    for epoch in range(config.epochs):
-        lr = lr_at(config.lr_schedule, epoch)
-        batch_rng = RngStream(config.seed, derive_stream_id(_STREAM_BATCH, epoch))
-        order = batch_rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            idx = order[start : start + config.batch_size]
-            loss, grad = backward(params, config.arch, train_ds.images[idx], train_ds.labels[idx])
-            if not (np.isfinite(loss) and np.all(np.isfinite(grad.values))):
-                raise DivergedRunError(epoch)
-            if config.clip_grad_norm is not None:
-                gnorm = float(np.linalg.norm(grad.values.astype(np.float64)))
-                if gnorm > config.clip_grad_norm:
-                    grad = ParamVector(grad.values * (config.clip_grad_norm / gnorm), grad.index)
-            params, buf = sgd_step(params, grad, lr, buf, config.momentum, config.weight_decay)
-        metrics = split_metrics(params, config.arch, train_ds, test_ds)
-        rows.append({"epoch": epoch + 1, **metrics})
-        done = epoch + 1
-        if done in config.checkpoint_epochs and done != config.epochs:
-            saved.append(snapshot(done, metrics, batch_rng.state()))
+    try:
+        # with no epochs to run, the final checkpoint is the epoch-0 one
+        if 0 in config.checkpoint_epochs or config.epochs == 0:
+            score(0, params, ("init",))
+        for epoch in range(config.epochs):
+            lr = lr_at(config.lr_schedule, epoch)
+            batch_rng = RngStream(config.seed, derive_stream_id(_STREAM_BATCH, epoch))
+            order = batch_rng.permutation(n)
+            for start in range(0, n, config.batch_size):
+                idx = order[start : start + config.batch_size]
+                loss, grad = backward(params, config.arch, train_ds.images[idx], train_ds.labels[idx])
+                if not (np.isfinite(loss) and np.all(np.isfinite(grad.values))):
+                    raise DivergedRunError(epoch)
+                if config.clip_grad_norm is not None:
+                    gnorm = float(np.linalg.norm(grad.values.astype(np.float64)))
+                    if gnorm > config.clip_grad_norm:
+                        grad = ParamVector(grad.values * (config.clip_grad_norm / gnorm), grad.index)
+                params, buf = sgd_step(params, grad, lr, buf, config.momentum, config.weight_decay)
+            score(epoch + 1, params, batch_rng.state())
+    finally:
+        wait([m for *_, m in scored if isinstance(m, Future)])  # no raise leaves while the worker still scores
 
-    if not rows:
-        metrics = split_metrics(params, config.arch, train_ds, test_ds)
-    final = snapshot(config.epochs, metrics, ("final", config.epochs))
+    for epoch, at, state, metrics in scored:
+        if isinstance(metrics, Future):
+            metrics = metrics.result()
+        if epoch:
+            rows.append({"epoch": epoch, **metrics})
+        if epoch in config.checkpoint_epochs and epoch != config.epochs:
+            saved.append(snapshot(epoch, at, metrics, state))
+    final = snapshot(config.epochs, params, metrics, ("final", config.epochs))
     saved.append(final)
 
     # flag the best-validation checkpoint among the saved ones (ties: earliest)

@@ -813,6 +813,159 @@ class TestThreadedTiles:
         assert done.returncode == 0, done.stderr
 
 
+
+# strides 1, 3 and 2 on 12x12, so conv2's input gradient has nine phases
+TWELVE = ArchDescriptor((12, 12, 2), ((4, 3, 1), (6, 3, 3), (6, 3, 2)), (8,), 3)
+
+
+class TestSharedBackward:
+    """With two CPUs the caller and the pooled worker share a conv
+    backward's jobs (weight gradient, bias gradient, one per input-gradient
+    phase); the one-thread run is the oracle."""
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
+    @pytest.mark.parametrize("n", [1, 7, 32, 64])
+    def test_shared_backward_equals_one_thread_backward(self, arch, n, monkeypatch):
+        """Every conv layer's gradients, with and without the input
+        gradient, and backward's loss and gradient, bit for bit."""
+        params = with_biases(init_random(arch, RngStream(100)), 101)
+        batch, labels = rand_batch(arch, n, 102)
+        records = _records(params, arch, _network_input(arch, batch))
+        grads = [gaussian(RngStream(103, d), post.size, 1.0).reshape(post.shape) * (post > 0) for d, (*_, post) in enumerate(records)]
+        runs = []
+        for two_cpus in (False, True):
+            monkeypatch.setattr(model, "_TWO_CPUS", two_cpus)
+            convs = [
+                _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=need)
+                for (layer, x_in, w, patches, _), g in zip(records, grads)
+                if layer["kind"] == "conv"
+                for need in (True, False)
+            ]
+            runs.append((convs, backward(params, arch, batch, labels)))
+        (serial, (loss, grad)), (shared, (shared_loss, shared_grad)) = runs
+        for want, got in zip(serial, shared):
+            assert (want[0] is None) == (got[0] is None)
+            for a, b in zip(want, got):
+                assert a is None or (a.dtype == b.dtype and np.array_equal(a, b))
+        assert shared_loss == loss and shared_grad.equals(grad)
+
+    def test_concurrent_backward_callers_get_their_one_thread_gradients(self, monkeypatch):
+        """Four callers at once, more than the CPUs, with the interpreter
+        switching threads every microsecond: whichever caller holds the
+        worker, each gets its one-thread loss and gradient."""
+        params = with_biases(init_random(TINY4, RngStream(104)), 105)
+        batches = [rand_batch(TINY4, 32, 106 + c) for c in range(4)]
+        monkeypatch.setattr(model, "_TWO_CPUS", False)
+        want = [backward(params, TINY4, *batch) for batch in batches]
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        got = [[] for _ in batches]
+
+        def call(c):
+            for _ in range(5):
+                got[c].append(backward(params, TINY4, *batches[c]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(c,)) for c in range(len(batches))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        for c, (loss, grad) in enumerate(want):
+            assert len(got[c]) == 5 and all(got_loss == loss and g.equals(grad) for got_loss, g in got[c]), c
+
+
+def _on_worker() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+class TestShare:
+    """The job-sharing helper: work goes to the pooled worker only while it
+    is idle, and the caller never returns while the worker still runs."""
+
+    def test_error_in_a_worker_job_reaches_the_caller(self, monkeypatch):
+        """The worker's job raises while the caller's job waits for it: the
+        caller raises the worker's error, and the worker is idle again."""
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        failed = threading.Event()
+
+        def job():
+            if _on_worker():
+                failed.set()
+                raise ValueError("planted")
+            assert failed.wait(timeout=30)
+
+        with pytest.raises(ValueError, match="planted"):
+            model._share([job, job])
+        assert model._idle.acquire(blocking=False)
+        model._idle.release()
+
+    def test_share_from_the_worker_runs_there_without_waiting_on_itself(self, monkeypatch):
+        """A job on the worker that shares again finds the worker busy and
+        runs every job itself; waiting on its own queue would never end."""
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        ran = []
+        jobs = [lambda: ran.append(_on_worker()) for _ in range(4)]
+        future = model._offload(lambda: model._share(jobs))
+        assert future is not None
+        future.result(timeout=30)
+        assert ran == [True] * 4
+
+    def test_busy_worker_leaves_every_job_to_the_caller(self, monkeypatch):
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        release = threading.Event()
+        busy = model._offload(lambda: release.wait(timeout=30))
+        try:
+            assert model._offload(lambda: None) is None
+            ran = []
+            model._share([lambda: ran.append(_on_worker()) for _ in range(4)])
+            assert ran == [False] * 4
+        finally:
+            release.set()
+            busy.result(timeout=30)
+
+    def test_child_forked_while_the_worker_is_busy_uses_its_own(self):
+        """The parent holds the idle lock when it forks; the child starts its
+        own worker and lock, and its worker and main thread run one of two
+        jobs each. A child whose copied lock stayed held would run both on
+        its main thread."""
+        code = textwrap.dedent(
+            f"""
+            import os, signal, sys, threading
+            sys.path.insert(0, {str(Path(model.__file__).parents[1])!r})
+            from basinscope import model
+
+            model._TWO_CPUS = True  # share whatever CPUs this process may use
+            release = threading.Event()
+            busy = model._offload(lambda: release.wait(timeout=60))
+            if busy is None or not model._idle.locked():
+                sys.exit(3)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                ran = {{True: threading.Event(), False: threading.Event()}}  # by "on the main thread"
+                threads = []
+
+                def job():  # each thread waits, 5 s at most, until the other runs a job
+                    threads.append(threading.current_thread() is threading.main_thread())
+                    ran[threads[-1]].set()
+                    ran[not threads[-1]].wait(timeout=5)
+
+                model._share([job, job])
+                os._exit(0 if sorted(threads) == [False, True] else 1)
+            release.set()
+            busy.result()
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+
 def oracle_patches(x, kernel, stride):
     """The two-grid fancy-index gather: same values, batch-inner layout."""
     _, h, wid, _ = x.shape

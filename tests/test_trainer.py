@@ -1,10 +1,12 @@
 import dataclasses
 import re
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from basinscope import dataops
+from basinscope import dataops, model, trainer
 from basinscope.criticality import CriticalityConfig, criticality_map, rewind_probe
 from basinscope.dataops import Dataset, domain_spec, generate
 from basinscope.errors import DivergedRunError, DomainError, SizeError
@@ -341,6 +343,76 @@ class TestTrain:
         assert [f.name for f in dataclasses.fields(RunRecord)] == ["rows", "optimization_speed"]
         _, record, _ = train(small_config(epochs=2))
         assert record.optimization_speed == pytest.approx(np.mean([r["train_acc"] for r in record.rows]), rel=1e-15)
+
+
+def _on_worker() -> bool:
+    return threading.current_thread() is not threading.main_thread()
+
+
+class TestOverlappedScoring:
+    """With two CPUs, each epoch but the last is scored on the pooled worker
+    while the next epoch trains; the one-thread run is the oracle."""
+
+    @pytest.mark.parametrize("epochs, checkpoint_epochs", [(3, (1, 2)), (1, ()), (2, (0,))])
+    def test_overlapped_train_equals_one_thread_train(self, epochs, checkpoint_epochs, monkeypatch):
+        """Every saved checkpoint, the rows and the run record, bit for bit.
+        The first of several scored epochs went to the idle worker; a later
+        one goes there too unless the worker is still busy, and the last is
+        scored on the caller."""
+        cfg = small_config(epochs=epochs, checkpoint_epochs=checkpoint_epochs)
+        datasets = make_datasets(cfg.data)
+        split_metrics, scored_on = trainer.split_metrics, []
+
+        def recorded(*args):
+            scored_on.append(_on_worker())
+            return split_metrics(*args)
+
+        monkeypatch.setattr(trainer, "split_metrics", recorded)
+        runs = []
+        for two_cpus in (False, True):
+            monkeypatch.setattr(model, "_TWO_CPUS", two_cpus)
+            scored_on.clear()
+            runs.append(train(cfg, datasets=datasets))
+        scored = epochs + (0 in checkpoint_epochs)  # the init too, when it is checkpointed
+        assert len(scored_on) == scored and scored_on[0] == (scored > 1) and not scored_on[-1]
+        (final, record, saved), (shared_final, shared_record, shared_saved) = runs
+        assert shared_final.equals(final) and shared_record == record
+        assert [c.epoch for c in shared_saved] == [c.epoch for c in saved] == sorted({*checkpoint_epochs, epochs})
+        assert all(a.equals(b) for a, b in zip(shared_saved, saved))
+
+    def test_divergence_while_an_epoch_is_scored_waits_for_it(self, monkeypatch):
+        """A non-finite gradient in epoch 2 raises DivergedRunError(1) only
+        once epoch 1's scoring on the worker has ended, so the worker is idle
+        when train returns."""
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        diverged, scored = threading.Event(), threading.Event()
+        split_metrics, real_backward = trainer.split_metrics, trainer.backward
+        steps = []
+
+        def slow_on_worker(*args):
+            if _on_worker():
+                assert diverged.wait(timeout=30)
+                time.sleep(0.2)  # still scoring well after the raise
+            out = split_metrics(*args)
+            scored.set()
+            return out
+
+        def nan_in_epoch_two(params, arch, batch, labels):
+            loss, grad = real_backward(params, arch, batch, labels)
+            steps.append(loss)
+            if len(steps) > 4:  # 200 images in batches of 50: four steps per epoch
+                grad.values[0] = np.nan
+                diverged.set()
+            return loss, grad
+
+        monkeypatch.setattr(trainer, "split_metrics", slow_on_worker)
+        monkeypatch.setattr(trainer, "backward", nan_in_epoch_two)
+        with pytest.raises(DivergedRunError) as info:
+            train(small_config(epochs=2))
+        assert info.value.epoch == 1 and len(steps) == 5
+        assert scored.is_set()
+        assert model._idle.acquire(blocking=False)
+        model._idle.release()
 
 
 class TestCheckpointEquals:
