@@ -2,7 +2,7 @@
 toward initialization under Gaussian noise while the network keeps its
 training performance.
 
-A criticality map sweeps (alpha, sigma): alpha positions the module on a
+A criticality map sweeps (alpha, sigma): alpha, in [0, 1], positions the module on a
 path from its initial to its trained value (straight line, or, given
 training checkpoints, the polyline through them), sigma scales the added
 noise. Every other module stays at its trained value. The criticality score is the smallest
@@ -52,6 +52,10 @@ class CriticalityConfig:
 
     def __post_init__(self):
         self.alpha_grid = _as_grid(self.alpha_grid, "alpha grid")
+        # alpha is a fraction of the path (Chatterji et al. 2020): past its
+        # ends the straight path extrapolates while the polyline clamps
+        if self.alpha_grid[0] < 0 or self.alpha_grid[-1] > 1:
+            raise DomainError(f"every alpha grid entry must lie in [0, 1], got {self.alpha_grid.tolist()}")
         self.sigma_grid = _as_grid(self.sigma_grid, "sigma grid", above=0)
         self.noise_samples = _as_int(self.noise_samples, "noise_samples", 1)
         self.epsilon = _as_real(self.epsilon, "epsilon", above=0)

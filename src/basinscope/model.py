@@ -23,10 +23,10 @@ gradients sum over the batch at once.
 
 When the process may run on two CPUs, independent pieces of work are
 shared with one pooled worker thread while it is idle (``_share``): the
-conv tiles of a forward pass, and the weight gradient, bias gradient and
-input-gradient phases of each conv layer's backward. ``trainer.train``
-hands the worker each finished epoch's scoring while the next epoch
-trains (``_offload``). Each piece keeps its GEMMs, so no output bit
+conv tiles of a forward pass, the weight gradient, bias gradient and
+input-gradient phases of each conv layer's backward, and each epoch of
+``trainer.train``, whose caller runs the epoch's steps while the worker
+scores the epoch before. Each piece keeps its GEMMs, so no output bit
 depends on which thread ran it. The worker starts at the first piece
 that uses it, and a forked child starts its own.
 
@@ -47,6 +47,7 @@ import threading
 from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
+from itertools import chain, islice
 
 import numpy as np
 
@@ -216,13 +217,6 @@ class ParamVector:
         if arr.size != e.length:
             raise SizeError(f"{name} takes shape {e.shape}, got an array of shape {arr.shape}")
         self.values[e.offset : e.offset + e.length] = arr.ravel()
-
-    def module_names(self) -> list[str]:
-        names = []
-        for e in self.index:
-            if e.module not in names:
-                names.append(e.module)
-        return names
 
     def module_slice(self, module_name: str) -> slice:
         spans = [(e.offset, e.offset + e.length) for e in self.index if e.module == module_name]
@@ -464,26 +458,29 @@ def _offload(fn) -> Future | None:
 
 def _share(jobs: list) -> list:
     """Each job's result, in the list's order; the jobs are callables that
-    write disjoint outputs. When the worker is idle (``_offload``), the
-    caller and the worker claim jobs from one shared iterator until the
-    list runs out, so a busy CPU simply runs fewer of them; otherwise the
-    caller runs them all. The caller waits for the worker before it returns
-    or raises; when only the worker's jobs failed, the caller raises the
-    worker's error. A job does the same operations on whichever thread runs
-    it, so no output bit depends on the split."""
+    write disjoint outputs. The first job is the caller's: it is claimed
+    before the worker can start, so the caller always runs it. When the
+    worker is idle (``_offload``), the caller and the worker then claim the
+    other jobs from one shared iterator until the list runs out, so a busy
+    CPU simply runs fewer of them; otherwise the caller runs them all. The
+    caller waits for the worker before it returns or raises; when only the
+    worker's jobs failed, the caller raises the worker's error. A job does
+    the same operations on whichever thread runs it, so no output bit
+    depends on the split."""
     results = [None] * len(jobs)
     claims = iter(enumerate(jobs))  # each job is claimed once, by one of the two threads
 
-    def run_claimed():
-        for k, job in claims:
+    def run_claimed(first=()):
+        for k, job in chain(first, claims):
             results[k] = job()
 
+    first = list(islice(claims, 1))  # the caller's job, claimed before the worker can start
     worker = _offload(run_claimed) if len(jobs) > 1 else None
     if worker is None:
-        run_claimed()
+        run_claimed(first)
         return results
     try:
-        run_claimed()
+        run_claimed(first)
     finally:
         wait((worker,))  # neither side returns while the worker still writes
     worker.result()

@@ -93,7 +93,7 @@ def param_l2(a: ParamVector, b: ParamVector) -> tuple[dict, float]:
     av = a.values.astype(np.float64)
     bv = b.values.astype(np.float64)
     per_module = {}
-    for name in a.module_names():
+    for name in dict.fromkeys(e.module for e in a.index):  # the modules in index order
         span = a.module_slice(name)
         per_module[name] = float(np.linalg.norm(av[span] - bv[span]))
     total = float(np.sqrt(sum(d * d for d in per_module.values())))

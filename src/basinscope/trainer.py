@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import Future, wait
 from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
@@ -22,7 +21,7 @@ import numpy as np
 from . import dataops
 from .errors import DivergedRunError, DomainError, SizeError
 from .model import (
-    ArchDescriptor, ParamVector, _check_labels, _check_params, _network_input, _nll, _offload, _run_layers, backward,
+    ArchDescriptor, ParamVector, _check_labels, _check_params, _network_input, _nll, _run_layers, _share, backward,
     init_random, sgd_step,
 )
 from .numerics import _as_choice, _as_flag, _as_grid, _as_int, _as_real
@@ -274,11 +273,13 @@ def train(
     would build. Returns (final checkpoint, run record, checkpoints saved at
     config.checkpoint_epochs plus the final epoch).
 
-    Each epoch but the last is scored on the pooled worker, when it is idle
-    (``model._offload``), while the next epoch trains; rows and checkpoints
-    are recorded after the last epoch, which is scored on the caller. The
-    metrics have the bits of scoring on the caller. Any raise,
-    DivergedRunError included, waits for the scoring in flight.
+    Each epoch is one ``model._share`` of two jobs: its steps, always on
+    the caller, and the previous epoch's ``split_metrics``, on the pooled
+    worker when it is idle. That epoch's row and checkpoint are recorded
+    when the share returns, so rows exist one epoch behind training; the
+    last epoch is scored on the caller. The metrics have the bits of
+    scoring on the caller. ``_share`` waits for the worker before any raise
+    leaves it, so DivergedRunError leaves no scoring running.
     """
     params = _resolve_init(config, init_checkpoint)
     train_ds, test_ds = datasets if datasets is not None else make_datasets(config.data)
@@ -291,58 +292,54 @@ def train(
     rows: list[dict] = []
     saved: list[Checkpoint] = []
     n = len(train_ds)
-    # per scored epoch: (epoch, its params if checkpointed, batch rng state, metrics or a Future of them)
-    scored = []
 
     def snapshot(epoch: int, at: ParamVector, metrics: dict, batch_rng_state) -> Checkpoint:
-        digest = hashlib.sha256(repr(batch_rng_state).encode()).hexdigest()
         return Checkpoint(
             arch=config.arch,
             params=at.copy(),
             epoch=epoch,
             metrics=dict(metrics),
             config_hash=chash,
-            rng_digest=digest,
+            rng_digest=hashlib.sha256(repr(batch_rng_state).encode()).hexdigest(),
             provenance=dict(provenance),
         )
 
-    def score(epoch: int, at: ParamVector, batch_rng_state) -> None:
-        """Score at, the params at the end of epoch: on the idle worker while
-        the next epoch trains, unless epoch is the last; here otherwise.
-        sgd_step returns fresh vectors, so at is never changed meanwhile."""
-        job = partial(split_metrics, at, config.arch, train_ds, test_ds)
-        future = _offload(job) if epoch < config.epochs else None
-        scored.append((epoch, at if epoch in config.checkpoint_epochs else None, batch_rng_state, job() if future is None else future))
-
-    try:
-        # with no epochs to run, the final checkpoint is the epoch-0 one
-        if 0 in config.checkpoint_epochs or config.epochs == 0:
-            score(0, params, ("init",))
-        for epoch in range(config.epochs):
-            lr = lr_at(config.lr_schedule, epoch)
-            batch_rng = RngStream(config.seed, derive_stream_id(_STREAM_BATCH, epoch))
-            order = batch_rng.permutation(n)
-            for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                loss, grad = backward(params, config.arch, train_ds.images[idx], train_ds.labels[idx])
-                if not (np.isfinite(loss) and np.all(np.isfinite(grad.values))):
-                    raise DivergedRunError(epoch)
-                if config.clip_grad_norm is not None:
-                    gnorm = float(np.linalg.norm(grad.values.astype(np.float64)))
-                    if gnorm > config.clip_grad_norm:
-                        grad = ParamVector(grad.values * (config.clip_grad_norm / gnorm), grad.index)
-                params, buf = sgd_step(params, grad, lr, buf, config.momentum, config.weight_decay)
-            score(epoch + 1, params, batch_rng.state())
-    finally:
-        wait([m for *_, m in scored if isinstance(m, Future)])  # no raise leaves while the worker still scores
-
-    for epoch, at, state, metrics in scored:
-        if isinstance(metrics, Future):
-            metrics = metrics.result()
+    def record(epoch: int, at: ParamVector, batch_rng_state, metrics: dict) -> None:
         if epoch:
             rows.append({"epoch": epoch, **metrics})
         if epoch in config.checkpoint_epochs and epoch != config.epochs:
-            saved.append(snapshot(epoch, at, metrics, state))
+            saved.append(snapshot(epoch, at, metrics, batch_rng_state))
+
+    def run_epoch(epoch: int, params: ParamVector, buf):
+        """epoch's steps from params and the momentum buffer buf; returns
+        both after them, and the batch rng state. sgd_step returns fresh
+        vectors, so the params being scored meanwhile never change."""
+        lr = lr_at(config.lr_schedule, epoch)
+        batch_rng = RngStream(config.seed, derive_stream_id(_STREAM_BATCH, epoch))
+        order = batch_rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            loss, grad = backward(params, config.arch, train_ds.images[idx], train_ds.labels[idx])
+            if not (np.isfinite(loss) and np.all(np.isfinite(grad.values))):
+                raise DivergedRunError(epoch)
+            if config.clip_grad_norm is not None:
+                gnorm = float(np.linalg.norm(grad.values.astype(np.float64)))
+                if gnorm > config.clip_grad_norm:
+                    grad = ParamVector(grad.values * (config.clip_grad_norm / gnorm), grad.index)
+            params, buf = sgd_step(params, grad, lr, buf, config.momentum, config.weight_decay)
+        return params, buf, batch_rng.state()
+
+    # (epoch, params, batch rng state) of the epoch to score next; with no
+    # epochs to run, the final checkpoint is the epoch-0 one
+    unscored = (0, params, ("init",)) if 0 in config.checkpoint_epochs or config.epochs == 0 else None
+    for epoch in range(config.epochs):
+        score = [partial(split_metrics, unscored[1], config.arch, train_ds, test_ds)] if unscored else []
+        (params, buf, state), *metrics = _share([partial(run_epoch, epoch, params, buf), *score])
+        if unscored:
+            record(*unscored, *metrics)
+        unscored = (epoch + 1, params, state)
+    metrics = split_metrics(params, config.arch, train_ds, test_ds)
+    record(*unscored, metrics)
     final = snapshot(config.epochs, params, metrics, ("final", config.epochs))
     saved.append(final)
 

@@ -236,6 +236,32 @@ class TestConfig:
         with pytest.raises(DomainError, match="metric must be one of error, xent"):
             CriticalityConfig("w", 0.05, metric="accuracy")
 
+    @pytest.mark.parametrize("alphas", [(-0.5, 1.0), (0.0, 1.5), (-0.5, 1.5)])
+    @pytest.mark.parametrize("polyline", [False, True])
+    def test_alpha_outside_the_path_rejected(self, alphas, polyline):
+        """alpha is a fraction of the path on either kind of path: past its
+        ends the straight path extrapolated while the polyline clamped, and
+        both scored the unclamped alpha."""
+        points = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0])]
+        with pytest.raises(DomainError, match=r"alpha grid entry must lie in \[0, 1\]"):
+            cfg = CriticalityConfig("w", 1.0, alpha_grid=alphas, sigma_grid=[1.0], noise_samples=1, noise_mode="raw")
+            criticality_grid(points[0], points[-1], lambda v: (0.0, 0.0), cfg, RngStream(12), path_points=points if polyline else None)
+
+    @pytest.mark.parametrize("polyline", [False, True])
+    def test_both_path_kinds_start_and_end_alike(self, polyline):
+        """The grid may hold both path ends, where the two kinds of path
+        evaluate the same points (up to noise of sigma 1e-12)."""
+        points = [np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([1.0, 1.0])]
+        seen = []
+
+        def probe(vec):
+            seen.append(vec)
+            return 0.0, 0.0
+
+        cfg = CriticalityConfig("w", 1.0, alpha_grid=[0.0, 1.0], sigma_grid=[1e-12], noise_samples=1, noise_mode="raw")
+        criticality_grid(points[0], points[-1], probe, cfg, RngStream(12), path_points=points if polyline else None)
+        np.testing.assert_allclose(seen, [points[0], points[-1]], atol=1e-9)
+
 
 class TestNetworkMap:
     def make_ckpts(self):
@@ -260,7 +286,7 @@ class TestNetworkMap:
         train_ds = generate(domain_spec("source"), "train", 40, 1)
         test_ds = generate(domain_spec("source"), "test", 20, 1)
         params = final.params.copy()
-        for name in params.module_names():
+        for name in TINY4.module_names():
             span = params.module_slice(name)
             params.values[span] = init.params.values[span]
         hybrid = evaluate(params, TINY4, test_ds)

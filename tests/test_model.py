@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -964,6 +965,30 @@ class TestShare:
         )
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
+
+
+class TestShareFirstJob:
+    def test_first_job_runs_on_the_caller_while_the_worker_is_idle(self, monkeypatch):
+        """The caller claims the first job before the worker can start, so
+        even a worker given a head start runs only the others; 50 calls.
+        ``train`` relies on it: an epoch's steps stay on the caller while
+        the worker scores the epoch before."""
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        real_offload = model._offload
+
+        def head_start(fn):
+            worker = real_offload(fn)
+            time.sleep(0.002)  # time for an idle worker to claim a job
+            return worker
+
+        monkeypatch.setattr(model, "_offload", head_start)
+        ran = []
+        for _ in range(50):
+            assert model._idle.acquire(blocking=False)  # the worker is idle
+            model._idle.release()
+            ran.append(model._share([_on_worker, _on_worker]))
+        assert [first for first, _ in ran] == [False] * 50
+        assert any(second for _, second in ran)  # the worker did take part
 
 
 def oracle_patches(x, kernel, stride):

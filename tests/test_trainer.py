@@ -415,6 +415,38 @@ class TestOverlappedScoring:
         model._idle.release()
 
 
+class TestScoringLag:
+    def test_each_epoch_is_scored_within_the_next_epochs_steps(self, monkeypatch):
+        """With scoring slowed by 0.3 s on the worker, each epoch's scoring
+        starts after its last step and ends by the next epoch's last step,
+        so its row is recorded one epoch behind training; the last epoch is
+        scored after every step. Spans are (start step, end step)."""
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        split_metrics, real_backward = trainer.split_metrics, trainer.backward
+        steps, spans = [], []
+
+        def slow_on_worker(*args):
+            start = len(steps)
+            if _on_worker():
+                time.sleep(0.3)
+            out = split_metrics(*args)
+            spans.append((start, len(steps)))
+            return out
+
+        def counted(*args):
+            out = real_backward(*args)
+            steps.append(None)
+            return out
+
+        monkeypatch.setattr(trainer, "split_metrics", slow_on_worker)
+        monkeypatch.setattr(trainer, "backward", counted)
+        train(small_config(epochs=4))
+        per_epoch = 4  # 200 images in batches of 50
+        assert len(steps) == 16 and len(spans) == 4
+        for epoch, (start, end) in enumerate(sorted(spans), start=1):
+            assert per_epoch * epoch <= start <= end <= per_epoch * min(epoch + 1, 4), sorted(spans)
+
+
 class TestCheckpointEquals:
     def test_every_field_is_compared(self):
         base = Checkpoint(TINY4, init_random(TINY4, RngStream(2)), 3, {"a": 1.0}, "h", "r", {"p": 1}, False)
