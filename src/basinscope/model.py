@@ -44,7 +44,7 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor, wait
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import lru_cache, partial
 from itertools import chain, islice
@@ -278,7 +278,8 @@ def _take_runs(src: np.ndarray, index: np.ndarray) -> np.ndarray:
     of up to 32 bytes with one fixed-size move, but a whole pixel of 3 (24
     bytes), 8 or 16 channels with memmove; the copied values are the same."""
     bsz, channels = src.shape[0], src.shape[-1]
-    runs = np.take(src.reshape(bsz, -1, channels // index.shape[-1]), index, axis=1)
+    # the method, not np.take, which adds a Python-level dispatch to each call
+    runs = src.reshape(bsz, -1, channels // index.shape[-1]).take(index, axis=1)
     return runs.reshape(runs.shape[:-2] + (channels,))
 
 
@@ -482,7 +483,7 @@ def _share(jobs: list) -> list:
     try:
         run_claimed(first)
     finally:
-        wait((worker,))  # neither side returns while the worker still writes
+        worker.exception()  # waits: neither side returns while the worker still writes
     worker.result()
     return results
 
