@@ -8,26 +8,25 @@ linear interpolation between two parameter vectors is well defined.
 Parameters live in a flat ParamVector with a named index; each module
 ("conv1", ..., "fc1", "classifier") owns a contiguous slice.
 
-Every pass (``forward``, ``backward``, ``trainer.evaluate``, a barrier
+Every forward-only pass (``forward``, ``trainer.evaluate``, a barrier
 curve's points, the frozen prefixes of the analyses) runs the one
-cache-tiled forward core, ``_run_layers``, on one or more parameter
-vectors that share one input. Its conv layers always run in tiles of
-``_TILE`` images: a tile's first-layer patches are gathered once and every
-vector's conv stack runs on them. Its dense layers run per vector on the
-whole batch, so a forward-only pass holds per vector only the batch's last
-conv output, 0.5 MB per 256 images on TINY4. Scoring one vector is the
-one-vector case, and each vector's output has the bits of that case.
-``forward`` also takes each layer's float32 output from it. ``backward``
-takes from it each layer's input, patches and output for the whole batch
-(its records), as its weight gradients sum over the batch at once: each
-tile writes its own rows of those arrays.
+cache-tiled core, ``_run_layers``, on one or more parameter vectors that
+share one input. Its conv layers always run in tiles of ``_TILE`` images:
+a tile's first-layer patches are gathered once and every vector's conv
+stack runs on them. Its dense layers run per vector on the whole batch, so
+it holds per vector only the batch's last conv output, 0.5 MB per 256
+images on TINY4. Scoring one vector is the one-vector case, and each
+vector's output has the bits of that case. ``forward`` also takes each
+layer's float32 output from it. ``backward`` keeps each layer's input,
+patches and output for the whole batch (``_records``), as its weight
+gradients sum over the batch at once.
 
 When the process may run on two CPUs, independent pieces of work are
 shared with one pooled worker thread while it is idle (``_share``): the
-conv tiles of every pass through the core, the weight gradient, bias
-gradient and input-gradient phases of each conv layer's backward, and each
-epoch of ``trainer.train``, whose caller runs the epoch's steps while the
-worker scores the epoch before. Each piece keeps its GEMMs, so no output bit
+conv tiles of a forward pass, the weight gradient, bias gradient and
+input-gradient phases of each conv layer's backward, and each epoch of
+``trainer.train``, whose caller runs the epoch's steps while the worker
+scores the epoch before. Each piece keeps its GEMMs, so no output bit
 depends on which thread ran it. The worker starts at the first piece
 that uses it, and a forked child starts its own.
 
@@ -259,38 +258,29 @@ def init_random(arch: ArchDescriptor, rng: RngStream) -> ParamVector:
     return params
 
 
-def _run_index(pixels: np.ndarray, size: int, channels: int) -> np.ndarray:
+def _run_index(pixels: np.ndarray, channels: int) -> np.ndarray:
     """Read-only run index pixel*(C//g) + j, shape pixels.shape + (C//g,),
-    into a (..., size, C) array seen as (..., size*C//g, g) runs of
+    into a (..., pixels, C) array seen as (..., pixels*C//g, g) runs of
     g = gcd(C, 4) values: a pixel's channels are C//g runs, run j holding
-    channels [j*g, (j+1)*g). IndexError unless every pixel lies in
-    [0, size): the index is checked once here, so a gather through it may
-    take with mode="clip" (``_take_runs``)."""
-    if pixels.min() < 0 or pixels.max() >= size:
-        raise IndexError(f"pixel index outside [0, {size})")
+    channels [j*g, (j+1)*g)."""
     runs = channels // math.gcd(channels, 4)
     index = pixels[..., None] * runs + np.arange(runs)
     index.flags.writeable = False
     return index
 
 
-def _take_runs(src: np.ndarray, index: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _take_runs(src: np.ndarray, index: np.ndarray) -> np.ndarray:
     """C-contiguous (B,) + index.shape[:-1] + (C,) gather of src's
     (B, ..., C) pixels through a ``_run_index`` run index: run r of image b
-    is src.reshape(B, -1, g)[b, r], g = C // index.shape[-1]. It is written
-    into out, a C-contiguous array of that shape, when given.
+    is src.reshape(B, -1, g)[b, r], g = C // index.shape[-1].
 
     A run is at most 4 float64 values, 32 bytes: numpy's take copies a chunk
     of up to 32 bytes with one fixed-size move, but a whole pixel of 3 (24
-    bytes), 8 or 16 channels with memmove; the copied values are the same.
-    The index was bounds-checked when it was built, so the take clips: with
-    numpy's default mode="raise", a take into out first fills a buffer and
-    then copies it over."""
+    bytes), 8 or 16 channels with memmove; the copied values are the same."""
     bsz, channels = src.shape[0], src.shape[-1]
-    shape = (bsz, *index.shape, channels // index.shape[-1])
     # the method, not np.take, which adds a Python-level dispatch to each call
-    runs = src.reshape(bsz, -1, shape[-1]).take(index, axis=1, out=None if out is None else out.reshape(shape), mode="clip")
-    return runs.reshape(shape[:-2] + (channels,))
+    runs = src.reshape(bsz, -1, channels // index.shape[-1]).take(index, axis=1)
+    return runs.reshape(runs.shape[:-2] + (channels,))
 
 
 @lru_cache(maxsize=64)
@@ -301,16 +291,15 @@ def _patch_indices(h: int, wid: int, kernel: int, stride: int, channels: int) ->
     taps = np.arange(kernel) - (kernel - 1) // 2
     rows = (np.arange(h // stride)[:, None] * stride + taps) % h  # (OH, k)
     cols = (np.arange(wid // stride)[:, None] * stride + taps) % wid  # (OW, k)
-    return _run_index(rows[:, None, :, None] * wid + cols[None, :, None, :], h * wid, channels)
+    return _run_index(rows[:, None, :, None] * wid + cols[None, :, None, :], channels)
 
 
-def _gather_patches(x: np.ndarray, kernel: int, stride: int, out: np.ndarray | None = None) -> np.ndarray:
+def _gather_patches(x: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     """C-contiguous (B, OH, OW, k, k, Cin) patch tensor for a circular-padded
     conv, so the GEMM's (B*OH*OW, k*k*Cin) reshape is a view; each pixel's
-    channels are taken in runs of at most 32 bytes (``_take_runs``), into
-    out when it is given."""
+    channels are taken in runs of at most 32 bytes (``_take_runs``)."""
     _, h, wid, cin = x.shape
-    return _take_runs(x, _patch_indices(h, wid, kernel, stride, cin), out)
+    return _take_runs(x, _patch_indices(h, wid, kernel, stride, cin))
 
 
 @lru_cache(maxsize=64)
@@ -339,9 +328,19 @@ def _phase_indices(oh: int, ow: int, kernel: int, stride: int, channels: int) ->
             flipped = ((kernel - 1 - live[p])[:, None] * kernel + (kernel - 1 - live[q])).ravel()
             if flipped.size:
                 flipped.flags.writeable = False
-                index = _run_index(rows[:, None, :, None] * ow + cols[None, :, None, :], oh * ow, channels)
+                index = _run_index(rows[:, None, :, None] * ow + cols[None, :, None, :], channels)
                 phases.append((p, q, flipped, index))
     return tuple(phases)
+
+
+def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, patches=None):
+    """Bias-free conv output (B, OH, OW, Cout), a fresh array, and the patches."""
+    k, _, cin, cout = w.shape
+    if patches is None:
+        patches = _gather_patches(x, k, stride)
+    bsz, oh, ow = patches.shape[:3]
+    flat = patches.reshape(bsz * oh * ow, k * k * cin)
+    return (flat @ w.reshape(k * k * cin, cout)).reshape(bsz, oh, ow, cout), patches
 
 
 def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: int, need_input_grad: bool = True):
@@ -405,7 +404,7 @@ def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
     return np.subtract(x, INPUT_CENTER, dtype=np.float64)
 
 
-# Images per tile of the forward core's conv stack (``_run_layers``): a tile's
+# Images per tile of the logits-only conv stack (``_run_layers``): a tile's
 # patches and conv outputs stay in cache from gather to ReLU.
 _TILE = 8
 
@@ -489,28 +488,25 @@ def _share(jobs: list) -> list:
     return results
 
 
-def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """One layer's output: the affine map of x, then bias and (on every
-    layer but the classifier) ReLU in place on the GEMM output. For a conv
-    layer, x holds its gathered (B, OH, OW, k, k, Cin) patches, and the
-    GEMM of their (B*OH*OW, k*k*Cin) view writes into out, a C-contiguous
-    (B, OH, OW, Cout) array, when given, else into a fresh one: the same
-    GEMM either way. For a dense layer, x is the (B, features) input. b is
-    ``_weights``'s bias row, added to the output seen as rows of b.size
-    values: a conv's output row of OW pixels takes its OW bias copies in
-    one pass, instead of a pass per pixel over Cout values, with the same
-    sums."""
+def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, patches=None):
+    """One layer on x: its affine map, then bias and (on every layer but the
+    classifier) ReLU in place on the fresh GEMM output. b is ``_weights``'s
+    bias row, added to the output seen as rows of b.size values: a conv's
+    output row of OW pixels takes its OW bias copies in one pass, instead of
+    a pass per pixel over Cout values, with the same sums. Returns (x_in,
+    out, gathered): the input as the GEMM read it (flattened for a dense
+    layer), the output and the conv patches (None for a dense layer)."""
     if layer["kind"] == "conv":
-        cout = layer["cout"]
-        flat = np.matmul(x.reshape(-1, w.size // cout), w.reshape(-1, cout), out=None if out is None else out.reshape(-1, cout))
-        out = flat.reshape(x.shape[:3] + (cout,))
+        x_in = x
+        out, gathered = _conv_forward(x, w, layer["stride"], patches)
     else:
-        out = x @ w.T
+        x_in = x.reshape(x.shape[0], -1)
+        out, gathered = x_in @ w.T, None
     rows = out.reshape(-1, b.size)  # a view: the GEMM output is C-contiguous
     rows += b
     if layer["kind"] != "classifier":
         np.maximum(out, 0.0, out=out)
-    return out
+    return x_in, out, gathered
 
 
 def _weights(params: ParamVector, layer: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -533,9 +529,8 @@ def _run_layers(
     *,
     patches: np.ndarray | None = None,
     acts: list | None = None,
-    records: list | None = None,
 ) -> list[np.ndarray]:
-    """The forward core: for each parameter vector of the sequence
+    """The logits-only core: for each parameter vector of the sequence
     vectors, the output of layers [start, stop) of the plan on x, the
     float64 input to layer start (for start=0, ``_network_input``) that
     every vector shares. A caller that scores one vector passes [params].
@@ -544,13 +539,7 @@ def _run_layers(
     then be None, and the batch length is the patches'. acts, when given,
     receives one list per vector of (name, output) pairs, one per layer,
     the output in float32 for the whole batch: conv tiles are written into
-    one float32 array per layer as they are made. records, given only with
-    one vector, receives one (layer, x_in, w, patches, post) per layer for
-    ``backward``: its plan entry, its input (flattened for a dense layer),
-    float64 weight, conv patches (None for a dense layer) and output, each
-    for the whole batch. Bias and ReLU are applied in place to the GEMM
-    output, so post > 0 is the ReLU's mask (the same as pre > 0, NaN
-    included).
+    one float32 array per layer as they are made.
 
     The conv layers run depth-first over tiles of ``_TILE`` images (cache
     blocking; Goto & van de Geijn 2008): each tile's layer-start patches
@@ -562,16 +551,12 @@ def _run_layers(
     into one float64 array for the whole batch, the only thing held per
     vector (0.5 MB per 256 images on TINY4), and the dense layers run once
     per vector on it. A batch of at most ``_TILE`` images is one tile, the
-    same GEMMs as an untiled pass. For records, each conv layer's patches
-    and output are instead whole-batch float64 arrays, as each of
-    ``backward``'s weight gradients sums over the batch at once: a tile
-    gathers into its own rows of the patches and runs its GEMM into its own
-    rows of the output, the same operations as on a tile's fresh arrays.
+    same GEMMs as an untiled pass.
 
     Each tile is one job of ``_share``: while the pooled worker is idle,
     the caller and the worker claim a batch's tiles from one shared
     iterator, so a busy CPU simply runs fewer tiles, and each thread writes
-    only its own tiles' rows of the outputs, activations and records. Two tiles'
+    only its own tiles' rows of the outputs and activations. Two tiles'
     working sets are then live at once. The dense layers run after the
     join, on the caller's thread. A pass that runs on the worker itself,
     such as ``train``'s scoring of a finished epoch, finds it busy and runs
@@ -582,27 +567,20 @@ def _run_layers(
     the other vectors hold. Tiling changes only how many rows a conv GEMM
     call has, and which thread runs a tile changes nothing. OpenBLAS 0.3.31
     gives every TINY4 conv row the same bits at any row count, so the
-    logits and records are the untiled loop's; convs with 2-4 or 9-12
-    output channels (SMALL's conv1 among them) may differ by reassociation
-    of each dot product. Dense GEMM rows change bits with the row count (fc1 below 64
+    logits are the untiled loop's; convs with 2-4 or 9-12 output channels
+    (SMALL's conv1 among them) may differ by reassociation of each dot
+    product. Dense GEMM rows change bits with the row count (fc1 below 64
     rows, the classifier below 128), so dense layers are never tiled.
     """
     plan = arch.layer_plan()[start:stop]
+    weights = []
     for params in vectors:
         _check_params(params, arch)
-    weights = [[_weights(params, layer) for layer in plan] for params in vectors]
+        weights.append([_weights(params, layer) for layer in plan])
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
     n = (patches if x is None else x).shape[0]
     shapes = [(n, *(size // layer["stride"] for size in layer["in_hw"]), layer["cout"]) for layer in plan[:convs]]
-    sinks = [  # for records, each conv layer's whole-batch patches (layer start's given ones) and output
-        (
-            patches if j == 0 and patches is not None else np.empty((*shape[:3], layer["kernel"], layer["kernel"], layer["cin"])),
-            np.empty(shape),
-        )
-        for j, (layer, shape) in enumerate(zip(plan, shapes))
-        if records is not None
-    ]
-    outs = [sinks[-1][1] if sinks else np.empty(shapes[-1]) if convs else x for _ in vectors]
+    outs = [np.empty(shapes[-1]) if convs else x for _ in vectors]
     kept = (  # per vector, each layer's (name, whole-batch float32 output), when acts is given
         [[(layer["name"], np.empty(shape, np.float32)) for layer, shape in zip(plan, shapes)] for _ in vectors]
         if acts is not None
@@ -610,29 +588,25 @@ def _run_layers(
     )
 
     def run_tile(i):
-        rows = slice(i, i + _TILE)
-        tile_sinks = [(p[rows], out[rows]) for p, out in sinks] or [(None, None)] * convs
-        shared = patches[rows] if patches is not None else _gather_patches(x[rows], plan[0]["kernel"], plan[0]["stride"], tile_sinks[0][0])
+        if patches is None:
+            shared = _gather_patches(x[i : i + _TILE], plan[0]["kernel"], plan[0]["stride"])
+        else:
+            shared = patches[i : i + _TILE]
         for v, layers in enumerate(weights):
+            y, tile_patches = None, shared  # layer start reads only its patches
             for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
-                tile_patches = shared if j == 0 else _gather_patches(y, layer["kernel"], layer["stride"], tile_sinks[j][0])
-                y = _apply_layer(layer, tile_patches, w, b, tile_sinks[j][1])
+                y = _apply_layer(layer, y, w, b, tile_patches)[1]
+                tile_patches = None
                 if kept is not None:
-                    kept[v][j][1][rows] = y
-            outs[v][rows] = y  # for records, y already is these rows: numpy skips the copy
+                    kept[v][j][1][i : i + _TILE] = y
+            outs[v][i : i + _TILE] = y
 
     _share([partial(run_tile, i) for i in range(0, n if convs else 0, _TILE)])
-    if records is not None:
-        x_ins = [x] + [out for _, out in sinks[:-1]]
-        records.extend((layer, x_in, w, p, out) for layer, x_in, (w, _), (p, out) in zip(plan, x_ins, weights[0], sinks))
     for v, layers in enumerate(weights):
         for layer, (w, b) in zip(plan[convs:], layers[convs:]):
-            x_in = outs[v].reshape(n, -1)
-            outs[v] = _apply_layer(layer, x_in, w, b)
+            outs[v] = _apply_layer(layer, outs[v], w, b)[1]
             if kept is not None:
                 kept[v].append((layer["name"], outs[v].astype(np.float32)))
-            if records is not None:
-                records.append((layer, x_in, w, None, outs[v]))
     if kept is not None:
         acts.extend(kept)
     return outs
@@ -659,6 +633,21 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
     acts = []
     logits = _run_layers([params], arch, _network_input(arch, batch), acts=acts)[0]
     return logits, acts[0]
+
+
+def _records(params: ParamVector, arch: ArchDescriptor, x: np.ndarray) -> list:
+    """One (layer, x_in, w, patches, post) per layer on x, the network input:
+    its plan entry, its input (flattened for a dense layer), float64 weight,
+    conv patches (None for a dense layer) and output. Bias and ReLU are
+    applied in place to the fresh GEMM output, so post > 0 is the ReLU's
+    mask (the same as pre > 0, NaN included)."""
+    _check_params(params, arch)
+    records = []
+    for layer in arch.layer_plan():
+        w, b = _weights(params, layer)
+        x_in, x, patches = _apply_layer(layer, x, w, b)
+        records.append((layer, x_in, w, patches, x))
+    return records
 
 
 def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> None:
@@ -694,19 +683,16 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[float, ParamVector]:
-    """Mean cross-entropy loss and its gradient as a ParamVector. Its
-    records come from the forward core (``_run_layers``): the caller shares
-    the conv tiles with the idle worker, and each tile writes its rows of
-    the whole-batch patches and outputs that the weight gradients sum over.
-    Each conv layer's gradients are jobs that the caller shares with the
-    idle worker too (``_conv_backward``); the dense layers run on the
+    """Mean cross-entropy loss and its gradient as a ParamVector. Its records
+    are untiled, as each weight gradient sums over the whole batch at once;
+    each conv layer's gradients are jobs that the caller shares with the
+    idle worker (``_conv_backward``), and the dense layers run on the
     caller."""
     x = _network_input(arch, batch)
     labels = np.asarray(labels)
     _check_labels(labels, arch.num_classes, x.shape[0])
-    records = []
-    logits = _run_layers([params], arch, x, records=records)[0]
-    loss, g = softmax_cross_entropy(logits, labels)
+    records = _records(params, arch, x)
+    loss, g = softmax_cross_entropy(records[-1][-1], labels)
     grad = ParamVector(np.zeros_like(params.values), params.index)
     for depth in reversed(range(len(records))):
         layer, x_in, w, patches, post = records[depth]

@@ -22,12 +22,14 @@ from basinscope.model import (
     ParamVector,
     _apply_layer,
     _conv_backward,
+    _conv_forward,
     _gather_patches,
     _module_input,
     _network_input,
     _nll,
     _patch_indices,
     _phase_indices,
+    _records,
     _run_layers,
     _weights,
     backward,
@@ -333,29 +335,6 @@ class TestForward:
                 assert not same
 
 
-def core_records(params, arch, x):
-    """backward's records: the core's (layer, x_in, w, patches, post) per
-    layer on x, the network input."""
-    records = []
-    _run_layers([params], arch, x, records=records)
-    return records
-
-
-def untiled_records(params, arch, x):
-    """The untiled loop that backward's records once came from: each layer
-    on the whole batch at once, with whole-batch gathers and GEMMs."""
-    records = []
-    for layer in arch.layer_plan():
-        w, b = _weights(params, layer)
-        if layer["kind"] == "conv":
-            x_in, patches = x, _gather_patches(x, layer["kernel"], layer["stride"])
-        else:
-            x_in, patches = x.reshape(x.shape[0], -1), None
-        x = _apply_layer(layer, x_in if patches is None else patches, w, b)
-        records.append((layer, x_in, w, patches, x))
-    return records
-
-
 def traced_peak(fn, *args):
     """fn(*args)'s tracemalloc peak in bytes; its result is dropped."""
     tracemalloc.start()
@@ -372,14 +351,18 @@ class TestLayerByLayerForward:
     @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
     @pytest.mark.parametrize("n", [1, 5, _TILE, _TILE + 1, 256])
     def test_equals_keep_records_bit_for_bit(self, arch, n):
-        """forward's outputs are backward's records: both come from the
-        core's tiles, so they agree even where tiling reassociates, as on
-        SMALL's conv1 (REASSOCIATING)."""
+        """forward's outputs are backward's records, except where the core
+        reassociates: SMALL's conv1 at 256 images (REASSOCIATING), whose
+        oracle is the core itself, layer by layer. Up to _TILE images are
+        one conv tile, the same GEMMs as the records' whole-batch pass."""
         params = with_biases(init_random(arch, RngStream(23)), 24)
         batch, _ = rand_batch(arch, n, 25)
         x0 = _network_input(arch, batch)
-        records = core_records(params, arch, x0)
-        posts = [post for *_, post in records]
+        records = _records(params, arch, x0)
+        if arch is SMALL and n == 256:
+            posts = [_run_layers([params], arch, x0, 0, m + 1)[0] for m in range(len(records))]
+        else:
+            posts = [post for *_, post in records]
         logits, acts = forward(params, arch, batch)
         assert np.array_equal(logits, posts[-1])
         assert np.array_equal(_run_layers([params], arch, x0)[0], posts[-1])
@@ -390,7 +373,7 @@ class TestLayerByLayerForward:
     def test_peak_below_keep_records_at_batch_256(self):
         params = init_random(TINY4, RngStream(26))
         batch, _ = rand_batch(TINY4, 256, 27)
-        kept = traced_peak(lambda: core_records(params, TINY4, _network_input(TINY4, batch)))
+        kept = traced_peak(lambda: _records(params, TINY4, _network_input(TINY4, batch)))
         layered = traced_peak(forward, params, TINY4, batch)
         assert layered < kept
 
@@ -447,13 +430,11 @@ class TestForwardCore:
         layer's input is the previous output (flattened into a dense layer),
         its float64 weight, patches for conv layers only, and an output equal
         to the out-of-place affine map plus bias, through a ReLU on every
-        layer but the classifier; post > 0 is the ReLU's mask pre > 0. The
-        batch is three tiles, and TINY4's conv rows have the same bits at
-        any row count, so the tiled records equal the whole-batch maps."""
+        layer but the classifier; post > 0 is the ReLU's mask pre > 0."""
         params = init_random(TINY4, RngStream(19))
-        batch, _ = rand_batch(TINY4, 2 * _TILE + 3, 7)
+        batch, _ = rand_batch(TINY4, 2, 7)
         x0 = _network_input(TINY4, batch)
-        records = core_records(params, TINY4, x0)
+        records = _records(params, TINY4, x0)
         assert [layer["name"] for layer, *_ in records] == TINY4.module_names()
         prev = x0
         for layer, x_in, w, patches, post in records:
@@ -496,12 +477,11 @@ class TestForwardCore:
             x[0] = np.where(np.arange(x[0].size).reshape(x[0].shape) % 2, 0.0, -0.0)
             w, brow = _weights(params, layer)
             b = params.get(f"{name}.bias").astype(np.float64)
+            _, got, _ = _apply_layer(layer, x, w, brow)
             if layer["kind"] == "conv":
-                given = _gather_patches(x, layer["kernel"], layer["stride"])
                 flat, wmat = oracle_patches(x, layer["kernel"], layer["stride"]).reshape(-1, w[..., 0].size), w.reshape(-1, layer["cout"])
             else:
-                given, flat, wmat = x, x, w.T
-            got = _apply_layer(layer, given, w, brow)
+                flat, wmat = x, w.T
             want = flat @ wmat + b
             if layer["kind"] != "classifier":
                 want = np.maximum(want, 0.0)
@@ -520,13 +500,6 @@ class TestForwardCore:
             _network_input(TINY4, batch[0])  # one image is passed as a batch of one
 
 
-def conv_gemm(patches, w):
-    """Bias-free conv output (B, OH, OW, Cout) of gathered (B, OH, OW, k,
-    k, Cin) patches: one GEMM of their (B*OH*OW, k*k*Cin) view."""
-    cout = w.shape[-1]
-    return (patches.reshape(-1, w.size // cout) @ w.reshape(-1, cout)).reshape(patches.shape[:3] + (cout,))
-
-
 def single_pass(params, arch, x, start=0, stop=None, patches=None):
     """The untiled logits-only loop: each layer's affine map, bias and ReLU
     on the whole batch at once."""
@@ -535,7 +508,7 @@ def single_pass(params, arch, x, start=0, stop=None, patches=None):
         w = params.get(f"{name}.weight").astype(np.float64)
         b = params.get(f"{name}.bias").astype(np.float64)
         if layer["kind"] == "conv":
-            out = conv_gemm(_gather_patches(x, layer["kernel"], layer["stride"]) if patches is None else patches, w)
+            out, _ = _conv_forward(x, w, layer["stride"], patches)
         else:
             out = x.reshape(x.shape[0], -1) @ w.T
         patches = None
@@ -567,21 +540,6 @@ REASSOCIATING = [SMALL] + [
 def arch_id(arch):
     """Input shape and first conv's output count, e.g. 16x16x3o4."""
     return "x".join(map(str, arch.input_shape)) + f"o{arch.conv_blocks[0][0]}"
-
-
-def reassociation_bound(params, arch, m, x):
-    """The single pass of conv layer m on x and its 2*gamma_K bound: an
-    output summed in another order lies within 2*gamma_K of the sum of its
-    K = k*k*Cin + 1 terms' magnitudes."""
-    layer = arch.layer_plan()[m]
-    w = params.get(f"{layer['name']}.weight").astype(np.float64)
-    b = params.get(f"{layer['name']}.bias").astype(np.float64)
-    want = single_pass(params, arch, x, m, m + 1)
-    n_terms = w[..., 0].size + 1
-    gamma = n_terms * 2.0**-53 / (1 - n_terms * 2.0**-53)
-    patches = np.abs(_gather_patches(x, layer["kernel"], layer["stride"]))
-    magnitude = (patches.reshape(-1, n_terms - 1) @ np.abs(w).reshape(n_terms - 1, -1)).reshape(want.shape) + np.abs(b)
-    return want, 2 * gamma * magnitude
 
 
 class TestTiledCore:
@@ -655,14 +613,27 @@ class TestTiledCore:
         batch, _ = rand_batch(arch, 300, 49)
         x = core = _network_input(arch, batch)
         _, acts = forward(params, arch, batch)
+
+        def bound(m, layer, x):
+            """The single pass of layer m on x and its 2*gamma_K bound."""
+            name = layer["name"]
+            w = params.get(f"{name}.weight").astype(np.float64)
+            b = params.get(f"{name}.bias").astype(np.float64)
+            want = single_pass(params, arch, x, m, m + 1)
+            n_terms = w[..., 0].size + 1
+            gamma = n_terms * 2.0**-53 / (1 - n_terms * 2.0**-53)
+            patches = np.abs(_gather_patches(x, layer["kernel"], layer["stride"]))
+            magnitude = (patches.reshape(-1, n_terms - 1) @ np.abs(w).reshape(n_terms - 1, -1)).reshape(want.shape) + np.abs(b)
+            return want, 2 * gamma * magnitude
+
         for m, layer in enumerate(arch.layer_plan()):
             if layer["kind"] != "conv":
                 break
             name = layer["name"]
-            want, slack = reassociation_bound(params, arch, m, x)
+            want, slack = bound(m, layer, x)
             assert np.all(np.abs(_run_layers([params], arch, x, m, m + 1)[0] - want) <= slack), name
             x = want
-            want, slack = reassociation_bound(params, arch, m, core)
+            want, slack = bound(m, layer, core)
             act = acts[m][1]
             assert np.all(((want - slack).astype(np.float32) <= act) & (act <= (want + slack).astype(np.float32))), name
             core = _run_layers([params], arch, core, m, m + 1)[0]
@@ -766,12 +737,12 @@ class TestThreadedTiles:
         gather = model._gather_patches
         failed = threading.Event()
 
-        def fail_in_the_worker(tile, kernel, stride, out=None):
+        def fail_in_the_worker(tile, kernel, stride):
             if threading.current_thread() is not threading.main_thread():
                 failed.set()
                 raise ValueError("planted")
             assert failed.wait(timeout=30)
-            return gather(tile, kernel, stride, out)
+            return gather(tile, kernel, stride)
 
         monkeypatch.setattr(model, "_gather_patches", fail_in_the_worker)
         with pytest.raises(ValueError, match="planted"):
@@ -860,7 +831,7 @@ class TestSharedBackward:
         gradient, and backward's loss and gradient, bit for bit."""
         params = with_biases(init_random(arch, RngStream(100)), 101)
         batch, labels = rand_batch(arch, n, 102)
-        records = core_records(params, arch, _network_input(arch, batch))
+        records = _records(params, arch, _network_input(arch, batch))
         grads = [gaussian(RngStream(103, d), post.size, 1.0).reshape(post.shape) * (post > 0) for d, (*_, post) in enumerate(records)]
         runs = []
         for two_cpus in (False, True):
@@ -907,63 +878,6 @@ class TestSharedBackward:
         assert not any(t.is_alive() for t in callers)
         for c, (loss, grad) in enumerate(want):
             assert len(got[c]) == 5 and all(got_loss == loss and g.equals(grad) for got_loss, g in got[c]), c
-
-
-class TestCoreRecords:
-    """backward's records come from the core's tiles; the untiled loop
-    that they replaced is the oracle."""
-
-    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
-    @pytest.mark.parametrize("n", [1, 7, _TILE, _TILE + 1, 32, 64, 256])
-    @pytest.mark.parametrize("two_cpus", [False, True], ids=["one_cpu", "two_cpus"])
-    def test_backward_equals_untiled_records_bit_for_bit(self, arch, n, two_cpus, monkeypatch):
-        """Each record's input, weight, patches and output, and backward's
-        loss and gradient against backward on the untiled records.
-
-        At 256 images SMALL's and TWELVE's conv1 (4 output channels) sum
-        the whole-batch GEMM's dot products in another order than a tile's
-        (REASSOCIATING), so their float64 records differ in the last bits
-        from conv1 on. There each record is checked on its own input
-        instead: the patches bit for bit, a conv output within
-        ``reassociation_bound`` of the untiled layer and a dense output bit
-        for bit. Everywhere else the records are the untiled loop's, so the
-        loss and the float32 gradient keep their bits. In the two
-        reassociating cases they keep them too for these seeds; that is
-        observed, not guaranteed: a last-bit difference in a record can
-        move a float32 rounding of the gradient, or the float64 loss, on
-        other inputs."""
-        monkeypatch.setattr(model, "_TWO_CPUS", two_cpus)
-        params = with_biases(init_random(arch, RngStream(110)), 111)
-        batch, labels = rand_batch(arch, n, 112)
-        x0 = _network_input(arch, batch)
-        got = core_records(params, arch, x0)
-        if arch is not TINY4 and n == 256:
-            prev = x0
-            for m, (layer, x_in, w, patches, post) in enumerate(got):
-                name = layer["name"]
-                assert np.array_equal(x_in, prev.reshape(x_in.shape)) and np.array_equal(w, params.get(f"{name}.weight")), name
-                if layer["kind"] == "conv":
-                    assert np.array_equal(patches, _gather_patches(x_in, layer["kernel"], layer["stride"])), name
-                    oracle, slack = reassociation_bound(params, arch, m, x_in)
-                    assert np.all(np.abs(post - oracle) <= slack), name
-                else:
-                    assert patches is None and np.array_equal(post, single_pass(params, arch, x_in, m, m + 1)), name
-                prev = post
-        else:
-            want = untiled_records(params, arch, x0)
-            assert [layer for layer, *_ in got] == [layer for layer, *_ in want]
-            for (layer, *parts), (_, *expected) in zip(got, want):
-                for part, oracle in zip(parts, expected):
-                    assert (part is None and oracle is None) or (part.shape == oracle.shape and np.array_equal(part, oracle)), layer["name"]
-        loss, grad = backward(params, arch, batch, labels)
-
-        def untiled(vectors, arch, x, *, records):
-            records.extend(untiled_records(vectors[0], arch, x))
-            return [records[-1][-1]]
-
-        monkeypatch.setattr(model, "_run_layers", untiled)
-        want_loss, want_grad = backward(params, arch, batch, labels)
-        assert loss == want_loss and grad.equals(want_grad)
 
 
 def _on_worker() -> bool:
@@ -1077,39 +991,6 @@ class TestShareFirstJob:
         assert any(second for _, second in ran)  # the worker did take part
 
 
-class TestSharedRecords:
-    def test_idle_worker_runs_a_records_tile_of_backward(self, monkeypatch):
-        """backward's conv tiles are one share, so a worker given a head
-        start gathers some tiles into the records' whole-batch patches;
-        each of 10 batch-32 calls keeps the one-thread loss and gradient."""
-        params = with_biases(init_random(TINY4, RngStream(113)), 114)
-        batch, labels = rand_batch(TINY4, 32, 115)
-        monkeypatch.setattr(model, "_TWO_CPUS", False)
-        loss, grad = backward(params, TINY4, batch, labels)
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        real_offload, real_gather = model._offload, model._gather_patches
-
-        def head_start(fn):
-            worker = real_offload(fn)
-            time.sleep(0.002)  # time for an idle worker to claim a job
-            return worker
-
-        gathers = []  # per gather: (on the worker, into the records)
-
-        def spy(x, kernel, stride, out=None):
-            gathers.append((_on_worker(), out is not None))
-            return real_gather(x, kernel, stride, out)
-
-        monkeypatch.setattr(model, "_offload", head_start)
-        monkeypatch.setattr(model, "_gather_patches", spy)
-        for _ in range(10):
-            assert model._idle.acquire(blocking=False)  # the worker is idle
-            model._idle.release()
-            got_loss, got_grad = backward(params, TINY4, batch, labels)
-            assert got_loss == loss and got_grad.equals(grad)
-        assert (True, True) in gathers
-
-
 def oracle_patches(x, kernel, stride):
     """The two-grid fancy-index gather: same values, batch-inner layout."""
     _, h, wid, _ = x.shape
@@ -1163,14 +1044,6 @@ class TestGatherPatches:
         for _, _, taps, index in phases:
             assert index.shape[:2] == (h // stride, wid // stride) and index.shape[-1] == runs
             assert not taps.flags.writeable and not index.flags.writeable
-
-    def test_run_index_refuses_a_pixel_outside_the_source(self):
-        """The bounds check is made once, where an index is built, so a
-        gather through it may clip."""
-        assert np.array_equal(model._run_index(np.array([0, 3]), 4, 6), [[0, 1, 2], [9, 10, 11]])
-        for pixels in ([0, 4], [-1, 0]):
-            with pytest.raises(IndexError):
-                model._run_index(np.array(pixels), 4, 6)
 
 
 def zero_stuffed_input_grad(gout, x_shape, w, stride):
@@ -1272,7 +1145,7 @@ class TestInputGradient:
         grad_x, _, _ = _conv_backward(gout, x_shape, w, _gather_patches(x, kernel, stride), stride)
 
         def objective(xv):
-            out = conv_gemm(_gather_patches(xv, kernel, stride), w)
+            out, _ = _conv_forward(xv, w, stride)
             return float(np.sum(out * gout))
 
         eps = 1e-3

@@ -121,7 +121,7 @@ def test_public_name_count():
     assert len(names) == PUBLIC_NAMES, f"{len(names)} public names:\n" + "\n".join(names)
 
 
-SOURCE_STATEMENTS = 1750
+SOURCE_STATEMENTS = 1756
 
 
 def source_statements() -> int:
