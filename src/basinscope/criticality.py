@@ -14,7 +14,7 @@ runs the frozen prefix once per map: it caches one array per evaluation
 batch, for a conv module the gathered patches of its input and otherwise
 the input itself, and each noise sample runs only the module and the
 layers after it, with the same arithmetic as ``evaluate``: the
-logits-only core runs the conv layers over tiles of a few images, so each
+forward core runs the conv layers over tiles of a few images, so each
 tile stays in cache, its cached patches a view of the batch's, and the
 dense layers once on the whole batch, so their bits do not depend on the
 tile size (``model._run_layers``). With two CPUs the calling thread and

@@ -8,23 +8,25 @@ linear interpolation between two parameter vectors is well defined.
 Parameters live in a flat ParamVector with a named index; each module
 ("conv1", ..., "fc1", "classifier") owns a contiguous slice.
 
-Every forward-only pass (``forward``, ``trainer.evaluate``, a barrier
+Every pass (``forward``, ``backward``, ``trainer.evaluate``, a barrier
 curve's points, the frozen prefixes of the analyses) runs the one
-cache-tiled core, ``_run_layers``, on one or more parameter vectors that
-share one input. Its conv layers always run in tiles of ``_TILE`` images:
-a tile's first-layer patches are gathered once and every vector's conv
-stack runs on them. Its dense layers run per vector on the whole batch, so
-it holds per vector only the batch's last conv output, 0.5 MB per 256
-images on TINY4. Scoring one vector is the one-vector case, and each
-vector's output has the bits of that case. ``forward`` also takes each
-layer's float32 output from it. ``backward`` keeps each layer's input,
-patches and output for the whole batch (``_records``), as its weight
-gradients sum over the batch at once.
+cache-tiled forward core, ``_run_layers``, on one or more parameter
+vectors that share one input. Its conv layers always run in tiles of
+``_TILE`` images: a tile's first-layer patches are gathered once and every
+vector's conv stack runs on them. Its dense layers run per vector on the
+whole batch, so a forward-only pass holds per vector only the batch's last
+conv output, 0.5 MB per 256 images on TINY4. Scoring one vector is the
+one-vector case, and each vector's output has the bits of that case.
+``forward`` also takes each layer's float32 output from it. ``backward``
+takes from it each layer's input, patches and output for the whole batch
+(its records), as its weight gradients sum over the batch at once: a
+records pass runs the whole batch as one tile on the calling thread, and so
+do the weight gradient, bias gradient and input-gradient phases of each
+conv layer's backward (``_conv_backward``).
 
 When the process may run on two CPUs, independent pieces of work are
 shared with one pooled worker thread while it is idle (``_share``): the
-conv tiles of a forward pass, the weight gradient, bias gradient and
-input-gradient phases of each conv layer's backward, and each epoch of
+conv tiles of a forward-only pass through the core, and each epoch of
 ``trainer.train``, whose caller runs the epoch's steps while the worker
 scores the epoch before. Each piece keeps its GEMMs, so no output bit
 depends on which thread ran it. The worker starts at the first piece
@@ -212,9 +214,12 @@ class ParamVector:
         return self.values[e.offset : e.offset + e.length].reshape(e.shape)
 
     def set(self, name: str, array) -> None:
+        """Write array, of the entry's shape or a flat vector of its length,
+        into the entry; SizeError for any other shape, as an array of the
+        same size in another shape would be written in the wrong order."""
         e = self.entry(name)
         arr = np.asarray(array, dtype=self.values.dtype)
-        if arr.size != e.length:
+        if arr.shape not in (e.shape, (e.length,)):
             raise SizeError(f"{name} takes shape {e.shape}, got an array of shape {arr.shape}")
         self.values[e.offset : e.offset + e.length] = arr.ravel()
 
@@ -333,16 +338,6 @@ def _phase_indices(oh: int, ow: int, kernel: int, stride: int, channels: int) ->
     return tuple(phases)
 
 
-def _conv_forward(x: np.ndarray, w: np.ndarray, stride: int, patches=None):
-    """Bias-free conv output (B, OH, OW, Cout), a fresh array, and the patches."""
-    k, _, cin, cout = w.shape
-    if patches is None:
-        patches = _gather_patches(x, k, stride)
-    bsz, oh, ow = patches.shape[:3]
-    flat = patches.reshape(bsz * oh * ow, k * k * cin)
-    return (flat @ w.reshape(k * k * cin, cout)).reshape(bsz, oh, ow, cout), patches
-
-
 def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: int, need_input_grad: bool = True):
     """(grad_x, grad_w, grad_b); grad_x is None when need_input_grad is False.
 
@@ -353,40 +348,40 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
     Cout) K order of the zero-stuffed form, so every element sums the same
     nonzero terms in the same order; where the BLAS kernel adds a dot
     product's terms in that order (OpenBLAS 0.3.31 does for every TINY4
-    layer and for stride 1) the bits
-    are the zero-stuffed form's, and adding the GEMM result to +0.0 keeps
-    its signed zeros too. Elsewhere the two differ by reassociation only.
-    A phase's gout columns are gathered in runs of at most 32 bytes
+    layer and for stride 1) the bits are the zero-stuffed form's. Each
+    phase writes its GEMM result plus +0.0 into its own strided slice of
+    grad_x, the sum the zero-stuffed form adds to its zeroed array, so its
+    signed zeros are kept too. Elsewhere the two differ by reassociation
+    only. A phase's gout columns are gathered in runs of at most 32 bytes
     (``_take_runs``), as the forward patches are.
 
-    The weight gradient, the bias gradient and each phase are the jobs of
-    one ``_share``; a phase writes only its own strided slice of grad_x,
-    and every job keeps its GEMM's operands and shapes, so the bits do not
-    depend on which thread ran it."""
+    grad_w is the (k, k, Cin, Cout) view of the transposed GEMM
+    (gout^T patches)^T, which has the bits of patches^T gout and, on every
+    TINY4 conv, costs 6-14% less. grad_b sums gout's rows with einsum,
+    which adds them in the order of ``gout.sum(axis=(0, 1, 2))`` and, like
+    it, starts from +0.0 (so a channel of -0.0 sums to +0.0 in both): the
+    same bits at about a quarter of the cost. The jobs run in order on the
+    caller."""
     k, _, cin, cout = w.shape
     bsz = x_shape[0]
     oh, ow = patches.shape[1:3]
     flat = patches.reshape(bsz * oh * ow, k * k * cin)
     gflat = gout.reshape(bsz * oh * ow, cout)
-
-    def weight_grad():
-        # np.dot, not @: numpy's matmul holds the GIL on this transposed operand
-        return np.dot(flat.T, gflat).reshape(k, k, cin, cout)
-
-    def bias_grad():
-        return gout.sum(axis=(0, 1, 2))
-
-    grad_x = np.zeros(x_shape) if need_input_grad else None
-
-    def phase_grad(p, q, taps, index):
+    grad_w = np.dot(gflat.T, flat).T.reshape(k, k, cin, cout)
+    grad_b = np.einsum("ij->j", gflat)
+    if not need_input_grad:
+        return None, grad_w, grad_b
+    phases = _phase_indices(oh, ow, k, stride, cout)
+    # with k < stride some phases get no tap and stay zero
+    grad_x = (np.empty if len(phases) == stride * stride else np.zeros)(x_shape)
+    # the kernel with channel axes swapped, per tap (Cout, Cin); C order, as
+    # BLAS takes another kernel, and other bits, for a transpose
+    swapped = np.ascontiguousarray(w.reshape(k * k, cin, cout).transpose(0, 2, 1))
+    for p, q, taps, index in phases:
         cols = _take_runs(gout, index).reshape(bsz * oh * ow, taps.size * cout)
-        # the phase's flipped taps with channel axes swapped, rows (tap, Cout);
-        # C order, as BLAS takes another kernel, and other bits, for a transpose
-        sub = np.ascontiguousarray(w.reshape(k * k, cin, cout)[taps].transpose(0, 2, 1)).reshape(-1, cin)
-        grad_x[:, p::stride, q::stride] += (cols @ sub).reshape(bsz, oh, ow, cin)
-
-    phases = _phase_indices(oh, ow, k, stride, cout) if need_input_grad else ()
-    grad_w, grad_b = _share([weight_grad, bias_grad] + [partial(phase_grad, *phase) for phase in phases])[:2]
+        # the phase's flipped taps, rows (tap, Cout)
+        sub = swapped[taps].reshape(-1, cin)
+        np.add((cols @ sub).reshape(bsz, oh, ow, cin), 0.0, out=grad_x[:, p::stride, q::stride])
     return grad_x, grad_w, grad_b
 
 
@@ -404,7 +399,7 @@ def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
     return np.subtract(x, INPUT_CENTER, dtype=np.float64)
 
 
-# Images per tile of the logits-only conv stack (``_run_layers``): a tile's
+# Images per tile of the forward core's conv stack (``_run_layers``): a tile's
 # patches and conv outputs stay in cache from gather to ReLU.
 _TILE = 8
 
@@ -488,25 +483,25 @@ def _share(jobs: list) -> list:
     return results
 
 
-def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray, patches=None):
-    """One layer on x: its affine map, then bias and (on every layer but the
-    classifier) ReLU in place on the fresh GEMM output. b is ``_weights``'s
-    bias row, added to the output seen as rows of b.size values: a conv's
-    output row of OW pixels takes its OW bias copies in one pass, instead of
-    a pass per pixel over Cout values, with the same sums. Returns (x_in,
-    out, gathered): the input as the GEMM read it (flattened for a dense
-    layer), the output and the conv patches (None for a dense layer)."""
+def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """One layer's output: the affine map of x, then bias and (on every
+    layer but the classifier) ReLU in place on the fresh GEMM output. For a
+    conv layer, x holds its gathered (B, OH, OW, k, k, Cin) patches and the
+    GEMM runs on their (B*OH*OW, k*k*Cin) view; for a dense layer, x is the
+    (B, features) input. b is ``_weights``'s bias row, added to the output
+    seen as rows of b.size values: a conv's output row of OW pixels takes
+    its OW bias copies in one pass, instead of a pass per pixel over Cout
+    values, with the same sums."""
     if layer["kind"] == "conv":
-        x_in = x
-        out, gathered = _conv_forward(x, w, layer["stride"], patches)
+        cout = layer["cout"]
+        out = (x.reshape(-1, w.size // cout) @ w.reshape(-1, cout)).reshape(x.shape[:3] + (cout,))
     else:
-        x_in = x.reshape(x.shape[0], -1)
-        out, gathered = x_in @ w.T, None
+        out = x @ w.T
     rows = out.reshape(-1, b.size)  # a view: the GEMM output is C-contiguous
     rows += b
     if layer["kind"] != "classifier":
         np.maximum(out, 0.0, out=out)
-    return x_in, out, gathered
+    return out
 
 
 def _weights(params: ParamVector, layer: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -529,8 +524,9 @@ def _run_layers(
     *,
     patches: np.ndarray | None = None,
     acts: list | None = None,
+    records: list | None = None,
 ) -> list[np.ndarray]:
-    """The logits-only core: for each parameter vector of the sequence
+    """The forward core: for each parameter vector of the sequence
     vectors, the output of layers [start, stop) of the plan on x, the
     float64 input to layer start (for start=0, ``_network_input``) that
     every vector shares. A caller that scores one vector passes [params].
@@ -539,7 +535,13 @@ def _run_layers(
     then be None, and the batch length is the patches'. acts, when given,
     receives one list per vector of (name, output) pairs, one per layer,
     the output in float32 for the whole batch: conv tiles are written into
-    one float32 array per layer as they are made.
+    one float32 array per layer as they are made. records, given only with
+    one vector, receives one (layer, x_in, w, patches, post) per layer for
+    ``backward``: its plan entry, its input (flattened for a dense layer),
+    float64 weight, conv patches (None for a dense layer) and output, each
+    for the whole batch. Bias and ReLU are applied in place to the GEMM
+    output, so post > 0 is the ReLU's mask (the same as pre > 0, NaN
+    included).
 
     The conv layers run depth-first over tiles of ``_TILE`` images (cache
     blocking; Goto & van de Geijn 2008): each tile's layer-start patches
@@ -562,6 +564,14 @@ def _run_layers(
     such as ``train``'s scoring of a finished epoch, finds it busy and runs
     every tile on its own thread.
 
+    A records pass is one tile of the whole batch, so it runs on the
+    caller, and each conv layer's patches and output are its records. With
+    ``_TILE``-image tiles instead, each conv GEMM would stay below OpenBLAS
+    0.3.31's small-matrix size, where a row costs about half as much, and
+    on a 2-vCPU Xeon VM a fine-tune ran about 2% faster on one CPU; but on
+    both, beside ``train``'s scoring on the worker, it ran about 3% slower,
+    so records take the whole batch.
+
     Each vector's GEMMs have the operands and shapes of its own one-vector
     pass, so sharing a tile changes no bit of any vector's output, whatever
     the other vectors hold. Tiling changes only how many rows a conv GEMM
@@ -579,6 +589,7 @@ def _run_layers(
         weights.append([_weights(params, layer) for layer in plan])
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
     n = (patches if x is None else x).shape[0]
+    tile = _TILE if records is None else n
     shapes = [(n, *(size // layer["stride"] for size in layer["in_hw"]), layer["cout"]) for layer in plan[:convs]]
     outs = [np.empty(shapes[-1]) if convs else x for _ in vectors]
     kept = (  # per vector, each layer's (name, whole-batch float32 output), when acts is given
@@ -588,25 +599,34 @@ def _run_layers(
     )
 
     def run_tile(i):
+        rows = slice(i, i + tile)
         if patches is None:
-            shared = _gather_patches(x[i : i + _TILE], plan[0]["kernel"], plan[0]["stride"])
+            shared = _gather_patches(x[rows], plan[0]["kernel"], plan[0]["stride"])
         else:
-            shared = patches[i : i + _TILE]
+            shared = patches[rows]
         for v, layers in enumerate(weights):
-            y, tile_patches = None, shared  # layer start reads only its patches
+            # layer start's GEMM reads only its patches; its input is read for its records
+            y, tile_patches = (None if x is None else x[rows]), shared
             for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
-                y = _apply_layer(layer, y, w, b, tile_patches)[1]
-                tile_patches = None
+                if j:
+                    tile_patches = _gather_patches(y, layer["kernel"], layer["stride"])
+                out = _apply_layer(layer, tile_patches, w, b)
+                if records is not None:
+                    records.append((layer, y, w, tile_patches, out))
+                y = out
                 if kept is not None:
-                    kept[v][j][1][i : i + _TILE] = y
-            outs[v][i : i + _TILE] = y
+                    kept[v][j][1][rows] = y
+            outs[v][rows] = y
 
-    _share([partial(run_tile, i) for i in range(0, n if convs else 0, _TILE)])
+    _share([partial(run_tile, i) for i in range(0, n if convs else 0, tile)])
     for v, layers in enumerate(weights):
         for layer, (w, b) in zip(plan[convs:], layers[convs:]):
-            outs[v] = _apply_layer(layer, outs[v], w, b)[1]
+            x_in = outs[v].reshape(n, -1)
+            outs[v] = _apply_layer(layer, x_in, w, b)
             if kept is not None:
                 kept[v].append((layer["name"], outs[v].astype(np.float32)))
+            if records is not None:
+                records.append((layer, x_in, w, None, outs[v]))
     if kept is not None:
         acts.extend(kept)
     return outs
@@ -635,21 +655,6 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
     return logits, acts[0]
 
 
-def _records(params: ParamVector, arch: ArchDescriptor, x: np.ndarray) -> list:
-    """One (layer, x_in, w, patches, post) per layer on x, the network input:
-    its plan entry, its input (flattened for a dense layer), float64 weight,
-    conv patches (None for a dense layer) and output. Bias and ReLU are
-    applied in place to the fresh GEMM output, so post > 0 is the ReLU's
-    mask (the same as pre > 0, NaN included)."""
-    _check_params(params, arch)
-    records = []
-    for layer in arch.layer_plan():
-        w, b = _weights(params, layer)
-        x_in, x, patches = _apply_layer(layer, x, w, b)
-        records.append((layer, x_in, w, patches, x))
-    return records
-
-
 def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> None:
     """labels must be n >= 1 integers in [0, num_classes), one per image."""
     if labels.shape != (n,):
@@ -673,9 +678,15 @@ def _nll(z: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean cross-entropy and d(loss)/d(logits), computed in float64."""
+    """Mean cross-entropy and d(loss)/d(logits), computed in float64, of
+    (n, C) logits and their n labels; SizeError or DomainError unless the
+    labels are n integers in [0, C) (``_check_labels``)."""
+    z = np.asarray(logits, dtype=np.float64)
+    if z.ndim != 2:
+        raise SizeError(f"logits of shape {z.shape} are not (batch, classes)")
     labels = np.asarray(labels)
-    nll, dlogits = _nll(np.asarray(logits, dtype=np.float64), labels)
+    _check_labels(labels, z.shape[1], z.shape[0])
+    nll, dlogits = _nll(z, labels)
     n = nll.shape[0]
     dlogits[np.arange(n), labels] -= 1.0
     dlogits /= n
@@ -683,31 +694,33 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
 
 
 def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[float, ParamVector]:
-    """Mean cross-entropy loss and its gradient as a ParamVector. Its records
-    are untiled, as each weight gradient sums over the whole batch at once;
-    each conv layer's gradients are jobs that the caller shares with the
-    idle worker (``_conv_backward``), and the dense layers run on the
-    caller."""
-    x = _network_input(arch, batch)
-    labels = np.asarray(labels)
-    _check_labels(labels, arch.num_classes, x.shape[0])
-    records = _records(params, arch, x)
-    loss, g = softmax_cross_entropy(records[-1][-1], labels)
-    grad = ParamVector(np.zeros_like(params.values), params.index)
+    """Mean cross-entropy loss and its gradient as a ParamVector. Its
+    records come from the forward core (``_run_layers``) as one tile of the
+    whole batch, whose patches and outputs the weight gradients sum over;
+    the labels are checked once, by ``softmax_cross_entropy``. Every
+    gradient is written into one float64 vector, cast once to the
+    parameters' dtype: the bits of a cast per entry."""
+    records = []
+    logits = _run_layers([params], arch, _network_input(arch, batch), records=records)[0]
+    loss, g = softmax_cross_entropy(logits, labels)
+    grad = np.empty(params.size)
     for depth in reversed(range(len(records))):
         layer, x_in, w, patches, post = records[depth]
-        name = layer["name"]
         if layer["kind"] != "classifier":
-            g = g.reshape(post.shape) * (post > 0)
+            # in place, as each g is fresh: a fresh product costs about half
+            # again as much
+            g = g.reshape(post.shape)
+            g *= post > 0
         if layer["kind"] == "conv":
             # nothing reads the network input's gradient
             g_in, gw, gb = _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=depth > 0)
         else:
             g_in, gw, gb = g @ w, g.T @ x_in, g.sum(axis=0)
-        grad.set(f"{name}.weight", gw)
-        grad.set(f"{name}.bias", gb)
+        # the index holds each layer's weight and then its bias, in plan order
+        for e, value in zip(params.index[2 * depth : 2 * depth + 2], (gw, gb)):
+            grad[e.offset : e.offset + e.length].reshape(e.shape)[...] = value
         g = g_in
-    return loss, grad
+    return loss, ParamVector(grad.astype(params.values.dtype), params.index)
 
 
 def sgd_step(

@@ -22,14 +22,12 @@ from basinscope.model import (
     ParamVector,
     _apply_layer,
     _conv_backward,
-    _conv_forward,
     _gather_patches,
     _module_input,
     _network_input,
     _nll,
     _patch_indices,
     _phase_indices,
-    _records,
     _run_layers,
     _weights,
     backward,
@@ -211,8 +209,12 @@ class TestParamVector:
         with pytest.raises(SizeError, match=re.escape(f"values of shape {values.shape} do not match the index's ({total},)")):
             ParamVector(values, index)
 
-    @pytest.mark.parametrize("array", [np.zeros(5), np.zeros((3, 3, 3, 8, 1, 2))], ids=["short", "long"])
+    @pytest.mark.parametrize(
+        "array", [np.zeros(5), np.zeros((3, 3, 3, 8, 1, 2)), np.ones((8, 27))], ids=["short", "long", "same_size_other_shape"]
+    )
     def test_set_of_another_size_rejected(self, array):
+        """An array of the entry's size in another shape, such as an
+        (Cout, k*k*Cin) conv weight, would be written in the wrong order."""
         params = ParamVector.zeros(TINY4)
         with pytest.raises(SizeError, match=re.escape(f"conv1.weight takes shape (3, 3, 3, 8), got an array of shape {array.shape}")):
             params.set("conv1.weight", array)
@@ -335,6 +337,29 @@ class TestForward:
                 assert not same
 
 
+def core_records(params, arch, x):
+    """backward's records: the core's (layer, x_in, w, patches, post) per
+    layer on x, the network input."""
+    records = []
+    _run_layers([params], arch, x, records=records)
+    return records
+
+
+def untiled_records(params, arch, x):
+    """The untiled loop that backward's records once came from: each layer
+    on the whole batch at once, with whole-batch gathers and GEMMs."""
+    records = []
+    for layer in arch.layer_plan():
+        w, b = _weights(params, layer)
+        if layer["kind"] == "conv":
+            x_in, patches = x, _gather_patches(x, layer["kernel"], layer["stride"])
+        else:
+            x_in, patches = x.reshape(x.shape[0], -1), None
+        x = _apply_layer(layer, x_in if patches is None else patches, w, b)
+        records.append((layer, x_in, w, patches, x))
+    return records
+
+
 def traced_peak(fn, *args):
     """fn(*args)'s tracemalloc peak in bytes; its result is dropped."""
     tracemalloc.start()
@@ -358,7 +383,7 @@ class TestLayerByLayerForward:
         params = with_biases(init_random(arch, RngStream(23)), 24)
         batch, _ = rand_batch(arch, n, 25)
         x0 = _network_input(arch, batch)
-        records = _records(params, arch, x0)
+        records = core_records(params, arch, x0)
         if arch is SMALL and n == 256:
             posts = [_run_layers([params], arch, x0, 0, m + 1)[0] for m in range(len(records))]
         else:
@@ -373,7 +398,7 @@ class TestLayerByLayerForward:
     def test_peak_below_keep_records_at_batch_256(self):
         params = init_random(TINY4, RngStream(26))
         batch, _ = rand_batch(TINY4, 256, 27)
-        kept = traced_peak(lambda: _records(params, TINY4, _network_input(TINY4, batch)))
+        kept = traced_peak(lambda: core_records(params, TINY4, _network_input(TINY4, batch)))
         layered = traced_peak(forward, params, TINY4, batch)
         assert layered < kept
 
@@ -434,7 +459,7 @@ class TestForwardCore:
         params = init_random(TINY4, RngStream(19))
         batch, _ = rand_batch(TINY4, 2, 7)
         x0 = _network_input(TINY4, batch)
-        records = _records(params, TINY4, x0)
+        records = core_records(params, TINY4, x0)
         assert [layer["name"] for layer, *_ in records] == TINY4.module_names()
         prev = x0
         for layer, x_in, w, patches, post in records:
@@ -477,11 +502,12 @@ class TestForwardCore:
             x[0] = np.where(np.arange(x[0].size).reshape(x[0].shape) % 2, 0.0, -0.0)
             w, brow = _weights(params, layer)
             b = params.get(f"{name}.bias").astype(np.float64)
-            _, got, _ = _apply_layer(layer, x, w, brow)
             if layer["kind"] == "conv":
+                given = _gather_patches(x, layer["kernel"], layer["stride"])
                 flat, wmat = oracle_patches(x, layer["kernel"], layer["stride"]).reshape(-1, w[..., 0].size), w.reshape(-1, layer["cout"])
             else:
-                flat, wmat = x, w.T
+                given, flat, wmat = x, x, w.T
+            got = _apply_layer(layer, given, w, brow)
             want = flat @ wmat + b
             if layer["kind"] != "classifier":
                 want = np.maximum(want, 0.0)
@@ -500,6 +526,13 @@ class TestForwardCore:
             _network_input(TINY4, batch[0])  # one image is passed as a batch of one
 
 
+def conv_gemm(patches, w):
+    """Bias-free conv output (B, OH, OW, Cout) of gathered (B, OH, OW, k,
+    k, Cin) patches: one GEMM of their (B*OH*OW, k*k*Cin) view."""
+    cout = w.shape[-1]
+    return (patches.reshape(-1, w.size // cout) @ w.reshape(-1, cout)).reshape(patches.shape[:3] + (cout,))
+
+
 def single_pass(params, arch, x, start=0, stop=None, patches=None):
     """The untiled logits-only loop: each layer's affine map, bias and ReLU
     on the whole batch at once."""
@@ -508,7 +541,7 @@ def single_pass(params, arch, x, start=0, stop=None, patches=None):
         w = params.get(f"{name}.weight").astype(np.float64)
         b = params.get(f"{name}.bias").astype(np.float64)
         if layer["kind"] == "conv":
-            out, _ = _conv_forward(x, w, layer["stride"], patches)
+            out = conv_gemm(_gather_patches(x, layer["kernel"], layer["stride"]) if patches is None else patches, w)
         else:
             out = x.reshape(x.shape[0], -1) @ w.T
         patches = None
@@ -543,7 +576,7 @@ def arch_id(arch):
 
 
 class TestTiledCore:
-    """The logits-only core runs the conv layers over tiles of _TILE images;
+    """The forward core runs the conv layers over tiles of _TILE images;
     the single-pass loop is the oracle."""
 
     @pytest.mark.parametrize("n", [1, _TILE - 1, _TILE, _TILE + 1, 256, 300])
@@ -820,35 +853,27 @@ TWELVE = ArchDescriptor((12, 12, 2), ((4, 3, 1), (6, 3, 3), (6, 3, 2)), (8,), 3)
 
 
 class TestSharedBackward:
-    """With two CPUs the caller and the pooled worker share a conv
-    backward's jobs (weight gradient, bias gradient, one per input-gradient
-    phase); the one-thread run is the oracle."""
+    """backward beside the pooled worker: its record tiles and conv
+    gradient jobs run on the calling thread, so an idle worker is left to
+    other callers; the one-CPU run is the oracle."""
 
     @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
     @pytest.mark.parametrize("n", [1, 7, 32, 64])
-    def test_shared_backward_equals_one_thread_backward(self, arch, n, monkeypatch):
-        """Every conv layer's gradients, with and without the input
-        gradient, and backward's loss and gradient, bit for bit."""
+    def test_backward_offloads_nothing_to_an_idle_worker(self, arch, n, monkeypatch):
+        """With two CPUs and the worker idle, backward hands it no job, and
+        its loss and gradient are the one-CPU run's, bit for bit."""
         params = with_biases(init_random(arch, RngStream(100)), 101)
         batch, labels = rand_batch(arch, n, 102)
-        records = _records(params, arch, _network_input(arch, batch))
-        grads = [gaussian(RngStream(103, d), post.size, 1.0).reshape(post.shape) * (post > 0) for d, (*_, post) in enumerate(records)]
-        runs = []
-        for two_cpus in (False, True):
-            monkeypatch.setattr(model, "_TWO_CPUS", two_cpus)
-            convs = [
-                _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=need)
-                for (layer, x_in, w, patches, _), g in zip(records, grads)
-                if layer["kind"] == "conv"
-                for need in (True, False)
-            ]
-            runs.append((convs, backward(params, arch, batch, labels)))
-        (serial, (loss, grad)), (shared, (shared_loss, shared_grad)) = runs
-        for want, got in zip(serial, shared):
-            assert (want[0] is None) == (got[0] is None)
-            for a, b in zip(want, got):
-                assert a is None or (a.dtype == b.dtype and np.array_equal(a, b))
-        assert shared_loss == loss and shared_grad.equals(grad)
+        monkeypatch.setattr(model, "_TWO_CPUS", False)
+        loss, grad = backward(params, arch, batch, labels)
+        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        offloaded, real_offload = [], model._offload
+        monkeypatch.setattr(model, "_offload", lambda fn: offloaded.append(fn) or real_offload(fn))
+        assert model._idle.acquire(blocking=False)  # the worker is idle
+        model._idle.release()
+        got_loss, got_grad = backward(params, arch, batch, labels)
+        assert not offloaded
+        assert got_loss == loss and got_grad.equals(grad)
 
     def test_concurrent_backward_callers_get_their_one_thread_gradients(self, monkeypatch):
         """Four callers at once, more than the CPUs, with the interpreter
@@ -878,6 +903,37 @@ class TestSharedBackward:
         assert not any(t.is_alive() for t in callers)
         for c, (loss, grad) in enumerate(want):
             assert len(got[c]) == 5 and all(got_loss == loss and g.equals(grad) for got_loss, g in got[c]), c
+
+
+class TestCoreRecords:
+    """backward's records come from the core; the untiled loop that they
+    replaced is the oracle."""
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
+    @pytest.mark.parametrize("n", [1, 7, _TILE, _TILE + 1, 32, 64, 256])
+    def test_backward_equals_untiled_records_bit_for_bit(self, arch, n, monkeypatch):
+        """Each record's input, weight, patches and output, bit for bit, and
+        backward's loss and gradient against backward on the untiled
+        records. A records pass is one whole-batch tile, so it keeps the
+        untiled loop's GEMMs even where tiling reassociates (SMALL's and
+        TWELVE's conv1 at 256 images, REASSOCIATING)."""
+        params = with_biases(init_random(arch, RngStream(110)), 111)
+        batch, labels = rand_batch(arch, n, 112)
+        x0 = _network_input(arch, batch)
+        got, want = core_records(params, arch, x0), untiled_records(params, arch, x0)
+        assert [layer for layer, *_ in got] == [layer for layer, *_ in want]
+        for (layer, *parts), (_, *expected) in zip(got, want):
+            for part, oracle in zip(parts, expected):
+                assert (part is None and oracle is None) or (part.shape == oracle.shape and np.array_equal(part, oracle)), layer["name"]
+        loss, grad = backward(params, arch, batch, labels)
+
+        def untiled(vectors, arch, x, *, records):
+            records.extend(untiled_records(vectors[0], arch, x))
+            return [records[-1][-1]]
+
+        monkeypatch.setattr(model, "_run_layers", untiled)
+        want_loss, want_grad = backward(params, arch, batch, labels)
+        assert loss == want_loss and grad.equals(want_grad)
 
 
 def _on_worker() -> bool:
@@ -1145,7 +1201,7 @@ class TestInputGradient:
         grad_x, _, _ = _conv_backward(gout, x_shape, w, _gather_patches(x, kernel, stride), stride)
 
         def objective(xv):
-            out, _ = _conv_forward(xv, w, stride)
+            out = conv_gemm(_gather_patches(xv, kernel, stride), w)
             return float(np.sum(out * gout))
 
         eps = 1e-3
@@ -1205,6 +1261,38 @@ class TestBackward:
         assert np.all(np.abs(nll - want) <= 1e-10 * want)
         loss, _ = softmax_cross_entropy(z, labels)
         assert abs(loss - float(want.mean())) <= 1e-10 * float(want.mean())
+
+    @pytest.mark.parametrize(
+        "labels, error",
+        [
+            ([0, 1, -1], DomainError),
+            ([0, 1, 10], DomainError),
+            ([0.0, 1.0, 2.0], DomainError),
+            ([[0], [1], [2]], SizeError),
+            ([0, 1], SizeError),
+        ],
+        ids=["negative", "past_the_classes", "float", "column", "short"],
+    )
+    def test_softmax_cross_entropy_checks_its_labels(self, labels, error):
+        """A label of -1 was scored as the last class, and one of C, or
+        float labels, raised a bare IndexError."""
+        z = gaussian(RngStream(37), 30, 1.0).reshape(3, 10)
+        with pytest.raises(error):
+            softmax_cross_entropy(z, np.array(labels))
+
+    def test_softmax_cross_entropy_of_no_logits_rows_rejected(self):
+        with pytest.raises(SizeError):
+            softmax_cross_entropy(np.zeros(10), np.array([0]))
+        with pytest.raises(DomainError, match="empty batch"):
+            softmax_cross_entropy(np.zeros((0, 10)), np.zeros(0, dtype=np.int64))
+
+    def test_backward_checks_its_labels_once(self, monkeypatch):
+        params = init_random(TINY4, RngStream(36))
+        batch, labels = rand_batch(TINY4, 4, 12)
+        checks, real_check = [], model._check_labels
+        monkeypatch.setattr(model, "_check_labels", lambda *args: checks.append(args) or real_check(*args))
+        backward(params, TINY4, batch, labels)
+        assert len(checks) == 1
 
     def test_out_of_range_label_rejected(self):
         params = ParamVector.zeros(TINY4)
@@ -1292,6 +1380,42 @@ class TestBackward:
         none, gw0, gb0 = _conv_backward(gout, x.shape, w, patches, stride, need_input_grad=False)
         assert none is None
         assert np.array_equal(gw0, gw) and np.array_equal(gb0, gb)
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
+    @pytest.mark.parametrize("n", [1, 7, 32, 64])
+    def test_conv_weight_and_bias_gradients_keep_the_direct_forms_bits(self, arch, n):
+        """On every conv of the three architectures, grad_w, the transposed
+        GEMM (g^T patches)^T, has the bits and (k, k, Cin, Cout) layout of
+        np.dot(patches^T, g), and grad_b, an einsum, has those of g summed
+        over the batch and pixels, signed zeros included."""
+        params = with_biases(init_random(arch, RngStream(116)), 117)
+        batch, _ = rand_batch(arch, n, 118)
+        records = core_records(params, arch, _network_input(arch, batch))
+        for depth, (layer, x_in, w, patches, post) in enumerate(records):
+            if layer["kind"] != "conv":
+                break
+            g = gaussian(RngStream(119, depth), post.size, 1.0).reshape(post.shape) * (post > 0)
+            _, gw, gb = _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=False)
+            flat = patches.reshape(-1, w[..., 0].size)
+            assert gw.shape == w.shape
+            assert np.array_equal(gw, np.dot(flat.T, g.reshape(-1, layer["cout"])).reshape(w.shape)), layer["name"]
+            want = g.sum(axis=(0, 1, 2))
+            assert np.array_equal(gb, want) and np.array_equal(np.signbit(gb), np.signbit(want)), layer["name"]
+
+    def test_bias_gradient_of_zero_channels_has_the_old_sums_signs(self):
+        """einsum and the old sum both start from +0.0, so a channel that is
+        -0.0 on every pixel sums to +0.0 in both, as does a channel of
+        zeros of both signs or one whose terms cancel exactly; a sum that
+        started from its first term would keep channel 1's -0.0."""
+        gout, x_shape, w, patches = input_grad_case(8, 8, 3, 4, 3, 1, 2, 38)
+        gout[..., 1] = -0.0
+        gout[..., 2] = np.where(np.arange(gout[..., 2].size).reshape(gout.shape[:3]) % 2, 0.0, -0.0)
+        gout[..., 3] = 0.0
+        gout[0, 0, 0, 3], gout[1, 0, 0, 3] = 0.75, -0.75
+        _, _, gb = _conv_backward(gout, x_shape, w, patches, 1)
+        want = gout.sum(axis=(0, 1, 2))
+        assert gb[0] != 0 and np.all(gb[1:] == 0)
+        assert np.array_equal(gb, want) and not np.signbit(gb).any() and not np.signbit(want).any()
 
     def test_gradient_via_directional_derivative(self):
         # full-vector check at tiny step; immune to coordinate kinks
