@@ -17,10 +17,8 @@ layers after it, with the same arithmetic as ``evaluate``: the
 forward core runs the conv layers over tiles of a few images, so each
 tile stays in cache, its cached patches a view of the batch's, and the
 dense layers once on the whole batch, so their bits do not depend on the
-tile size (``model._run_layers``). With two CPUs the calling thread and
-one pooled worker share each batch's tiles, and a noise sample's outputs
-keep their bits. The cache holds float64 arrays; the largest is a conv1
-map's, about 21 MB of patches at 384 images on TINY4.
+tile size (``model._run_layers``). The cache holds float64 arrays; the
+largest is a conv1 map's, about 21 MB of patches at 384 images on TINY4.
 """
 
 from __future__ import annotations

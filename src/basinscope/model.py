@@ -20,17 +20,8 @@ one-vector case, and each vector's output has the bits of that case.
 ``forward`` also takes each layer's float32 output from it. ``backward``
 takes from it each layer's input, patches and output for the whole batch
 (its records), as its weight gradients sum over the batch at once: a
-records pass runs the whole batch as one tile on the calling thread, and so
-do the weight gradient, bias gradient and input-gradient phases of each
-conv layer's backward (``_conv_backward``).
-
-When the process may run on two CPUs, independent pieces of work are
-shared with one pooled worker thread while it is idle (``_share``): the
-conv tiles of a forward-only pass through the core, and each epoch of
-``trainer.train``, whose caller runs the epoch's steps while the worker
-scores the epoch before. Each piece keeps its GEMMs, so no output bit
-depends on which thread ran it. The worker starts at the first piece
-that uses it, and a forked child starts its own.
+records pass runs the whole batch as one tile. Every pass runs on its
+caller's thread; only ``trainer.train`` runs work on a second one.
 
 Every conv gather, the forward patches and the transposed conv's phase
 columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
@@ -44,12 +35,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass
-from functools import lru_cache, partial
-from itertools import chain, islice
+from functools import lru_cache
 
 import numpy as np
 
@@ -403,86 +390,6 @@ def _network_input(arch: ArchDescriptor, batch) -> np.ndarray:
 # patches and conv outputs stay in cache from gather to ReLU.
 _TILE = 8
 
-# Whether this process may run on two CPUs, read once at import: work is
-# then shared with one pooled worker thread (``_offload``, ``_share``).
-_TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2
-_pool: ThreadPoolExecutor | None = None
-_idle = threading.Lock()  # held from a submit until the worker has run that job
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The one pooled worker thread, started at first use."""
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="basinscope-worker")
-    return _pool
-
-
-def _drop_pool() -> None:
-    """A forked child has no copy of the parent's worker thread, and the
-    idle lock may have been copied held, so it starts its own of both."""
-    global _pool, _idle
-    _pool, _idle = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _offload(fn) -> Future | None:
-    """fn() started on the pooled worker, as a Future, when the process may
-    run on two CPUs and the worker is idle; None otherwise, and the caller
-    then runs the work itself. The idle lock is taken without blocking and
-    released when fn ends, so nothing waits in the executor's queue: a
-    queued job would keep its closure's arrays alive. A job on the worker
-    that offloads again finds the lock held, so it never waits on itself."""
-    if not (_TWO_CPUS and _idle.acquire(blocking=False)):
-        return None
-
-    def run():
-        try:
-            return fn()
-        finally:
-            _idle.release()
-
-    try:
-        return _worker_pool().submit(run)
-    except BaseException:
-        _idle.release()
-        raise
-
-
-def _share(jobs: list) -> list:
-    """Each job's result, in the list's order; the jobs are callables that
-    write disjoint outputs. The first job is the caller's: it is claimed
-    before the worker can start, so the caller always runs it. When the
-    worker is idle (``_offload``), the caller and the worker then claim the
-    other jobs from one shared iterator until the list runs out, so a busy
-    CPU simply runs fewer of them; otherwise the caller runs them all. The
-    caller waits for the worker before it returns or raises; when only the
-    worker's jobs failed, the caller raises the worker's error. A job does
-    the same operations on whichever thread runs it, so no output bit
-    depends on the split."""
-    results = [None] * len(jobs)
-    claims = iter(enumerate(jobs))  # each job is claimed once, by one of the two threads
-
-    def run_claimed(first=()):
-        for k, job in chain(first, claims):
-            results[k] = job()
-
-    first = list(islice(claims, 1))  # the caller's job, claimed before the worker can start
-    worker = _offload(run_claimed) if len(jobs) > 1 else None
-    if worker is None:
-        run_claimed(first)
-        return results
-    try:
-        run_claimed(first)
-    finally:
-        worker.exception()  # waits: neither side returns while the worker still writes
-    worker.result()
-    return results
-
-
 def _apply_layer(layer: dict, x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """One layer's output: the affine map of x, then bias and (on every
     layer but the classifier) ReLU in place on the fresh GEMM output. For a
@@ -555,32 +462,28 @@ def _run_layers(
     per vector on it. A batch of at most ``_TILE`` images is one tile, the
     same GEMMs as an untiled pass.
 
-    Each tile is one job of ``_share``: while the pooled worker is idle,
-    the caller and the worker claim a batch's tiles from one shared
-    iterator, so a busy CPU simply runs fewer tiles, and each thread writes
-    only its own tiles' rows of the outputs and activations. Two tiles'
-    working sets are then live at once. The dense layers run after the
-    join, on the caller's thread. A pass that runs on the worker itself,
-    such as ``train``'s scoring of a finished epoch, finds it busy and runs
-    every tile on its own thread.
+    The tiles run one after another on the calling thread, so one tile's
+    working set is live at a time. A tile is too little work to share with
+    a second thread: on a 2-vCPU VM, two threads each running whole TINY4
+    tiles did 0.8-1.8 times one thread's work, 1.0-1.1 in the median.
 
-    A records pass is one tile of the whole batch, so it runs on the
-    caller, and each conv layer's patches and output are its records. With
-    ``_TILE``-image tiles instead, each conv GEMM would stay below OpenBLAS
-    0.3.31's small-matrix size, where a row costs about half as much, and
-    on a 2-vCPU Xeon VM a fine-tune ran about 2% faster on one CPU; but on
+    A records pass is one tile of the whole batch, and each conv layer's
+    patches and output are its records. With ``_TILE``-image tiles
+    instead, each conv GEMM would stay below OpenBLAS 0.3.31's
+    small-matrix size, where a row costs about half as much, and on a
+    2-vCPU Xeon VM a fine-tune ran about 2% faster on one CPU; but on
     both, beside ``train``'s scoring on the worker, it ran about 3% slower,
     so records take the whole batch.
 
     Each vector's GEMMs have the operands and shapes of its own one-vector
     pass, so sharing a tile changes no bit of any vector's output, whatever
     the other vectors hold. Tiling changes only how many rows a conv GEMM
-    call has, and which thread runs a tile changes nothing. OpenBLAS 0.3.31
-    gives every TINY4 conv row the same bits at any row count, so the
-    logits are the untiled loop's; convs with 2-4 or 9-12 output channels
-    (SMALL's conv1 among them) may differ by reassociation of each dot
-    product. Dense GEMM rows change bits with the row count (fc1 below 64
-    rows, the classifier below 128), so dense layers are never tiled.
+    call has. OpenBLAS 0.3.31 gives every TINY4 conv row the same bits at
+    any row count, so the logits are the untiled loop's; convs with 2-4 or
+    9-12 output channels (SMALL's conv1 among them) may differ by
+    reassociation of each dot product. Dense GEMM rows change bits with
+    the row count (fc1 below 64 rows, the classifier below 128), so dense
+    layers are never tiled.
     """
     plan = arch.layer_plan()[start:stop]
     weights = []
@@ -597,8 +500,7 @@ def _run_layers(
         if acts is not None
         else None
     )
-
-    def run_tile(i):
+    for i in range(0, n if convs else 0, tile):
         rows = slice(i, i + tile)
         if patches is None:
             shared = _gather_patches(x[rows], plan[0]["kernel"], plan[0]["stride"])
@@ -617,8 +519,6 @@ def _run_layers(
                 if kept is not None:
                     kept[v][j][1][rows] = y
             outs[v][rows] = y
-
-    _share([partial(run_tile, i) for i in range(0, n if convs else 0, tile)])
     for v, layers in enumerate(weights):
         for layer, (w, b) in zip(plan[convs:], layers[convs:]):
             x_in = outs[v].reshape(n, -1)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -39,10 +40,13 @@ def sha256_file(path) -> str:
 
 
 def _read_exact(f, n: int, section: str) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise FileFormatError(section, f"truncated: wanted {n} bytes, got {len(data)}")
-    return data
+    """The next n bytes of the open file f; FileFormatError, before any
+    read, when fewer are left, as f.read(n) would first allocate n bytes
+    and a count read from a damaged file can be 2**40."""
+    left = os.fstat(f.fileno()).st_size - f.tell()
+    if n > left:
+        raise FileFormatError(section, f"truncated: wanted {n} bytes, {left} left")
+    return f.read(n)
 
 
 def _read_prefixed(f, section: str) -> bytes:

@@ -1,13 +1,9 @@
 import json
 import math
 import re
-import subprocess
 import sys
-import textwrap
 import threading
-import time
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,13 +398,11 @@ class TestLayerByLayerForward:
         layered = traced_peak(forward, params, TINY4, batch)
         assert layered < kept
 
-    def test_peak_is_the_tiled_working_set_at_batch_256(self, monkeypatch):
+    def test_peak_is_the_tiled_working_set_at_batch_256(self):
         """The peak is the network input, the float32 activations, conv1's
-        working set on one tile (patches and output) per thread, as the
-        caller and the worker each hold one, and the last conv's float64
-        output, as tiles and joined; whole-batch conv1 patches (the untiled
-        loop's peak) would add 14 MB on top."""
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        working set on one tile (patches and output), and the last conv's
+        float64 output, as tiles and joined; whole-batch conv1 patches (the
+        untiled loop's peak) would add 14 MB on top."""
         params = init_random(TINY4, RngStream(26))
         batch, _ = rand_batch(TINY4, 256, 27)
         h, w, c = TINY4.input_shape
@@ -422,7 +416,7 @@ class TestLayerByLayerForward:
         conv1 = plan[0]
         tile = 8 * _TILE * h * w * (conv1["kernel"] ** 2 * c + conv1["cout"])
         joined = 2 * 8 * sizes[len(TINY4.conv_blocks) - 1]
-        working_set = 8 * 256 * h * w * c + 4 * sum(sizes) + 2 * tile + joined
+        working_set = 8 * 256 * h * w * c + 4 * sum(sizes) + tile + joined
         assert traced_peak(forward, params, TINY4, batch) < 1.1 * working_set
 
 
@@ -710,88 +704,13 @@ class TestSharedTiles:
             assert np.array_equal(logits, _run_layers([params], arch, x)[0], equal_nan=True)
         assert np.isnan(shared[1]).any() and not np.isnan(shared[0]).any() and not np.isnan(shared[2]).any()
 
-
-class TestThreadedTiles:
-    """With two CPUs the caller and one pooled worker claim a batch's conv
-    tiles from one counter; the one-thread run is the oracle."""
-
-    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
-    @pytest.mark.parametrize("n", [1, _TILE, _TILE + 1, 2 * _TILE + 1, 256, 300])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_pooled_pass_equals_one_thread_pass(self, arch, n, k, monkeypatch):
-        """From the network input and from conv2, each with and without
-        given patches: logits and float32 activations, bit for bit."""
-        vectors = [with_biases(init_random(arch, RngStream(70, v)), 71 + v) for v in range(k)]
-        batch, _ = rand_batch(arch, n, 72)
-        x0 = _network_input(arch, batch)
-        conv1 = arch.layer_plan()[0]
-        x1 = _run_layers([vectors[0]], arch, x0, 0, 1)[0]
-        cached, patches1 = _module_input(vectors[0], arch, batch, 1)
-        patches0 = _gather_patches(x0, conv1["kernel"], conv1["stride"])
-        cases = [(x0, 0, None), (x0, 0, patches0), (None, 0, patches0), (x1, 1, None), (x1, 1, patches1), (cached, 1, patches1)]
-        for x, start, given in cases:
-            runs = []
-            for two_cpus in (False, True):
-                monkeypatch.setattr(model, "_TWO_CPUS", two_cpus)
-                acts = []
-                runs.append((_run_layers(vectors, arch, x, start, patches=given, acts=acts), acts))
-            (serial, serial_acts), (pooled, pooled_acts) = runs
-            for want, got in zip(serial, pooled):
-                assert np.array_equal(got, want)
-            for want, got in zip(serial_acts, pooled_acts):
-                assert [name for name, _ in got] == [name for name, _ in want]
-                for (name, act), (_, expected) in zip(got, want):
-                    assert act.dtype == np.float32 and np.array_equal(act, expected), name
-
-    def test_short_patches_raise_as_in_the_one_thread_pass(self, monkeypatch):
-        """Given patches of no images fail every tile, the worker's too: the
-        error type is the one-thread pass's, and the next call is whole."""
-        vectors = [init_random(TINY4, RngStream(73, v)) for v in range(2)]
-        x = _network_input(TINY4, rand_batch(TINY4, 300, 74)[0])
-        conv1 = TINY4.layer_plan()[0]
-        empty = _gather_patches(x, conv1["kernel"], conv1["stride"])[:0]
-        monkeypatch.setattr(model, "_TWO_CPUS", False)
-        with pytest.raises(Exception) as serial:
-            _run_layers(vectors, TINY4, x, patches=empty)
-        want = _run_layers(vectors, TINY4, x)
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        with pytest.raises(serial.type):
-            _run_layers(vectors, TINY4, x, patches=empty)
-        for got, expected in zip(_run_layers(vectors, TINY4, x), want):
-            assert np.array_equal(got, expected)
-
-    def test_error_in_a_worker_tile_reaches_the_caller(self, monkeypatch):
-        """The worker's first tile raises, and the caller's tiles wait until
-        it has: the caller raises the worker's error."""
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        vectors = [init_random(TINY4, RngStream(75))]
-        x = _network_input(TINY4, rand_batch(TINY4, 300, 76)[0])
-        want = _run_layers(vectors, TINY4, x)[0]
-        gather = model._gather_patches
-        failed = threading.Event()
-
-        def fail_in_the_worker(tile, kernel, stride):
-            if threading.current_thread() is not threading.main_thread():
-                failed.set()
-                raise ValueError("planted")
-            assert failed.wait(timeout=30)
-            return gather(tile, kernel, stride)
-
-        monkeypatch.setattr(model, "_gather_patches", fail_in_the_worker)
-        with pytest.raises(ValueError, match="planted"):
-            _run_layers(vectors, TINY4, x)
-        monkeypatch.setattr(model, "_gather_patches", gather)
-        assert np.array_equal(_run_layers(vectors, TINY4, x)[0], want)
-
-    def test_concurrent_callers_share_the_one_worker(self, monkeypatch):
+    def test_concurrent_callers_get_their_one_thread_results(self):
         """Four callers at once, more than the CPUs, with the interpreter
         switching threads every microsecond: each gets its one-thread
         result, so no tile is lost or written into another call's rows."""
         vectors = [with_biases(init_random(TINY4, RngStream(79)), 80)]
         inputs = [_network_input(TINY4, rand_batch(TINY4, 100, 81 + c)[0]) for c in range(4)]
-        monkeypatch.setattr(model, "_TWO_CPUS", False)
         want = [_run_layers(vectors, TINY4, x)[0] for x in inputs]
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
         got = [[] for _ in inputs]
 
         def call(c):
@@ -812,50 +731,31 @@ class TestThreadedTiles:
         for c, expected in enumerate(want):
             assert len(got[c]) == 5 and all(np.array_equal(logits, expected) for logits in got[c]), c
 
-    def test_child_forked_after_a_pooled_pass_runs_its_own(self):
-        """The parent's worker does not exist in a forked child; the child
-        starts its own and gets the parent's logits. A child left waiting
-        on the parent's worker dies by its alarm."""
-        code = textwrap.dedent(
-            f"""
-            import os, signal, sys, threading
-            sys.path.insert(0, {str(Path(model.__file__).parents[1])!r})
-            import numpy as np
-            from basinscope import model
-            from basinscope.dataops import Dataset
-            from basinscope.model import TINY4, forward, init_random
-            from basinscope.rng import RngStream, gaussian
-            from basinscope.trainer import evaluate
-
-            model._TWO_CPUS = True  # pool the tiles whatever CPUs this process may use
-            params = init_random(TINY4, RngStream(77))
-            images = gaussian(RngStream(78), 256 * 16 * 16 * 3, 1.0).reshape(256, 16, 16, 3).astype(np.float32)
-            dataset = Dataset(images, np.arange(256) % 10, "test", {{}})
-            loss = evaluate(params, TINY4, dataset).loss
-            logits = forward(params, TINY4, images)[0]
-            if threading.active_count() != 2:
-                sys.exit(3)
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(20)
-                same = evaluate(params, TINY4, dataset).loss == loss and np.array_equal(forward(params, TINY4, images)[0], logits)
-                os._exit(0 if same else 1)
-            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            """
-        )
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-
-
 
 # strides 1, 3 and 2 on 12x12, so conv2's input gradient has nine phases
 TWELVE = ArchDescriptor((12, 12, 2), ((4, 3, 1), (6, 3, 3), (6, 3, 2)), (8,), 3)
 
 
 class TestSharedBackward:
-    """backward beside the pooled worker: its record tiles and conv
-    gradient jobs run on the calling thread, so an idle worker is left to
-    other callers; the one-CPU run is the oracle."""
+    """backward and the forward-only passes beside ``train``'s pooled
+    worker: they run every layer on the calling thread, so an idle worker
+    is left to ``train``; the one-CPU run is the oracle."""
+
+    @staticmethod
+    def beside_an_idle_worker(monkeypatch, run):
+        """run()'s result on one CPU, then on two with the worker idle, and
+        the jobs handed to the worker and the threads that ran a layer
+        during the second run."""
+        monkeypatch.setattr(trainer, "_TWO_CPUS", False)
+        want = run()
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
+        offloaded, real_offload = [], trainer._offload
+        monkeypatch.setattr(trainer, "_offload", lambda fn: offloaded.append(fn) or real_offload(fn))
+        threads, apply_layer = set(), model._apply_layer
+        monkeypatch.setattr(model, "_apply_layer", lambda *args: threads.add(threading.current_thread()) or apply_layer(*args))
+        assert trainer._idle.acquire(blocking=False)  # the worker is idle
+        trainer._idle.release()
+        return want, run(), offloaded, threads
 
     @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
     @pytest.mark.parametrize("n", [1, 7, 32, 64])
@@ -864,16 +764,33 @@ class TestSharedBackward:
         its loss and gradient are the one-CPU run's, bit for bit."""
         params = with_biases(init_random(arch, RngStream(100)), 101)
         batch, labels = rand_batch(arch, n, 102)
-        monkeypatch.setattr(model, "_TWO_CPUS", False)
-        loss, grad = backward(params, arch, batch, labels)
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        offloaded, real_offload = [], model._offload
-        monkeypatch.setattr(model, "_offload", lambda fn: offloaded.append(fn) or real_offload(fn))
-        assert model._idle.acquire(blocking=False)  # the worker is idle
-        model._idle.release()
-        got_loss, got_grad = backward(params, arch, batch, labels)
-        assert not offloaded
+        run = lambda: backward(params, arch, batch, labels)
+        (loss, grad), (got_loss, got_grad), offloaded, threads = self.beside_an_idle_worker(monkeypatch, run)
+        assert not offloaded and threads == {threading.current_thread()}
         assert got_loss == loss and got_grad.equals(grad)
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
+    @pytest.mark.parametrize("kind", ["forward", "evaluate", "three_vectors"])
+    def test_forward_only_pass_offloads_nothing_to_an_idle_worker(self, arch, kind, monkeypatch):
+        """forward, evaluate and a three-vector core pass on 300 images,
+        many tiles: with two CPUs and the worker idle, each hands it no job
+        and runs every layer on the calling thread, and its outputs are the
+        one-CPU run's, bit for bit."""
+        vectors = [with_biases(init_random(arch, RngStream(120, v)), 121 + v) for v in range(3)]
+        batch, labels = rand_batch(arch, 300, 122)
+
+        def run():
+            if kind == "forward":
+                logits, acts = forward(vectors[0], arch, batch)
+                return [logits, *(act for _, act in acts)]
+            if kind == "evaluate":
+                result = trainer.evaluate(vectors[0], arch, Dataset(batch, labels, "test", {}))
+                return [np.array([result.loss, result.accuracy]), result.predictions]
+            return _run_layers(vectors, arch, _network_input(arch, batch))
+
+        want, got, offloaded, threads = self.beside_an_idle_worker(monkeypatch, run)
+        assert not offloaded and threads == {threading.current_thread()}
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_concurrent_backward_callers_get_their_one_thread_gradients(self, monkeypatch):
         """Four callers at once, more than the CPUs, with the interpreter
@@ -881,9 +798,9 @@ class TestSharedBackward:
         worker, each gets its one-thread loss and gradient."""
         params = with_biases(init_random(TINY4, RngStream(104)), 105)
         batches = [rand_batch(TINY4, 32, 106 + c) for c in range(4)]
-        monkeypatch.setattr(model, "_TWO_CPUS", False)
+        monkeypatch.setattr(trainer, "_TWO_CPUS", False)
         want = [backward(params, TINY4, *batch) for batch in batches]
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
         got = [[] for _ in batches]
 
         def call(c):
@@ -934,117 +851,6 @@ class TestCoreRecords:
         monkeypatch.setattr(model, "_run_layers", untiled)
         want_loss, want_grad = backward(params, arch, batch, labels)
         assert loss == want_loss and grad.equals(want_grad)
-
-
-def _on_worker() -> bool:
-    return threading.current_thread() is not threading.main_thread()
-
-
-class TestShare:
-    """The job-sharing helper: work goes to the pooled worker only while it
-    is idle, and the caller never returns while the worker still runs."""
-
-    def test_error_in_a_worker_job_reaches_the_caller(self, monkeypatch):
-        """The worker's job raises while the caller's job waits for it: the
-        caller raises the worker's error, and the worker is idle again."""
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        failed = threading.Event()
-
-        def job():
-            if _on_worker():
-                failed.set()
-                raise ValueError("planted")
-            assert failed.wait(timeout=30)
-
-        with pytest.raises(ValueError, match="planted"):
-            model._share([job, job])
-        assert model._idle.acquire(blocking=False)
-        model._idle.release()
-
-    def test_share_from_the_worker_runs_there_without_waiting_on_itself(self, monkeypatch):
-        """A job on the worker that shares again finds the worker busy and
-        runs every job itself; waiting on its own queue would never end."""
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        ran = []
-        jobs = [lambda: ran.append(_on_worker()) for _ in range(4)]
-        future = model._offload(lambda: model._share(jobs))
-        assert future is not None
-        future.result(timeout=30)
-        assert ran == [True] * 4
-
-    def test_busy_worker_leaves_every_job_to_the_caller(self, monkeypatch):
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        release = threading.Event()
-        busy = model._offload(lambda: release.wait(timeout=30))
-        try:
-            assert model._offload(lambda: None) is None
-            ran = []
-            model._share([lambda: ran.append(_on_worker()) for _ in range(4)])
-            assert ran == [False] * 4
-        finally:
-            release.set()
-            busy.result(timeout=30)
-
-    def test_child_forked_while_the_worker_is_busy_uses_its_own(self):
-        """The parent holds the idle lock when it forks; the child starts its
-        own worker and lock, and its worker and main thread run one of two
-        jobs each. A child whose copied lock stayed held would run both on
-        its main thread."""
-        code = textwrap.dedent(
-            f"""
-            import os, signal, sys, threading
-            sys.path.insert(0, {str(Path(model.__file__).parents[1])!r})
-            from basinscope import model
-
-            model._TWO_CPUS = True  # share whatever CPUs this process may use
-            release = threading.Event()
-            busy = model._offload(lambda: release.wait(timeout=60))
-            if busy is None or not model._idle.locked():
-                sys.exit(3)
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(20)
-                ran = {{True: threading.Event(), False: threading.Event()}}  # by "on the main thread"
-                threads = []
-
-                def job():  # each thread waits, 5 s at most, until the other runs a job
-                    threads.append(threading.current_thread() is threading.main_thread())
-                    ran[threads[-1]].set()
-                    ran[not threads[-1]].wait(timeout=5)
-
-                model._share([job, job])
-                os._exit(0 if sorted(threads) == [False, True] else 1)
-            release.set()
-            busy.result()
-            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            """
-        )
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-
-
-class TestShareFirstJob:
-    def test_first_job_runs_on_the_caller_while_the_worker_is_idle(self, monkeypatch):
-        """The caller claims the first job before the worker can start, so
-        even a worker given a head start runs only the others; 50 calls.
-        ``train`` relies on it: an epoch's steps stay on the caller while
-        the worker scores the epoch before."""
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
-        real_offload = model._offload
-
-        def head_start(fn):
-            worker = real_offload(fn)
-            time.sleep(0.002)  # time for an idle worker to claim a job
-            return worker
-
-        monkeypatch.setattr(model, "_offload", head_start)
-        ran = []
-        for _ in range(50):
-            assert model._idle.acquire(blocking=False)  # the worker is idle
-            model._idle.release()
-            ran.append(model._share([_on_worker, _on_worker]))
-        assert [first for first, _ in ran] == [False] * 50
-        assert any(second for _, second in ran)  # the worker did take part
 
 
 def oracle_patches(x, kernel, stride):

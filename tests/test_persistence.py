@@ -1,9 +1,15 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import basinscope
 from basinscope.dataops import domain_spec, generate
 from basinscope.errors import DomainError, FileFormatError
 from basinscope.model import TINY4, ArchDescriptor, ParamVector, init_random
@@ -413,3 +419,41 @@ class TestDatasetIO:
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(FileFormatError):
             load_dataset(path)
+
+
+OVERSIZED = {
+    "llds_n_2_40": ("load_dataset", "labels", lambda: dataset_bytes({**GOOD_HEADER, "n": 2**40}, 0)),
+    "llck_param_count_2_40": (
+        "load_checkpoint", "params", lambda: ckpt_bytes(json.loads(TINY4.to_json()), {**good_meta(), "param_count": 2**40}),
+    ),
+    "llck_section_length_2_32_less_1": ("load_checkpoint", "arch", lambda: b"LLCK" + struct.pack("<II", 1, 2**32 - 1) + b"{}"),
+}
+
+
+@pytest.mark.parametrize("case", list(OVERSIZED))
+def test_oversized_block_names_its_section_under_a_4_gb_address_space(tmp_path, case):
+    """A count or section length read from a small file that declares more
+    bytes than the file holds raises FileFormatError naming its section,
+    in a child process limited to 4 GB of address space: reading such a
+    block whole would first allocate it and raise MemoryError."""
+    pytest.importorskip("resource")  # the address-space limit is POSIX
+    load, section, make = OVERSIZED[case]
+    path = tmp_path / "oversized"
+    path.write_bytes(make())
+    code = textwrap.dedent(
+        f"""
+        import resource, sys
+        resource.setrlimit(resource.RLIMIT_AS, ({4 * 2**30}, {4 * 2**30}))
+        sys.path.insert(0, {str(Path(basinscope.__file__).parents[1])!r})
+        from basinscope import persistence
+        try:
+            persistence.{load}({str(path)!r})
+        except Exception as e:
+            print(type(e).__name__, getattr(e, "section", "-"))
+        """
+    )
+    # one BLAS thread, so that numpy's import reserves little address space
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["FileFormatError", section]

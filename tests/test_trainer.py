@@ -1,12 +1,16 @@
 import dataclasses
 import re
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from basinscope import dataops, model, trainer
+from basinscope import dataops, trainer
 from basinscope.criticality import CriticalityConfig, criticality_map, rewind_probe
 from basinscope.dataops import Dataset, domain_spec, generate
 from basinscope.errors import DivergedRunError, DomainError, SizeError
@@ -28,6 +32,8 @@ from basinscope.trainer import (
     make_datasets,
     train,
 )
+
+SRC = str(Path(trainer.__file__).parents[1])
 
 FAST = ArchDescriptor((8, 8, 3), ((6, 3, 2),), (16,), 10)
 
@@ -370,7 +376,7 @@ class TestOverlappedScoring:
         monkeypatch.setattr(trainer, "split_metrics", recorded)
         runs = []
         for two_cpus in (False, True):
-            monkeypatch.setattr(model, "_TWO_CPUS", two_cpus)
+            monkeypatch.setattr(trainer, "_TWO_CPUS", two_cpus)
             scored_on.clear()
             runs.append(train(cfg, datasets=datasets))
         scored = epochs + (0 in checkpoint_epochs)  # the init too, when it is checkpointed
@@ -384,7 +390,7 @@ class TestOverlappedScoring:
         """A non-finite gradient in epoch 2 raises DivergedRunError(1) only
         once epoch 1's scoring on the worker has ended, so the worker is idle
         when train returns."""
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
         diverged, scored = threading.Event(), threading.Event()
         split_metrics, real_backward = trainer.split_metrics, trainer.backward
         steps = []
@@ -411,8 +417,140 @@ class TestOverlappedScoring:
             train(small_config(epochs=2))
         assert info.value.epoch == 1 and len(steps) == 5
         assert scored.is_set()
-        assert model._idle.acquire(blocking=False)
-        model._idle.release()
+        assert trainer._idle.acquire(blocking=False)
+        trainer._idle.release()
+
+
+class TestOverlap:
+    """``_overlap``, train's epoch overlap: side goes to the pooled worker
+    only while it is idle, main always runs on the caller, and the caller
+    never returns while the worker still runs."""
+
+    def test_error_on_the_worker_reaches_the_caller(self, monkeypatch):
+        """side raises on the worker while main waits for it: the caller
+        raises side's error, and the worker is idle again."""
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
+        failed = threading.Event()
+
+        def side():
+            failed.set()
+            raise ValueError("planted")
+
+        def main():
+            assert failed.wait(timeout=30)
+
+        with pytest.raises(ValueError, match="planted"):
+            trainer._overlap(main, side)
+        assert trainer._idle.acquire(blocking=False)
+        trainer._idle.release()
+
+    def test_overlap_on_the_worker_runs_there_without_waiting_on_itself(self, monkeypatch):
+        """An overlap called on the worker finds it busy and runs both calls
+        itself; waiting on its own queue would never end."""
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
+        future = trainer._offload(lambda: trainer._overlap(_on_worker, _on_worker))
+        assert future is not None
+        assert future.result(timeout=30) == (True, True)
+
+    def test_busy_worker_leaves_side_to_the_caller(self, monkeypatch):
+        """The caller then runs side after main."""
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
+        release = threading.Event()
+        busy = trainer._offload(lambda: release.wait(timeout=30))
+        try:
+            assert trainer._offload(lambda: None) is None
+            ran = []
+            trainer._overlap(lambda: ran.append(("main", _on_worker())), lambda: ran.append(("side", _on_worker())))
+            assert ran == [("main", False), ("side", False)]
+        finally:
+            release.set()
+            busy.result(timeout=30)
+
+    def test_main_runs_on_the_caller_while_the_worker_is_idle(self, monkeypatch):
+        """Even a worker given a head start runs only side; 50 calls.
+        ``train`` relies on it: an epoch's steps stay on the caller while
+        the worker scores the epoch before."""
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
+        real_offload = trainer._offload
+
+        def head_start(fn):
+            worker = real_offload(fn)
+            time.sleep(0.002)  # time for an idle worker to start side
+            return worker
+
+        monkeypatch.setattr(trainer, "_offload", head_start)
+        ran = []
+        for _ in range(50):
+            assert trainer._idle.acquire(blocking=False)  # the worker is idle
+            trainer._idle.release()
+            ran.append(trainer._overlap(_on_worker, _on_worker))
+        assert ran == [(False, True)] * 50
+
+    def test_child_forked_while_the_worker_is_busy_uses_its_own(self):
+        """The parent holds the idle lock when it forks; the child starts its
+        own worker and lock, and its worker and main thread run one of the
+        two calls each. A child whose copied lock stayed held would run both
+        on its main thread."""
+        code = textwrap.dedent(
+            f"""
+            import os, signal, sys, threading
+            sys.path.insert(0, {SRC!r})
+            from basinscope import trainer
+
+            trainer._TWO_CPUS = True  # overlap whatever CPUs this process may use
+            release = threading.Event()
+            busy = trainer._offload(lambda: release.wait(timeout=60))
+            if busy is None or not trainer._idle.locked():
+                sys.exit(3)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                ran = {{True: threading.Event(), False: threading.Event()}}  # by "on the main thread"
+                threads = []
+
+                def call():  # each thread waits, 5 s at most, until the other runs a call
+                    threads.append(threading.current_thread() is threading.main_thread())
+                    ran[threads[-1]].set()
+                    ran[not threads[-1]].wait(timeout=5)
+
+                trainer._overlap(call, call)
+                os._exit(0 if sorted(threads) == [False, True] else 1)
+            release.set()
+            busy.result()
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+
+    def test_child_forked_after_an_overlapped_train_trains_on_its_own(self):
+        """The parent's worker does not exist in a forked child; the child
+        starts its own, and its two-epoch train has the parent's bits. A
+        child left waiting on the parent's worker dies by its alarm."""
+        code = textwrap.dedent(
+            f"""
+            import os, signal, sys, threading
+            sys.path.insert(0, {SRC!r})
+            from basinscope import trainer
+            from basinscope.model import TINY4
+            from basinscope.trainer import DataSpec, TrainConfig, make_datasets, train
+
+            trainer._TWO_CPUS = True  # overlap whatever CPUs this process may use
+            config = TrainConfig(TINY4, DataSpec(("source",), n_train=100, n_test=50), epochs=2, batch_size=50)
+            datasets = make_datasets(config.data)
+            final = train(config, datasets=datasets)[0]
+            if threading.active_count() != 2:
+                sys.exit(3)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                same = train(config, datasets=datasets)[0].equals(final) and threading.active_count() == 2
+                os._exit(0 if same else 1)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestScoringLag:
@@ -421,7 +559,7 @@ class TestScoringLag:
         starts after its last step and ends by the next epoch's last step,
         so its row is recorded one epoch behind training; the last epoch is
         scored after every step. Spans are (start step, end step)."""
-        monkeypatch.setattr(model, "_TWO_CPUS", True)
+        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
         split_metrics, real_backward = trainer.split_metrics, trainer.backward
         steps, spans = [], []
 
