@@ -438,8 +438,9 @@ def _run_layers(
     float64 input to layer start (for start=0, ``_network_input``) that
     every vector shares. A caller that scores one vector passes [params].
     patches, when given, are layer start's gathered conv patches of x, so
-    the gather is skipped and x is read only for the batch length; x may
-    then be None, and the batch length is the patches'. acts, when given,
+    the gather is skipped and x is read only for the batch length, which
+    the patches must share (else SizeError); x may then be None, and the
+    batch length is the patches'. acts, when given,
     receives one list per vector of (name, output) pairs, one per layer,
     the output in float32 for the whole batch: conv tiles are written into
     one float32 array per layer as they are made. records, given only with
@@ -492,6 +493,8 @@ def _run_layers(
         weights.append([_weights(params, layer) for layer in plan])
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
     n = (patches if x is None else x).shape[0]
+    if patches is not None and patches.shape[0] != n:
+        raise SizeError(f"patches of {patches.shape[0]} images given for a batch of {n}")
     tile = _TILE if records is None else n
     shapes = [(n, *(size // layer["stride"] for size in layer["in_hw"]), layer["cout"]) for layer in plan[:convs]]
     outs = [np.empty(shapes[-1]) if convs else x for _ in vectors]

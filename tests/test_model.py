@@ -586,6 +586,59 @@ class TestTiledCore:
             assert np.array_equal(_run_layers([params], TINY4, x, m)[0], want), name
             assert np.array_equal(_run_layers([params], TINY4, given, m, patches=patches)[0], want), name
 
+    @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
+    @pytest.mark.parametrize("n", [1, _TILE, _TILE + 1, 2 * _TILE + 1, 256, 300])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_pass_equals_its_tiles_run_one_by_one(self, arch, n, k):
+        """Each tile's conv outputs are those of a pass on that tile's images
+        alone, and the dense layers run once on the joined last conv output:
+        logits and float32 activations, bit for bit, even where tiling
+        reassociates (SMALL's conv1). From the network input and from conv2,
+        each with and without given patches, and from given patches alone."""
+        vectors = [with_biases(init_random(arch, RngStream(70, v)), 71 + v) for v in range(k)]
+        batch, _ = rand_batch(arch, n, 72)
+        x0 = _network_input(arch, batch)
+        conv1 = arch.layer_plan()[0]
+        x1 = _run_layers([vectors[0]], arch, x0, 0, 1)[0]
+        cached, patches1 = _module_input(vectors[0], arch, batch, 1)
+        patches0 = _gather_patches(x0, conv1["kernel"], conv1["stride"])
+        convs = len(arch.conv_blocks)
+        cases = [(x0, 0, None), (x0, 0, patches0), (None, 0, patches0), (x1, 1, None), (x1, 1, patches1), (cached, 1, patches1)]
+        for x, start, given in cases:
+            acts = []
+            got = _run_layers(vectors, arch, x, start, patches=given, acts=acts)
+            tiles = []
+            for i in range(0, n, _TILE):
+                rows = slice(i, i + _TILE)
+                tile_acts = []
+                tile_x, tile_given = (None if x is None else x[rows]), (None if given is None else given[rows])
+                tiles.append((_run_layers(vectors, arch, tile_x, start, convs, patches=tile_given, acts=tile_acts), tile_acts))
+            for v, params in enumerate(vectors):
+                joined = np.concatenate([outs[v] for outs, _ in tiles])
+                dense_acts = []
+                assert np.array_equal(got[v], _run_layers([params], arch, joined, convs, acts=dense_acts)[0])
+                want = [(name, np.concatenate([tile_acts[v][j][1] for _, tile_acts in tiles])) for j, (name, _) in enumerate(tiles[0][1][v])]
+                want += dense_acts[0]
+                assert [name for name, _ in acts[v]] == [name for name, _ in want]
+                for (name, act), (_, expected) in zip(acts[v], want):
+                    assert act.dtype == np.float32 and np.array_equal(act, expected), name
+
+    @pytest.mark.parametrize("length", [0, 289, 297])
+    def test_given_patches_of_another_batch_length_rejected(self, length):
+        """Patches given beside an input of 296 images must hold 296 images:
+        with 289 the last tile's one image would be broadcast over its eight
+        rows, and with 297 the extra image would be dropped, each without an
+        error. The next call is whole."""
+        vectors = [init_random(TINY4, RngStream(73, v)) for v in range(2)]
+        x = _network_input(TINY4, rand_batch(TINY4, 296, 74)[0])
+        conv1 = TINY4.layer_plan()[0]
+        patches = _gather_patches(_network_input(TINY4, rand_batch(TINY4, 297, 74)[0]), conv1["kernel"], conv1["stride"])
+        want = _run_layers(vectors, TINY4, x)
+        with pytest.raises(SizeError, match="patches"):
+            _run_layers(vectors, TINY4, x, patches=patches[:length])
+        for got, expected in zip(_run_layers(vectors, TINY4, x), want):
+            assert np.array_equal(got, expected)
+
     def test_evaluate_matches_single_pass(self):
         """300 images: a full and a partial evaluation batch, both tiled."""
         params = with_biases(init_random(TINY4, RngStream(44)), 45)
