@@ -21,7 +21,7 @@ one-vector case, and each vector's output has the bits of that case.
 takes from it each layer's input, patches and output for the whole batch
 (its records), as its weight gradients sum over the batch at once: a
 records pass runs the whole batch as one tile. Every pass runs on its
-caller's thread; only ``trainer.train`` runs work on a second one.
+caller's thread.
 
 Every conv gather, the forward patches and the transposed conv's phase
 columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
@@ -469,12 +469,12 @@ def _run_layers(
     tiles did 0.8-1.8 times one thread's work, 1.0-1.1 in the median.
 
     A records pass is one tile of the whole batch, and each conv layer's
-    patches and output are its records. With ``_TILE``-image tiles
-    instead, each conv GEMM would stay below OpenBLAS 0.3.31's
-    small-matrix size, where a row costs about half as much, and on a
-    2-vCPU Xeon VM a fine-tune ran about 2% faster on one CPU; but on
-    both, beside ``train``'s scoring on the worker, it ran about 3% slower,
-    so records take the whole batch.
+    patches and output are its records. So its GEMMs are the untiled
+    loop's, and ``backward`` keeps the untiled bits on every architecture,
+    SMALL's reassociating conv1 included. ``_TILE``-image record tiles
+    would keep each conv GEMM below OpenBLAS 0.3.31's small-matrix size,
+    where a row costs about half as much, but on SMALL and other
+    reassociating convs they would change the last bits of the records.
 
     Each vector's GEMMs have the operands and shapes of its own one-vector
     pass, so sharing a tile changes no bit of any vector's output, whatever

@@ -13,11 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
-import threading
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -32,71 +28,6 @@ from .rng import RngStream, derive_stream_id
 
 _STREAM_BATCH = 0x42415443  # "BATC"
 EVAL_BATCH = 256
-
-# Whether this process may run on two CPUs, read once at import: ``train``
-# then scores each finished epoch on one pooled worker thread (``_overlap``).
-_TWO_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1) >= 2
-_pool: ThreadPoolExecutor | None = None
-_idle = threading.Lock()  # held from a submit until the worker has run that job
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The one pooled worker thread, started at first use."""
-    global _pool
-    if _pool is None:
-        _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="basinscope-worker")
-    return _pool
-
-
-def _drop_pool() -> None:
-    """A forked child has no copy of the parent's worker thread, and the
-    idle lock may have been copied held, so it starts its own of both."""
-    global _pool, _idle
-    _pool, _idle = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_drop_pool)
-
-
-def _offload(fn) -> Future | None:
-    """fn() started on the pooled worker, as a Future, when the process may
-    run on two CPUs and the worker is idle; None otherwise, and the caller
-    then runs the work itself. The idle lock is taken without blocking and
-    released when fn ends, so nothing waits in the executor's queue: a
-    queued job would keep its closure's arrays alive. A job on the worker
-    that offloads again finds the lock held, so it never waits on itself."""
-    if not (_TWO_CPUS and _idle.acquire(blocking=False)):
-        return None
-
-    def run():
-        try:
-            return fn()
-        finally:
-            _idle.release()
-
-    try:
-        return _worker_pool().submit(run)
-    except BaseException:
-        _idle.release()
-        raise
-
-
-def _overlap(main, side) -> tuple:
-    """(main(), side()): main on the caller while the idle worker runs side
-    (``_offload``); when the worker is busy or there is one CPU, the caller
-    runs side after main. The caller waits for the worker before it returns
-    or raises; when only side failed, it raises side's error. Each call
-    does the same operations on whichever thread runs it, so no output bit
-    depends on the split."""
-    worker = _offload(side)
-    if worker is None:
-        return main(), side()
-    try:
-        result = main()
-    finally:
-        worker.exception()  # waits: the caller never leaves while the worker still runs
-    return result, worker.result()
 
 
 @dataclass(frozen=True)
@@ -341,13 +272,12 @@ def train(
     would build. Returns (final checkpoint, run record, checkpoints saved at
     config.checkpoint_epochs plus the final epoch).
 
-    Each epoch's steps run on the caller, and while they do, the previous
-    epoch's ``split_metrics`` runs on the pooled worker when it is idle
-    (``_overlap``). That epoch's row and checkpoint are recorded when both
-    have ended, so rows exist one epoch behind training; the last epoch is
-    scored on the caller. The metrics have the bits of scoring on the
-    caller. ``_overlap`` waits for the worker before any raise leaves it,
-    so DivergedRunError leaves no scoring running.
+    Everything runs on the calling thread. Each epoch runs its steps, is
+    then scored (``split_metrics``) and has its row and checkpoint recorded
+    before the next epoch's first step. The initial parameters are scored
+    first when epoch 0 is checkpointed or there are no epochs. A non-finite
+    loss or gradient in epoch e raises DivergedRunError(e) at that step,
+    with every earlier epoch already scored.
     """
     params = _resolve_init(config, init_checkpoint)
     train_ds, test_ds = datasets if datasets is not None else make_datasets(config.data)
@@ -372,16 +302,18 @@ def train(
             provenance=dict(provenance),
         )
 
-    def record(epoch: int, at: ParamVector, batch_rng_state, metrics: dict) -> None:
+    def score(epoch: int, at: ParamVector, batch_rng_state) -> dict:
+        """at's split_metrics, recorded as epoch's row and checkpoint."""
+        metrics = split_metrics(at, config.arch, train_ds, test_ds)
         if epoch:
             rows.append({"epoch": epoch, **metrics})
         if epoch in config.checkpoint_epochs and epoch != config.epochs:
             saved.append(snapshot(epoch, at, metrics, batch_rng_state))
+        return metrics
 
     def run_epoch(epoch: int, params: ParamVector, buf):
         """epoch's steps from params and the momentum buffer buf; returns
-        both after them, and the batch rng state. sgd_step returns fresh
-        vectors, so the params being scored meanwhile never change."""
+        both after them, and the batch rng state."""
         lr = lr_at(config.lr_schedule, epoch)
         batch_rng = RngStream(config.seed, derive_stream_id(_STREAM_BATCH, epoch))
         order = batch_rng.permutation(n)
@@ -397,20 +329,12 @@ def train(
             params, buf = sgd_step(params, grad, lr, buf, config.momentum, config.weight_decay)
         return params, buf, batch_rng.state()
 
-    # (epoch, params, batch rng state) of the epoch to score next; with no
-    # epochs to run, the final checkpoint is the epoch-0 one
-    unscored = (0, params, ("init",)) if 0 in config.checkpoint_epochs or config.epochs == 0 else None
+    # with no epochs to run, the final checkpoint is the epoch-0 one
+    if 0 in config.checkpoint_epochs or config.epochs == 0:
+        metrics = score(0, params, ("init",))
     for epoch in range(config.epochs):
-        steps = partial(run_epoch, epoch, params, buf)
-        if unscored:
-            score = partial(split_metrics, unscored[1], config.arch, train_ds, test_ds)
-            (params, buf, state), metrics = _overlap(steps, score)
-            record(*unscored, metrics)
-        else:
-            params, buf, state = steps()
-        unscored = (epoch + 1, params, state)
-    metrics = split_metrics(params, config.arch, train_ds, test_ds)
-    record(*unscored, metrics)
+        params, buf, state = run_epoch(epoch, params, buf)
+        metrics = score(epoch + 1, params, state)
     final = snapshot(config.epochs, params, metrics, ("final", config.epochs))
     saved.append(final)
 

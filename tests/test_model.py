@@ -790,70 +790,16 @@ TWELVE = ArchDescriptor((12, 12, 2), ((4, 3, 1), (6, 3, 3), (6, 3, 2)), (8,), 3)
 
 
 class TestSharedBackward:
-    """backward and the forward-only passes beside ``train``'s pooled
-    worker: they run every layer on the calling thread, so an idle worker
-    is left to ``train``; the one-CPU run is the oracle."""
+    """backward called from several threads at once; each call runs every
+    layer on its caller's thread."""
 
-    @staticmethod
-    def beside_an_idle_worker(monkeypatch, run):
-        """run()'s result on one CPU, then on two with the worker idle, and
-        the jobs handed to the worker and the threads that ran a layer
-        during the second run."""
-        monkeypatch.setattr(trainer, "_TWO_CPUS", False)
-        want = run()
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
-        offloaded, real_offload = [], trainer._offload
-        monkeypatch.setattr(trainer, "_offload", lambda fn: offloaded.append(fn) or real_offload(fn))
-        threads, apply_layer = set(), model._apply_layer
-        monkeypatch.setattr(model, "_apply_layer", lambda *args: threads.add(threading.current_thread()) or apply_layer(*args))
-        assert trainer._idle.acquire(blocking=False)  # the worker is idle
-        trainer._idle.release()
-        return want, run(), offloaded, threads
-
-    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
-    @pytest.mark.parametrize("n", [1, 7, 32, 64])
-    def test_backward_offloads_nothing_to_an_idle_worker(self, arch, n, monkeypatch):
-        """With two CPUs and the worker idle, backward hands it no job, and
-        its loss and gradient are the one-CPU run's, bit for bit."""
-        params = with_biases(init_random(arch, RngStream(100)), 101)
-        batch, labels = rand_batch(arch, n, 102)
-        run = lambda: backward(params, arch, batch, labels)
-        (loss, grad), (got_loss, got_grad), offloaded, threads = self.beside_an_idle_worker(monkeypatch, run)
-        assert not offloaded and threads == {threading.current_thread()}
-        assert got_loss == loss and got_grad.equals(grad)
-
-    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
-    @pytest.mark.parametrize("kind", ["forward", "evaluate", "three_vectors"])
-    def test_forward_only_pass_offloads_nothing_to_an_idle_worker(self, arch, kind, monkeypatch):
-        """forward, evaluate and a three-vector core pass on 300 images,
-        many tiles: with two CPUs and the worker idle, each hands it no job
-        and runs every layer on the calling thread, and its outputs are the
-        one-CPU run's, bit for bit."""
-        vectors = [with_biases(init_random(arch, RngStream(120, v)), 121 + v) for v in range(3)]
-        batch, labels = rand_batch(arch, 300, 122)
-
-        def run():
-            if kind == "forward":
-                logits, acts = forward(vectors[0], arch, batch)
-                return [logits, *(act for _, act in acts)]
-            if kind == "evaluate":
-                result = trainer.evaluate(vectors[0], arch, Dataset(batch, labels, "test", {}))
-                return [np.array([result.loss, result.accuracy]), result.predictions]
-            return _run_layers(vectors, arch, _network_input(arch, batch))
-
-        want, got, offloaded, threads = self.beside_an_idle_worker(monkeypatch, run)
-        assert not offloaded and threads == {threading.current_thread()}
-        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
-
-    def test_concurrent_backward_callers_get_their_one_thread_gradients(self, monkeypatch):
+    def test_concurrent_backward_callers_get_their_one_thread_gradients(self):
         """Four callers at once, more than the CPUs, with the interpreter
-        switching threads every microsecond: whichever caller holds the
-        worker, each gets its one-thread loss and gradient."""
+        switching threads every microsecond: each gets its one-thread loss
+        and gradient."""
         params = with_biases(init_random(TINY4, RngStream(104)), 105)
         batches = [rand_batch(TINY4, 32, 106 + c) for c in range(4)]
-        monkeypatch.setattr(trainer, "_TWO_CPUS", False)
         want = [backward(params, TINY4, *batch) for batch in batches]
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
         got = [[] for _ in batches]
 
         def call(c):

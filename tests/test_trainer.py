@@ -1,11 +1,5 @@
 import dataclasses
 import re
-import subprocess
-import sys
-import textwrap
-import threading
-import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +26,6 @@ from basinscope.trainer import (
     make_datasets,
     train,
 )
-
-SRC = str(Path(trainer.__file__).parents[1])
 
 FAST = ArchDescriptor((8, 8, 3), ((6, 3, 2),), (16,), 10)
 
@@ -351,238 +343,59 @@ class TestTrain:
         assert record.optimization_speed == pytest.approx(np.mean([r["train_acc"] for r in record.rows]), rel=1e-15)
 
 
-def _on_worker() -> bool:
-    return threading.current_thread() is not threading.main_thread()
+class TestEpochOrder:
+    """train runs on the calling thread: each epoch is scored right after
+    its last step, and its checkpoint saved, before the next epoch's first
+    step. 200 images in batches of 50 make four steps per epoch."""
 
+    @staticmethod
+    def traced(monkeypatch, nan_at_step=None):
+        """The list that train's steps ("step"), scorings ("score") and
+        checkpoints (("save", epoch)) append to, in call order; the step
+        numbered nan_at_step (from 1) returns a NaN gradient."""
+        events = []
+        real_backward, real_split_metrics, real_checkpoint = trainer.backward, trainer.split_metrics, trainer.Checkpoint
 
-class TestOverlappedScoring:
-    """With two CPUs, each epoch but the last is scored on the pooled worker
-    while the next epoch trains; the one-thread run is the oracle."""
-
-    @pytest.mark.parametrize("epochs, checkpoint_epochs", [(3, (1, 2)), (1, ()), (2, (0,))])
-    def test_overlapped_train_equals_one_thread_train(self, epochs, checkpoint_epochs, monkeypatch):
-        """Every saved checkpoint, the rows and the run record, bit for bit.
-        The first of several scored epochs went to the idle worker; a later
-        one goes there too unless the worker is still busy, and the last is
-        scored on the caller."""
-        cfg = small_config(epochs=epochs, checkpoint_epochs=checkpoint_epochs)
-        datasets = make_datasets(cfg.data)
-        split_metrics, scored_on = trainer.split_metrics, []
-
-        def recorded(*args):
-            scored_on.append(_on_worker())
-            return split_metrics(*args)
-
-        monkeypatch.setattr(trainer, "split_metrics", recorded)
-        runs = []
-        for two_cpus in (False, True):
-            monkeypatch.setattr(trainer, "_TWO_CPUS", two_cpus)
-            scored_on.clear()
-            runs.append(train(cfg, datasets=datasets))
-        scored = epochs + (0 in checkpoint_epochs)  # the init too, when it is checkpointed
-        assert len(scored_on) == scored and scored_on[0] == (scored > 1) and not scored_on[-1]
-        (final, record, saved), (shared_final, shared_record, shared_saved) = runs
-        assert shared_final.equals(final) and shared_record == record
-        assert [c.epoch for c in shared_saved] == [c.epoch for c in saved] == sorted({*checkpoint_epochs, epochs})
-        assert all(a.equals(b) for a, b in zip(shared_saved, saved))
-
-    def test_divergence_while_an_epoch_is_scored_waits_for_it(self, monkeypatch):
-        """A non-finite gradient in epoch 2 raises DivergedRunError(1) only
-        once epoch 1's scoring on the worker has ended, so the worker is idle
-        when train returns."""
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
-        diverged, scored = threading.Event(), threading.Event()
-        split_metrics, real_backward = trainer.split_metrics, trainer.backward
-        steps = []
-
-        def slow_on_worker(*args):
-            if _on_worker():
-                assert diverged.wait(timeout=30)
-                time.sleep(0.2)  # still scoring well after the raise
-            out = split_metrics(*args)
-            scored.set()
-            return out
-
-        def nan_in_epoch_two(params, arch, batch, labels):
-            loss, grad = real_backward(params, arch, batch, labels)
-            steps.append(loss)
-            if len(steps) > 4:  # 200 images in batches of 50: four steps per epoch
+        def backward(*args):
+            loss, grad = real_backward(*args)
+            events.append("step")
+            if events.count("step") == nan_at_step:
                 grad.values[0] = np.nan
-                diverged.set()
             return loss, grad
 
-        monkeypatch.setattr(trainer, "split_metrics", slow_on_worker)
-        monkeypatch.setattr(trainer, "backward", nan_in_epoch_two)
+        def split_metrics(*args):
+            out = real_split_metrics(*args)
+            events.append("score")
+            return out
+
+        def checkpoint(**kw):
+            events.append(("save", kw["epoch"]))
+            return real_checkpoint(**kw)
+
+        monkeypatch.setattr(trainer, "backward", backward)
+        monkeypatch.setattr(trainer, "split_metrics", split_metrics)
+        monkeypatch.setattr(trainer, "Checkpoint", checkpoint)
+        return events
+
+    def test_each_epoch_is_scored_and_saved_before_the_next_epochs_first_step(self, monkeypatch):
+        events = self.traced(monkeypatch)
+        final, record, saved = train(small_config(epochs=3, checkpoint_epochs=(0, 2)))
+        steps = ["step"] * 4
+        assert events == ["score", ("save", 0), *steps, "score", *steps, "score", ("save", 2), *steps, "score", ("save", 3)]
+        assert [c.epoch for c in saved] == [0, 2, 3] and saved[-1] is final
+        assert [r["epoch"] for r in record.rows] == [1, 2, 3]
+
+    @pytest.mark.parametrize("epoch", [0, 1, 2])
+    def test_divergence_comes_after_the_previous_epoch_is_scored(self, epoch, monkeypatch):
+        """A NaN gradient at epoch's second step raises DivergedRunError(epoch)
+        there, with every earlier epoch scored and saved and nothing after."""
+        events = self.traced(monkeypatch, nan_at_step=4 * epoch + 2)
         with pytest.raises(DivergedRunError) as info:
-            train(small_config(epochs=2))
-        assert info.value.epoch == 1 and len(steps) == 5
-        assert scored.is_set()
-        assert trainer._idle.acquire(blocking=False)
-        trainer._idle.release()
-
-
-class TestOverlap:
-    """``_overlap``, train's epoch overlap: side goes to the pooled worker
-    only while it is idle, main always runs on the caller, and the caller
-    never returns while the worker still runs."""
-
-    def test_error_on_the_worker_reaches_the_caller(self, monkeypatch):
-        """side raises on the worker while main waits for it: the caller
-        raises side's error, and the worker is idle again."""
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
-        failed = threading.Event()
-
-        def side():
-            failed.set()
-            raise ValueError("planted")
-
-        def main():
-            assert failed.wait(timeout=30)
-
-        with pytest.raises(ValueError, match="planted"):
-            trainer._overlap(main, side)
-        assert trainer._idle.acquire(blocking=False)
-        trainer._idle.release()
-
-    def test_overlap_on_the_worker_runs_there_without_waiting_on_itself(self, monkeypatch):
-        """An overlap called on the worker finds it busy and runs both calls
-        itself; waiting on its own queue would never end."""
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
-        future = trainer._offload(lambda: trainer._overlap(_on_worker, _on_worker))
-        assert future is not None
-        assert future.result(timeout=30) == (True, True)
-
-    def test_busy_worker_leaves_side_to_the_caller(self, monkeypatch):
-        """The caller then runs side after main."""
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
-        release = threading.Event()
-        busy = trainer._offload(lambda: release.wait(timeout=30))
-        try:
-            assert trainer._offload(lambda: None) is None
-            ran = []
-            trainer._overlap(lambda: ran.append(("main", _on_worker())), lambda: ran.append(("side", _on_worker())))
-            assert ran == [("main", False), ("side", False)]
-        finally:
-            release.set()
-            busy.result(timeout=30)
-
-    def test_main_runs_on_the_caller_while_the_worker_is_idle(self, monkeypatch):
-        """Even a worker given a head start runs only side; 50 calls.
-        ``train`` relies on it: an epoch's steps stay on the caller while
-        the worker scores the epoch before."""
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
-        real_offload = trainer._offload
-
-        def head_start(fn):
-            worker = real_offload(fn)
-            time.sleep(0.002)  # time for an idle worker to start side
-            return worker
-
-        monkeypatch.setattr(trainer, "_offload", head_start)
-        ran = []
-        for _ in range(50):
-            assert trainer._idle.acquire(blocking=False)  # the worker is idle
-            trainer._idle.release()
-            ran.append(trainer._overlap(_on_worker, _on_worker))
-        assert ran == [(False, True)] * 50
-
-    def test_child_forked_while_the_worker_is_busy_uses_its_own(self):
-        """The parent holds the idle lock when it forks; the child starts its
-        own worker and lock, and its worker and main thread run one of the
-        two calls each. A child whose copied lock stayed held would run both
-        on its main thread."""
-        code = textwrap.dedent(
-            f"""
-            import os, signal, sys, threading
-            sys.path.insert(0, {SRC!r})
-            from basinscope import trainer
-
-            trainer._TWO_CPUS = True  # overlap whatever CPUs this process may use
-            release = threading.Event()
-            busy = trainer._offload(lambda: release.wait(timeout=60))
-            if busy is None or not trainer._idle.locked():
-                sys.exit(3)
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(20)
-                ran = {{True: threading.Event(), False: threading.Event()}}  # by "on the main thread"
-                threads = []
-
-                def call():  # each thread waits, 5 s at most, until the other runs a call
-                    threads.append(threading.current_thread() is threading.main_thread())
-                    ran[threads[-1]].set()
-                    ran[not threads[-1]].wait(timeout=5)
-
-                trainer._overlap(call, call)
-                os._exit(0 if sorted(threads) == [False, True] else 1)
-            release.set()
-            busy.result()
-            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            """
-        )
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-
-    def test_child_forked_after_an_overlapped_train_trains_on_its_own(self):
-        """The parent's worker does not exist in a forked child; the child
-        starts its own, and its two-epoch train has the parent's bits. A
-        child left waiting on the parent's worker dies by its alarm."""
-        code = textwrap.dedent(
-            f"""
-            import os, signal, sys, threading
-            sys.path.insert(0, {SRC!r})
-            from basinscope import trainer
-            from basinscope.model import TINY4
-            from basinscope.trainer import DataSpec, TrainConfig, make_datasets, train
-
-            trainer._TWO_CPUS = True  # overlap whatever CPUs this process may use
-            config = TrainConfig(TINY4, DataSpec(("source",), n_train=100, n_test=50), epochs=2, batch_size=50)
-            datasets = make_datasets(config.data)
-            final = train(config, datasets=datasets)[0]
-            if threading.active_count() != 2:
-                sys.exit(3)
-            pid = os.fork()
-            if pid == 0:
-                signal.alarm(20)
-                same = train(config, datasets=datasets)[0].equals(final) and threading.active_count() == 2
-                os._exit(0 if same else 1)
-            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
-            """
-        )
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-        assert done.returncode == 0, done.stderr
-
-
-class TestScoringLag:
-    def test_each_epoch_is_scored_within_the_next_epochs_steps(self, monkeypatch):
-        """With scoring slowed by 0.3 s on the worker, each epoch's scoring
-        starts after its last step and ends by the next epoch's last step,
-        so its row is recorded one epoch behind training; the last epoch is
-        scored after every step. Spans are (start step, end step)."""
-        monkeypatch.setattr(trainer, "_TWO_CPUS", True)
-        split_metrics, real_backward = trainer.split_metrics, trainer.backward
-        steps, spans = [], []
-
-        def slow_on_worker(*args):
-            start = len(steps)
-            if _on_worker():
-                time.sleep(0.3)
-            out = split_metrics(*args)
-            spans.append((start, len(steps)))
-            return out
-
-        def counted(*args):
-            out = real_backward(*args)
-            steps.append(None)
-            return out
-
-        monkeypatch.setattr(trainer, "split_metrics", slow_on_worker)
-        monkeypatch.setattr(trainer, "backward", counted)
-        train(small_config(epochs=4))
-        per_epoch = 4  # 200 images in batches of 50
-        assert len(steps) == 16 and len(spans) == 4
-        for epoch, (start, end) in enumerate(sorted(spans), start=1):
-            assert per_epoch * epoch <= start <= end <= per_epoch * min(epoch + 1, 4), sorted(spans)
+            train(small_config(epochs=3, checkpoint_epochs=(0, 2)))
+        assert info.value.epoch == epoch
+        steps = ["step"] * 4
+        done = [["score", ("save", 0)], [*steps, "score"], [*steps, "score", ("save", 2)]]
+        assert events == [event for part in done[: epoch + 1] for event in part] + ["step", "step"]
 
 
 class TestCheckpointEquals:
