@@ -790,8 +790,61 @@ TWELVE = ArchDescriptor((12, 12, 2), ((4, 3, 1), (6, 3, 3), (6, 3, 2)), (8,), 3)
 
 
 class TestSharedBackward:
-    """backward called from several threads at once; each call runs every
-    layer on its caller's thread."""
+    """backward and the forward-only passes run every layer on their
+    caller's thread, whichever thread that is; the main thread's run is the
+    oracle."""
+
+    @staticmethod
+    def on_the_main_thread_and_another(monkeypatch, run):
+        """run()'s result on the main thread and on a thread of the test's
+        own, each with the set of threads that ran a layer during it."""
+        threads, apply_layer = set(), model._apply_layer
+        monkeypatch.setattr(model, "_apply_layer", lambda *args: threads.add(threading.current_thread()) or apply_layer(*args))
+        want, main_threads = run(), set(threads)
+        threads.clear()
+        got = []
+        caller = threading.Thread(target=lambda: got.append(run()))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(got) == 1
+        assert main_threads == {threading.main_thread()}
+        assert threads == {caller}
+        return want, got[0]
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
+    @pytest.mark.parametrize("n", [1, 7, 32, 64])
+    def test_backward_runs_every_layer_on_its_callers_thread(self, arch, n, monkeypatch):
+        """Called from the main thread and from another, backward runs each
+        layer on its caller alone, and the two loss and gradient agree bit
+        for bit."""
+        params = with_biases(init_random(arch, RngStream(100)), 101)
+        batch, labels = rand_batch(arch, n, 102)
+        (loss, grad), (got_loss, got_grad) = self.on_the_main_thread_and_another(
+            monkeypatch, lambda: backward(params, arch, batch, labels)
+        )
+        assert got_loss == loss and got_grad.equals(grad)
+
+    @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
+    @pytest.mark.parametrize("kind", ["forward", "evaluate", "three_vectors"])
+    def test_forward_only_pass_runs_every_layer_on_its_callers_thread(self, arch, kind, monkeypatch):
+        """forward, evaluate and a three-vector core pass on 300 images,
+        many tiles: called from the main thread and from another, each runs
+        every layer on its caller alone, and the outputs agree bit for
+        bit."""
+        vectors = [with_biases(init_random(arch, RngStream(120, v)), 121 + v) for v in range(3)]
+        batch, labels = rand_batch(arch, 300, 122)
+
+        def run():
+            if kind == "forward":
+                logits, acts = forward(vectors[0], arch, batch)
+                return [logits, *(act for _, act in acts)]
+            if kind == "evaluate":
+                result = trainer.evaluate(vectors[0], arch, Dataset(batch, labels, "test", {}))
+                return [np.array([result.loss, result.accuracy]), result.predictions]
+            return _run_layers(vectors, arch, _network_input(arch, batch))
+
+        want, got = self.on_the_main_thread_and_another(monkeypatch, run)
+        assert len(got) == len(want) and all(np.array_equal(a, b) for a, b in zip(got, want))
 
     def test_concurrent_backward_callers_get_their_one_thread_gradients(self):
         """Four callers at once, more than the CPUs, with the interpreter

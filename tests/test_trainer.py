@@ -1,5 +1,10 @@
 import dataclasses
 import re
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +31,8 @@ from basinscope.trainer import (
     make_datasets,
     train,
 )
+
+SRC = str(Path(trainer.__file__).parents[1])
 
 FAST = ArchDescriptor((8, 8, 3), ((6, 3, 2),), (16,), 10)
 
@@ -396,6 +403,143 @@ class TestEpochOrder:
         steps = ["step"] * 4
         done = [["score", ("save", 0)], [*steps, "score"], [*steps, "score", ("save", 2)]]
         assert events == [event for part in done[: epoch + 1] for event in part] + ["step", "step"]
+
+    @pytest.mark.parametrize("scoring", [0, 1, 2, 3])
+    def test_error_in_a_scoring_reaches_the_caller(self, scoring, monkeypatch):
+        """The scoring numbered scoring (0 is the initial parameters', then
+        one per epoch) raises: train raises that error, after the steps of
+        the epoch it scores and before any later step or checkpoint."""
+        events = self.traced(monkeypatch)
+        traced_split_metrics = trainer.split_metrics
+
+        def failing(*args):
+            if events.count("score") == scoring:
+                raise ValueError("planted")
+            return traced_split_metrics(*args)
+
+        monkeypatch.setattr(trainer, "split_metrics", failing)
+        with pytest.raises(ValueError, match="planted"):
+            train(small_config(epochs=3, checkpoint_epochs=(0, 2)))
+        steps = ["step"] * 4
+        done = [["score", ("save", 0)], [*steps, "score"], [*steps, "score", ("save", 2)]]
+        assert events == [event for part in done[:scoring] for event in part] + (steps if scoring else [])
+
+    def test_error_in_a_step_reaches_the_caller(self, monkeypatch):
+        """epoch 1's second step raises: train raises that error, with epoch
+        0 scored and nothing after the failed step."""
+        events = self.traced(monkeypatch)
+        traced_backward = trainer.backward
+
+        def failing(*args):
+            if events.count("step") == 5:
+                raise ValueError("planted")
+            return traced_backward(*args)
+
+        monkeypatch.setattr(trainer, "backward", failing)
+        with pytest.raises(ValueError, match="planted"):
+            train(small_config(epochs=3, checkpoint_epochs=(0, 2)))
+        assert events == ["score", ("save", 0), *["step"] * 4, "score", "step"]
+
+
+class TestCallerThread:
+    """train runs every step and every scoring on its caller's thread,
+    whichever thread that is, and starts none; the main thread's run is the
+    oracle."""
+
+    @pytest.mark.parametrize("epochs, checkpoint_epochs", [(3, (1, 2)), (1, ()), (2, (0,))])
+    def test_train_from_a_callers_thread_equals_train_on_the_main_thread(self, epochs, checkpoint_epochs, monkeypatch):
+        """Every saved checkpoint, the rows and the run record, bit for bit;
+        every step and scoring ran on the thread that called train."""
+        cfg = small_config(epochs=epochs, checkpoint_epochs=checkpoint_epochs)
+        datasets = make_datasets(cfg.data)
+        real_backward, real_split_metrics = trainer.backward, trainer.split_metrics
+        ran_on = {"step": [], "score": []}
+
+        def backward(*args):
+            ran_on["step"].append(threading.current_thread())
+            return real_backward(*args)
+
+        def split_metrics(*args):
+            ran_on["score"].append(threading.current_thread())
+            return real_split_metrics(*args)
+
+        monkeypatch.setattr(trainer, "backward", backward)
+        monkeypatch.setattr(trainer, "split_metrics", split_metrics)
+        final, record, saved = train(cfg, datasets=datasets)
+        scored = epochs + (0 in checkpoint_epochs)  # the init too, when it is checkpointed
+        assert ran_on["step"] == [threading.main_thread()] * 4 * epochs
+        assert ran_on["score"] == [threading.main_thread()] * scored
+        ran_on["step"].clear()
+        ran_on["score"].clear()
+        got = []
+        caller = threading.Thread(target=lambda: got.append(train(cfg, datasets=datasets)))
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive() and len(got) == 1
+        assert ran_on["step"] == [caller] * 4 * epochs and ran_on["score"] == [caller] * scored
+        other_final, other_record, other_saved = got[0]
+        assert other_final.equals(final) and other_record == record
+        assert [c.epoch for c in other_saved] == [c.epoch for c in saved] == sorted({*checkpoint_epochs, epochs})
+        assert all(a.equals(b) for a, b in zip(other_saved, saved))
+
+    def test_concurrent_train_callers_get_their_one_thread_results(self):
+        """Three callers at once, more than the CPUs, each training its own
+        seed twice with the interpreter switching threads every 100 us: each
+        gets its one-thread final checkpoint and record, and train starts no
+        thread of its own."""
+        configs = [small_config(seed=s, init=InitSpec("random", seed=s)) for s in (11, 12, 13)]
+        datasets = make_datasets(configs[0].data)
+        want = [train(cfg, datasets=datasets)[:2] for cfg in configs]
+        before = threading.active_count()
+        got = [[] for _ in configs]
+        counts = []
+
+        def call(c):
+            for _ in range(2):
+                got[c].append(train(configs[c], datasets=datasets)[:2])
+                counts.append(threading.active_count())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            callers = [threading.Thread(target=call, args=(c,)) for c in range(len(configs))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert max(counts) <= before + len(callers)
+        for c, (final, record) in enumerate(want):
+            assert len(got[c]) == 2 and all(f.equals(final) and r == record for f, r in got[c]), c
+
+    def test_child_forked_after_a_train_trains_on_its_own(self):
+        """A child forked after a train in its parent trains to the parent's
+        bits, and both have their main thread alone. A child left waiting on
+        anything of its parent's dies by its alarm."""
+        code = textwrap.dedent(
+            f"""
+            import os, signal, sys, threading
+            sys.path.insert(0, {SRC!r})
+            from basinscope.model import TINY4
+            from basinscope.trainer import DataSpec, TrainConfig, make_datasets, train
+
+            config = TrainConfig(TINY4, DataSpec(("source",), n_train=100, n_test=50), epochs=2, batch_size=50)
+            datasets = make_datasets(config.data)
+            final = train(config, datasets=datasets)[0]
+            if threading.active_count() != 1:
+                sys.exit(3)
+            pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                same = train(config, datasets=datasets)[0].equals(final) and threading.active_count() == 1
+                os._exit(0 if same else 1)
+            sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+            """
+        )
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestCheckpointEquals:
