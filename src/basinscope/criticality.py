@@ -10,15 +10,17 @@ alpha^2 * dist^2 / sigma^2 over cells whose mean train metric stays within
 epsilon.
 
 Only the perturbed module changes from cell to cell, so ``criticality_map``
-runs the frozen prefix once per map: it caches one array per evaluation
-batch, for a conv module the gathered patches of its input and otherwise
-the input itself, and each noise sample runs only the module and the
-layers after it, with the same arithmetic as ``evaluate``: the
-forward core runs the conv layers over tiles of a few images, so each
-tile stays in cache, its cached patches a view of the batch's, and the
-dense layers once on the whole batch, so their bits do not depend on the
-tile size (``model._run_layers``). The cache holds float64 arrays; the
-largest is a conv1 map's, about 21 MB of patches at 384 images on TINY4.
+checks each split's labels against its images once, then runs the frozen
+prefix once per map: it caches one array per evaluation batch
+(``model._module_input``), for a conv module the gathered patches of its
+input and otherwise the input itself. Each noise sample passes that array
+to the forward core as its input and runs only the module and the layers
+after it, with the same arithmetic as ``evaluate``: the core runs the conv
+layers over tiles of a few images, so each tile stays in cache, its cached
+patches a view of the batch's, and the dense layers once on the whole
+batch, so their bits do not depend on the tile size
+(``model._run_layers``). The cache holds float64 arrays; the largest is a
+conv1 map's, about 21 MB of patches at 384 images on TINY4.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .model import ParamVector, _module_input, _run_layers
+from .model import ParamVector, _check_labels, _module_input, _run_layers
 from .numerics import _as_choice, _as_grid, _as_int, _as_real
 from .rng import RngStream, gaussian_rows
 from .trainer import Checkpoint, _eval_batches, _same_arch, _score_batches, split_metrics
@@ -194,9 +196,10 @@ def criticality_map(
     endpoint's, init's not repeated when the earliest checkpoint's module
     equals it.
 
-    The frozen prefix's output, the module's input (for a conv module, its
-    patches), is computed once per evaluation batch; every noise sample runs
-    only the module and the layers after it.
+    Both splits' labels are checked against their images before any layer
+    runs. The frozen prefix's output, the module's input (for a conv
+    module, its patches), is computed once per evaluation batch; every
+    noise sample runs only the module and the layers after it.
     """
     arch = _same_arch(final_or_opt, init, *(checkpoints or ()))
     span = final_or_opt.params.module_slice(cfg.module_name)
@@ -221,6 +224,8 @@ def criticality_map(
         path_points.append(theta_end)
 
     start = arch.module_names().index(cfg.module_name)
+    for ds in (train_ds, test_ds):
+        _check_labels(ds.labels, arch.num_classes, len(ds.images))
     splits = [
         (ds.labels, [_module_input(final_or_opt.params, arch, batch, start) for batch in _eval_batches(ds.images)])
         for ds in (train_ds, test_ds)
@@ -232,8 +237,8 @@ def criticality_map(
         params = ParamVector(work, final_or_opt.params.index)
         metrics = []
         for labels, cache in splits:
-            logits = (_run_layers([params], arch, x, start, patches=patches)[0] for x, patches in cache)
-            result = _score_batches(labels, arch.num_classes, logits)
+            logits = [_run_layers([params], arch, x, start)[0] for x in cache]
+            result = _score_batches(labels, logits)
             metrics.append(1.0 - result.accuracy if cfg.metric == "error" else result.loss)
         return tuple(metrics)
 

@@ -98,6 +98,7 @@ def barrier_height(curve: BarrierCurve, metric: str = "loss", dataset: str | Non
     an endpoint (the chord would be inf - inf there). An infinite interior
     point is an infinite barrier."""
     metric = _as_choice(metric, "metric", ("loss", "accuracy"))
+    split = _as_choice(split, "split", ("train", "test"))
     key = f"{split}_{'loss' if metric == 'loss' else 'acc'}"
     lam = curve.lambdas
     inside = (lam >= 0.0) & (lam <= 1.0)

@@ -18,10 +18,9 @@ whole batch, so a forward-only pass holds per vector only the batch's last
 conv output, 0.5 MB per 256 images on TINY4. Scoring one vector is the
 one-vector case, and each vector's output has the bits of that case.
 ``forward`` also takes each layer's float32 output from it. ``backward``
-takes from it each layer's input, patches and output for the whole batch
-(its records), as its weight gradients sum over the batch at once: a
-records pass runs the whole batch as one tile. Every pass runs on its
-caller's thread.
+takes from it each layer's weight, GEMM input and output for the whole
+batch (its records), as its weight gradients sum over the batch at once: a
+records pass runs the whole batch as one tile.
 
 Every conv gather, the forward patches and the transposed conv's phase
 columns alike, takes each pixel's C channels as C//g runs of g = gcd(C, 4)
@@ -325,8 +324,11 @@ def _phase_indices(oh: int, ow: int, kernel: int, stride: int, channels: int) ->
     return tuple(phases)
 
 
-def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: int, need_input_grad: bool = True):
-    """(grad_x, grad_w, grad_b); grad_x is None when need_input_grad is False.
+def _conv_backward(gout: np.ndarray, w: np.ndarray, patches, stride: int, need_input_grad: bool = True):
+    """(grad_x, grad_w, grad_b) of a conv whose (B, OH, OW, k, k, Cin)
+    patches, gathered with stride, gave the (B, OH, OW, Cout) output that
+    gout is the gradient of; grad_x, of shape (B, OH*stride, OW*stride,
+    Cin), is None when need_input_grad is False.
 
     grad_x is the transposed conv of gout (flipped kernel, channel axes
     swapped), computed phase by phase (``_phase_indices``): phase (p, q) is a
@@ -347,11 +349,9 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
     TINY4 conv, costs 6-14% less. grad_b sums gout's rows with einsum,
     which adds them in the order of ``gout.sum(axis=(0, 1, 2))`` and, like
     it, starts from +0.0 (so a channel of -0.0 sums to +0.0 in both): the
-    same bits at about a quarter of the cost. The jobs run in order on the
-    caller."""
+    same bits at about a quarter of the cost."""
     k, _, cin, cout = w.shape
-    bsz = x_shape[0]
-    oh, ow = patches.shape[1:3]
+    bsz, oh, ow = patches.shape[:3]
     flat = patches.reshape(bsz * oh * ow, k * k * cin)
     gflat = gout.reshape(bsz * oh * ow, cout)
     grad_w = np.dot(gflat.T, flat).T.reshape(k, k, cin, cout)
@@ -360,7 +360,7 @@ def _conv_backward(gout: np.ndarray, x_shape, w: np.ndarray, patches, stride: in
         return None, grad_w, grad_b
     phases = _phase_indices(oh, ow, k, stride, cout)
     # with k < stride some phases get no tap and stay zero
-    grad_x = (np.empty if len(phases) == stride * stride else np.zeros)(x_shape)
+    grad_x = (np.empty if len(phases) == stride * stride else np.zeros)((bsz, oh * stride, ow * stride, cin))
     # the kernel with channel axes swapped, per tap (Cout, Cin); C order, as
     # BLAS takes another kernel, and other bits, for a transpose
     swapped = np.ascontiguousarray(w.reshape(k * k, cin, cout).transpose(0, 2, 1))
@@ -425,11 +425,10 @@ def _weights(params: ParamVector, layer: dict) -> tuple[np.ndarray, np.ndarray]:
 def _run_layers(
     vectors: list[ParamVector],
     arch: ArchDescriptor,
-    x: np.ndarray | None,
+    x: np.ndarray,
     start: int = 0,
     stop: int | None = None,
     *,
-    patches: np.ndarray | None = None,
     acts: list | None = None,
     records: list | None = None,
 ) -> list[np.ndarray]:
@@ -437,19 +436,17 @@ def _run_layers(
     vectors, the output of layers [start, stop) of the plan on x, the
     float64 input to layer start (for start=0, ``_network_input``) that
     every vector shares. A caller that scores one vector passes [params].
-    patches, when given, are layer start's gathered conv patches of x, so
-    the gather is skipped and x is read only for the batch length, which
-    the patches must share (else SizeError); x may then be None, and the
-    batch length is the patches'. acts, when given,
+    For a conv layer start, x may instead be that layer's gathered
+    (B, OH, OW, k, k, Cin) patches (``_module_input``), told apart from an
+    input by their six axes, so the gather is skipped. acts, when given,
     receives one list per vector of (name, output) pairs, one per layer,
     the output in float32 for the whole batch: conv tiles are written into
     one float32 array per layer as they are made. records, given only with
-    one vector, receives one (layer, x_in, w, patches, post) per layer for
-    ``backward``: its plan entry, its input (flattened for a dense layer),
-    float64 weight, conv patches (None for a dense layer) and output, each
-    for the whole batch. Bias and ReLU are applied in place to the GEMM
-    output, so post > 0 is the ReLU's mask (the same as pre > 0, NaN
-    included).
+    one vector, receives one (layer, w, gemm_in, post) per layer for
+    ``backward``: its plan entry, float64 weight, GEMM input (a conv's
+    patches, a dense layer's flattened input) and output, each for the
+    whole batch. Bias and ReLU are applied in place to the GEMM output, so
+    post > 0 is the ReLU's mask (the same as pre > 0, NaN included).
 
     The conv layers run depth-first over tiles of ``_TILE`` images (cache
     blocking; Goto & van de Geijn 2008): each tile's layer-start patches
@@ -461,12 +458,8 @@ def _run_layers(
     into one float64 array for the whole batch, the only thing held per
     vector (0.5 MB per 256 images on TINY4), and the dense layers run once
     per vector on it. A batch of at most ``_TILE`` images is one tile, the
-    same GEMMs as an untiled pass.
-
-    The tiles run one after another on the calling thread, so one tile's
-    working set is live at a time. A tile is too little work to share with
-    a second thread: on a 2-vCPU VM, two threads each running whole TINY4
-    tiles did 0.8-1.8 times one thread's work, 1.0-1.1 in the median.
+    same GEMMs as an untiled pass. The tiles run one after another, so one
+    tile's working set is live at a time.
 
     A records pass is one tile of the whole batch, and each conv layer's
     patches and output are its records. So its GEMMs are the untiled
@@ -492,9 +485,7 @@ def _run_layers(
         _check_params(params, arch)
         weights.append([_weights(params, layer) for layer in plan])
     convs = sum(layer["kind"] == "conv" for layer in plan)  # the plan's conv layers come first
-    n = (patches if x is None else x).shape[0]
-    if patches is not None and patches.shape[0] != n:
-        raise SizeError(f"patches of {patches.shape[0]} images given for a batch of {n}")
+    n = x.shape[0]
     tile = _TILE if records is None else n
     shapes = [(n, *(size // layer["stride"] for size in layer["in_hw"]), layer["cout"]) for layer in plan[:convs]]
     outs = [np.empty(shapes[-1]) if convs else x for _ in vectors]
@@ -505,20 +496,17 @@ def _run_layers(
     )
     for i in range(0, n if convs else 0, tile):
         rows = slice(i, i + tile)
-        if patches is None:
-            shared = _gather_patches(x[rows], plan[0]["kernel"], plan[0]["stride"])
-        else:
-            shared = patches[rows]
+        shared = x[rows]
+        if shared.ndim != 6:
+            shared = _gather_patches(shared, plan[0]["kernel"], plan[0]["stride"])
         for v, layers in enumerate(weights):
-            # layer start's GEMM reads only its patches; its input is read for its records
-            y, tile_patches = (None if x is None else x[rows]), shared
+            patches = shared
             for j, (layer, (w, b)) in enumerate(zip(plan[:convs], layers)):
                 if j:
-                    tile_patches = _gather_patches(y, layer["kernel"], layer["stride"])
-                out = _apply_layer(layer, tile_patches, w, b)
+                    patches = _gather_patches(y, layer["kernel"], layer["stride"])
+                y = _apply_layer(layer, patches, w, b)
                 if records is not None:
-                    records.append((layer, y, w, tile_patches, out))
-                y = out
+                    records.append((layer, w, patches, y))
                 if kept is not None:
                     kept[v][j][1][rows] = y
             outs[v][rows] = y
@@ -529,23 +517,21 @@ def _run_layers(
             if kept is not None:
                 kept[v].append((layer["name"], outs[v].astype(np.float32)))
             if records is not None:
-                records.append((layer, x_in, w, None, outs[v]))
+                records.append((layer, w, x_in, outs[v]))
     if kept is not None:
         acts.extend(kept)
     return outs
 
 
-def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int):
+def _module_input(params: ParamVector, arch: ArchDescriptor, batch, start: int) -> np.ndarray:
     """The frozen prefix's part of a forward pass that
-    ``_run_layers(..., start, patches=...)`` completes, as (x, patches):
-    for a conv layer start, (None, its gathered patches), as the core reads
-    x only for its length once it has the patches; otherwise (the input to
-    layer start, None)."""
+    ``_run_layers(..., start)`` completes: for a conv layer start, its
+    gathered patches, otherwise the input to layer start."""
     x = _run_layers([params], arch, _network_input(arch, batch), 0, start)[0]
     layer = arch.layer_plan()[start]
     if layer["kind"] != "conv":
-        return x, None
-    return None, _gather_patches(x, layer["kernel"], layer["stride"])
+        return x
+    return _gather_patches(x, layer["kernel"], layer["stride"])
 
 
 def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarray, list]:
@@ -561,7 +547,7 @@ def forward(params: ParamVector, arch: ArchDescriptor, batch) -> tuple[np.ndarra
 def _check_labels(labels: np.ndarray, num_classes: int, n: int) -> None:
     """labels must be n >= 1 integers in [0, num_classes), one per image."""
     if labels.shape != (n,):
-        raise SizeError(f"labels of shape {labels.shape} do not match a batch of {n}")
+        raise SizeError(f"labels of shape {labels.shape} do not match {n} images")
     if n == 0:
         raise DomainError("cannot score an empty batch")
     if not np.issubdtype(labels.dtype, np.integer):
@@ -608,7 +594,7 @@ def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[
     loss, g = softmax_cross_entropy(logits, labels)
     grad = np.empty(params.size)
     for depth in reversed(range(len(records))):
-        layer, x_in, w, patches, post = records[depth]
+        layer, w, gemm_in, post = records[depth]
         if layer["kind"] != "classifier":
             # in place, as each g is fresh: a fresh product costs about half
             # again as much
@@ -616,9 +602,9 @@ def backward(params: ParamVector, arch: ArchDescriptor, batch, labels) -> tuple[
             g *= post > 0
         if layer["kind"] == "conv":
             # nothing reads the network input's gradient
-            g_in, gw, gb = _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=depth > 0)
+            g_in, gw, gb = _conv_backward(g, w, gemm_in, layer["stride"], need_input_grad=depth > 0)
         else:
-            g_in, gw, gb = g @ w, g.T @ x_in, g.sum(axis=0)
+            g_in, gw, gb = g @ w, g.T @ gemm_in, g.sum(axis=0)
         # the index holds each layer's weight and then its bias, in plan order
         for e, value in zip(params.index[2 * depth : 2 * depth + 2], (gw, gb)):
             grad[e.offset : e.offset + e.length].reshape(e.shape)[...] = value

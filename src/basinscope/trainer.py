@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import dataops
-from .errors import DivergedRunError, DomainError, SizeError
+from .errors import DivergedRunError, DomainError
 from .model import (
     ArchDescriptor, ParamVector, _check_labels, _check_params, _network_input, _nll, _run_layers, backward,
     init_random, sgd_step,
@@ -169,28 +169,20 @@ def make_datasets(data: DataSpec):
     return build("train", data.n_train), build("test", data.n_test)
 
 
-def _score_batches(labels: np.ndarray, num_classes: int, logit_batches) -> EvalResult:
-    """Score consecutive per-batch logits against labels: mean cross-entropy
-    and accuracy (argmax, ties to lowest class).
-
-    logit_batches yields float64 logits for consecutive slices of labels; it
-    is consumed only after labels pass their checks. SizeError unless the
-    batches cover exactly the labels.
-    """
+def _score_batches(labels: np.ndarray, logit_batches: list[np.ndarray]) -> EvalResult:
+    """Mean cross-entropy and accuracy (argmax, ties to lowest class) of
+    float64 logits for consecutive batches of the images, against their
+    labels, which the caller has checked (``_check_labels``) against the
+    number of images."""
     n = len(labels)
-    _check_labels(labels, num_classes, n)
     preds = np.empty(n, dtype=np.int64)
     loss_sum = 0.0
     start = 0
     for z in logit_batches:
         stop = start + z.shape[0]
-        if stop > n:
-            raise SizeError(f"logits for more than the {n} labels")
         loss_sum += float(np.sum(_nll(z, labels[start:stop])[0]))
         preds[start:stop] = np.argmax(z, axis=1)
         start = stop
-    if start != n:
-        raise SizeError(f"logits for {start} of the {n} labels")
     return EvalResult(loss=loss_sum / n, accuracy=float((preds == labels).mean()), predictions=preds)
 
 
@@ -214,12 +206,11 @@ def _same_arch(*holders) -> ArchDescriptor:
 def _evaluate_all(vectors: list[ParamVector], arch: ArchDescriptor, dataset: dataops.Dataset) -> list[EvalResult]:
     """``evaluate`` of each parameter vector on dataset, all vectors in one
     pass of the core per batch of EVAL_BATCH images, so each tile's patches
-    are gathered once for all of them. The labels are checked before any
-    forward pass."""
-    labels = dataset.labels
-    _check_labels(labels, arch.num_classes, len(labels))
+    are gathered once for all of them. The labels are checked against the
+    images before any forward pass."""
+    _check_labels(dataset.labels, arch.num_classes, len(dataset.images))
     batches = [_run_layers(vectors, arch, _network_input(arch, batch)) for batch in _eval_batches(dataset.images)]
-    return [_score_batches(labels, arch.num_classes, (logits[v] for logits in batches)) for v in range(len(vectors))]
+    return [_score_batches(dataset.labels, [logits[v] for logits in batches]) for v in range(len(vectors))]
 
 
 def evaluate(params: ParamVector, arch: ArchDescriptor, dataset: dataops.Dataset) -> EvalResult:

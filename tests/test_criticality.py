@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from basinscope import criticality, model
 from basinscope.criticality import (
     CriticalityConfig,
     _minimize,
@@ -317,8 +318,33 @@ class TestNetworkMap:
         images = np.concatenate([train_ds.images, train_ds.images])[:n_images]
         short = Dataset(images, train_ds.labels, "train", {})
         cfg = CriticalityConfig("fc1", 0.9, alpha_grid=[0.0, 1.0], sigma_grid=[0.1], noise_samples=1)
-        with pytest.raises(SizeError, match="the 30 labels"):
+        with pytest.raises(SizeError, match=rf"labels of shape \(30,\) do not match {n_images} images"):
             criticality_map(final, init, cfg, RngStream(21), short, generate(domain_spec("source"), "test", 20, 2))
+
+    @pytest.mark.parametrize("module", ["conv1", "fc1"])
+    @pytest.mark.parametrize("bad", ["train_label", "test_label", "train_count", "test_count"])
+    def test_labels_are_checked_before_any_layer_runs(self, module, bad, monkeypatch):
+        """An out-of-range label, or labels and images that differ in count,
+        on either split are refused before the frozen prefix runs: with no
+        call of the forward core at all, not after a pass over both splits."""
+        init, final = self.make_ckpts()
+        splits = {"train": generate(domain_spec("source"), "train", 30, 2), "test": generate(domain_spec("source"), "test", 20, 2)}
+        split, kind = bad.split("_")
+        ds = splits[split]
+        if kind == "label":
+            labels = ds.labels.copy()
+            labels[-1] = TINY4.num_classes
+            splits[split] = Dataset(ds.images, labels, split, {})
+        else:
+            splits[split] = Dataset(ds.images[:-1], ds.labels, split, {})
+        calls, run_layers = [], model._run_layers
+        counted = lambda *args, **kwargs: calls.append(args) or run_layers(*args, **kwargs)
+        monkeypatch.setattr(model, "_run_layers", counted)
+        monkeypatch.setattr(criticality, "_run_layers", counted)
+        cfg = CriticalityConfig(module, 0.9, alpha_grid=[0.0, 1.0], sigma_grid=[0.1], noise_samples=1)
+        with pytest.raises(DomainError if kind == "label" else SizeError, match="labels"):
+            criticality_map(final, init, cfg, RngStream(21), splits["train"], splits["test"])
+        assert calls == []
 
     def test_unknown_module_rejected(self):
         init, final = self.make_ckpts()

@@ -234,9 +234,12 @@ class TestBarrierHeight:
             barrier_height(curve, metric="error")
 
     def test_unknown_split_raises_domain_error(self):
+        """The error names the split the caller passed; it used to name a
+        key, "val_loss" or "3_loss", that the caller never passed."""
         curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)
-        with pytest.raises(DomainError, match="val_loss"):
-            barrier_height(curve, split="val")
+        for split in ("val", 3):
+            with pytest.raises(DomainError, match=rf"^split must be one of train, test; got {split!r}$"):
+                barrier_height(curve, split=split)
 
     def test_unknown_dataset_raises_domain_error(self):
         curve = scalar_curve(double_well, np.linspace(0, 1, 5), -1.0, 1.0)

@@ -142,7 +142,7 @@ class TestArch:
         batch, labels = rand_batch(arch, 2 * _TILE + 3, 92)
         logits, _ = forward(params, arch, batch)
         got = evaluate(params, arch, Dataset(batch, labels, "test", {}))
-        want = _score_batches(labels, arch.num_classes, [logits])
+        want = _score_batches(labels, [logits])
         assert got.loss == want.loss and np.array_equal(got.predictions, want.predictions)
         loss, grad = backward(params, arch, batch[:4], labels[:4])
         assert abs(loss - xent_loss(params, arch, batch[:4], labels[:4])) < 1e-9
@@ -334,8 +334,8 @@ class TestForward:
 
 
 def core_records(params, arch, x):
-    """backward's records: the core's (layer, x_in, w, patches, post) per
-    layer on x, the network input."""
+    """backward's records: the core's (layer, w, gemm_in, post) per layer
+    on x, the network input."""
     records = []
     _run_layers([params], arch, x, records=records)
     return records
@@ -348,11 +348,11 @@ def untiled_records(params, arch, x):
     for layer in arch.layer_plan():
         w, b = _weights(params, layer)
         if layer["kind"] == "conv":
-            x_in, patches = x, _gather_patches(x, layer["kernel"], layer["stride"])
+            gemm_in = _gather_patches(x, layer["kernel"], layer["stride"])
         else:
-            x_in, patches = x.reshape(x.shape[0], -1), None
-        x = _apply_layer(layer, x_in if patches is None else patches, w, b)
-        records.append((layer, x_in, w, patches, x))
+            gemm_in = x.reshape(x.shape[0], -1)
+        x = _apply_layer(layer, gemm_in, w, b)
+        records.append((layer, w, gemm_in, x))
     return records
 
 
@@ -423,9 +423,10 @@ class TestLayerByLayerForward:
 class TestForwardCore:
     @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
     def test_suffix_from_every_module_matches_forward(self, arch):
-        """Running the core from module m on the prefix's output (with or
-        without the cached conv patches) gives forward's logits bit for bit,
-        and so does the logits-only run of the whole network."""
+        """Running the core from module m on the prefix's output, or on the
+        cached module input (a conv module's gathered patches), gives
+        forward's logits bit for bit, and so does the logits-only run of the
+        whole network."""
         params = init_random(arch, RngStream(19))
         batch, _ = rand_batch(arch, 5, 6)
         want, _ = forward(params, arch, batch)
@@ -435,39 +436,38 @@ class TestForwardCore:
             prefix = _run_layers([params], arch, x0, 0, m)[0]
             assert isinstance(prefix, np.ndarray)
             assert np.array_equal(_run_layers([params], arch, prefix, m)[0], want), name
-            x, patches = _module_input(params, arch, batch, m)
+            given = _module_input(params, arch, batch, m)
             if name.startswith(("fc", "classifier")):
-                assert np.array_equal(x, prefix) and patches is None, name
+                assert np.array_equal(given, prefix), name
             else:
                 layer = arch.layer_plan()[m]
-                assert x is None and np.array_equal(patches, _gather_patches(prefix, layer["kernel"], layer["stride"])), name
-            assert np.array_equal(_run_layers([params], arch, x, m, patches=patches)[0], want), name
-            assert np.array_equal(_run_layers([params], arch, prefix, m, patches=patches)[0], want), name
+                assert given.ndim == 6 and np.array_equal(given, _gather_patches(prefix, layer["kernel"], layer["stride"])), name
+            assert np.array_equal(_run_layers([params], arch, given, m)[0], want), name
 
     def test_keep_builds_one_record_per_module(self):
-        """One (layer, x_in, w, patches, post) record per module: each
-        layer's input is the previous output (flattened into a dense layer),
-        its float64 weight, patches for conv layers only, and an output equal
-        to the out-of-place affine map plus bias, through a ReLU on every
-        layer but the classifier; post > 0 is the ReLU's mask pre > 0."""
+        """One (layer, w, gemm_in, post) record per module: each layer's
+        float64 weight, its GEMM input (a conv layer's patches of the
+        previous output, a dense layer's previous output flattened), and an
+        output equal to the out-of-place affine map plus bias, through a
+        ReLU on every layer but the classifier; post > 0 is the ReLU's mask
+        pre > 0."""
         params = init_random(TINY4, RngStream(19))
         batch, _ = rand_batch(TINY4, 2, 7)
         x0 = _network_input(TINY4, batch)
         records = core_records(params, TINY4, x0)
         assert [layer["name"] for layer, *_ in records] == TINY4.module_names()
         prev = x0
-        for layer, x_in, w, patches, post in records:
+        for layer, w, gemm_in, post in records:
             name = layer["name"]
             b = params.get(f"{name}.bias").astype(np.float64)
-            assert np.array_equal(x_in, prev.reshape(x_in.shape)), name
-            assert (x_in.ndim == 4) == (layer["kind"] == "conv"), name
+            assert (gemm_in.ndim == 6) == (layer["kind"] == "conv"), name
             assert w.dtype == np.float64 and np.array_equal(w, params.get(f"{name}.weight")), name
-            assert (patches is None) == (layer["kind"] != "conv"), name
             if layer["kind"] == "conv":
-                assert np.array_equal(patches, _gather_patches(x_in, layer["kernel"], layer["stride"])), name
-                pre = (patches.reshape(-1, w[..., 0].size) @ w.reshape(-1, layer["cout"])).reshape(post.shape) + b
+                assert np.array_equal(gemm_in, _gather_patches(prev, layer["kernel"], layer["stride"])), name
+                pre = (gemm_in.reshape(-1, w[..., 0].size) @ w.reshape(-1, layer["cout"])).reshape(post.shape) + b
             else:
-                pre = x_in @ w.T + b
+                assert np.array_equal(gemm_in, prev.reshape(prev.shape[0], -1)), name
+                pre = gemm_in @ w.T + b
             assert np.array_equal(post, pre if layer["kind"] == "classifier" else np.maximum(pre, 0.0)), name
             if layer["kind"] != "classifier":
                 assert np.array_equal(post > 0, pre > 0), name
@@ -527,7 +527,7 @@ def conv_gemm(patches, w):
     return (patches.reshape(-1, w.size // cout) @ w.reshape(-1, cout)).reshape(patches.shape[:3] + (cout,))
 
 
-def single_pass(params, arch, x, start=0, stop=None, patches=None):
+def single_pass(params, arch, x, start=0, stop=None):
     """The untiled logits-only loop: each layer's affine map, bias and ReLU
     on the whole batch at once."""
     for layer in arch.layer_plan()[start:stop]:
@@ -535,10 +535,9 @@ def single_pass(params, arch, x, start=0, stop=None, patches=None):
         w = params.get(f"{name}.weight").astype(np.float64)
         b = params.get(f"{name}.bias").astype(np.float64)
         if layer["kind"] == "conv":
-            out = conv_gemm(_gather_patches(x, layer["kernel"], layer["stride"]) if patches is None else patches, w)
+            out = conv_gemm(_gather_patches(x, layer["kernel"], layer["stride"]), w)
         else:
             out = x.reshape(x.shape[0], -1) @ w.T
-        patches = None
         out += b
         if layer["kind"] != "classifier":
             np.maximum(out, 0.0, out=out)
@@ -580,11 +579,11 @@ class TestTiledCore:
         x0 = _network_input(TINY4, batch)
         for m, name in enumerate(TINY4.module_names()):
             x = _run_layers([params], TINY4, x0, 0, m)[0]
-            given, patches = _module_input(params, TINY4, batch, m)
+            given = _module_input(params, TINY4, batch, m)
             assert np.array_equal(x, single_pass(params, TINY4, x0, 0, m)), name
             want = single_pass(params, TINY4, x, m)
             assert np.array_equal(_run_layers([params], TINY4, x, m)[0], want), name
-            assert np.array_equal(_run_layers([params], TINY4, given, m, patches=patches)[0], want), name
+            assert np.array_equal(_run_layers([params], TINY4, given, m)[0], want), name
 
     @pytest.mark.parametrize("arch", [TINY4, SMALL], ids=["tiny4", "small"])
     @pytest.mark.parametrize("n", [1, _TILE, _TILE + 1, 2 * _TILE + 1, 256, 300])
@@ -594,25 +593,22 @@ class TestTiledCore:
         alone, and the dense layers run once on the joined last conv output:
         logits and float32 activations, bit for bit, even where tiling
         reassociates (SMALL's conv1). From the network input and from conv2,
-        each with and without given patches, and from given patches alone."""
+        each as the layer's input and as its gathered patches."""
         vectors = [with_biases(init_random(arch, RngStream(70, v)), 71 + v) for v in range(k)]
         batch, _ = rand_batch(arch, n, 72)
         x0 = _network_input(arch, batch)
         conv1 = arch.layer_plan()[0]
         x1 = _run_layers([vectors[0]], arch, x0, 0, 1)[0]
-        cached, patches1 = _module_input(vectors[0], arch, batch, 1)
+        patches1 = _module_input(vectors[0], arch, batch, 1)
         patches0 = _gather_patches(x0, conv1["kernel"], conv1["stride"])
         convs = len(arch.conv_blocks)
-        cases = [(x0, 0, None), (x0, 0, patches0), (None, 0, patches0), (x1, 1, None), (x1, 1, patches1), (cached, 1, patches1)]
-        for x, start, given in cases:
+        for x, start in [(x0, 0), (patches0, 0), (x1, 1), (patches1, 1)]:
             acts = []
-            got = _run_layers(vectors, arch, x, start, patches=given, acts=acts)
+            got = _run_layers(vectors, arch, x, start, acts=acts)
             tiles = []
             for i in range(0, n, _TILE):
-                rows = slice(i, i + _TILE)
                 tile_acts = []
-                tile_x, tile_given = (None if x is None else x[rows]), (None if given is None else given[rows])
-                tiles.append((_run_layers(vectors, arch, tile_x, start, convs, patches=tile_given, acts=tile_acts), tile_acts))
+                tiles.append((_run_layers(vectors, arch, x[i : i + _TILE], start, convs, acts=tile_acts), tile_acts))
             for v, params in enumerate(vectors):
                 joined = np.concatenate([outs[v] for outs, _ in tiles])
                 dense_acts = []
@@ -623,32 +619,16 @@ class TestTiledCore:
                 for (name, act), (_, expected) in zip(acts[v], want):
                     assert act.dtype == np.float32 and np.array_equal(act, expected), name
 
-    @pytest.mark.parametrize("length", [0, 289, 297])
-    def test_given_patches_of_another_batch_length_rejected(self, length):
-        """Patches given beside an input of 296 images must hold 296 images:
-        with 289 the last tile's one image would be broadcast over its eight
-        rows, and with 297 the extra image would be dropped, each without an
-        error. The next call is whole."""
-        vectors = [init_random(TINY4, RngStream(73, v)) for v in range(2)]
-        x = _network_input(TINY4, rand_batch(TINY4, 296, 74)[0])
-        conv1 = TINY4.layer_plan()[0]
-        patches = _gather_patches(_network_input(TINY4, rand_batch(TINY4, 297, 74)[0]), conv1["kernel"], conv1["stride"])
-        want = _run_layers(vectors, TINY4, x)
-        with pytest.raises(SizeError, match="patches"):
-            _run_layers(vectors, TINY4, x, patches=patches[:length])
-        for got, expected in zip(_run_layers(vectors, TINY4, x), want):
-            assert np.array_equal(got, expected)
-
     def test_evaluate_matches_single_pass(self):
         """300 images: a full and a partial evaluation batch, both tiled."""
         params = with_biases(init_random(TINY4, RngStream(44)), 45)
         images, labels = rand_batch(TINY4, 300, 46)
         got = evaluate(params, TINY4, Dataset(images, labels, "test", {}))
-        logits = (
+        logits = [
             single_pass(params, TINY4, _network_input(TINY4, images[i : i + EVAL_BATCH]))
             for i in range(0, len(images), EVAL_BATCH)
-        )
-        want = _score_batches(labels, TINY4.num_classes, logits)
+        ]
+        want = _score_batches(labels, logits)
         assert got.loss == want.loss
         assert np.array_equal(got.predictions, want.predictions)
 
@@ -673,7 +653,7 @@ class TestTiledCore:
         assert np.array_equal(logits, _run_layers([params], arch, x0)[0])
         for m, (name, act) in enumerate(acts):
             assert np.array_equal(act, _run_layers([params], arch, x0, 0, m + 1)[0].astype(np.float32)), name
-        monkeypatch.setattr(trainer, "_score_batches", lambda labels, num_classes, batches: list(batches))
+        monkeypatch.setattr(trainer, "_score_batches", lambda labels, batches: batches)
         batches = evaluate(params, arch, Dataset(images, labels, "test", {}))
         assert len(batches) == 2
         for i, z in enumerate(batches):
@@ -727,20 +707,20 @@ class TestSharedTiles:
     @pytest.mark.parametrize("n", [1, 13, 256])
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_shared_pass_equals_one_vector_passes(self, arch, n, k):
-        """From the network input (start 0), and from conv2 with and without
-        its cached patches; the float32 activations too."""
+        """From the network input (start 0), and from conv2's input and its
+        cached patches; the float32 activations too."""
         vectors = [with_biases(init_random(arch, RngStream(60, v)), 61 + v) for v in range(k)]
         batch, _ = rand_batch(arch, n, 62)
         x0 = _network_input(arch, batch)
         x1 = _run_layers([vectors[0]], arch, x0, 0, 1)[0]
-        cached, patches = _module_input(vectors[0], arch, batch, 1)
-        for x, start, given in ((x0, 0, None), (x1, 1, None), (x1, 1, patches), (cached, 1, patches)):
+        patches = _module_input(vectors[0], arch, batch, 1)
+        for x, start in ((x0, 0), (x1, 1), (patches, 1)):
             acts = []
-            shared = _run_layers(vectors, arch, x, start, patches=given, acts=acts)
+            shared = _run_layers(vectors, arch, x, start, acts=acts)
             assert len(shared) == len(acts) == k
             for params, logits, vector_acts in zip(vectors, shared, acts):
                 alone = []
-                assert np.array_equal(logits, _run_layers([params], arch, x, start, patches=given, acts=alone)[0])
+                assert np.array_equal(logits, _run_layers([params], arch, x, start, acts=alone)[0])
                 assert [name for name, _ in vector_acts] == [name for name, _ in alone[0]]
                 for (name, act), (_, want) in zip(vector_acts, alone[0]):
                     assert act.dtype == np.float32 and np.array_equal(act, want), name
@@ -881,7 +861,7 @@ class TestCoreRecords:
     @pytest.mark.parametrize("arch", [TINY4, SMALL, TWELVE], ids=["tiny4", "small", "twelve"])
     @pytest.mark.parametrize("n", [1, 7, _TILE, _TILE + 1, 32, 64, 256])
     def test_backward_equals_untiled_records_bit_for_bit(self, arch, n, monkeypatch):
-        """Each record's input, weight, patches and output, bit for bit, and
+        """Each record's weight, GEMM input and output, bit for bit, and
         backward's loss and gradient against backward on the untiled
         records. A records pass is one whole-batch tile, so it keeps the
         untiled loop's GEMMs even where tiling reassociates (SMALL's and
@@ -893,7 +873,7 @@ class TestCoreRecords:
         assert [layer for layer, *_ in got] == [layer for layer, *_ in want]
         for (layer, *parts), (_, *expected) in zip(got, want):
             for part, oracle in zip(parts, expected):
-                assert (part is None and oracle is None) or (part.shape == oracle.shape and np.array_equal(part, oracle)), layer["name"]
+                assert part.shape == oracle.shape and np.array_equal(part, oracle), layer["name"]
         loss, grad = backward(params, arch, batch, labels)
 
         def untiled(vectors, arch, x, *, records):
@@ -1024,7 +1004,7 @@ class TestInputGradient:
     def test_matches_zero_stuffed_oracle_bit_for_bit(self, case, bsz):
         (h, wid), cin, cout, kernel, stride = case
         gout, x_shape, w, patches = input_grad_case(h, wid, cin, cout, kernel, stride, bsz, 31)
-        got, _, _ = _conv_backward(gout, x_shape, w, patches, stride)
+        got, _, _ = _conv_backward(gout, w, patches, stride)
         want = zero_stuffed_input_grad(gout, x_shape, w, stride)
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
@@ -1039,7 +1019,7 @@ class TestInputGradient:
         (h, wid), cin, kernel, stride = geom
         for cout in (3, 6, 16):
             gout, x_shape, w, patches = input_grad_case(h, wid, cin, cout, kernel, stride, bsz, 32)
-            got, _, _ = _conv_backward(gout, x_shape, w, patches, stride)
+            got, _, _ = _conv_backward(gout, w, patches, stride)
             want = zero_stuffed_input_grad(gout, x_shape, w, stride)
             n_terms = kernel * kernel * cout
             gamma = n_terms * 2.0**-53 / (1 - n_terms * 2.0**-53)
@@ -1056,7 +1036,7 @@ class TestInputGradient:
         h, wid, cin, cout, stride = 8, 8, 3, 4, 2
         gout, x_shape, w, _ = input_grad_case(h, wid, cin, cout, kernel, stride, 2, 34)
         x = gaussian(RngStream(35), int(np.prod(x_shape)), 1.0).reshape(x_shape)
-        grad_x, _, _ = _conv_backward(gout, x_shape, w, _gather_patches(x, kernel, stride), stride)
+        grad_x, _, _ = _conv_backward(gout, w, _gather_patches(x, kernel, stride), stride)
 
         def objective(xv):
             out = conv_gemm(_gather_patches(xv, kernel, stride), w)
@@ -1233,9 +1213,9 @@ class TestBackward:
         w = gaussian(rng, 3 * 3 * 2 * 4, 1.0).reshape(3, 3, 2, 4)
         patches = _gather_patches(x, 3, stride)
         gout = gaussian(rng, 3 * (8 // stride) ** 2 * 4, 1.0).reshape(3, 8 // stride, 8 // stride, 4)
-        gx, gw, gb = _conv_backward(gout, x.shape, w, patches, stride)
+        gx, gw, gb = _conv_backward(gout, w, patches, stride)
         assert gx.shape == x.shape
-        none, gw0, gb0 = _conv_backward(gout, x.shape, w, patches, stride, need_input_grad=False)
+        none, gw0, gb0 = _conv_backward(gout, w, patches, stride, need_input_grad=False)
         assert none is None
         assert np.array_equal(gw0, gw) and np.array_equal(gb0, gb)
 
@@ -1249,11 +1229,11 @@ class TestBackward:
         params = with_biases(init_random(arch, RngStream(116)), 117)
         batch, _ = rand_batch(arch, n, 118)
         records = core_records(params, arch, _network_input(arch, batch))
-        for depth, (layer, x_in, w, patches, post) in enumerate(records):
+        for depth, (layer, w, patches, post) in enumerate(records):
             if layer["kind"] != "conv":
                 break
             g = gaussian(RngStream(119, depth), post.size, 1.0).reshape(post.shape) * (post > 0)
-            _, gw, gb = _conv_backward(g, x_in.shape, w, patches, layer["stride"], need_input_grad=False)
+            _, gw, gb = _conv_backward(g, w, patches, layer["stride"], need_input_grad=False)
             flat = patches.reshape(-1, w[..., 0].size)
             assert gw.shape == w.shape
             assert np.array_equal(gw, np.dot(flat.T, g.reshape(-1, layer["cout"])).reshape(w.shape)), layer["name"]
@@ -1270,7 +1250,7 @@ class TestBackward:
         gout[..., 2] = np.where(np.arange(gout[..., 2].size).reshape(gout.shape[:3]) % 2, 0.0, -0.0)
         gout[..., 3] = 0.0
         gout[0, 0, 0, 3], gout[1, 0, 0, 3] = 0.75, -0.75
-        _, _, gb = _conv_backward(gout, x_shape, w, patches, 1)
+        _, _, gb = _conv_backward(gout, w, patches, 1)
         want = gout.sum(axis=(0, 1, 2))
         assert gb[0] != 0 and np.all(gb[1:] == 0)
         assert np.array_equal(gb, want) and not np.signbit(gb).any() and not np.signbit(want).any()

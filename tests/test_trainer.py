@@ -195,14 +195,18 @@ class TestEvaluate:
             evaluate(ParamVector.zeros(TINY4), TINY4, ds)
 
     @pytest.mark.parametrize("n_images", [100, 305])
-    def test_images_must_match_labels(self, n_images):
+    def test_images_must_match_labels(self, n_images, monkeypatch):
         """Scores of 100 images against 300 labels once read accuracy 0.03
         from an uninitialised predictions array; 305 images raised numpy's
-        IndexError."""
+        IndexError. The labels are checked against the images before any
+        layer runs."""
         ds = generate(domain_spec("source"), "train", 300, 0)
         images = np.concatenate([ds.images, ds.images])[:n_images]
-        with pytest.raises(SizeError, match="the 300 labels"):
+        calls, run_layers = [], trainer._run_layers
+        monkeypatch.setattr(trainer, "_run_layers", lambda *args, **kwargs: calls.append(args) or run_layers(*args, **kwargs))
+        with pytest.raises(SizeError, match=re.escape(f"labels of shape (300,) do not match {n_images} images")):
             evaluate(init_random(TINY4, RngStream(1)), TINY4, Dataset(images, ds.labels, "train", {}))
+        assert calls == []
 
 
 class TestTrain:
