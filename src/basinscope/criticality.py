@@ -13,31 +13,39 @@ Only the perturbed module changes from cell to cell, so ``criticality_map``
 checks each split's labels against its images once, then runs the frozen
 prefix once per map: it caches one array per evaluation batch
 (``model._module_input``), for a conv module the gathered patches of its
-input and otherwise the input itself. Each noise sample passes that array
-to the forward core as its input and runs only the module and the layers
-after it, with the same arithmetic as ``evaluate``: the core runs the conv
-layers over tiles of a few images, so each tile stays in cache, its cached
-patches a view of the batch's, and the dense layers once on the whole
-batch, so their bits do not depend on the tile size
-(``model._run_layers``). The cache holds float64 arrays; the largest is a
-conv1 map's, about 21 MB of patches at 384 images on TINY4.
+input and otherwise the input itself. The noise draws of one alpha row are
+scored in passes of up to ``_DRAWS_PER_PASS`` draws: each pass gives the
+cached array of each batch to the forward core once, as the input that all
+of its draws share, and runs only the module and the layers after it, with
+the same arithmetic as ``evaluate``. The core runs the conv layers over
+tiles of a few images, so each tile stays in cache while every draw of the
+pass runs on it, its cached patches a view of the batch's, and the dense
+layers once per draw on the whole batch, so no draw's bits depend on the
+tile size or on the other draws of its pass (``model._run_layers``). The
+cache holds float64 arrays; the largest is a conv1 map's, about 21 MB of
+patches at 384 images on TINY4. On each batch a pass holds one last-conv
+output per draw, 4 MB for 8 draws on 256 TINY4 images.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, SizeError
 from .model import ParamVector, _check_labels, _module_input, _run_layers
-from .numerics import _as_choice, _as_grid, _as_int, _as_real
+from .numerics import _as_choice, _as_grid, _as_int, _as_real, _as_vector
 from .rng import RngStream, gaussian_rows
 from .trainer import Checkpoint, _eval_batches, _same_arch, _score_batches, split_metrics
 
 NOISE_MODES = ("current_norm", "raw")
+# noise draws per pass of the forward core: the gain of sharing a cached
+# tile levels off between 6 and 12 draws
+_DRAWS_PER_PASS = 8
 
 
 @dataclass
@@ -127,19 +135,42 @@ def criticality_grid(
 ) -> CriticalityMap:
     """Generic grid engine over one module's flat vector.
 
-    eval_fn(vector) -> (train_metric, test_metric). The network wrapper
-    substitutes the vector into the module's slice; the synthetic closed-form
-    tests drive this directly.
+    eval_fn(vector) -> (train_metric, test_metric), called once per noise
+    draw in row order. The synthetic closed-form tests drive this directly;
+    ``criticality_map`` scores a pass of draws at a time through the same
+    grid (``_grid``). SizeError unless theta0, theta_end and every path
+    point are 1-D vectors of one length, at least 1.
     """
-    theta0 = np.asarray(theta0, dtype=np.float64)
-    theta_end = np.asarray(theta_end, dtype=np.float64)
+    return _grid(theta0, theta_end, lambda vectors: [eval_fn(v) for v in vectors], cfg, rng, path_points)
+
+
+def _grid(theta0, theta_end, score_pass, cfg: CriticalityConfig, rng: RngStream, path_points=None) -> CriticalityMap:
+    """The grid engine: score_pass((k, p) vectors) -> k (train, test) pairs
+    in row order.
+
+    Each cell (i, j) draws its noise_samples rows from ``rng.split(key, i,
+    j)`` (``gaussian_rows``) and adds them to theta_alpha. The draws of one
+    alpha row are made one cell at a time, as the passes reach them, and
+    scored in passes of at most ``_DRAWS_PER_PASS``; a pass never spans two
+    rows. Each cell's metrics are summed in sample order, so the grid's
+    bits do not depend on how the draws are split into passes.
+    """
+    theta0 = _as_vector(theta0, "theta0")
+    theta_end = _as_vector(theta_end, "theta_end")
     p = theta0.size
+    if p == 0:
+        raise SizeError("theta0 has no entries")
+    if theta_end.size != p:
+        raise SizeError(f"theta_end has {theta_end.size} entries, theta0 {p}")
     path_distance = float(np.linalg.norm(theta_end - theta0))
     if path_points is not None and len(path_points) < 2:
         raise DomainError("optimization path needs at least two checkpoints")
-    points = None if path_points is None else [np.asarray(q, dtype=np.float64) for q in path_points]
+    points = None if path_points is None else [_as_vector(q, f"path point {k}") for k, q in enumerate(path_points)]
+    for k, q in enumerate(points or ()):
+        if q.size != p:
+            raise SizeError(f"path point {k} has {q.size} entries, theta0 {p}")
 
-    na, ns = cfg.alpha_grid.size, cfg.sigma_grid.size
+    na, ns, m = cfg.alpha_grid.size, cfg.sigma_grid.size, cfg.noise_samples
     train_grid = np.zeros((na, ns))
     test_grid = np.zeros((na, ns))
     key = _module_stream_key(cfg.module_name)
@@ -152,17 +183,22 @@ def criticality_grid(
             scale = float(np.linalg.norm(theta_alpha)) / math.sqrt(p)
         else:
             scale = 1.0
-        for j, sigma in enumerate(cfg.sigma_grid):
-            cell_rng = rng.split(key, i, j)
-            std = float(sigma) * scale
+        draws = (
+            vec
+            for j, sigma in enumerate(cfg.sigma_grid)
+            for vec in theta_alpha + gaussian_rows(rng.split(key, i, j), m, p, float(sigma) * scale)
+        )
+        scores = []
+        while block := list(itertools.islice(draws, _DRAWS_PER_PASS)):
+            scores += score_pass(np.array(block))
+        for j in range(ns):
             tr_acc = 0.0
             te_acc = 0.0
-            for u in gaussian_rows(cell_rng, cfg.noise_samples, p, std):
-                tr, te = eval_fn(theta_alpha + u)
+            for tr, te in scores[j * m : (j + 1) * m]:
                 tr_acc += tr
                 te_acc += te
-            train_grid[i, j] = tr_acc / cfg.noise_samples
-            test_grid[i, j] = te_acc / cfg.noise_samples
+            train_grid[i, j] = tr_acc / m
+            test_grid[i, j] = te_acc / m
     mu, arg = _minimize(cfg.alpha_grid, cfg.sigma_grid, train_grid, cfg.epsilon, path_distance)
     return CriticalityMap(
         module_name=cfg.module_name,
@@ -198,8 +234,11 @@ def criticality_map(
 
     Both splits' labels are checked against their images before any layer
     runs. The frozen prefix's output, the module's input (for a conv
-    module, its patches), is computed once per evaluation batch; every
-    noise sample runs only the module and the layers after it.
+    module, its patches), is computed once per evaluation batch. The draws
+    of an alpha row then run in passes of up to ``_DRAWS_PER_PASS``: one
+    call of the forward core per pass and cached batch runs the module and
+    the layers after it for every draw of the pass, and each draw is scored
+    as ``evaluate`` would score it, bit for bit.
     """
     arch = _same_arch(final_or_opt, init, *(checkpoints or ()))
     span = final_or_opt.params.module_slice(cfg.module_name)
@@ -231,18 +270,18 @@ def criticality_map(
         for ds in (train_ds, test_ds)
     ]
 
-    def eval_fn(vec):
-        work = base.copy()
-        work[span] = vec
-        params = ParamVector(work, final_or_opt.params.index)
+    def score_pass(vectors):
+        work = np.repeat(base[None], len(vectors), axis=0)
+        work[:, span] = vectors
+        passed = [ParamVector(row, final_or_opt.params.index) for row in work]
         metrics = []
         for labels, cache in splits:
-            logits = [_run_layers([params], arch, x, start)[0] for x in cache]
-            result = _score_batches(labels, logits)
-            metrics.append(1.0 - result.accuracy if cfg.metric == "error" else result.loss)
-        return tuple(metrics)
+            batches = [_run_layers(passed, arch, x, start) for x in cache]
+            results = [_score_batches(labels, [logits[v] for logits in batches]) for v in range(len(passed))]
+            metrics.append([1.0 - r.accuracy if cfg.metric == "error" else r.loss for r in results])
+        return list(zip(*metrics))
 
-    return criticality_grid(theta0, theta_end, eval_fn, cfg, rng, path_points=path_points)
+    return _grid(theta0, theta_end, score_pass, cfg, rng, path_points=path_points)
 
 
 def rewind_probe(final: Checkpoint, init: Checkpoint, module_name: str, train_ds, test_ds) -> dict:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -214,6 +215,28 @@ class TestSyntheticClosedForm:
             criticality_grid(
                 np.array([0.0]), np.array([1.0]), scalar_quadratic, synthetic_cfg(), RngStream(12), path_points=[np.array([0.0])]
             )
+
+    @pytest.mark.parametrize(
+        "theta0, theta_end, points, match",
+        [
+            (np.zeros(1), np.ones(3), None, r"theta_end has 3 entries, theta0 1$"),
+            (np.zeros(3), np.ones(3), [np.zeros(3), np.ones(2), np.ones(3)], r"path point 1 has 2 entries, theta0 3$"),
+            (np.zeros((1, 3)), np.ones(3), None, r"theta0 must be 1-D, got shape \(1, 3\)"),
+            (np.zeros(0), np.zeros(0), None, r"theta0 has no entries"),
+        ],
+        ids=["size1_theta0_size3_end", "path_points_of_two_lengths", "2d_theta0", "empty"],
+    )
+    def test_vectors_of_other_shapes_rejected(self, theta0, theta_end, points, match):
+        """theta0, theta_end and every path point must be 1-D vectors of one
+        length, at least 1: a size-1 theta0 was broadcast against a longer
+        theta_end, giving every entry one noise value, other mismatches
+        raised numpy's ValueError from deep in the grid, and an empty module
+        divided by zero under current_norm noise."""
+        calls = []
+        cfg = CriticalityConfig("w", 1.0, alpha_grid=[0.0, 1.0], sigma_grid=[0.1], noise_samples=1, noise_mode="raw")
+        with pytest.raises(SizeError, match=match):
+            criticality_grid(theta0, theta_end, lambda v: calls.append(v) or (0.0, 0.0), cfg, RngStream(12), path_points=points)
+        assert calls == []
 
 
 class TestConfig:
@@ -498,44 +521,85 @@ def prefix_setup():
     return init, mid, final, train_ds, test_ds
 
 
+def assert_map_equals_full_network_grid(prefix_setup, module, metric, path, samples, sigmas):
+    """criticality_map, which runs only the suffix from the module on a
+    cached prefix, a pass of draws at a time, equals criticality_grid driven
+    by one full evaluate call per draw, bit for bit."""
+    init, mid, final, train_ds, test_ds = prefix_setup
+    cfg = CriticalityConfig(
+        module_name=module,
+        epsilon=0.5,
+        alpha_grid=np.array([0.5, 1.0]),
+        sigma_grid=np.array(sigmas),
+        noise_samples=samples,
+        metric=metric,
+    )
+    span = final.params.module_slice(module)
+
+    def eval_fn(vec):
+        params = ParamVector(final.params.values.astype(np.float64), final.params.index)
+        params.values[span] = vec
+        tr = evaluate(params, TINY4, train_ds)
+        te = evaluate(params, TINY4, test_ds)
+        if metric == "error":
+            return 1.0 - tr.accuracy, 1.0 - te.accuracy
+        return tr.loss, te.loss
+
+    points, checkpoints = None, None
+    if path == "optimization":
+        points = [c.params.values[span].astype(np.float64) for c in (init, mid, final)]
+        checkpoints = [init, mid]
+    theta0 = init.params.values[span].astype(np.float64)
+    theta_end = final.params.values[span].astype(np.float64)
+    want = criticality_grid(theta0, theta_end, eval_fn, cfg, RngStream(31), path_points=points)
+    got = criticality_map(final, init, cfg, RngStream(31), train_ds, test_ds, checkpoints=checkpoints)
+    assert np.array_equal(got.train, want.train)
+    assert np.array_equal(got.test, want.test)
+    assert got.mu == want.mu
+
+
 class TestPrefixReuse:
     @pytest.mark.parametrize("path", ["direct", "optimization"])
     @pytest.mark.parametrize("metric", ["error", "xent"])
     @pytest.mark.parametrize("module", TINY4.module_names())
     def test_map_bit_identical_to_full_network_evaluation(self, prefix_setup, module, metric, path):
-        """criticality_map, which runs only the suffix from the module on a
-        cached prefix, equals criticality_grid driven by full evaluate calls."""
-        init, mid, final, train_ds, test_ds = prefix_setup
-        cfg = CriticalityConfig(
-            module_name=module,
-            epsilon=0.5,
-            alpha_grid=np.array([0.5, 1.0]),
-            sigma_grid=np.array([0.1]),
-            noise_samples=1,
-            metric=metric,
-        )
+        assert_map_equals_full_network_grid(prefix_setup, module, metric, path, 1, [0.1])
+
+    @pytest.mark.parametrize("samples", [3, 5])
+    @pytest.mark.parametrize("path", ["direct", "optimization"])
+    @pytest.mark.parametrize("metric", ["error", "xent"])
+    @pytest.mark.parametrize("module", TINY4.module_names())
+    def test_passes_across_cells_bit_identical_to_full_network_evaluation(self, prefix_setup, module, metric, path, samples):
+        """Three sigmas of 3 or 5 draws make 9 or 15 draws per alpha row,
+        scored in passes of 8 and 1 or 8 and 7: a pass ends inside a cell,
+        and each alpha row starts a new pass."""
+        assert_map_equals_full_network_grid(prefix_setup, module, metric, path, samples, [0.01, 0.1, 1.0])
+
+    @pytest.mark.parametrize("module", ["conv1", "classifier"])
+    def test_passes_hold_at_most_eight_draws_of_one_alpha_row(self, prefix_setup, module, monkeypatch):
+        """Each alpha row's 15 draws go to the forward core in ceil(15 / 8) =
+        2 passes per cached batch (two train batches, one test batch), none
+        holding more than 8 draws or draws of two rows. A draw's row is the
+        path point nearest its module, noise being at most 3% of its norm
+        and the points 25% of theta0's norm apart."""
+        init, _, final, train_ds, test_ds = prefix_setup
         span = final.params.module_slice(module)
-
-        def eval_fn(vec):
-            params = ParamVector(final.params.values.astype(np.float64), final.params.index)
-            params.values[span] = vec
-            tr = evaluate(params, TINY4, train_ds)
-            te = evaluate(params, TINY4, test_ds)
-            if metric == "error":
-                return 1.0 - tr.accuracy, 1.0 - te.accuracy
-            return tr.loss, te.loss
-
-        points, checkpoints = None, None
-        if path == "optimization":
-            points = [c.params.values[span].astype(np.float64) for c in (init, mid, final)]
-            checkpoints = [init, mid]
         theta0 = init.params.values[span].astype(np.float64)
         theta_end = final.params.values[span].astype(np.float64)
-        want = criticality_grid(theta0, theta_end, eval_fn, cfg, RngStream(31), path_points=points)
-        got = criticality_map(final, init, cfg, RngStream(31), train_ds, test_ds, checkpoints=checkpoints)
-        assert np.array_equal(got.train, want.train)
-        assert np.array_equal(got.test, want.test)
-        assert got.mu == want.mu
+        cfg = CriticalityConfig(module, 0.5, alpha_grid=[0.0, 0.5, 1.0], sigma_grid=[0.01, 0.02, 0.03], noise_samples=5)
+        anchors = [(1.0 - a) * theta0 + a * theta_end for a in cfg.alpha_grid]
+        calls, run_layers = [], criticality._run_layers
+
+        def spy(vectors, *args, **kwargs):
+            calls.append([np.argmin([np.linalg.norm(v.values[span] - a) for a in anchors]) for v in vectors])
+            return run_layers(vectors, *args, **kwargs)
+
+        monkeypatch.setattr(criticality, "_run_layers", spy)
+        criticality_map(final, init, cfg, RngStream(32), train_ds, test_ds)
+        assert max(len(rows) for rows in calls) <= 8
+        assert all(len(set(rows)) == 1 for rows in calls)
+        assert Counter(rows[0] for rows in calls) == {0: 2 * 3, 1: 2 * 3, 2: 2 * 3}
+        assert sum(len(rows) for rows in calls) == 3 * 15 * 3
 
 
 # --- the vectorized grid minimum and polyline lookup against their loops ---
